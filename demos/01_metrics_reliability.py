@@ -10,24 +10,26 @@ from pathlib import Path
 import numpy as np
 
 from calibforge import metrics
-from calibforge.metrics import PredictionRecord
 
 rng = np.random.default_rng(0)
 
 print("== an overconfident predictor ==")
 print("it claims 90% confidence but is right only ~70% of the time\n")
-records = []
+# a prediction set is an (n, 2) probability array plus 0/1 labels; class 0
+# is always the predicted class here, so label 1 marks a wrong prediction
+probs, labels = [], []
 for i in range(200):
     correct = rng.random() < 0.70
-    true_label = 0 if correct else 1
-    records.append(PredictionRecord.from_probs((0.90, 0.10), true_label))
+    probs.append((0.90, 0.10))
+    labels.append(0 if correct else 1)
 # add a smattering of mid-confidence predictions that are roughly honest
 for i in range(100):
     conf = float(rng.uniform(0.5, 0.65))
     correct = rng.random() < conf
-    records.append(PredictionRecord.from_probs((conf, 1 - conf), 0 if correct else 1))
+    probs.append((conf, 1 - conf))
+    labels.append(0 if correct else 1)
 
-report = metrics.build_report(records, m_bins=10)
+report = metrics.build_report(np.array(probs), np.array(labels), m_bins=10)
 print(f"n = {report.n}, accuracy = {report.accuracy:.3f}")
 print(f"ECE = {report.ece:.4f}   MCE = {report.mce:.4f}")
 print(f"NLL = {report.nll_sum:.2f} (sum), {report.nll_mean:.4f} (per sample)\n")
@@ -47,10 +49,11 @@ metrics.write_reliability_svg(report, out, title="overconfident predictor")
 print(f"\nwrote {out.name}: accuracy bars vs the identity diagonal")
 
 print("\n== the same metrics on a perfectly calibrated set ==")
-calibrated = []
+probs, labels = [], []
 for conf in (0.55, 0.65, 0.75, 0.85, 0.95):
     for i in range(100):
         correct = i < round(conf * 100)
-        calibrated.append(PredictionRecord.from_probs((conf, 1 - conf), 0 if correct else 1))
-report = metrics.build_report(calibrated, m_bins=10)
+        probs.append((conf, 1 - conf))
+        labels.append(0 if correct else 1)
+report = metrics.build_report(np.array(probs), np.array(labels), m_bins=10)
 print(f"ECE = {report.ece:.4f}   MCE = {report.mce:.4f}  (both ~0 by construction)")

@@ -10,32 +10,26 @@ import numpy as np
 from calibforge import datagen, metrics, nn
 
 config = datagen.SyntheticConfig(n_matches=6000, n_features=45, roster_size=20, rng_seed=3)
-samples = datagen.generate_dataset(config)
-train, test = samples[:5000], samples[5000:]
+x_all, y_all, p_all = datagen.generate_dataset(config)
+x, y = x_all[:5000], y_all[:5000]
+xt, yt, p_true = x_all[5000:], y_all[5000:], p_all[5000:]
 
-p_true = np.array([s.p_true for s in test])
 bayes_acc = float(np.mean(np.maximum(p_true, 1 - p_true)))
-print(f"generated {len(samples)} match-minutes "
+print(f"generated {len(y_all)} match-minutes "
       f"(noise temperature {datagen.noise_temperature(config.minute_min, config):.2f} "
       f"at minute {config.minute_min} down to "
       f"{datagen.noise_temperature(config.minute_max, config):.2f} at minute {config.minute_max})")
 print(f"best possible test accuracy given the label noise: {bayes_acc:.3f}\n")
 
-x, y, _ = datagen.to_arrays(train)
 train_config = nn.TrainConfig(learning_rate=1e-3, epochs=10, batch_size=256, rng_seed=3)
 params, log = nn.train(x, y, train_config, layer_sizes=[45, 32, 2])
 print("epoch   loss     train_acc")
 for row in log:
     print(f"{row.epoch:4d}   {row.loss:.4f}   {row.train_acc:.3f}")
 
-xt, yt, _ = datagen.to_arrays(test)
 probs = nn.softmax(nn.forward(params, xt))
-records = [metrics.PredictionRecord.from_probs(probs[i], int(yt[i])) for i in range(len(yt))]
-report = metrics.build_report(records, 10)
+report = metrics.build_report(probs, yt, 10)
 print(f"\ntest accuracy {report.accuracy:.3f}  ECE {report.ece:.4f}  MCE {report.mce:.4f}")
 
-pairs = datagen.oracle_confidences(
-    [r.predicted_label for r in records], [r.confidence for r in records], p_true
-)
-print(f"oracle calibration error vs known p_true: {datagen.oracle_ece(pairs):.4f}")
+print(f"oracle calibration error vs known p_true: {datagen.oracle_ece(probs, p_true):.4f}")
 print("(the binned ECE estimates this from noisy labels; the oracle needs none)")

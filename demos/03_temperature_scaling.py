@@ -19,9 +19,7 @@ val, test = slice(0, n // 2), slice(n // 2, n)
 
 
 def ece_of(logits, y):
-    probs = nn.softmax(logits)
-    records = [metrics.PredictionRecord.from_probs(probs[i], int(y[i])) for i in range(len(y))]
-    return metrics.build_report(records, 10).ece
+    return metrics.build_report(nn.softmax(logits), y, 10).ece
 
 
 print(f"uncalibrated test ECE: {ece_of(z_model[test], labels[test]):.4f}")

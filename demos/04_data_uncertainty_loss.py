@@ -30,10 +30,9 @@ print("damping shrinks as mu_c grows: confident inputs are barely touched.")
 
 print("\n== part 2: training with the loss ==")
 config = datagen.SyntheticConfig(n_matches=6000, n_features=45, roster_size=20, rng_seed=5)
-samples = datagen.generate_dataset(config)
-train, test = samples[:5000], samples[5000:]
-x, y, _ = datagen.to_arrays(train)
-xt, yt, p_true = datagen.to_arrays(test)
+x_all, y_all, p_all = datagen.generate_dataset(config)
+x, y = x_all[:5000], y_all[:5000]
+xt, yt, p_true = x_all[5000:], y_all[5000:], p_all[5000:]
 
 common = dict(learning_rate=1e-3, epochs=20, batch_size=256, rng_seed=5)
 ce_params, _ = nn.train(x, y, nn.TrainConfig(loss_kind="ce", **common), layer_sizes=[45, 32, 2])
@@ -43,12 +42,7 @@ du_params, _ = nn.train(
 
 
 def report(probs):
-    records = [metrics.PredictionRecord.from_probs(probs[i], int(yt[i])) for i in range(len(yt))]
-    rep = metrics.build_report(records, 10)
-    pairs = datagen.oracle_confidences(
-        [r.predicted_label for r in records], [r.confidence for r in records], p_true
-    )
-    return rep, datagen.oracle_ece(pairs)
+    return metrics.build_report(probs, yt, 10), datagen.oracle_ece(probs, p_true)
 
 
 rep_ce, oe_ce = report(nn.softmax(nn.forward(ce_params, xt)))

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datagen, duloss, metrics, nn, scaling
+from .artifacts import write_lines
 from .datagen import DatasetFormatError
 from .nn import ModelFormatError
 
@@ -162,8 +164,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(command: str, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags; unknown keys are rejected."""
+def _check_config_types(parser, command: str, overrides: dict, defaults: dict) -> None:
+    """A config-file value must have the type its flag parses to: the
+    argparse action's type, or bool for a --x/--no-x pair. Ints exclude
+    bools and floats, floats admit ints, and null is valid only where the
+    default is null."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for action in sub.choices[command]._actions:
+        if action.dest not in overrides:
+            continue
+        value = overrides[action.dest]
+        kind = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type
+        if value is None:
+            ok = defaults[action.dest] is None
+        else:
+            # bool is a subclass of int, so it is matched only by a bool flag
+            accepted = (int, float) if kind is float else kind
+            ok = isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
+        if not ok:
+            null = " or null" if defaults[action.dest] is None else ""
+            raise ValueError(
+                f"config key {action.dest!r} must be {kind.__name__}{null}, "
+                f"got {json.dumps(value)}"
+            )
+
+
+def resolve_config(
+    command: str, args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> dict:
+    """defaults < config file < explicit flags; unknown keys and values of
+    the wrong type are rejected."""
     resolved = dict(COMMAND_DEFAULTS[command])
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -177,6 +207,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         unknown = sorted(set(overrides) - set(resolved))
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+        _check_config_types(parser, command, overrides, resolved)
         resolved.update(overrides)
     for key in resolved:
         value = getattr(args, key, None)
@@ -213,20 +244,23 @@ def cmd_gen(resolved: dict) -> None:
         minute_max=int(resolved["minute_max"]),
         rng_seed=int(resolved["seed"]),
     )
-    samples = datagen.generate_dataset(config)
+    x, y, p_true = datagen.generate_dataset(config)
     out = _outdir(resolved)
     meta = _meta("gen", resolved)
-    datagen.write_dataset(out / "train.csv", samples[:n_train], config.roster_size, comment=meta)
-    datagen.write_dataset(out / "test.csv", samples[n_train:], config.roster_size, comment=meta)
+    for name, rows in (("train.csv", slice(None, n_train)), ("test.csv", slice(n_train, None))):
+        datagen.write_dataset(
+            out / name, x[rows], y[rows], p_true[rows], config.roster_size, comment=meta
+        )
     print(f"wrote {n_train} rows to {out / 'train.csv'} and {n_test} rows to {out / 'test.csv'}")
 
 
 def _load_training_split(data_path, val_fraction: float, split_seed: int):
-    samples = datagen.read_dataset(data_path)
-    if not samples:
+    """((x, y) train rows, (x, y) validation rows) of a dataset file."""
+    x, y, _ = datagen.read_dataset(data_path)
+    if len(y) == 0:
         raise ValueError(f"{data_path}: dataset is empty")
-    train, val, _ = datagen.split(samples, (1.0 - val_fraction, val_fraction), split_seed)
-    return train, val
+    train, val, _ = datagen.split(len(y), (1.0 - val_fraction, val_fraction), split_seed)
+    return (x[train], y[train]), (x[val], y[val])
 
 
 def cmd_train(resolved: dict) -> None:
@@ -248,8 +282,7 @@ def cmd_train(resolved: dict) -> None:
     )
     config.validate()
     hidden = [int(h) for h in str(resolved["hidden"]).split(",") if h]
-    train, _ = _load_training_split(resolved["data"], val_fraction, seed)
-    x, y, _ = datagen.to_arrays(train)
+    (x, y), _ = _load_training_split(resolved["data"], val_fraction, seed)
     params, log = nn.train(x, y, config, layer_sizes=[x.shape[1]] + hidden + [2])
     out = _outdir(resolved)
     header = {
@@ -287,10 +320,9 @@ def cmd_calibrate(resolved: dict) -> None:
         val_fraction = float(header["val_fraction"])
     except KeyError as exc:
         raise ValueError(f"{resolved['model']}: model header lacks {exc}") from exc
-    _, val = _load_training_split(resolved["data"], val_fraction, split_seed)
-    if not val:
+    _, (xv, yv) = _load_training_split(resolved["data"], val_fraction, split_seed)
+    if len(yv) == 0:
         raise ValueError("validation split is empty; retrain with a positive val_fraction")
-    xv, yv, _ = datagen.to_arrays(val)
     logits = nn.forward(params, xv)
     out = _outdir(resolved)
     kind = resolved["kind"]
@@ -319,7 +351,7 @@ def cmd_calibrate(resolved: dict) -> None:
     detail = f"T={scaler.temperature!r}" if kind == "temperature" else "fitted"
     if scaler.warning:
         print(f"warning: {scaler.warning}", file=sys.stderr)
-    print(f"wrote {scaler_path} ({detail}, val NLL minimized on {len(val)} points)")
+    print(f"wrote {scaler_path} ({detail}, val NLL minimized on {len(yv)} points)")
 
 
 def _load_scaler(path):
@@ -331,10 +363,6 @@ def _load_scaler(path):
         raise ArtifactReadError(f"{path}: {exc}") from exc
 
 
-def _fmt_field(v) -> str:
-    return repr(float(v))
-
-
 def cmd_eval(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("eval requires --model and --data")
@@ -344,10 +372,9 @@ def cmd_eval(resolved: dict) -> None:
         scaler = _load_scaler(resolved["scaler"])
     if params.du_head_enabled and scaler is not None:
         raise ValueError("post-hoc scalers do not combine with du models")
-    samples = datagen.read_dataset(resolved["data"])
-    if not samples:
+    x, y, p_true = datagen.read_dataset(resolved["data"])
+    if len(y) == 0:
         raise ValueError(f"{resolved['data']}: dataset is empty")
-    x, y, p_true = datagen.to_arrays(samples)
 
     raw = nn.forward(params, x)
     if params.du_head_enabled:
@@ -364,11 +391,7 @@ def cmd_eval(resolved: dict) -> None:
         zt = scaling.transform_logits(scaler, raw) if scaler is not None else raw
         probs = nn.softmax(zt)
 
-    records = [
-        metrics.PredictionRecord.from_probs(probs[i], int(y[i]))
-        for i in range(len(y))
-    ]
-    report = metrics.build_report(records, int(resolved["m_bins"]))
+    report = metrics.build_report(probs, y, int(resolved["m_bins"]))
 
     label = resolved["label"]
     if label is None:
@@ -381,12 +404,7 @@ def cmd_eval(resolved: dict) -> None:
 
     extra = {"version": __version__, "config": resolved, "method": label}
     if p_true is not None:
-        pairs = datagen.oracle_confidences(
-            [r.predicted_label for r in records],
-            [r.confidence for r in records],
-            p_true,
-        )
-        extra["oracle_ece"] = datagen.oracle_ece(pairs)
+        extra["oracle_ece"] = datagen.oracle_ece(probs, p_true)
 
     out = _outdir(resolved)
     meta = _meta("eval", resolved)
@@ -397,17 +415,20 @@ def cmd_eval(resolved: dict) -> None:
         title=f"reliability: {METHOD_NAMES.get(label, label)}", comment=meta,
     )
 
-    dump_lines = [f"# {meta}", "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"]
-    for i, rec in enumerate(records):
-        s_field = _fmt_field(s_dump[i]) if s_dump is not None else ""
-        pt_field = _fmt_field(p_true[i]) if p_true is not None else ""
-        dump_lines.append(
-            f"{_fmt_field(logits_dump[i, 0])},{_fmt_field(logits_dump[i, 1])},{s_field},"
-            f"{_fmt_field(rec.prob_vector[0])},{_fmt_field(rec.prob_vector[1])},"
-            f"{_fmt_field(rec.confidence)},{rec.predicted_label},{rec.true_label},{pt_field}"
-        )
-    with open(out / f"predictions_{label}.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(dump_lines) + "\n")
+    confidence, predicted = metrics.predict(probs)
+
+    def column(values) -> list[str]:
+        return [""] * len(y) if values is None else [repr(v) for v in values.tolist()]
+
+    columns = [
+        column(logits_dump[:, 0]), column(logits_dump[:, 1]), column(s_dump),
+        column(probs[:, 0]), column(probs[:, 1]), column(confidence),
+        column(predicted), column(y), column(p_true),
+    ]
+    write_lines(out / f"predictions_{label}.csv", itertools.chain(
+        [f"# {meta}", "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"],
+        map(",".join, zip(*columns)),
+    ))
 
     line = (
         f"{label}: accuracy={report.accuracy:.4f} ece={report.ece:.4f} "
@@ -451,12 +472,8 @@ def cmd_compare(resolved: dict) -> None:
         "config": resolved,
         "methods": reports,
     }
-    with open(out / "comparison.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    with open(out / "comparison.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"# {_meta('compare', resolved)}\n")
-        fh.write(table + "\n")
+    write_lines(out / "comparison.json", [json.dumps(doc, indent=2)])
+    write_lines(out / "comparison.txt", [f"# {_meta('compare', resolved)}", table])
     print(table)
 
 
@@ -476,7 +493,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        resolved = resolve_config(args.command, args)
+        resolved = resolve_config(args.command, args, parser)
         print(f"{args.command} config: {json.dumps(resolved, sort_keys=True)}")
         HANDLERS[args.command](resolved)
         return EXIT_OK

@@ -18,11 +18,14 @@ is exactly reproducible from its own file.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import format_numbers, write_lines
 from .duloss import sigmoid
+from .metrics import predict
 
 SCALAR_COLUMNS = ["minute", "gold_diff", "xp_diff", "kills_blue", "kills_red"]
 
@@ -43,19 +46,6 @@ _PICKS_PER_TEAM = 5
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset files; the message names the line."""
-
-
-@dataclass
-class Sample:
-    """One match-minute: feature vector, outcome label, optional truth.
-
-    ``p_true`` is the generator's win probability for label 1; it is absent
-    for datasets of real matches.
-    """
-
-    features: np.ndarray
-    label: int
-    p_true: float | None = None
 
 
 @dataclass
@@ -132,8 +122,9 @@ def win_probability(
     return sigmoid(a / noise_temperature(minute, config))
 
 
-def generate_dataset(config: SyntheticConfig) -> list[Sample]:
-    """Draw a seeded dataset with p_true populated.
+def generate_dataset(config: SyntheticConfig):
+    """Draw a seeded dataset as (x, y, p_true) arrays: (n, F) float features,
+    (n,) 0/1 labels and (n,) win probabilities of label 1.
 
     Draw order is fixed (minute, gold, xp, kills, picks, filler, labels), so
     a config reproduces its dataset exactly.
@@ -172,56 +163,31 @@ def generate_dataset(config: SyntheticConfig) -> list[Sample]:
             filler,
         ]
     )
-    return [
-        Sample(features=features[i], label=int(labels[i]), p_true=float(p_true[i]))
-        for i in range(n)
-    ]
+    return features, labels, p_true
 
 
-def to_arrays(samples: list[Sample]):
-    """Stack samples into (X, y, p_true); p_true is None if any sample lacks it."""
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    x = np.stack([s.features for s in samples])
-    y = np.array([s.label for s in samples], dtype=int)
-    if any(s.p_true is None for s in samples):
-        return x, y, None
-    return x, y, np.array([s.p_true for s in samples])
-
-
-def oracle_ece(pairs) -> float:
+def oracle_ece(probs, p_true) -> float:
     """Mean absolute gap between predicted confidence and the true
     confidence of the predicted class.
 
-    Takes (predicted confidence, ground-truth confidence) pairs; being an
-    expectation over the known per-sample truth, it needs no binning and no
-    labels, so it has none of the label-noise of the binned estimate.
+    The truth for the predicted class is p_true for class 1 and 1 - p_true
+    for class 0. Being an expectation over the known per-sample truth, it
+    needs no binning and no labels, so it has none of the label noise of
+    the binned estimate. The gaps are summed sequentially in row order.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
-    total = 0.0
-    for conf, true_conf in pairs:
-        if true_conf is None:
-            raise ValueError("p_true is required for every pair")
-        total += abs(float(conf) - float(true_conf))
-    return total / len(pairs)
+    confidence, predicted = predict(probs)
+    p_true = np.asarray(p_true, dtype=float)  # None becomes a 0-d NaN
+    if p_true.shape != confidence.shape:
+        raise ValueError("p_true must hold one probability per row of probs")
+    if len(p_true) == 0:
+        raise ValueError("the prediction set must be nonempty")
+    true_conf = np.where(predicted == 1, p_true, 1.0 - p_true)
+    return float(np.cumsum(np.abs(confidence - true_conf))[-1]) / len(p_true)
 
 
-def oracle_confidences(predicted_labels, confidences, p_true):
-    """Build oracle_ece pairs: the truth for the predicted class is p_true
-    for class 1 and 1 - p_true for class 0."""
-    pairs = []
-    for pred, conf, p in zip(predicted_labels, confidences, p_true):
-        if p is None:
-            raise ValueError("p_true is required for every sample")
-        true_conf = float(p) if int(pred) == 1 else 1.0 - float(p)
-        pairs.append((float(conf), true_conf))
-    return pairs
-
-
-def split(dataset: list, fractions, seed: int):
-    """Seeded disjoint partition into (train, val, test).
+def split(n: int, fractions, seed: int):
+    """Seeded disjoint partition of n rows into (train, val, test) index
+    arrays.
 
     ``fractions`` lists (train, val[, test]) shares; they must be
     nonnegative and sum to at most 1. The val and test sizes are exact
@@ -236,20 +202,11 @@ def split(dataset: list, fractions, seed: int):
         raise ValueError("fractions must be nonnegative")
     if sum(fracs) > 1.0 + 1e-12:
         raise ValueError("fractions must sum to at most 1")
-    n = len(dataset)
     n_val = int(np.floor(fracs[1] * n))
     n_test = int(np.floor(fracs[2] * n))
     perm = np.random.default_rng(seed).permutation(n)
     n_train = n - n_val - n_test
-    train = [dataset[i] for i in perm[:n_train]]
-    val = [dataset[i] for i in perm[n_train : n_train + n_val]]
-    test = [dataset[i] for i in perm[n_train + n_val :]]
-    return train, val, test
-
-
-def _fmt(v: float) -> str:
-    v = float(v)
-    return str(int(v)) if v.is_integer() else repr(v)
+    return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
 def dataset_header(roster_size: int, filler_size: int, with_p_true: bool) -> str:
@@ -263,39 +220,50 @@ def dataset_header(roster_size: int, filler_size: int, with_p_true: bool) -> str
 
 
 def write_dataset(
-    path, samples: list[Sample], roster_size: int, comment: str | None = None
+    path, x, y, p_true, roster_size: int, comment: str | None = None
 ) -> None:
-    """Write samples as CSV. The p_true column is included exactly when
-    every sample carries it. Values round-trip exactly through read_dataset."""
-    with_p_true = bool(samples) and all(s.p_true is not None for s in samples)
-    n_features = samples[0].features.shape[0] if samples else None
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    if n_features is None:
-        raise ValueError("cannot infer the schema of an empty sample list")
+    """Write (x, y, p_true) arrays as CSV; pass p_true=None for data without
+    a known win probability. Values round-trip exactly through read_dataset."""
+    x = np.asarray(x, dtype=float)
+    n_rows, n_features = x.shape
+    if len(y) != n_rows or (p_true is not None and len(p_true) != n_rows):
+        raise ValueError("x, y and p_true must have one entry per row")
     filler_size = n_features - len(SCALAR_COLUMNS) - roster_size
     if filler_size < 0:
         raise ValueError("roster_size larger than the feature vector allows")
-    lines.append(dataset_header(roster_size, filler_size, with_p_true))
-    for s in samples:
-        if s.features.shape[0] != n_features:
-            raise ValueError("all samples must share one feature width")
-        fields = [_fmt(v) for v in s.features]
-        fields.append(str(int(s.label)))
-        if with_p_true:
-            fields.append(repr(float(s.p_true)))
-        lines.append(",".join(fields))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tails = [str(int(label)) for label in np.asarray(y).tolist()]
+    if p_true is not None:
+        tails = [f"{t},{p!r}" for t, p in zip(tails, np.asarray(p_true, dtype=float).tolist())]
+    head = [f"# {comment}"] if comment else []
+    head.append(dataset_header(roster_size, filler_size, p_true is not None))
+    rows = (",".join(format_numbers(row) + [tail]) for row, tail in zip(x, tails))
+    write_lines(path, itertools.chain(head, rows))
 
 
-def read_dataset(path) -> list[Sample]:
-    """Parse a dataset CSV back into samples.
+def _parse_error(path, numbered_lines, n_cols: int) -> DatasetFormatError:
+    """Name the first data line that does not hold n_cols numbers."""
+    for line_no, line in numbered_lines:
+        fields = line.split(",")
+        if len(fields) != n_cols:
+            return DatasetFormatError(
+                f"{path}: line {line_no}: expected {n_cols} columns, got {len(fields)}"
+            )
+        try:
+            for v in fields:
+                float(v)
+        except ValueError as exc:
+            return DatasetFormatError(f"{path}: line {line_no}: {exc}")
+    return DatasetFormatError(f"{path}: data rows are not numeric CSV")
 
-    Raises DatasetFormatError naming the 1-based line for a malformed row,
-    a wrong column count, or a bad header. Leading '#' comment lines are
-    skipped; a header-only file yields an empty list.
+
+def read_dataset(path):
+    """Parse a dataset CSV into (x, y, p_true) arrays; p_true is None when
+    the file has no p_true column.
+
+    Raises DatasetFormatError naming the 1-based line for a malformed row, a
+    wrong column count, a bad header, a non-finite feature, a label other
+    than 0/1, or a p_true outside [0, 1]. Leading '#' comment lines and
+    blank lines are skipped; a header-only file yields zero rows.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -328,27 +296,29 @@ def read_dataset(path) -> list[Sample]:
     n_cols = len(header)
     n_feat = len(SCALAR_COLUMNS) + n_comp + n_filler
 
-    samples = []
-    for line_no in range(idx + 1, len(lines)):
-        line = lines[line_no]
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != n_cols:
-            raise DatasetFormatError(
-                f"{path}: line {line_no + 1}: expected {n_cols} columns, got {len(fields)}"
-            )
+    # loadtxt numbers rows inconsistently in its errors, so the file line of
+    # each data row is kept to name a bad row
+    numbered = [(no + 1, line) for no, line in enumerate(lines) if no > idx and line]
+    data = np.empty((0, n_cols))
+    if numbered:
         try:
-            values = [float(v) for v in fields[:n_feat]]
-            label = int(fields[n_feat])
-            p_true = float(fields[n_feat + 1]) if with_p_true else None
-        except ValueError as exc:
-            raise DatasetFormatError(f"{path}: line {line_no + 1}: {exc}") from exc
-        if label not in (0, 1):
-            raise DatasetFormatError(
-                f"{path}: line {line_no + 1}: label must be 0 or 1"
+            data = np.loadtxt(
+                [line for _, line in numbered], delimiter=",", comments=None, ndmin=2
             )
-        samples.append(
-            Sample(features=np.array(values), label=label, p_true=p_true)
-        )
-    return samples
+        except ValueError:
+            raise _parse_error(path, numbered, n_cols) from None
+        if data.shape[1] != n_cols:
+            raise _parse_error(path, numbered, n_cols)
+    x = np.ascontiguousarray(data[:, :n_feat])
+    y = data[:, n_feat]
+    p_true = data[:, n_feat + 1].copy() if with_p_true else None
+    checks = [
+        (~np.isfinite(x).all(axis=1), "features must be finite"),
+        ((y != 0.0) & (y != 1.0), "label must be 0 or 1"),
+    ]
+    if with_p_true:
+        checks.append((~((p_true >= 0.0) & (p_true <= 1.0)), "p_true must lie in [0, 1]"))
+    for bad, message in checks:
+        if bad.any():
+            raise DatasetFormatError(f"{path}: line {numbered[np.argmax(bad)][0]}: {message}")
+    return x, y.astype(int), p_true

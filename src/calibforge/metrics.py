@@ -1,67 +1,33 @@
 """Reliability binning and calibration metrics for two-class predictions.
 
-Confidence here means the maximum class probability a model assigns to its
-prediction. The dataset is partitioned into M equal-width, right-closed
-confidence bins ((m-1)/M, m/M]; per-bin accuracy and mean confidence feed
-the expected and maximum calibration errors, and the negative log-likelihood
-is computed directly from the predicted probability of the true label.
+A prediction set is an (n, 2) array of class probabilities plus an (n,)
+array of 0/1 labels. Confidence means the maximum class probability a model
+assigns to its prediction. The set is partitioned into M equal-width,
+right-closed confidence bins ((m-1)/M, m/M]; per-bin accuracy and mean
+confidence feed the expected and maximum calibration errors, and the
+negative log-likelihood is computed directly from the predicted probability
+of the true label.
 
-All arithmetic is plain Python floats accumulated in record order, so every
-number in a report can be reproduced exactly by a straightforward loop over
-the raw per-sample records.
+Every sum accumulates sequentially in row order (``np.bincount`` and plain
+loops, never the pairwise ``np.sum``), so every number in a report can be
+reproduced exactly by a straightforward loop over the rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
+
+from .artifacts import write_lines
 
 DEFAULT_BINS = 10
 
 # Lower clamp applied to a probability before taking its log. Probabilities
 # equal to 1 are left untouched so a perfect prediction scores exactly 0.
 PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One scored sample: class probabilities plus the true label.
-
-    ``confidence`` must equal ``max(prob_vector)`` and ``predicted_label``
-    the argmax (ties break to the lower class index); ``from_probs`` builds
-    a consistent record from the probability vector alone.
-    """
-
-    confidence: float
-    predicted_label: int
-    true_label: int
-    prob_vector: tuple[float, float]
-
-    @classmethod
-    def from_probs(cls, prob_vector, true_label: int) -> "PredictionRecord":
-        p0, p1 = float(prob_vector[0]), float(prob_vector[1])
-        predicted = 0 if p0 >= p1 else 1
-        return cls(
-            confidence=max(p0, p1),
-            predicted_label=predicted,
-            true_label=int(true_label),
-            prob_vector=(p0, p1),
-        )
-
-    def validate(self) -> None:
-        p0, p1 = self.prob_vector
-        if p0 < 0.0 or p1 < 0.0:
-            raise ValueError("prob_vector entries must be nonnegative")
-        if abs((p0 + p1) - 1.0) > 1e-9:
-            raise ValueError("prob_vector must sum to 1 within 1e-9")
-        if self.confidence != max(p0, p1):
-            raise ValueError("confidence must equal max(prob_vector)")
-        if self.predicted_label != (0 if p0 >= p1 else 1):
-            raise ValueError("predicted_label must be the argmax class")
-        if self.true_label not in (0, 1):
-            raise ValueError("true_label must be 0 or 1")
 
 
 @dataclass
@@ -109,36 +75,54 @@ class CalibrationReport:
     bins: list[BinStats]
 
 
-def bin_index(confidence: float, m_bins: int) -> int:
-    """Return the 1-based bin of ``confidence`` among M right-closed bins.
+def predict(probs) -> tuple[np.ndarray, np.ndarray]:
+    """Confidence (the maximum class probability) and predicted label of
+    each row of an (n, 2) probability array. Ties go to class 0."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 2 or probs.shape[1] != 2:
+        raise ValueError("probs must have shape (n, 2)")
+    predicted = (probs[:, 1] > probs[:, 0]).astype(int)
+    return np.where(predicted == 1, probs[:, 1], probs[:, 0]), predicted
+
+
+def _prediction_set(probs, labels) -> tuple[np.ndarray, np.ndarray]:
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels)
+    if probs.ndim != 2 or probs.shape[1] != 2 or labels.shape != probs.shape[:1]:
+        raise ValueError("probs must have shape (n, 2) and labels shape (n,)")
+    if len(labels) == 0:
+        raise ValueError("the prediction set must be nonempty")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return probs, labels.astype(int)
+
+
+def bin_indices(confidences, m_bins: int) -> np.ndarray:
+    """Return the 1-based bin of each confidence among M right-closed bins.
 
     Bin m covers ((m-1)/M, m/M]. A confidence of exactly 0 falls into bin 1
     so the bins partition [0, 1] completely.
     """
     if m_bins < 1:
         raise ValueError("m_bins must be a positive integer")
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"confidence {confidence!r} outside [0, 1]")
-    edges = [m / m_bins for m in range(1, m_bins + 1)]
-    return min(bisect_left(edges, confidence) + 1, m_bins)
+    conf = np.asarray(confidences, dtype=float)
+    inside = (conf >= 0.0) & (conf <= 1.0)
+    if not inside.all():
+        bad = float(conf[~inside].flat[0])
+        raise ValueError(f"confidence {bad!r} outside [0, 1]")
+    edges = np.arange(1, m_bins + 1) / m_bins
+    return np.minimum(np.searchsorted(edges, conf, side="left"), m_bins - 1) + 1
 
 
-def compute_bins(records: list[PredictionRecord], m_bins: int) -> list[BinStats]:
-    """Partition records by confidence and compute per-bin accuracy and
-    mean confidence. Always returns exactly ``m_bins`` entries."""
-    if not records:
-        raise ValueError("records must be nonempty")
-    if m_bins < 1:
-        raise ValueError("m_bins must be a positive integer")
-    counts = [0] * m_bins
-    hits = [0] * m_bins
-    conf_sums = [0.0] * m_bins
-    for rec in records:
-        b = bin_index(rec.confidence, m_bins) - 1
-        counts[b] += 1
-        if rec.predicted_label == rec.true_label:
-            hits[b] += 1
-        conf_sums[b] += rec.confidence
+def compute_bins(probs, labels, m_bins: int) -> list[BinStats]:
+    """Partition a prediction set by confidence and compute per-bin accuracy
+    and mean confidence. Always returns exactly ``m_bins`` entries."""
+    probs, labels = _prediction_set(probs, labels)
+    confidence, predicted = predict(probs)
+    idx = bin_indices(confidence, m_bins) - 1
+    counts = np.bincount(idx, minlength=m_bins).tolist()
+    hits = np.bincount(idx[predicted == labels], minlength=m_bins).tolist()
+    conf_sums = np.bincount(idx, weights=confidence, minlength=m_bins).tolist()
     bins = []
     for b in range(m_bins):
         if counts[b] > 0:
@@ -182,38 +166,34 @@ def mce(bins: list[BinStats]) -> float:
     return max(gaps)
 
 
-def nll(records: list[PredictionRecord]) -> float:
+def nll(probs, labels) -> float:
     """Summed negative log-likelihood of the true labels.
 
     Probabilities are floored at PROB_FLOOR before the log; a probability of
-    exactly 1 therefore contributes exactly 0.
+    exactly 1 therefore contributes exactly 0. Logs are taken with
+    ``math.log``, whose last bit can differ from ``np.log``.
     """
-    if not records:
-        raise ValueError("records must be nonempty")
+    probs, labels = _prediction_set(probs, labels)
     total = 0.0
-    for rec in records:
-        p = rec.prob_vector[rec.true_label]
+    for p in probs[np.arange(len(labels)), labels].tolist():
         total -= math.log(max(p, PROB_FLOOR))
     return total
 
 
-def accuracy(records: list[PredictionRecord]) -> float:
-    """Fraction of records whose predicted label matches the true label."""
-    if not records:
-        raise ValueError("records must be nonempty")
-    hits = sum(1 for rec in records if rec.predicted_label == rec.true_label)
-    return hits / len(records)
+def accuracy(probs, labels) -> float:
+    """Fraction of rows whose predicted label matches the true label."""
+    probs, labels = _prediction_set(probs, labels)
+    _, predicted = predict(probs)
+    return int(np.count_nonzero(predicted == labels)) / len(labels)
 
 
-def build_report(
-    records: list[PredictionRecord], m_bins: int = DEFAULT_BINS
-) -> CalibrationReport:
+def build_report(probs, labels, m_bins: int = DEFAULT_BINS) -> CalibrationReport:
     """Compute the full calibration summary of a prediction set."""
-    bins = compute_bins(records, m_bins)
-    n = len(records)
-    nll_sum = nll(records)
+    bins = compute_bins(probs, labels, m_bins)
+    n = len(labels)
+    nll_sum = nll(probs, labels)
     return CalibrationReport(
-        accuracy=accuracy(records),
+        accuracy=accuracy(probs, labels),
         ece=ece(bins, n),
         mce=mce(bins),
         nll_sum=nll_sum,
@@ -254,9 +234,7 @@ def write_report_json(report: CalibrationReport, path, extra: dict | None = None
     doc = report_to_dict(report)
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_lines(path, [json.dumps(doc, indent=2)])
 
 
 def write_reliability_csv(report: CalibrationReport, path, comment: str | None = None) -> None:
@@ -276,8 +254,7 @@ def write_reliability_csv(report: CalibrationReport, path, comment: str | None =
             lines.append(
                 f"{b.lo!r},{b.hi!r},{b.count},{b.accuracy!r},{b.mean_confidence!r},{b.gap!r}"
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def render_reliability_svg(report: CalibrationReport, title: str = "reliability") -> str:
@@ -350,8 +327,6 @@ def render_reliability_svg(report: CalibrationReport, title: str = "reliability"
 def write_reliability_svg(
     report: CalibrationReport, path, title: str = "reliability", comment: str | None = None
 ) -> None:
-    svg = render_reliability_svg(report, title=title)
-    if comment:
-        svg = f"<!-- {comment} -->\n" + svg
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    lines = [f"<!-- {comment} -->"] if comment else []
+    lines.append(render_reliability_svg(report, title=title).removesuffix("\n"))
+    write_lines(path, lines)

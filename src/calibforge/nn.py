@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import duloss
+from .artifacts import format_numbers, write_lines
 from .metrics import PROB_FLOOR
 
 DEFAULT_HIDDEN = [256, 256]
@@ -362,12 +363,7 @@ def write_training_log(log: list[EpochLog], path, comment: str | None = None) ->
     lines.append("epoch,loss,train_acc")
     for row in log:
         lines.append(f"{row.epoch},{row.loss!r},{row.train_acc!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _fmt(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    write_lines(path, lines)
 
 
 def save_model(params: ModelParams, path, header: dict | None = None) -> None:
@@ -389,12 +385,11 @@ def save_model(params: ModelParams, path, header: dict | None = None) -> None:
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         lines.append(f"param W{i} {w.shape[0]} {w.shape[1]}")
         for row in w:
-            lines.append(" ".join(_fmt(v) for v in row))
+            lines.append(" ".join(format_numbers(row)))
         lines.append(f"param b{i} {b.shape[0]}")
-        lines.append(" ".join(_fmt(v) for v in b))
+        lines.append(" ".join(format_numbers(b)))
     lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_model(path) -> tuple[ModelParams, dict]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_lines
 from .nn import adam_init, adam_step, softmax
 
 TEMPERATURE_BOUNDS = (1e-2, 1e2)
@@ -248,8 +249,7 @@ def _write_fit_log(path, rows) -> None:
     lines = ["iter,nll,grad_norm"]
     for it, nll, gn in rows:
         lines.append(f"{it},{nll!r},{gn!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
@@ -267,9 +267,7 @@ def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
         doc["warning"] = scaler.warning
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_lines(path, [json.dumps(doc, indent=2)])
 
 
 def load_scaler(path) -> ScalerParams:

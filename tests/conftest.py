@@ -4,8 +4,10 @@ seed-42 reference run used by the acceptance criteria."""
 import json
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # Reference run: seed 42, 20000 train / 2500 test, F=295, M=10.
@@ -15,6 +17,19 @@ import pytest
 REFERENCE_SEED = 42
 REFERENCE_TRAIN = ["--batch-size", "1024"]
 REFERENCE_TRAIN_DU = ["--batch-size", "1024", "--k", "8"]
+
+
+Row = namedtuple("Row", "confidence predicted_label true_label prob_vector")
+
+
+def reference_rows(probs, labels):
+    """Per-row view of a prediction set for the loop-based reference
+    metrics: confidence is the larger probability and argmax ties go to
+    class 0."""
+    rows = []
+    for (p0, p1), t in zip(np.asarray(probs).tolist(), np.asarray(labels).tolist()):
+        rows.append(Row(max(p0, p1), 0 if p0 >= p1 else 1, int(t), (p0, p1)))
+    return rows
 
 
 def run_cli(args, check=True):

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from calibforge import datagen, duloss, metrics, nn, scaling
-from calibforge.metrics import PredictionRecord
 
-from conftest import load_report, run_reference_pipeline
+from conftest import load_report, reference_rows, run_reference_pipeline
 
 
 def check(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -59,14 +58,14 @@ def test_criterion_1_metric_oracle_equivalence():
     for trial in range(200):
         n = int(rng.integers(1, 51))
         m = int(rng.choice([1, 5, 10]))
-        records = []
+        probs, labels = [], []
         for _ in range(n):
             p1 = float(rng.choice([rng.random(), 0.5, 1.0, 0.0]))
-            records.append(
-                PredictionRecord.from_probs((1.0 - p1, p1), int(rng.integers(0, 2)))
-            )
-        rep = metrics.build_report(records, m)
-        acc, ece, mce, nll = brute_force_metrics(records, m)
+            probs.append((1.0 - p1, p1))
+            labels.append(int(rng.integers(0, 2)))
+        probs, labels = np.array(probs), np.array(labels)
+        rep = metrics.build_report(probs, labels, m)
+        acc, ece, mce, nll = brute_force_metrics(reference_rows(probs, labels), m)
         worst = max(
             worst,
             abs(rep.accuracy - acc),

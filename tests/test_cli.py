@@ -3,10 +3,10 @@ auditability contract (reports recomputable from the per-sample dumps)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from calibforge import metrics
-from calibforge.metrics import PredictionRecord
 
 from conftest import MINI_GEN, MINI_TRAIN, load_report, run_cli
 
@@ -39,6 +39,30 @@ def test_gen_config_file_with_unknown_key_rejected(tmp_path):
     proc = run_cli(["gen", "--config", cfg, "--out", tmp_path], check=False)
     assert proc.returncode == 2
     assert "frobnicate" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("gen", {"n_train": 50.7}),
+        ("gen", {"n_train": None}),
+        ("train", {"antithetic": "false"}),
+    ],
+    ids=["non-integral-int", "null-without-null-default", "string-for-bool"],
+)
+def test_config_value_of_wrong_type_is_config_error(tmp_path, mini_run, command, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"n_test": 10, "n_features": 45, "roster_size": 20, **overrides}
+        if command == "gen" else overrides
+    ))
+    args = [command, "--config", cfg, "--out", tmp_path / "o"]
+    if command == "train":
+        args += ["--data", mini_run / "train.csv", *MINI_TRAIN]
+    proc = run_cli(args, check=False)
+    assert proc.returncode == 2
+    (key,) = overrides
+    assert key in proc.stderr
 
 
 def test_gen_config_file_overridden_by_flags(tmp_path):
@@ -180,14 +204,13 @@ def test_eval_report_recomputable_from_prediction_dump(mini_run):
         doc = load_report(mini_run, label)
         lines = (mini_run / f"predictions_{label}.csv").read_text().splitlines()
         assert lines[1] == "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"
-        records = []
-        for line in lines[2:]:
-            f = line.split(",")
-            rec = PredictionRecord.from_probs((float(f[3]), float(f[4])), int(f[7]))
-            assert rec.predicted_label == int(f[6])
-            assert rec.confidence == float(f[5])
-            records.append(rec)
-        rep = metrics.build_report(records, 10)
+        fields = [line.split(",") for line in lines[2:]]
+        probs = np.array([(float(f[3]), float(f[4])) for f in fields])
+        labels = np.array([int(f[7]) for f in fields])
+        confidence, predicted = metrics.predict(probs)
+        assert predicted.tolist() == [int(f[6]) for f in fields]
+        assert confidence.tolist() == [float(f[5]) for f in fields]
+        rep = metrics.build_report(probs, labels, 10)
         assert rep.accuracy == doc["accuracy"]
         assert rep.ece == doc["ece"]
         assert rep.mce == doc["mce"]

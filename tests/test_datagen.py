@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from calibforge import datagen
-from calibforge.datagen import Sample, SyntheticConfig
+from calibforge.datagen import SyntheticConfig
 
 
 def small_config(n, seed=0, **kw):
@@ -34,26 +34,24 @@ def test_config_rejects_bad_values():
 
 def test_feature_layout_and_shapes():
     config = small_config(50)
-    samples = datagen.generate_dataset(config)
-    assert len(samples) == 50
-    for s in samples:
-        assert s.features.shape == (25,)
-        assert s.label in (0, 1)
-        assert 0.0 < s.p_true < 1.0
-        comp = s.features[5 : 5 + 12]
-        assert np.sum(comp == 1.0) == 5 and np.sum(comp == -1.0) == 5
+    x, y, p_true = datagen.generate_dataset(config)
+    assert x.shape == (50, 25) and x.dtype == np.float64 and x.flags["C_CONTIGUOUS"]
+    assert y.shape == (50,) and set(y.tolist()) <= {0, 1}
+    assert p_true.shape == (50,)
+    assert np.all((0.0 < p_true) & (p_true < 1.0))
+    comp = x[:, 5 : 5 + 12]
+    assert np.all(np.sum(comp == 1.0, axis=1) == 5) and np.all(np.sum(comp == -1.0, axis=1) == 5)
 
 
 def test_p_true_recomputable_from_stored_features():
     config = small_config(200, seed=3)
-    samples = datagen.generate_dataset(config)
+    x, _, p_true = datagen.generate_dataset(config)
     coef = datagen.champion_coefficients(config)
-    for s in samples[:50]:
-        f = s.features
+    for f, pt in zip(x[:50], p_true[:50]):
         p = datagen.win_probability(
             f[0], f[1], f[2], f[3], f[4], f[5 : 5 + 12], coef, config
         )
-        assert p == pytest.approx(s.p_true, abs=1e-12)
+        assert p == pytest.approx(pt, abs=1e-12)
 
 
 def test_symmetric_teams_give_exactly_half():
@@ -65,30 +63,27 @@ def test_symmetric_teams_give_exactly_half():
 
 def test_zero_noise_limit_labels_follow_advantage_sign():
     config = small_config(2000, seed=8, noise_gain=0.0, noise_floor=1e-6)
-    samples = datagen.generate_dataset(config)
+    x, y, _ = datagen.generate_dataset(config)
     coef = datagen.champion_coefficients(config)
     checked = 0
-    for s in samples:
-        f = s.features
+    for f, label in zip(x, y):
         a = datagen.latent_advantage(
             f[0], f[1], f[2], f[3], f[4], f[5 : 5 + 12], coef, config
         )
         if abs(a) > 1e-3:  # skip knife-edge advantages
-            assert s.label == (1 if a > 0 else 0)
+            assert label == (1 if a > 0 else 0)
             checked += 1
     assert checked > 1900
 
 
 def test_mean_p_true_is_balanced():
-    samples = datagen.generate_dataset(small_config(20000, seed=5))
-    mean = np.mean([s.p_true for s in samples])
+    _, _, p_true = datagen.generate_dataset(small_config(20000, seed=5))
+    mean = np.mean(p_true)
     assert abs(mean - 0.5) <= 0.02
 
 
 def test_empirical_win_rate_within_three_standard_errors():
-    samples = datagen.generate_dataset(small_config(10000, seed=7))
-    p = np.array([s.p_true for s in samples])
-    y = np.array([s.label for s in samples])
+    _, y, p = datagen.generate_dataset(small_config(10000, seed=7))
     se = np.sqrt(np.sum(p * (1.0 - p))) / len(p)
     assert abs(y.mean() - p.mean()) <= 3.0 * se
 
@@ -97,9 +92,7 @@ def test_label_frequencies_chi_square_across_seeds():
     # group by p_true deciles; compare observed label-1 counts against the
     # sum of per-sample probabilities with a chi-square statistic
     for seed in range(20):
-        samples = datagen.generate_dataset(small_config(100000, seed=seed))
-        p = np.array([s.p_true for s in samples])
-        y = np.array([s.label for s in samples])
+        _, y, p = datagen.generate_dataset(small_config(100000, seed=seed))
         edges = np.quantile(p, np.linspace(0.0, 1.0, 11))
         idx = np.clip(np.searchsorted(edges[1:-1], p, side="right"), 0, 9)
         chi2 = 0.0
@@ -128,23 +121,23 @@ def test_generation_deterministic():
     a = datagen.generate_dataset(small_config(100, seed=13))
     b = datagen.generate_dataset(small_config(100, seed=13))
     for s, t in zip(a, b):
-        np.testing.assert_array_equal(s.features, t.features)
-        assert s.label == t.label and s.p_true == t.p_true
+        np.testing.assert_array_equal(s, t)
 
 
 # --- oracle_ece ----------------------------------------------------------------
 
 def test_oracle_ece_zero_for_perfect_predictions():
-    samples = datagen.generate_dataset(small_config(100, seed=2))
-    preds = [1 if s.p_true >= 0.5 else 0 for s in samples]
-    confs = [max(s.p_true, 1.0 - s.p_true) for s in samples]
-    pairs = datagen.oracle_confidences(preds, confs, [s.p_true for s in samples])
-    assert datagen.oracle_ece(pairs) == 0.0
+    _, _, p_true = datagen.generate_dataset(small_config(100, seed=2))
+    # the truth itself as the prediction
+    probs = np.column_stack([1.0 - p_true, p_true])
+    assert datagen.oracle_ece(probs, p_true) == 0.0
 
 
 def test_oracle_ece_constant_overconfidence():
-    pairs = [(1.0, 0.7)] * 25
-    assert datagen.oracle_ece(pairs) == pytest.approx(0.3, abs=1e-15)
+    # certain of class 1 (and of class 0) where the truth for it is 0.7
+    probs = np.array([[0.0, 1.0]] * 13 + [[1.0, 0.0]] * 12)
+    p_true = np.array([0.7] * 13 + [0.3] * 12)
+    assert datagen.oracle_ece(probs, p_true) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_oracle_ece_matches_brute_force():
@@ -153,75 +146,80 @@ def test_oracle_ece_matches_brute_force():
     trues = rng.uniform(0.0, 1.0, 500)
     pairs = list(zip(confs, trues))
     expected = sum(abs(c - t) for c, t in pairs) / 500
-    assert datagen.oracle_ece(pairs) == pytest.approx(expected, abs=1e-12)
+    # every row predicts class 1, whose truth is p_true itself
+    probs = np.column_stack([1.0 - confs, confs])
+    assert datagen.oracle_ece(probs, trues) == pytest.approx(expected, abs=1e-12)
 
 
 def test_oracle_ece_requires_p_true():
     with pytest.raises(ValueError):
-        datagen.oracle_ece([])
+        datagen.oracle_ece(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError):
-        datagen.oracle_ece([(0.9, None)])
+        datagen.oracle_ece(np.array([[0.1, 0.9]]), None)
     with pytest.raises(ValueError):
-        datagen.oracle_confidences([1], [0.9], [None])
+        datagen.oracle_ece(np.array([[0.1, 0.9]]), np.array([0.5, 0.5]))
 
 
 # --- file io ---------------------------------------------------------------------
 
 def test_roundtrip_preserves_everything(tmp_path):
-    samples = datagen.generate_dataset(small_config(100, seed=21))
+    x, y, p_true = datagen.generate_dataset(small_config(100, seed=21))
     path = tmp_path / "data.csv"
-    datagen.write_dataset(path, samples, roster_size=12, comment="meta")
-    back = datagen.read_dataset(path)
-    assert len(back) == 100
-    for s, t in zip(samples, back):
-        np.testing.assert_allclose(t.features, s.features, atol=1e-9)
-        assert t.label == s.label
-        assert t.p_true == pytest.approx(s.p_true, abs=1e-9)
+    datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
+    xb, yb, pb = datagen.read_dataset(path)
+    assert xb.shape == (100, 25) and xb.flags["C_CONTIGUOUS"]
+    np.testing.assert_allclose(xb, x, atol=1e-9)
+    np.testing.assert_array_equal(yb, y)
+    np.testing.assert_allclose(pb, p_true, atol=1e-9)
 
 
 def test_roundtrip_without_p_true(tmp_path):
-    samples = [
-        Sample(features=np.arange(25, dtype=float), label=1),
-        Sample(features=np.arange(25, dtype=float) * 0.5, label=0),
-    ]
+    x = np.stack([np.arange(25, dtype=float), np.arange(25, dtype=float) * 0.5])
     path = tmp_path / "real.csv"
-    datagen.write_dataset(path, samples, roster_size=12)
+    datagen.write_dataset(path, x, np.array([1, 0]), None, roster_size=12)
     assert "p_true" not in path.read_text().splitlines()[0]
-    back = datagen.read_dataset(path)
-    assert all(s.p_true is None for s in back)
+    xb, yb, pb = datagen.read_dataset(path)
+    assert pb is None
+    np.testing.assert_array_equal(xb, x)
+    assert yb.tolist() == [1, 0]
 
 
 def test_write_is_byte_deterministic(tmp_path):
-    samples = datagen.generate_dataset(small_config(50, seed=3))
+    data = datagen.generate_dataset(small_config(50, seed=3))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    datagen.write_dataset(a, samples, roster_size=12)
-    datagen.write_dataset(b, samples, roster_size=12)
+    datagen.write_dataset(a, *data, roster_size=12)
+    datagen.write_dataset(b, *data, roster_size=12)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_header_only_file_is_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(datagen.dataset_header(12, 8, True) + "\n")
-    assert datagen.read_dataset(path) == []
+    x, y, p_true = datagen.read_dataset(path)
+    assert x.shape == (0, 25) and y.shape == (0,) and p_true.shape == (0,)
 
 
 def test_parse_error_names_line(tmp_path):
-    samples = datagen.generate_dataset(small_config(5, seed=1))
+    data = datagen.generate_dataset(small_config(5, seed=1))
     path = tmp_path / "bad.csv"
-    datagen.write_dataset(path, samples, roster_size=12)
-    lines = path.read_text().splitlines()
-    fields = lines[3].split(",")
-    fields[1] = "not-a-number"  # corrupt gold_diff on data line 3
-    lines[3] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(datagen.DatasetFormatError, match="line 4"):
-        datagen.read_dataset(path)
+    datagen.write_dataset(path, *data, roster_size=12)
+    good = path.read_text().splitlines()
+    # (column, bad value): gold_diff unparseable or non-finite, label not
+    # 0/1, p_true outside [0, 1]; each corrupts data line 3
+    for column, value in ((1, "not-a-number"), (1, "nan"), (2, "inf"), (-2, "2"), (-1, "1.7")):
+        lines = list(good)
+        fields = lines[3].split(",")
+        fields[column] = value
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(datagen.DatasetFormatError, match="line 4"):
+            datagen.read_dataset(path)
 
 
 def test_wrong_column_count_is_schema_error(tmp_path):
-    samples = datagen.generate_dataset(small_config(5, seed=1))
+    data = datagen.generate_dataset(small_config(5, seed=1))
     path = tmp_path / "bad.csv"
-    datagen.write_dataset(path, samples, roster_size=12)
+    datagen.write_dataset(path, *data, roster_size=12)
     lines = path.read_text().splitlines()
     lines[2] = lines[2] + ",0.5"
     path.write_text("\n".join(lines) + "\n")
@@ -239,36 +237,31 @@ def test_bad_header_rejected(tmp_path):
 # --- split ------------------------------------------------------------------------
 
 def test_split_sizes_exact():
-    samples = datagen.generate_dataset(small_config(100, seed=6))
-    train, val, test = datagen.split(samples, (0.8, 0.1, 0.1), seed=1)
+    train, val, test = datagen.split(100, (0.8, 0.1, 0.1), seed=1)
     assert (len(train), len(val), len(test)) == (80, 10, 10)
 
 
 def test_split_remainder_goes_to_train():
-    samples = datagen.generate_dataset(small_config(103, seed=6))
-    train, val, test = datagen.split(samples, (0.8, 0.1, 0.1), seed=1)
+    train, val, test = datagen.split(103, (0.8, 0.1, 0.1), seed=1)
     assert (len(val), len(test)) == (10, 10)
     assert len(train) == 83
 
 
 def test_split_deterministic():
-    samples = datagen.generate_dataset(small_config(60, seed=2))
-    a = datagen.split(samples, (0.7, 0.2, 0.1), seed=9)
-    b = datagen.split(samples, (0.7, 0.2, 0.1), seed=9)
+    a = datagen.split(60, (0.7, 0.2, 0.1), seed=9)
+    b = datagen.split(60, (0.7, 0.2, 0.1), seed=9)
     for part_a, part_b in zip(a, b):
-        assert [id(s) for s in part_a] == [id(s) for s in part_b]
+        assert part_a.tolist() == part_b.tolist()
 
 
 def test_split_union_is_original_multiset():
-    samples = datagen.generate_dataset(small_config(77, seed=2))
-    train, val, test = datagen.split(samples, (0.6, 0.25, 0.15), seed=3)
-    combined = sorted(id(s) for s in train + val + test)
-    assert combined == sorted(id(s) for s in samples)
+    train, val, test = datagen.split(77, (0.6, 0.25, 0.15), seed=3)
+    combined = sorted(np.concatenate([train, val, test]).tolist())
+    assert combined == list(range(77))
 
 
 def test_split_rejects_bad_fractions():
-    samples = datagen.generate_dataset(small_config(10, seed=2))
     with pytest.raises(ValueError):
-        datagen.split(samples, (0.8, 0.3, 0.2), seed=0)
+        datagen.split(10, (0.8, 0.3, 0.2), seed=0)
     with pytest.raises(ValueError):
-        datagen.split(samples, (0.8, -0.1, 0.1), seed=0)
+        datagen.split(10, (0.8, -0.1, 0.1), seed=0)
