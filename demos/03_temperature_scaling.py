@@ -38,10 +38,9 @@ print(f"matrix fit: W = {np.round(mat.w_full, 3).tolist()}, b = {np.round(mat.b,
 print(f"  test ECE after: {ece_of(scaling.transform_logits(mat, z_model[test]), labels[test]):.4f}")
 
 print("\ntemperature scaling never changes the predicted class:")
-z = np.array([1.3, -0.2])
+z = np.array([[1.3, -0.2]])
 for t in (0.5, 1.0, 5.0, 50.0):
-    probs, pred, conf = scaling.apply_scaler(
-        scaling.ScalerParams(kind="temperature", temperature=t), z
-    )
-    print(f"  T={t:5.1f}: predicted class {pred}, confidence {conf:.4f}")
+    scaler = scaling.ScalerParams(kind="temperature", temperature=t)
+    conf, pred = metrics.predict(nn.softmax(scaling.transform_logits(scaler, z)))
+    print(f"  T={t:5.1f}: predicted class {pred[0]}, confidence {conf[0]:.4f}")
 print("confidence slides toward 0.5 as T grows, but the argmax is invariant")

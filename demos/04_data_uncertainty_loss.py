@@ -8,22 +8,22 @@ Part 2 trains the density-head model on noisy synthetic matches and
 compares its calibration against a plain cross-entropy twin.
 """
 
-import math
-
 import numpy as np
 
 from calibforge import datagen, duloss, metrics, nn
-from calibforge.duloss import DensityOutput, MCConfig
+from calibforge.duloss import MCConfig
 
 print("== part 1: the averaging mechanism ==")
 print("E[p1] for logit margin mu_c under noise scale sigma (K = 200000 draws):\n")
 print("  mu_c   sigma=0      0.5      1.0      2.0")
+sigmas = np.array([0.5, 1.0, 2.0])
+# every cell averages the same 200000 draws; one batch row per sigma
+eps = duloss.draw_noise_batch(1, MCConfig(k=200000), np.random.default_rng(1))
+eps = np.repeat(eps, len(sigmas), axis=0)
 for mu_c in (0.5, 1.0, 2.0, 4.0):
-    row = [duloss.sigmoid(mu_c)]
-    for sigma in (0.5, 1.0, 2.0):
-        out = DensityOutput(mu=np.array([mu_c, 0.0]), s_raw=math.log(sigma))
-        p = duloss.expected_prob(out, MCConfig(k=200000, rng_seed=1, antithetic=True))
-        row.append(float(p[0]))
+    mu = np.tile([mu_c, 0.0], (len(sigmas), 1))
+    p = duloss.expected_probs_batch(mu, np.log(sigmas), eps)
+    row = [duloss.sigmoid(mu_c), *p[:, 0].tolist()]
     print(f"  {mu_c:4.1f}   " + "   ".join(f"{v:.4f}" for v in row))
 print("\neach row decreases left to right (more noise, less confidence) and the")
 print("damping shrinks as mu_c grows: confident inputs are barely touched.")
@@ -47,7 +47,8 @@ def report(probs):
 
 rep_ce, oe_ce = report(nn.softmax(nn.forward(ce_params, xt)))
 mu, s_raw = nn.split_outputs(du_params, nn.forward(du_params, xt))
-probs_du = duloss.expected_probs_batch(mu, s_raw, MCConfig(k=256, rng_seed=5, antithetic=True))
+eval_noise = duloss.draw_noise_batch(len(mu), MCConfig(k=256), np.random.default_rng(5))
+probs_du = duloss.expected_probs_batch(mu, s_raw, eval_noise)
 rep_du, oe_du = report(probs_du)
 
 print(f"cross-entropy model:   acc {rep_ce.accuracy:.3f}  ECE {rep_ce.ece:.4f}  oracle {oe_ce:.4f}")

@@ -38,6 +38,8 @@ METHOD_NAMES = {
     "matrix": "Matrix scaling",
     "du": "DU loss",
 }
+# report fields the comparison table reads
+REPORT_KEYS = ("accuracy", "ece", "mce", "nll_mean")
 
 
 class MissingArtifactError(Exception):
@@ -380,11 +382,12 @@ def cmd_eval(resolved: dict) -> None:
     if params.du_head_enabled:
         mu, s_raw = nn.split_outputs(params, raw)
         mc = duloss.MCConfig(
-            k=int(resolved["k_eval"]),
-            rng_seed=int(resolved["seed"]),
-            antithetic=bool(resolved["antithetic"]),
+            k=int(resolved["k_eval"]), antithetic=bool(resolved["antithetic"])
         )
-        probs = duloss.expected_probs_batch(mu, s_raw, mc)
+        rng = np.random.default_rng(int(resolved["seed"]))
+        probs = duloss.expected_probs_batch(
+            mu, s_raw, duloss.draw_noise_batch(len(mu), mc, rng)
+        )
         logits_dump, s_dump = mu, s_raw
     else:
         logits_dump, s_dump = raw, None
@@ -452,6 +455,12 @@ def cmd_compare(resolved: dict) -> None:
                 reports[label] = json.load(fh)
         except (json.JSONDecodeError, OSError) as exc:
             raise ArtifactReadError(f"{path}: {exc}") from exc
+        if not isinstance(reports[label], dict):
+            raise ArtifactReadError(f"{path}: expected a JSON object")
+        for key in REPORT_KEYS:
+            value = reports[label].get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ArtifactReadError(f"{path}: key {key!r} is missing or not a number")
 
     header = f"{'Method':<22}{'Accuracy[%]':>12}{'ECE[%]':>9}{'MCE[%]':>9}{'NLL':>8}"
     lines = [header, "-" * len(header)]

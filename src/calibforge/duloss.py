@@ -13,11 +13,16 @@ class 1 is Sigmoid(mu_c + sigma * eps_c) with mu_c = mu_1 - mu_2 and
 eps_c = eps_1 - eps_2, whose standard deviation is sigma * sqrt(2). The
 averaging flattens confident outputs on the concave side of the sigmoid,
 which is what produces the calibration effect.
+
+Every function works on a batch of n inputs: ``draw_noise_batch`` draws the
+(n, K, 2) noise block from the caller's generator, ``expected_probs_batch``
+averages the sampled softmaxes (evaluation), and ``batch_losses_and_grads``
+returns per-input losses and pathwise gradients for that frozen noise
+(training).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,34 +43,19 @@ def sigmoid(x):
     return out
 
 
-def _softmax(u: np.ndarray) -> np.ndarray:
-    shifted = u - u.max(axis=-1, keepdims=True)
+def softmax(z) -> np.ndarray:
+    """Stable softmax along the last axis (max subtraction)."""
+    z = np.asarray(z, dtype=float)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
-class DensityOutput:
-    """Raw density-head outputs for one input: logit means and noise scale.
-
-    ``sigma`` is derived as exp(s_raw), never stored, so it is positive by
-    construction.
-    """
-
-    mu: np.ndarray  # shape (2,)
-    s_raw: float
-
-    @property
-    def sigma(self) -> float:
-        return math.exp(self.s_raw)
-
-
-@dataclass(frozen=True)
 class MCConfig:
-    """Monte-Carlo sampling knobs: draw count, seed, antithetic pairing."""
+    """Monte-Carlo sampling knobs: draw count and antithetic pairing."""
 
     k: int = 32
-    rng_seed: int = 0
     antithetic: bool = True
 
     def __post_init__(self):
@@ -75,124 +65,28 @@ class MCConfig:
             raise ValueError("antithetic sampling requires an even k")
 
 
-@dataclass(frozen=True)
-class BinaryCollapse:
-    """Two-class collapse of one sampled logit pair.
+def draw_noise_batch(n: int, mc: MCConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw an (n, K, 2) standard-normal noise block, one K-draw set per input.
 
-    ``sigma_c`` is the standard deviation of sigma * (eps_1 - eps_2), i.e.
-    sigma * sqrt(2); storing it explicitly avoids the classic missing-sqrt(2)
-    mistake when reasoning about the collapsed distribution.
+    Rows come from ``rng`` in order, so a seeded generator reproduces the
+    block bit for bit. With antithetic pairing draw j + K/2 is the negation
+    of draw j, so each row's draws average to zero exactly.
     """
-
-    mu_c: float
-    sigma_c: float
-    p1: float
-
-    @classmethod
-    def from_sample(cls, out: DensityOutput, eps) -> "BinaryCollapse":
-        mu_c = float(out.mu[0] - out.mu[1])
-        draw = out.sigma * float(eps[0] - eps[1])
-        return cls(mu_c=mu_c, sigma_c=out.sigma * math.sqrt(2.0), p1=sigmoid(mu_c + draw))
-
-
-def draw_noise(mc: MCConfig) -> np.ndarray:
-    """Draw the (K, 2) standard-normal noise block for one input.
-
-    With antithetic pairing the second half is the negation of the first, so
-    the draws average to zero exactly.
-    """
-    rng = np.random.default_rng(mc.rng_seed)
-    if mc.antithetic:
-        half = rng.standard_normal((mc.k // 2, 2))
-        return np.concatenate([half, -half], axis=0)
-    return rng.standard_normal((mc.k, 2))
-
-
-def draw_noise_batch(n: int, mc: MCConfig, rng=None) -> np.ndarray:
-    """Draw an (n, K, 2) noise block, one K-sample set per input."""
-    if rng is None:
-        rng = np.random.default_rng(mc.rng_seed)
     if mc.antithetic:
         half = rng.standard_normal((n, mc.k // 2, 2))
         return np.concatenate([half, -half], axis=1)
     return rng.standard_normal((n, mc.k, 2))
 
 
-def sample_logits(out: DensityOutput, eps) -> np.ndarray:
-    """Reparameterized logit sample(s): u = mu + sigma * eps.
+def expected_probs_batch(mu: np.ndarray, s_raw: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """MC-averaged class probabilities: the mean of softmax(mu + sigma * eps).
 
-    ``eps`` may be a single (2,) draw or a (K, 2) block; the scalar sigma is
-    shared by both logits.
-    """
-    eps = np.asarray(eps, dtype=float)
-    return np.asarray(out.mu, dtype=float) + out.sigma * eps
-
-
-def expected_prob(out: DensityOutput, mc: MCConfig | None = None, *, eps=None) -> np.ndarray:
-    """Monte-Carlo class probabilities: mean of softmax over K logit draws.
-
-    The noise comes from ``mc`` (seeded, reproducible) unless an explicit
-    ``eps`` block of shape (K, 2) is supplied.
-    """
-    if eps is None:
-        if mc is None:
-            raise ValueError("either mc or eps must be given")
-        eps = draw_noise(mc)
-    u = sample_logits(out, eps)
-    return _softmax(u).mean(axis=0)
-
-
-def du_loss(out: DensityOutput, y: int, mc: MCConfig | None = None, *, eps=None) -> float:
-    """Cross-entropy of the true label under the MC-averaged probability."""
-    p = expected_prob(out, mc, eps=eps)
-    return -math.log(max(float(p[y]), PROB_FLOOR))
-
-
-def du_loss_grad(
-    out: DensityOutput, y: int, mc: MCConfig | None = None, *, eps=None
-) -> tuple[np.ndarray, float]:
-    """Pathwise gradient of the loss w.r.t. (mu, s_raw) for frozen noise.
-
-    Differentiates through u = mu + exp(s_raw) * eps holding the draws
-    fixed, so the result matches finite differences computed with the same
-    noise. Returns (dmu, ds_raw).
-    """
-    if eps is None:
-        if mc is None:
-            raise ValueError("either mc or eps must be given")
-        eps = draw_noise(mc)
-    eps = np.asarray(eps, dtype=float)
-    mu = np.asarray(out.mu, dtype=float).reshape(1, 2)
-    s_raw = np.asarray([out.s_raw], dtype=float)
-    _, dmu, ds = batch_losses_and_grads(mu, s_raw, np.asarray([y]), eps[None, :, :])
-    return dmu[0], float(ds[0])
-
-
-def binary_collapse(u1: float, u2: float) -> float:
-    """Probability of class 1 for a sampled logit pair, via the sigmoid form.
-
-    Algebraically identical to exp(u1) / (exp(u1) + exp(u2)) but immune to
-    overflow for large logits.
-    """
-    return sigmoid(u1 - u2)
-
-
-def expected_probs_batch(mu: np.ndarray, s_raw: np.ndarray, mc: MCConfig) -> np.ndarray:
-    """MC-averaged probabilities for a batch of density outputs.
-
-    One seeded generator supplies all per-sample noise blocks in row order,
-    so identical inputs and config give bit-identical results.
+    Shapes: mu (n, 2), s_raw (n,), eps (n, K, 2). Returns (n, 2).
     """
     mu = np.asarray(mu, dtype=float)
-    eps = draw_noise_batch(mu.shape[0], mc)
-    return batch_expected(mu, np.asarray(s_raw, dtype=float), eps)
-
-
-def batch_expected(mu: np.ndarray, s_raw: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Averaged softmax over explicit noise: mu (n,2), s_raw (n,), eps (n,K,2)."""
-    sigma = np.exp(s_raw)
+    sigma = np.exp(np.asarray(s_raw, dtype=float))
     u = mu[:, None, :] + sigma[:, None, None] * eps
-    return _softmax(u).mean(axis=1)
+    return softmax(u).mean(axis=1)
 
 
 def batch_losses_and_grads(
@@ -208,7 +102,7 @@ def batch_losses_and_grads(
     n, k = eps.shape[0], eps.shape[1]
     sigma = np.exp(s_raw)
     u = mu[:, None, :] + sigma[:, None, None] * eps
-    p = _softmax(u)  # (n, K, 2)
+    p = softmax(u)  # (n, K, 2)
     pbar = p.mean(axis=1)  # (n, 2)
     rows = np.arange(n)
     py = pbar[rows, y]

@@ -14,13 +14,13 @@ format round-trips exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import duloss
 from .artifacts import format_numbers, write_lines
+from .duloss import softmax
 from .metrics import PROB_FLOOR
 
 DEFAULT_HIDDEN = [256, 256]
@@ -117,19 +117,6 @@ def init_params(
     return params
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis (max subtraction)."""
-    z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(p: np.ndarray, y: int) -> float:
-    """Negative log probability of class y, floored like the metrics module."""
-    return -float(np.log(max(float(p[y]), PROB_FLOOR)))
-
-
 def _forward_cached(params: ModelParams, x: np.ndarray):
     """Run the network keeping hidden pre-activations for backprop."""
     h = x
@@ -144,22 +131,23 @@ def _forward_cached(params: ModelParams, x: np.ndarray):
     return activations, pre, out
 
 
+def _check_batch(params: ModelParams, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
+        raise ValueError(
+            f"input must be an (n, {params.layer_sizes[0]}) array, got shape {x.shape}"
+        )
+    return x
+
+
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Raw network outputs for a single feature vector or an (n, F) batch.
+    """Raw network outputs for an (n, F) batch.
 
     Output width is 2 (logits), or 3 with the density head: columns 0-1 are
     the logit means and column 2 is the raw noise output.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"input width {x.shape[1]} does not match layer_sizes[0]={params.layer_sizes[0]}"
-        )
-    _, _, out = _forward_cached(params, x)
-    return out[0] if single else out
+    _, _, out = _forward_cached(params, _check_batch(params, x))
+    return out
 
 
 def split_outputs(params: ModelParams, out: np.ndarray):
@@ -179,9 +167,8 @@ def batch_loss(
     params: ModelParams, x: np.ndarray, y: np.ndarray, loss_kind: str = "ce", noise=None
 ) -> float:
     """Mean loss over a batch; the quantity whose gradient backward() returns."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=int))
-    _, _, out = _forward_cached(params, x)
+    y = np.asarray(y, dtype=int)
+    _, _, out = _forward_cached(params, _check_batch(params, x))
     if loss_kind == "ce":
         p = softmax(out)
         rows = np.arange(len(y))
@@ -203,12 +190,8 @@ def backward(
     For the data-uncertainty loss the (n, K, 2) noise block must be passed
     in explicitly; the gradient is pathwise through the frozen draws.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=int))
-    if x.shape[1] != params.layer_sizes[0]:
-        raise ValueError(
-            f"input width {x.shape[1]} does not match layer_sizes[0]={params.layer_sizes[0]}"
-        )
+    x = _check_batch(params, x)
+    y = np.asarray(y, dtype=int)
     n = x.shape[0]
     activations, pre, out = _forward_cached(params, x)
     rows = np.arange(n)
@@ -319,6 +302,7 @@ def train(
     state = adam_init(flat)
     n = x.shape[0]
     n_w = len(params.weights)
+    mc = duloss.MCConfig(k=config.k_train, antithetic=config.antithetic) if du else None
     log = []
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n)
@@ -330,10 +314,7 @@ def train(
                 noise_rng = np.random.default_rng(
                     [config.rng_seed, _NOISE_STREAM_TAG, epoch, batch_idx]
                 )
-                mc = duloss.MCConfig(
-                    k=config.k_train, rng_seed=0, antithetic=config.antithetic
-                )
-                noise = duloss.draw_noise_batch(len(idx), mc, rng=noise_rng)
+                noise = duloss.draw_noise_batch(len(idx), mc, noise_rng)
             loss, grads = backward(params, x[idx], y[idx], config.loss_kind, noise)
             loss_sum += loss * len(idx)
             flat, state = adam_step(
@@ -451,9 +432,3 @@ def load_model(path) -> tuple[ModelParams, dict]:
         raise ModelFormatError(f"{path}: {exc}") from exc
     return params, header
 
-
-def header_config(header: dict) -> dict:
-    """Parse the json config field embedded in a model header, if present."""
-    if "config" in header:
-        return json.loads(header["config"])
-    return {}

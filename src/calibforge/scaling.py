@@ -46,8 +46,9 @@ class ScalerParams:
 
     def validate(self) -> None:
         if self.kind == "temperature":
-            if self.temperature is None or not (self.temperature > 0):
-                raise ValueError("temperature must be positive")
+            t = self.temperature
+            if t is None or not (math.isfinite(t) and t > 0):
+                raise ValueError("temperature must be finite and positive")
         elif self.kind == "vector":
             if self.w_diag is None or self.w_diag.shape != (2,):
                 raise ValueError("vector scaler needs a 2-entry diagonal")
@@ -65,30 +66,18 @@ class ScalerParams:
 
 
 def transform_logits(scaler: ScalerParams, z: np.ndarray) -> np.ndarray:
-    """Apply the scaler's linear map to one logit pair or an (n, 2) batch."""
+    """Apply the scaler's linear map to an (n, 2) batch of logits."""
     scaler.validate()
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
-    if z.shape[-1] != 2:
-        raise ValueError("logits must have length 2")
+    if z.ndim != 2 or z.shape[1] != 2:
+        raise ValueError("logits must be an (n, 2) array")
     if scaler.kind == "temperature":
         return z / scaler.temperature
     if scaler.kind == "vector":
         return z * scaler.w_diag
     return z @ scaler.w_full.T + scaler.b
-
-
-def apply_scaler(scaler: ScalerParams, z: np.ndarray):
-    """Calibrated (prob_vector, predicted_label, confidence) for one logit pair.
-
-    The predicted label is the argmax of the transformed logits (ties break
-    to class 0), identical to the argmax of the calibrated probabilities.
-    """
-    zt = transform_logits(scaler, np.asarray(z, dtype=float).reshape(2))
-    probs = softmax(zt)
-    predicted = 0 if zt[0] >= zt[1] else 1
-    return probs, predicted, float(probs[predicted])
 
 
 def mean_nll(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -84,6 +84,20 @@ def test_criterion_1_metric_oracle_equivalence():
 
 # --- 2: gradient correctness -------------------------------------------------------
 
+def noise_block(k, seed):
+    """The (1, K, 2) antithetic noise block of one input, seeded."""
+    mc = duloss.MCConfig(k=k, antithetic=True)
+    return duloss.draw_noise_batch(1, mc, np.random.default_rng(seed))
+
+
+def du_head(mu, s_raw, y, eps):
+    """One input's DU loss and its (dmu, ds_raw) for frozen noise."""
+    losses, dmu, ds = duloss.batch_losses_and_grads(
+        np.reshape(mu, (1, 2)), np.array([s_raw]), np.array([y]), eps
+    )
+    return float(losses[0]), dmu[0], float(ds[0])
+
+
 def test_criterion_2_gradient_correctness():
     start = time.perf_counter()
     rng = np.random.default_rng(2002)
@@ -122,20 +136,19 @@ def test_criterion_2_gradient_correctness():
         mu = rng.normal(0.0, 2.0, 2)
         s_raw = float(rng.normal(0.0, 1.0))
         y = int(rng.integers(0, 2))
-        eps = duloss.draw_noise(duloss.MCConfig(k=64, rng_seed=4000 + i, antithetic=True))
-        out = duloss.DensityOutput(mu=mu, s_raw=s_raw)
-        dmu, ds = duloss.du_loss_grad(out, y, eps=eps)
+        eps = noise_block(64, seed=4000 + i)
+        _, dmu, ds = du_head(mu, s_raw, y, eps)
         h = 1e-6
         numeric = []
         for j in range(2):
             shifted = mu.copy()
             shifted[j] += h
-            lp = duloss.du_loss(duloss.DensityOutput(shifted, s_raw), y, eps=eps)
+            lp = du_head(shifted, s_raw, y, eps)[0]
             shifted[j] -= 2 * h
-            lm = duloss.du_loss(duloss.DensityOutput(shifted, s_raw), y, eps=eps)
+            lm = du_head(shifted, s_raw, y, eps)[0]
             numeric.append((lp - lm) / (2 * h))
-        lp = duloss.du_loss(duloss.DensityOutput(mu, s_raw + h), y, eps=eps)
-        lm = duloss.du_loss(duloss.DensityOutput(mu, s_raw - h), y, eps=eps)
+        lp = du_head(mu, s_raw + h, y, eps)[0]
+        lm = du_head(mu, s_raw - h, y, eps)[0]
         numeric.append((lp - lm) / (2 * h))
         a = np.array([dmu[0], dmu[1], ds])
         b = np.asarray(numeric)
@@ -160,7 +173,7 @@ def test_criterion_3_collapse_identity():
     for _ in range(1000):
         u1, u2 = rng.normal(0.0, 5.0, 2)
         softmax_form = math.exp(u1) / (math.exp(u1) + math.exp(u2))
-        worst = max(worst, abs(duloss.binary_collapse(u1, u2) - softmax_form))
+        worst = max(worst, abs(duloss.sigmoid(u1 - u2) - softmax_form))
     check(
         3,
         "sigmoid and softmax forms of p1 agree within 1e-12 on 1000 pairs",
@@ -178,12 +191,13 @@ def gh_expected_p1(mu_c, sigma, nodes=120):
 
 
 def mc_p1(mu_c, sigma, k, seed):
-    out = duloss.DensityOutput(mu=np.array([mu_c, 0.0]), s_raw=math.log(sigma))
-    eps = duloss.draw_noise(duloss.MCConfig(k=k, rng_seed=seed, antithetic=True))
-    u = duloss.sample_logits(out, eps)
-    p1 = duloss.sigmoid(u[:, 0] - u[:, 1])
+    # each antithetic pair (draw j, draw j + K/2) is one row of the batch, so
+    # expected_probs_batch returns the pair means
+    eps = noise_block(k, seed)[0]
     half = k // 2
-    pairs = 0.5 * (p1[:half] + p1[half:])
+    pair_eps = np.stack([eps[:half], eps[half:]], axis=1)
+    mu = np.tile([mu_c, 0.0], (half, 1))
+    pairs = duloss.expected_probs_batch(mu, np.full(half, math.log(sigma)), pair_eps)[:, 0]
     return float(pairs.mean()), float(pairs.std(ddof=1) / math.sqrt(half))
 
 

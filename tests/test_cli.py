@@ -225,6 +225,21 @@ def test_eval_rejects_scaler_on_du_model(tmp_path, mini_run):
     assert proc.returncode == 2
 
 
+def test_eval_rejects_infinite_temperature_scaler(tmp_path, mini_run):
+    # json reads Infinity; T = inf would flatten every probability to 0.5
+    doc = json.loads((mini_run / "scaler_temperature.json").read_text())
+    doc["T"] = float("inf")
+    scaler = tmp_path / "scaler_inf.json"
+    scaler.write_text(json.dumps(doc))
+    proc = run_cli([
+        "eval", "--model", mini_run / "model_ce.txt", "--data", mini_run / "test.csv",
+        "--scaler", scaler, "--out", tmp_path,
+    ], check=False)
+    assert proc.returncode == 3
+    assert "scaler_inf.json" in proc.stderr
+    assert not (tmp_path / "report_temperature.json").exists()
+
+
 def test_eval_without_p_true_omits_oracle_metric(tmp_path, mini_run):
     # real match data carries no ground-truth probability: strip the column
     lines = (mini_run / "test.csv").read_text().splitlines()
@@ -283,6 +298,25 @@ def test_compare_missing_report_exits_4(tmp_path, mini_run):
     assert proc.returncode == 4
     assert "report_matrix.json" in proc.stderr
     assert "report_du.json" in proc.stderr
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "nll_mean"}, "nll_mean"),
+    (lambda doc: [doc], "JSON object"),
+], ids=["missing_key", "json_list"])
+def test_compare_malformed_report_exits_3(tmp_path, mini_run, corrupt, named):
+    src = tmp_path / "reports"
+    src.mkdir()
+    for label in ("none", "temperature", "vector", "matrix", "du"):
+        doc = load_report(mini_run, label)
+        if label == "vector":
+            doc = corrupt(doc)
+        (src / f"report_{label}.json").write_text(json.dumps(doc))
+    proc = run_cli(["compare", "--dir", src, "--out", tmp_path], check=False)
+    assert proc.returncode == 3
+    assert "report_vector.json" in proc.stderr
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # --- misc ---------------------------------------------------------------------

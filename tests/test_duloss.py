@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from calibforge import duloss
-from calibforge.duloss import BinaryCollapse, DensityOutput, MCConfig
+from calibforge.duloss import MCConfig
 
 
 def gh_expected_p1(mu_c: float, sigma: float, nodes: int = 120) -> float:
@@ -41,22 +41,51 @@ def test_quadrature_oracle_matches_frozen_values():
         assert gh_expected_p1(mu_c, sigma) == pytest.approx(expected, abs=1e-12)
 
 
+def noise(k, seed, n=1, antithetic=True):
+    """The (n, K, 2) noise block of a seeded generator."""
+    return duloss.draw_noise_batch(
+        n, MCConfig(k=k, antithetic=antithetic), np.random.default_rng(seed)
+    )
+
+
+def one_row(mu, s_raw):
+    """(mu, s_raw) as a one-input batch: shapes (1, 2) and (1,)."""
+    return np.asarray(mu, dtype=float).reshape(1, 2), np.array([s_raw], dtype=float)
+
+
+def du_loss_of(mu, s_raw, y, eps):
+    """DU loss of one input under an explicit (1, K, 2) noise block."""
+    losses, _, _ = duloss.batch_losses_and_grads(*one_row(mu, s_raw), np.array([y]), eps)
+    return float(losses[0])
+
+
+def du_grad_of(mu, s_raw, y, eps):
+    """(dmu, ds_raw) of one input's DU loss for frozen noise."""
+    _, dmu, ds = duloss.batch_losses_and_grads(*one_row(mu, s_raw), np.array([y]), eps)
+    return dmu[0], float(ds[0])
+
+
 def mc_p1_with_se(mu_c, sigma, k, seed):
-    """Antithetic MC estimate of E[p1] plus its standard error (pair means)."""
-    out = DensityOutput(mu=np.array([mu_c, 0.0]), s_raw=math.log(sigma))
-    eps = duloss.draw_noise(MCConfig(k=k, rng_seed=seed, antithetic=True))
-    u = duloss.sample_logits(out, eps)
-    p1 = duloss.sigmoid(u[:, 0] - u[:, 1])
+    """Antithetic MC estimate of E[p1] plus its standard error (pair means).
+
+    Each antithetic pair (draw j, draw j + K/2) is one row of a batch, so
+    expected_probs_batch returns the pair means directly.
+    """
+    eps = noise(k, seed)[0]
     half = k // 2
-    pair_means = 0.5 * (p1[:half] + p1[half:])
+    pairs = np.stack([eps[:half], eps[half:]], axis=1)  # (K/2, 2, 2)
+    mu = np.tile([mu_c, 0.0], (half, 1))
+    pair_means = duloss.expected_probs_batch(mu, np.full(half, math.log(sigma)), pairs)[:, 0]
     return float(pair_means.mean()), float(pair_means.std(ddof=1) / math.sqrt(half))
 
 
-# --- types -------------------------------------------------------------------
+# --- noise and the reparameterized draw ----------------------------------------
 
 def test_density_output_sigma_is_exp_of_raw():
-    out = DensityOutput(mu=np.zeros(2), s_raw=-1.3)
-    assert out.sigma == pytest.approx(math.exp(-1.3), rel=1e-15)
+    # one draw eps = (1, 0) samples the logits (sigma, 0) with sigma = exp(s_raw)
+    p = duloss.expected_probs_batch(*one_row([0.0, 0.0], -1.3), np.array([[[1.0, 0.0]]]))
+    expected = duloss.softmax([math.exp(-1.3), 0.0])
+    np.testing.assert_allclose(p[0], expected, rtol=1e-15)
 
 
 def test_mc_config_validation():
@@ -68,52 +97,50 @@ def test_mc_config_validation():
 
 
 def test_binary_collapse_type():
-    out = DensityOutput(mu=np.array([1.5, 0.5]), s_raw=0.2)
+    # one sampled pair through the batch softmax equals the collapsed sigmoid
+    # Sigmoid(mu_c + sigma * (eps_1 - eps_2)) with mu_c = mu_1 - mu_2
+    mu, s_raw = np.array([1.5, 0.5]), 0.2
     eps = np.array([0.3, -0.4])
-    col = BinaryCollapse.from_sample(out, eps)
-    assert col.mu_c == pytest.approx(1.0)
-    assert col.sigma_c == pytest.approx(out.sigma * math.sqrt(2.0), rel=1e-15)
-    draw = out.sigma * (eps[0] - eps[1])
-    assert col.p1 == pytest.approx(duloss.sigmoid(col.mu_c + draw), abs=1e-12)
+    p = duloss.expected_probs_batch(*one_row(mu, s_raw), eps.reshape(1, 1, 2))
+    draw = math.exp(s_raw) * (eps[0] - eps[1])
+    assert p[0, 0] == pytest.approx(duloss.sigmoid(1.0 + draw), abs=1e-12)
 
-
-# --- sample_logits ------------------------------------------------------------
 
 def test_sample_logits_zero_noise_returns_mu():
-    out = DensityOutput(mu=np.array([0.7, -0.2]), s_raw=0.5)
-    np.testing.assert_array_equal(duloss.sample_logits(out, np.zeros(2)), out.mu)
+    mu = np.array([0.7, -0.2])
+    p = duloss.expected_probs_batch(*one_row(mu, 0.5), np.zeros((1, 1, 2)))
+    np.testing.assert_array_equal(p[0], duloss.softmax(mu))
 
 
 def test_sample_logits_unit_sigma():
-    out = DensityOutput(mu=np.zeros(2), s_raw=0.0)
-    np.testing.assert_array_equal(
-        duloss.sample_logits(out, np.array([1.0, -1.0])), [1.0, -1.0]
-    )
+    p = duloss.expected_probs_batch(*one_row([0.0, 0.0], 0.0), np.array([[[1.0, -1.0]]]))
+    np.testing.assert_array_equal(p[0], duloss.softmax([1.0, -1.0]))
 
 
 def test_antithetic_pairs_average_to_mu():
-    out = DensityOutput(mu=np.array([0.4, -0.9]), s_raw=0.7)
-    eps = duloss.draw_noise(MCConfig(k=64, rng_seed=5, antithetic=True))
-    u = duloss.sample_logits(out, eps)
-    np.testing.assert_allclose(u.mean(axis=0), out.mu, atol=1e-15)
+    mu, sigma = np.array([0.4, -0.9]), math.exp(0.7)
+    eps = noise(64, seed=5)
+    np.testing.assert_array_equal(eps[:, 32:], -eps[:, :32])
+    u = mu + sigma * eps[0]
+    np.testing.assert_allclose(u.mean(axis=0), mu, atol=1e-15)
 
 
-# --- expected_prob --------------------------------------------------------------
+# --- expected_probs_batch ---------------------------------------------------------
 
 def test_expected_prob_degenerate_noise_reduces_to_softmax():
     mu = np.array([1.2, -0.3])
-    out = DensityOutput(mu=mu, s_raw=-40.0)
     soft = np.exp(mu) / np.exp(mu).sum()
     for k in (1, 2, 64):
-        p = duloss.expected_prob(out, MCConfig(k=k, rng_seed=9, antithetic=(k % 2 == 0)))
-        np.testing.assert_allclose(p, soft, atol=1e-9)
+        eps = noise(k, seed=9, antithetic=(k % 2 == 0))
+        p = duloss.expected_probs_batch(*one_row(mu, -40.0), eps)
+        np.testing.assert_allclose(p[0], soft, atol=1e-9)
 
 
 def test_expected_prob_symmetric_mu_gives_half():
     for sigma in (0.3, 1.0, 3.0):
-        out = DensityOutput(mu=np.array([0.8, 0.8]), s_raw=math.log(sigma))
-        p = duloss.expected_prob(out, MCConfig(k=128, rng_seed=17, antithetic=True))
-        np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-9)
+        eps = noise(128, seed=17)
+        p = duloss.expected_probs_batch(*one_row([0.8, 0.8], math.log(sigma)), eps)
+        np.testing.assert_allclose(p[0], [0.5, 0.5], atol=1e-9)
 
 
 def test_expected_prob_matches_quadrature_at_k_1e6():
@@ -121,31 +148,43 @@ def test_expected_prob_matches_quadrature_at_k_1e6():
     oracle = GH_ORACLE[(1.0, 1.0)]
     assert abs(est - oracle) < 3.0 * se
     assert oracle < duloss.sigmoid(1.0)  # strictly below Sigmoid(1) ~ 0.7311
-    # the library path computes the same estimate
-    out = DensityOutput(mu=np.array([1.0, 0.0]), s_raw=0.0)
-    p = duloss.expected_prob(out, MCConfig(k=10**6, rng_seed=42, antithetic=True))
-    assert p[0] == pytest.approx(est, abs=1e-12)
+    # one row over the whole K = 10^6 block gives the same estimate
+    p = duloss.expected_probs_batch(*one_row([1.0, 0.0], 0.0), noise(10**6, seed=42))
+    assert p[0, 0] == pytest.approx(est, abs=1e-12)
+    assert abs(p[0, 0] - oracle) < 3.0 * se
 
 
 def test_expected_prob_normalized():
     rng = np.random.default_rng(31)
     for _ in range(50):
-        out = DensityOutput(mu=rng.normal(0, 3, 2), s_raw=float(rng.normal(0, 1)))
+        mu, s_raw = rng.normal(0, 3, 2), float(rng.normal(0, 1))
         k = int(rng.choice([2, 8, 32, 128]))
-        p = duloss.expected_prob(out, MCConfig(k=k, rng_seed=int(rng.integers(1 << 30))))
+        p = duloss.expected_probs_batch(
+            *one_row(mu, s_raw), noise(k, seed=int(rng.integers(1 << 30)))
+        )
         assert abs(float(p.sum()) - 1.0) <= 1e-12
         assert np.all(p > 0)
 
 
-# --- du_loss ----------------------------------------------------------------------
+def test_expected_probs_batch_rows_match_single_row_calls():
+    rng = np.random.default_rng(8)
+    n = 9
+    mu, s_raw = rng.normal(0, 3, (n, 2)), rng.normal(0, 1, n)
+    eps = noise(32, seed=23, n=n)
+    batch = duloss.expected_probs_batch(mu, s_raw, eps)
+    for i in range(n):
+        single = duloss.expected_probs_batch(mu[i : i + 1], s_raw[i : i + 1], eps[i : i + 1])
+        np.testing.assert_array_equal(batch[i], single[0])
+
+
+# --- the DU loss ------------------------------------------------------------------
 
 def test_du_loss_reduces_to_cross_entropy_at_zero_sigma():
     rng = np.random.default_rng(12)
     for _ in range(20):
         mu = rng.normal(0, 2, 2)
         y = int(rng.integers(0, 2))
-        out = DensityOutput(mu=mu, s_raw=-40.0)
-        loss = duloss.du_loss(out, y, MCConfig(k=32, rng_seed=3))
+        loss = du_loss_of(mu, -40.0, y, noise(32, seed=3))
         soft = np.exp(mu - mu.max())
         soft = soft / soft.sum()
         assert loss == pytest.approx(-math.log(soft[y]), abs=1e-9)
@@ -153,15 +192,13 @@ def test_du_loss_reduces_to_cross_entropy_at_zero_sigma():
 
 def test_du_loss_symmetric_mu_is_ln2():
     for sigma in (0.5, 1.0, 2.0):
-        out = DensityOutput(mu=np.zeros(2), s_raw=math.log(sigma))
-        loss = duloss.du_loss(out, 0, MCConfig(k=64, rng_seed=8, antithetic=True))
+        loss = du_loss_of(np.zeros(2), math.log(sigma), 0, noise(64, seed=8))
         assert loss == pytest.approx(math.log(2.0), abs=1e-9)
 
 
 def test_du_loss_matches_quadrature_oracle_at_k_1e6():
     est, se = mc_p1_with_se(1.0, 1.0, 10**6, seed=7)
-    out = DensityOutput(mu=np.array([1.0, 0.0]), s_raw=0.0)
-    loss = duloss.du_loss(out, 1, MCConfig(k=10**6, rng_seed=7, antithetic=True))
+    loss = du_loss_of([1.0, 0.0], 0.0, 1, noise(10**6, seed=7))
     # y = class 1 here means the *second* logit, whose expected probability
     # mirrors 1 - E[p1]; check against the oracle through the same transform
     oracle = 1.0 - GH_ORACLE[(1.0, 1.0)]
@@ -171,27 +208,26 @@ def test_du_loss_matches_quadrature_oracle_at_k_1e6():
 
 
 def test_du_loss_first_class_oracle():
-    out = DensityOutput(mu=np.array([1.0, 0.0]), s_raw=0.0)
     est, se = mc_p1_with_se(1.0, 1.0, 10**6, seed=11)
-    loss = duloss.du_loss(out, 0, MCConfig(k=10**6, rng_seed=11, antithetic=True))
+    loss = du_loss_of([1.0, 0.0], 0.0, 0, noise(10**6, seed=11))
     oracle = GH_ORACLE[(1.0, 1.0)]
     se_loss = se / est
     assert abs(loss - (-math.log(oracle))) < 3.0 * se_loss
 
 
-# --- du_loss_grad -------------------------------------------------------------------
+# --- pathwise gradients ------------------------------------------------------------
 
 def fd_head_gradient(mu, s_raw, y, eps, h=1e-6):
     vals = []
     for j in range(2):
         shifted = mu.copy()
         shifted[j] += h
-        lp = duloss.du_loss(DensityOutput(shifted, s_raw), y, eps=eps)
+        lp = du_loss_of(shifted, s_raw, y, eps)
         shifted[j] -= 2 * h
-        lm = duloss.du_loss(DensityOutput(shifted, s_raw), y, eps=eps)
+        lm = du_loss_of(shifted, s_raw, y, eps)
         vals.append((lp - lm) / (2 * h))
-    lp = duloss.du_loss(DensityOutput(mu, s_raw + h), y, eps=eps)
-    lm = duloss.du_loss(DensityOutput(mu, s_raw - h), y, eps=eps)
+    lp = du_loss_of(mu, s_raw + h, y, eps)
+    lm = du_loss_of(mu, s_raw - h, y, eps)
     vals.append((lp - lm) / (2 * h))
     return np.array(vals)
 
@@ -201,8 +237,7 @@ def test_grad_zero_sigma_matches_softmax_ce():
     for _ in range(10):
         mu = rng.normal(0, 2, 2)
         y = int(rng.integers(0, 2))
-        out = DensityOutput(mu=mu, s_raw=-40.0)
-        dmu, ds = duloss.du_loss_grad(out, y, MCConfig(k=16, rng_seed=2))
+        dmu, ds = du_grad_of(mu, -40.0, y, noise(16, seed=2))
         p = np.exp(mu - mu.max())
         p = p / p.sum()
         onehot = np.array([1.0 - y, float(y)])
@@ -217,9 +252,8 @@ def test_grad_matches_finite_differences_frozen_noise():
         mu = rng.normal(0, 2, 2)
         s_raw = float(rng.normal(0, 1))
         y = int(rng.integers(0, 2))
-        eps = duloss.draw_noise(MCConfig(k=64, rng_seed=9000 + i, antithetic=True))
-        out = DensityOutput(mu=mu, s_raw=s_raw)
-        dmu, ds = duloss.du_loss_grad(out, y, eps=eps)
+        eps = noise(64, seed=9000 + i)
+        dmu, ds = du_grad_of(mu, s_raw, y, eps)
         analytic = np.array([dmu[0], dmu[1], ds])
         numeric = fd_head_gradient(mu, s_raw, y, eps)
         rel = np.linalg.norm(analytic - numeric) / max(
@@ -230,10 +264,9 @@ def test_grad_matches_finite_differences_frozen_noise():
 
 
 def test_grad_symmetric_antithetic_case_agrees_with_fd():
-    eps = duloss.draw_noise(MCConfig(k=64, rng_seed=3, antithetic=True))
+    eps = noise(64, seed=3)
     for sigma in (0.5, 1.0, 2.0):
-        out = DensityOutput(mu=np.zeros(2), s_raw=math.log(sigma))
-        dmu, ds = duloss.du_loss_grad(out, 0, eps=eps)
+        dmu, ds = du_grad_of(np.zeros(2), math.log(sigma), 0, eps)
         numeric = fd_head_gradient(np.zeros(2), math.log(sigma), 0, eps)
         np.testing.assert_allclose([dmu[0], dmu[1], ds], numeric, atol=1e-6)
         # averaged over antithetic pairs the two logits pull symmetrically
@@ -243,11 +276,11 @@ def test_grad_symmetric_antithetic_case_agrees_with_fd():
 # --- binary collapse ------------------------------------------------------------------
 
 def test_collapse_equal_logits():
-    assert duloss.binary_collapse(1.7, 1.7) == 0.5
+    assert duloss.sigmoid(1.7 - 1.7) == 0.5
 
 
 def test_collapse_analytic_point():
-    assert duloss.binary_collapse(math.log(3.0), 0.0) == pytest.approx(0.75, abs=1e-15)
+    assert duloss.sigmoid(math.log(3.0) - 0.0) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_collapse_softmax_and_sigmoid_forms_agree():
@@ -255,7 +288,7 @@ def test_collapse_softmax_and_sigmoid_forms_agree():
     for _ in range(1000):
         u1, u2 = rng.normal(0, 5, 2)
         softmax_form = math.exp(u1) / (math.exp(u1) + math.exp(u2))
-        assert abs(duloss.binary_collapse(u1, u2) - softmax_form) < 1e-12
+        assert abs(duloss.sigmoid(u1 - u2) - softmax_form) < 1e-12
 
 
 # --- Fig-2 style numerics (module-scale versions; the acceptance suite
@@ -282,13 +315,13 @@ def test_damping_shrinks_at_high_margin():
 # --- determinism ----------------------------------------------------------------------
 
 def test_seed_determinism_bit_identical():
-    out = DensityOutput(mu=np.array([0.3, -0.8]), s_raw=0.4)
-    mc = MCConfig(k=32, rng_seed=1234, antithetic=True)
-    p1 = duloss.expected_prob(out, mc)
-    p2 = duloss.expected_prob(out, mc)
-    np.testing.assert_array_equal(p1, p2)
-    assert duloss.du_loss(out, 1, mc) == duloss.du_loss(out, 1, mc)
-    g1 = duloss.du_loss_grad(out, 1, mc)
-    g2 = duloss.du_loss_grad(out, 1, mc)
-    np.testing.assert_array_equal(g1[0], g2[0])
-    assert g1[1] == g2[1]
+    mu, s_raw = one_row([0.3, -0.8], 0.4)
+    eps1, eps2 = noise(32, seed=1234), noise(32, seed=1234)
+    np.testing.assert_array_equal(eps1, eps2)
+    np.testing.assert_array_equal(
+        duloss.expected_probs_batch(mu, s_raw, eps1), duloss.expected_probs_batch(mu, s_raw, eps2)
+    )
+    g1 = duloss.batch_losses_and_grads(mu, s_raw, np.array([1]), eps1)
+    g2 = duloss.batch_losses_and_grads(mu, s_raw, np.array([1]), eps2)
+    for a, b in zip(g1, g2):
+        np.testing.assert_array_equal(a, b)

@@ -47,13 +47,13 @@ def test_forward_zero_params_gives_zero_logits():
     params = nn.init_params([4, 3, 2], seed=0)
     for w in params.weights:
         w[:] = 0.0
-    out = nn.forward(params, np.ones(4))
-    np.testing.assert_array_equal(out, [0.0, 0.0])
+    out = nn.forward(params, np.ones((1, 4)))
+    np.testing.assert_array_equal(out, [[0.0, 0.0]])
 
 
 def test_forward_identity_single_layer():
     params = nn.ModelParams([3, 3], [np.eye(3)], [np.zeros(3)])
-    x = np.array([0.3, -1.2, 2.0])
+    x = np.array([[0.3, -1.2, 2.0]])
     np.testing.assert_array_equal(nn.forward(params, x), x)
 
 
@@ -79,25 +79,27 @@ def test_forward_matches_naive_oracle():
             for i in range(w.shape[0]):
                 total += h[i] * w[i, j]
             expected[j] = total
-        np.testing.assert_allclose(nn.forward(params, x), expected, atol=1e-12)
+        np.testing.assert_allclose(nn.forward(params, x[None, :])[0], expected, atol=1e-12)
 
 
 def test_forward_rejects_width_mismatch():
     params = nn.init_params([4, 3, 2], seed=0)
     with pytest.raises(ValueError):
-        nn.forward(params, np.zeros(5))
+        nn.forward(params, np.zeros((1, 5)))
+    with pytest.raises(ValueError):
+        nn.forward(params, np.zeros(4))  # a single row is a (1, F) batch
 
 
 def test_du_head_adds_one_output():
     params = nn.init_params([4, 3, 2], du_head=True, seed=0)
-    out = nn.forward(params, np.zeros(4))
-    assert out.shape == (3,)
+    out = nn.forward(params, np.zeros((5, 4)))
+    assert out.shape == (5, 3)
     logits, s_raw = nn.split_outputs(params, out)
-    assert logits.shape == (2,)
-    assert np.isscalar(s_raw) or s_raw.shape == ()
+    assert logits.shape == (5, 2)
+    assert s_raw.shape == (5,)
 
 
-# --- softmax / cross_entropy -------------------------------------------------
+# --- softmax / the cross-entropy loss ----------------------------------------
 
 def test_softmax_symmetry():
     np.testing.assert_allclose(nn.softmax(np.zeros(2)), [0.5, 0.5], atol=1e-15)
@@ -123,11 +125,16 @@ def test_softmax_sums_to_one_and_shift_invariant():
 
 
 def test_cross_entropy_values():
-    assert nn.cross_entropy(np.array([1.0, 0.0]), 0) == 0.0
-    assert nn.cross_entropy(np.array([0.5, 0.5]), 1) == pytest.approx(np.log(2.0))
-    assert nn.cross_entropy(np.array([0.25, 0.75]), 1) == pytest.approx(
-        -np.log(0.75), abs=1e-15
-    )
+    # a bias-only network emits its bias as the logits of every row
+    def ce(logits, y):
+        params = nn.ModelParams([2, 2], [np.zeros((2, 2))], [np.asarray(logits)])
+        return nn.batch_loss(params, np.zeros((1, 2)), np.array([y]), "ce")
+
+    assert ce([800.0, 0.0], 0) == 0.0
+    assert ce([0.0, 0.0], 1) == pytest.approx(np.log(2.0))
+    assert ce([0.0, np.log(3.0)], 1) == pytest.approx(-np.log(0.75), abs=1e-15)
+    # a probability of exactly 0 is floored like the metrics module
+    assert ce([800.0, 0.0], 1) == pytest.approx(-np.log(1e-12))
 
 
 # --- backward ----------------------------------------------------------------
@@ -136,7 +143,7 @@ def test_ce_logit_gradient_identity_on_zero_net():
     params = nn.init_params([4, 3, 2], seed=0)
     for w in params.weights:
         w[:] = 0.0
-    x = np.array([0.5, -0.5, 1.0, 0.0])
+    x = np.array([[0.5, -0.5, 1.0, 0.0]])
     _, grads = nn.backward(params, x, np.array([0]), "ce")
     # softmax-CE at z = (0, 0): dL/dz = p - onehot = (0.5, 0.5) - (1, 0)
     np.testing.assert_allclose(grads.biases[-1], [-0.5, 0.5], atol=1e-15)
@@ -164,8 +171,8 @@ def test_du_backprop_matches_finite_differences_with_frozen_noise():
         n = int(rng.integers(1, 5))
         x = rng.normal(0.0, 1.0, (n, params.layer_sizes[0]))
         y = rng.integers(0, 2, n)
-        mc = duloss.MCConfig(k=16, rng_seed=int(rng.integers(0, 2**31)), antithetic=True)
-        noise = duloss.draw_noise_batch(n, mc)
+        noise_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
+        noise = duloss.draw_noise_batch(n, duloss.MCConfig(k=16, antithetic=True), noise_rng)
         _, grads = nn.backward(params, x, y, "du", noise)
         numeric = fd_gradient(params, x, y, "du", noise)
         worst = max(worst, relative_error(grads.weights + grads.biases, numeric))
@@ -175,7 +182,7 @@ def test_du_backprop_matches_finite_differences_with_frozen_noise():
 def test_duplicated_batch_equals_single_sample_gradient():
     rng = np.random.default_rng(5)
     params = random_small_net(rng)
-    x = rng.normal(0.0, 1.0, params.layer_sizes[0])
+    x = rng.normal(0.0, 1.0, (1, params.layer_sizes[0]))
     single_loss, single = nn.backward(params, x, np.array([1]), "ce")
     batch = np.tile(x, (4, 1))
     batch_loss, repeated = nn.backward(params, batch, np.array([1, 1, 1, 1]), "ce")

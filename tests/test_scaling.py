@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from calibforge import nn, scaling
+from calibforge import metrics, nn, scaling
 from calibforge.scaling import ScalerParams
 
 
@@ -20,49 +20,61 @@ def calibrated_set(n=50000, seed=42, spread=1.5):
     return z, labels
 
 
-# --- apply_scaler -------------------------------------------------------------
+def calibrated(scaler, z):
+    """Calibrated probabilities, predicted labels and confidences of an
+    (n, 2) logit batch, as eval computes them."""
+    probs = nn.softmax(scaling.transform_logits(scaler, z))
+    confidence, predicted = metrics.predict(probs)
+    return probs, predicted, confidence
+
+
+# --- applying a scaler ----------------------------------------------------------
 
 def test_temperature_one_is_identity():
     rng = np.random.default_rng(1)
     scaler = ScalerParams(kind="temperature", temperature=1.0)
-    for _ in range(20):
-        z = rng.normal(0, 3, 2)
-        probs, pred, conf = scaling.apply_scaler(scaler, z)
-        np.testing.assert_allclose(probs, nn.softmax(z), atol=1e-15)
-        assert pred == (0 if z[0] >= z[1] else 1)
-        assert conf == probs[pred]
+    z = rng.normal(0, 3, (20, 2))
+    probs, pred, conf = calibrated(scaler, z)
+    np.testing.assert_allclose(probs, nn.softmax(z), atol=1e-15)
+    np.testing.assert_array_equal(pred, np.where(z[:, 0] >= z[:, 1], 0, 1))
+    np.testing.assert_array_equal(conf, probs[np.arange(20), pred])
 
 
 def test_huge_temperature_flattens_to_half():
     scaler = ScalerParams(kind="temperature", temperature=1e6)
-    probs, _, conf = scaling.apply_scaler(scaler, np.array([3.0, 0.0]))
-    np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-5)
-    assert conf == pytest.approx(0.5, abs=1e-5)
+    probs, _, conf = calibrated(scaler, np.array([[3.0, 0.0]]))
+    np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-5)
+    assert conf[0] == pytest.approx(0.5, abs=1e-5)
 
 
 def test_identity_matrix_is_identity():
     scaler = ScalerParams(kind="matrix", w_full=np.eye(2), b=np.zeros(2))
-    z = np.array([0.7, -0.4])
-    probs, _, _ = scaling.apply_scaler(scaler, z)
+    z = np.array([[0.7, -0.4]])
+    probs, _, _ = calibrated(scaler, z)
     np.testing.assert_allclose(probs, nn.softmax(z), atol=1e-15)
 
 
 def test_vector_scaler_has_no_bias_term():
     scaler = ScalerParams(kind="vector", w_diag=np.array([2.0, 0.5]))
-    z = np.array([1.0, 1.0])
+    z = np.array([[1.0, 1.0]])
     np.testing.assert_allclose(
-        scaling.transform_logits(scaler, z), [2.0, 0.5], atol=1e-15
+        scaling.transform_logits(scaler, z), [[2.0, 0.5]], atol=1e-15
     )
 
 
 def test_apply_rejects_bad_scalers():
+    for t in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            scaling.transform_logits(
+                ScalerParams(kind="temperature", temperature=t), np.zeros((1, 2))
+            )
     with pytest.raises(ValueError):
-        scaling.apply_scaler(
-            ScalerParams(kind="temperature", temperature=-1.0), np.zeros(2)
+        scaling.transform_logits(
+            ScalerParams(kind="temperature", temperature=1.0), np.array([[np.inf, 0.0]])
         )
     with pytest.raises(ValueError):
-        scaling.apply_scaler(
-            ScalerParams(kind="temperature", temperature=1.0), np.array([np.inf, 0.0])
+        scaling.transform_logits(
+            ScalerParams(kind="temperature", temperature=1.0), np.zeros(2)
         )
 
 
@@ -74,27 +86,26 @@ def test_apply_scaler_outputs_valid_probabilities():
         ScalerParams(kind="matrix", w_full=rng.normal(0, 1, (2, 2)), b=rng.normal(0, 1, 2)),
     ]
     for scaler in scalers:
-        for _ in range(50):
-            probs, pred, conf = scaling.apply_scaler(scaler, rng.normal(0, 4, 2))
-            assert abs(float(probs.sum()) - 1.0) <= 1e-12
-            assert probs[pred] == conf >= 0.5
+        probs, pred, conf = calibrated(scaler, rng.normal(0, 4, (50, 2)))
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
+        np.testing.assert_array_equal(probs[np.arange(50), pred], conf)
+        assert np.all(conf >= 0.5)
 
 
 def test_temperature_preserves_argmax():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        z = rng.normal(0, 3, 2)
-        for temp in (0.05, 0.5, 1.0, 7.0, 90.0):
-            scaler = ScalerParams(kind="temperature", temperature=temp)
-            _, pred, _ = scaling.apply_scaler(scaler, z)
-            assert pred == (0 if z[0] >= z[1] else 1)
+    z = rng.normal(0, 3, (200, 2))
+    for temp in (0.05, 0.5, 1.0, 7.0, 90.0):
+        scaler = ScalerParams(kind="temperature", temperature=temp)
+        _, pred, _ = calibrated(scaler, z)
+        np.testing.assert_array_equal(pred, np.where(z[:, 0] >= z[:, 1], 0, 1))
 
 
 def test_confidence_strictly_decreasing_in_temperature():
-    z = np.array([1.4, -0.3])  # z1 > z2
+    z = np.array([[1.4, -0.3]])  # z1 > z2
     temps = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
     confs = [
-        scaling.apply_scaler(ScalerParams(kind="temperature", temperature=t), z)[2]
+        calibrated(ScalerParams(kind="temperature", temperature=t), z)[2][0]
         for t in temps
     ]
     assert all(a > b for a, b in zip(confs, confs[1:]))
