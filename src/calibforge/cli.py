@@ -314,6 +314,9 @@ def _load_model(path):
 def cmd_calibrate(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("calibrate requires --model and --data")
+    kind = resolved["kind"]
+    if kind in ("vector", "matrix"):
+        scaling.check_adam_fit(float(resolved["lr"]), int(resolved["max_iters"]))
     params, header = _load_model(resolved["model"])
     if params.du_head_enabled:
         raise ValueError("post-hoc scalers apply to cross-entropy models, not du models")
@@ -327,7 +330,6 @@ def cmd_calibrate(resolved: dict) -> None:
         raise ValueError("validation split is empty; retrain with a positive val_fraction")
     logits = nn.forward(params, xv)
     out = _outdir(resolved)
-    kind = resolved["kind"]
     log_path = out / f"calib_log_{kind}.csv"
     if kind == "temperature":
         scaler = scaling.fit_temperature(logits, yv, log_path=log_path)

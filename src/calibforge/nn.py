@@ -14,6 +14,7 @@ format round-trips exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,14 @@ class ModelParams:
                 raise ValueError("parameters must be finite")
 
 
+def check_learning_rate(lr: float, name: str = "lr") -> None:
+    """Reject an Adam step size that is not a finite number >= 0: a NaN or
+    infinite step would only surface as non-finite parameters after all the
+    work is done."""
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {lr!r}")
+
+
 @dataclass
 class TrainConfig:
     """Optimization settings. Defaults: Adam at 1e-4 for 20 epochs."""
@@ -84,8 +93,7 @@ class TrainConfig:
     antithetic: bool = True
 
     def validate(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        check_learning_rate(self.learning_rate, "learning_rate")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -184,11 +192,13 @@ def batch_loss(
 
 def backward(
     params: ModelParams, x: np.ndarray, y: np.ndarray, loss_kind: str = "ce", noise=None
-) -> tuple[float, Gradients]:
-    """Mean batch loss and its gradient w.r.t. every parameter.
+) -> tuple[float, Gradients, np.ndarray]:
+    """Mean batch loss, its gradient w.r.t. every parameter, and the raw
+    network outputs of the batch (as ``forward`` would return them).
 
     For the data-uncertainty loss the (n, K, 2) noise block must be passed
-    in explicitly; the gradient is pathwise through the frozen draws.
+    in explicitly; the gradient is pathwise through the frozen draws. The
+    gradient w.r.t. the input is never formed.
     """
     x = _check_batch(params, x)
     y = np.asarray(y, dtype=int)
@@ -214,15 +224,13 @@ def backward(
 
     dweights = [None] * len(params.weights)
     dbiases = [None] * len(params.biases)
-    dweights[-1] = activations[-1].T @ delta
-    dbiases[-1] = delta.sum(axis=0)
-    dh = delta @ params.weights[-1].T
-    for layer in range(len(params.weights) - 2, -1, -1):
-        dpre = dh * (pre[layer] > 0.0)
+    dpre = delta
+    for layer in range(len(params.weights) - 1, -1, -1):
         dweights[layer] = activations[layer].T @ dpre
         dbiases[layer] = dpre.sum(axis=0)
-        dh = dpre @ params.weights[layer].T
-    return loss, Gradients(dweights, dbiases)
+        if layer > 0:
+            dpre = (dpre @ params.weights[layer].T) * (pre[layer - 1] > 0.0)
+    return loss, Gradients(dweights, dbiases), out
 
 
 @dataclass
@@ -248,19 +256,31 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update over a flat list of parameter arrays."""
-    t = state.t + 1
-    new_params, new_m, new_v = [], [], []
+) -> None:
+    """One bias-corrected Adam update over a flat list of parameter arrays.
+
+    Updates the parameter arrays and ``state`` in place. The float
+    operations and their order are those of the textbook expression
+    ``p - lr * m_hat / (sqrt(v_hat) + eps)``, so the trajectory is the same
+    bit for bit as an out-of-place update.
+    """
+    state.t += 1
+    c1 = 1.0 - beta1**state.t
+    c2 = 1.0 - beta2**state.t
     for p, g, m, v in zip(param_list, grad_list, state.m, state.v):
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(new_m, new_v, t)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        g2 = g * g
+        g2 *= 1.0 - beta2
+        v *= beta2
+        v += g2
+        step = m / c1
+        step *= lr
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step
 
 
 @dataclass
@@ -281,6 +301,11 @@ def train(
     Deterministic for a fixed seed: initialization, the per-epoch shuffles
     and the per-(epoch, batch) MC noise streams are all derived from
     ``config.rng_seed``.
+
+    An epoch's ``loss`` is the mean batch loss and its ``train_acc`` the
+    running accuracy over the epoch's batches, each batch scored (argmax of
+    the two logits) before its own Adam step; no separate pass over the
+    training set is made.
     """
     config.validate()
     x = np.asarray(x, dtype=float)
@@ -301,12 +326,12 @@ def train(
     flat = params.weights + params.biases
     state = adam_init(flat)
     n = x.shape[0]
-    n_w = len(params.weights)
     mc = duloss.MCConfig(k=config.k_train, antithetic=config.antithetic) if du else None
     log = []
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n)
         loss_sum = 0.0
+        correct = 0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
             noise = None
@@ -315,9 +340,11 @@ def train(
                     [config.rng_seed, _NOISE_STREAM_TAG, epoch, batch_idx]
                 )
                 noise = duloss.draw_noise_batch(len(idx), mc, noise_rng)
-            loss, grads = backward(params, x[idx], y[idx], config.loss_kind, noise)
+            yb = y[idx]
+            loss, grads, out = backward(params, x[idx], yb, config.loss_kind, noise)
             loss_sum += loss * len(idx)
-            flat, state = adam_step(
+            correct += int(np.count_nonzero(np.argmax(out[:, :2], axis=1) == yb))
+            adam_step(
                 flat,
                 grads.weights + grads.biases,
                 state,
@@ -326,13 +353,7 @@ def train(
                 beta2=config.beta2,
                 eps=config.adam_eps,
             )
-            params = ModelParams(
-                layer_sizes, flat[:n_w], flat[n_w:], du_head_enabled=du
-            )
-        out = forward(params, x)
-        logits, _ = split_outputs(params, out)
-        train_acc = float(np.mean(np.argmax(logits, axis=1) == y))
-        log.append(EpochLog(epoch=epoch, loss=loss_sum / n, train_acc=train_acc))
+        log.append(EpochLog(epoch=epoch, loss=loss_sum / n, train_acc=correct / n))
     return params, log
 
 

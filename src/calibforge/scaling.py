@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_lines
-from .nn import adam_init, adam_step, softmax
+from .nn import adam_init, adam_step, check_learning_rate, softmax
 
 TEMPERATURE_BOUNDS = (1e-2, 1e2)
 
@@ -191,7 +191,16 @@ def _nll_and_grads(kind, w, b, logits, labels):
     return nll, [g.T @ logits, g.sum(axis=0)]
 
 
+def check_adam_fit(lr: float, max_iters: int) -> None:
+    """Vector and matrix fits need a finite step size >= 0 and an iteration
+    budget >= 0; anything else would return the identity scaler unfitted."""
+    check_learning_rate(lr, "lr")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters!r}")
+
+
 def _fit_affine(kind, val_logits, val_labels, lr, max_iters, tol, log_path):
+    check_adam_fit(lr, max_iters)
     logits, labels = _check_val_set(val_logits, val_labels)
     if kind == "vector":
         param_list = [np.ones(2)]
@@ -210,7 +219,7 @@ def _fit_affine(kind, val_logits, val_labels, lr, max_iters, tol, log_path):
             best = [p.copy() for p in param_list]
         if it == max_iters or grad_norm < tol:
             break
-        param_list, state = adam_step(param_list, grads, state, lr=lr)
+        adam_step(param_list, grads, state, lr=lr)
     if log_path is not None:
         _write_fit_log(log_path, log_rows)
     if kind == "vector":
@@ -259,19 +268,36 @@ def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
     write_lines(path, [json.dumps(doc, indent=2)])
 
 
+def _json_numbers(doc: dict, key: str, scalar: bool = False):
+    """``doc[key]`` as a float, or as a float array when it is a (nested)
+    list; anything that is not a JSON number (booleans included) is
+    rejected with the key's name."""
+    value = doc.get(key)
+
+    def numeric(v) -> bool:
+        if isinstance(v, list) and not scalar:
+            return all(numeric(e) for e in v)
+        # bool is a subclass of int, but true/false are not scaler entries
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if not numeric(value):
+        raise ValueError(f"scaler key {key!r} must hold numbers, got {json.dumps(value)}")
+    return float(value) if scalar else np.asarray(value, dtype=float)
+
+
 def load_scaler(path) -> ScalerParams:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a scaler file must hold a JSON object")
     kind = doc.get("kind")
     if kind == "temperature":
-        scaler = ScalerParams(kind=kind, temperature=float(doc["T"]))
+        scaler = ScalerParams(kind=kind, temperature=_json_numbers(doc, "T", scalar=True))
     elif kind == "vector":
-        scaler = ScalerParams(kind=kind, w_diag=np.asarray(doc["w_diag"], dtype=float))
+        scaler = ScalerParams(kind=kind, w_diag=_json_numbers(doc, "w_diag"))
     elif kind == "matrix":
         scaler = ScalerParams(
-            kind=kind,
-            w_full=np.asarray(doc["W"], dtype=float),
-            b=np.asarray(doc["b"], dtype=float),
+            kind=kind, w_full=_json_numbers(doc, "W"), b=_json_numbers(doc, "b")
         )
     else:
         raise ValueError(f"{path}: unknown scaler kind {kind!r}")

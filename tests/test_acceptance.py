@@ -109,7 +109,7 @@ def test_criterion_2_gradient_correctness():
             b += rng.normal(0.0, 0.3, b.shape)
         x = rng.normal(0.0, 1.0, (1, sizes[0]))
         y = rng.integers(0, 2, 1)
-        _, grads = nn.backward(params, x, y, "ce")
+        _, grads, _ = nn.backward(params, x, y, "ce")
         h = 1e-5
         analytic, numeric = [], []
         for arr, g in zip(

@@ -133,6 +133,16 @@ def test_train_bad_loss_flag_rejected(tmp_path):
     assert proc.returncode == 2
 
 
+def test_train_non_finite_lr_is_config_error(tmp_path, mini_run):
+    out = tmp_path / "o"
+    proc = run_cli([
+        "train", "--data", mini_run / "train.csv", "--lr", "nan", *MINI_TRAIN, "--out", out,
+    ], check=False)
+    assert proc.returncode == 2
+    assert "learning_rate" in proc.stderr
+    assert not out.exists()
+
+
 # --- calibrate ---------------------------------------------------------------
 
 def test_calibrate_emits_scaler_and_log(mini_run):
@@ -161,6 +171,21 @@ def test_calibrate_rejects_du_model(tmp_path, mini_run):
         "--data", mini_run / "train.csv", "--out", tmp_path,
     ], check=False)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("kind", ["vector", "matrix"])
+@pytest.mark.parametrize("flag, named", [
+    ("--lr=nan", "lr"), ("--lr=-1", "lr"), ("--max-iters=-1", "max_iters"),
+])
+def test_calibrate_bad_optimiser_settings_are_config_errors(tmp_path, mini_run, kind, flag, named):
+    out = tmp_path / "o"
+    proc = run_cli([
+        "calibrate", "--model", mini_run / "model_ce.txt", "--data", mini_run / "train.csv",
+        "--kind", kind, flag, "--out", out,
+    ], check=False)
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert not out.exists()
 
 
 # --- eval ---------------------------------------------------------------------
@@ -238,6 +263,39 @@ def test_eval_rejects_infinite_temperature_scaler(tmp_path, mini_run):
     assert proc.returncode == 3
     assert "scaler_inf.json" in proc.stderr
     assert not (tmp_path / "report_temperature.json").exists()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("temperature", "T", True),
+    ("temperature", "T", "1.5"),
+    ("vector", "w_diag", [True, 2]),
+    ("matrix", "W", [[1, 0], [0, False]]),
+    ("matrix", "b", [0, "0"]),
+])
+def test_eval_rejects_non_numeric_scaler_entries(tmp_path, mini_run, kind, key, value):
+    doc = json.loads((mini_run / f"scaler_{kind}.json").read_text())
+    doc[key] = value
+    scaler = tmp_path / "scaler_edited.json"
+    scaler.write_text(json.dumps(doc))
+    proc = run_cli([
+        "eval", "--model", mini_run / "model_ce.txt", "--data", mini_run / "test.csv",
+        "--scaler", scaler, "--out", tmp_path,
+    ], check=False)
+    assert proc.returncode == 3
+    assert "scaler_edited.json" in proc.stderr
+    assert repr(key) in proc.stderr
+    assert not (tmp_path / f"report_{kind}.json").exists()
+
+
+def test_eval_rejects_scaler_that_is_not_an_object(tmp_path, mini_run):
+    scaler = tmp_path / "scaler_list.json"
+    scaler.write_text(json.dumps([{"kind": "temperature", "T": 1.5}]))
+    proc = run_cli([
+        "eval", "--model", mini_run / "model_ce.txt", "--data", mini_run / "test.csv",
+        "--scaler", scaler, "--out", tmp_path,
+    ], check=False)
+    assert proc.returncode == 3
+    assert "scaler_list.json" in proc.stderr
 
 
 def test_eval_without_p_true_omits_oracle_metric(tmp_path, mini_run):

@@ -144,7 +144,7 @@ def test_ce_logit_gradient_identity_on_zero_net():
     for w in params.weights:
         w[:] = 0.0
     x = np.array([[0.5, -0.5, 1.0, 0.0]])
-    _, grads = nn.backward(params, x, np.array([0]), "ce")
+    _, grads, _ = nn.backward(params, x, np.array([0]), "ce")
     # softmax-CE at z = (0, 0): dL/dz = p - onehot = (0.5, 0.5) - (1, 0)
     np.testing.assert_allclose(grads.biases[-1], [-0.5, 0.5], atol=1e-15)
 
@@ -157,7 +157,7 @@ def test_ce_backprop_matches_finite_differences():
         n = int(rng.integers(1, 6))
         x = rng.normal(0.0, 1.0, (n, params.layer_sizes[0]))
         y = rng.integers(0, 2, n)
-        _, grads = nn.backward(params, x, y, "ce")
+        _, grads, _ = nn.backward(params, x, y, "ce")
         numeric = fd_gradient(params, x, y, "ce", None)
         worst = max(worst, relative_error(grads.weights + grads.biases, numeric))
     assert worst <= 1e-5
@@ -173,7 +173,7 @@ def test_du_backprop_matches_finite_differences_with_frozen_noise():
         y = rng.integers(0, 2, n)
         noise_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
         noise = duloss.draw_noise_batch(n, duloss.MCConfig(k=16, antithetic=True), noise_rng)
-        _, grads = nn.backward(params, x, y, "du", noise)
+        _, grads, _ = nn.backward(params, x, y, "du", noise)
         numeric = fd_gradient(params, x, y, "du", noise)
         worst = max(worst, relative_error(grads.weights + grads.biases, numeric))
     assert worst <= 1e-5
@@ -183,9 +183,9 @@ def test_duplicated_batch_equals_single_sample_gradient():
     rng = np.random.default_rng(5)
     params = random_small_net(rng)
     x = rng.normal(0.0, 1.0, (1, params.layer_sizes[0]))
-    single_loss, single = nn.backward(params, x, np.array([1]), "ce")
+    single_loss, single, _ = nn.backward(params, x, np.array([1]), "ce")
     batch = np.tile(x, (4, 1))
-    batch_loss, repeated = nn.backward(params, batch, np.array([1, 1, 1, 1]), "ce")
+    batch_loss, repeated, _ = nn.backward(params, batch, np.array([1, 1, 1, 1]), "ce")
     assert batch_loss == pytest.approx(single_loss, abs=1e-14)
     for g1, g2 in zip(single.weights + single.biases, repeated.weights + repeated.biases):
         np.testing.assert_allclose(g1, g2, atol=1e-14)
@@ -201,9 +201,10 @@ def test_backward_rejects_width_mismatch():
 
 def test_adam_zero_gradient_keeps_params():
     p = [np.array([1.0, -2.0])]
+    before = [a.copy() for a in p]
     state = nn.adam_init(p)
-    new, state = nn.adam_step(p, [np.zeros(2)], state, lr=0.1)
-    np.testing.assert_array_equal(new[0], p[0])
+    nn.adam_step(p, [np.zeros(2)], state, lr=0.1)
+    np.testing.assert_array_equal(p[0], before[0])
 
 
 def test_adam_first_step_hand_trace():
@@ -211,10 +212,10 @@ def test_adam_first_step_hand_trace():
     # -lr * 1 / (1 + eps), just short of -0.1
     p = [np.array([0.0])]
     state = nn.adam_init(p)
-    new, _ = nn.adam_step(p, [np.array([1.0])], state, lr=0.1)
+    nn.adam_step(p, [np.array([1.0])], state, lr=0.1)
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
-    assert new[0][0] == pytest.approx(expected, abs=1e-18)
-    assert new[0][0] == pytest.approx(-0.1, abs=1e-8)
+    assert p[0][0] == pytest.approx(expected, abs=1e-18)
+    assert p[0][0] == pytest.approx(-0.1, abs=1e-8)
 
 
 def test_adam_two_steps_match_reference_recurrence():
@@ -228,7 +229,7 @@ def test_adam_two_steps_match_reference_recurrence():
     p = [np.array([0.3])]
     state = nn.adam_init(p)
     for _ in range(2):
-        p, state = nn.adam_step(p, [np.array([g])], state, lr=lr)
+        nn.adam_step(p, [np.array([g])], state, lr=lr)
     assert p[0][0] == pytest.approx(w, abs=1e-16)
     assert state.t == 2
 
@@ -273,6 +274,41 @@ def test_train_zero_lr_keeps_initialization():
         np.testing.assert_array_equal(a, b)
 
 
+def test_train_forwards_each_row_once_per_epoch(monkeypatch):
+    x, y = toy_separable(50)
+    rows = []
+    forward_cached = nn._forward_cached
+
+    def counting(params, xb):
+        rows.append(len(xb))
+        return forward_cached(params, xb)
+
+    monkeypatch.setattr(nn, "_forward_cached", counting)
+    for loss_kind in ("ce", "du"):
+        rows.clear()
+        config = nn.TrainConfig(
+            learning_rate=1e-3, epochs=3, batch_size=16, rng_seed=9,
+            loss_kind=loss_kind, k_train=8,
+        )
+        nn.train(x, y, config, layer_sizes=[2, 4, 2])
+        assert sum(rows) == config.epochs * len(y)
+
+
+@pytest.mark.parametrize("loss_kind", ["ce", "du"])
+def test_train_acc_is_running_batch_accuracy(loss_kind):
+    # with lr = 0 the parameters never move, so the running accuracy over
+    # the epoch's batches is the full-pass accuracy of the initialization
+    x, y = toy_separable(50)
+    config = nn.TrainConfig(
+        learning_rate=0.0, epochs=3, batch_size=16, rng_seed=9,
+        loss_kind=loss_kind, k_train=8,
+    )
+    params, log = nn.train(x, y, config, layer_sizes=[2, 4, 2])
+    logits, _ = nn.split_outputs(params, nn.forward(params, x))
+    full_pass = float(np.mean(np.argmax(logits, axis=1) == y))
+    assert [row.train_acc for row in log] == [full_pass] * config.epochs
+
+
 def test_train_same_seed_bit_identical():
     x, y = toy_separable(120, seed=4)
     for loss_kind in ("ce", "du"):
@@ -298,6 +334,9 @@ def test_train_rejects_empty_dataset():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         nn.TrainConfig(learning_rate=-1.0).validate()
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            nn.TrainConfig(learning_rate=lr).validate()
     with pytest.raises(ValueError):
         nn.TrainConfig(epochs=0).validate()
     with pytest.raises(ValueError):

@@ -163,6 +163,19 @@ def test_fit_rejects_bad_validation_sets():
 
 # --- fit_vector / fit_matrix -------------------------------------------------------
 
+@pytest.mark.parametrize("fit", [scaling.fit_vector, scaling.fit_matrix])
+@pytest.mark.parametrize("settings, named", [
+    ({"lr": float("nan")}, "lr"),
+    ({"lr": -1.0}, "lr"),
+    ({"lr": float("inf")}, "lr"),
+    ({"max_iters": -1}, "max_iters"),
+], ids=["lr-nan", "lr-negative", "lr-inf", "max-iters-negative"])
+def test_adam_fits_reject_bad_optimiser_settings(fit, settings, named):
+    z, labels = calibrated_set(n=200, seed=1)
+    with pytest.raises(ValueError, match=named):
+        fit(z, labels, **settings)
+
+
 def test_affine_fits_near_identity_when_calibrated():
     z, labels = calibrated_set()
     vec = scaling.fit_vector(z, labels)
@@ -190,7 +203,8 @@ def test_single_iteration_budget_takes_exactly_one_adam_step():
     mis = z * 3.0  # overconfident, so the first step is an improvement
     scaler = scaling.fit_vector(mis, labels, max_iters=1)
     _, grads = scaling._nll_and_grads("vector", np.ones(2), None, mis, labels)
-    expected, _ = nn.adam_step([np.ones(2)], grads, nn.adam_init([np.ones(2)]), lr=1e-2)
+    expected = [np.ones(2)]
+    nn.adam_step(expected, grads, nn.adam_init(expected), lr=1e-2)
     np.testing.assert_allclose(scaler.w_diag, expected[0], atol=1e-15)
 
 
