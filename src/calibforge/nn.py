@@ -69,7 +69,7 @@ class ModelParams:
                 raise ValueError("parameters must be finite")
 
 
-def check_learning_rate(lr: float, name: str = "lr") -> None:
+def check_learning_rate(lr: float, name: str) -> None:
     """Reject an Adam step size that is not a finite number >= 0: a NaN or
     infinite step would only surface as non-finite parameters after all the
     work is done."""

@@ -300,7 +300,7 @@ def load_scaler(path) -> ScalerParams:
             kind=kind, w_full=_json_numbers(doc, "W"), b=_json_numbers(doc, "b")
         )
     else:
-        raise ValueError(f"{path}: unknown scaler kind {kind!r}")
+        raise ValueError(f"unknown scaler kind {kind!r}")
     scaler.warning = doc.get("warning")
     scaler.validate()
     return scaler

@@ -287,15 +287,17 @@ def test_eval_rejects_non_numeric_scaler_entries(tmp_path, mini_run, kind, key, 
     assert not (tmp_path / f"report_{kind}.json").exists()
 
 
-def test_eval_rejects_scaler_that_is_not_an_object(tmp_path, mini_run):
-    scaler = tmp_path / "scaler_list.json"
-    scaler.write_text(json.dumps([{"kind": "temperature", "T": 1.5}]))
+@pytest.mark.parametrize("doc", [[{"kind": "temperature", "T": 1.5}], {"kind": "bogus"}],
+                         ids=["json-list", "unknown-kind"])
+def test_eval_rejects_malformed_scaler_file(tmp_path, mini_run, doc):
+    scaler = tmp_path / "scaler_bad.json"
+    scaler.write_text(json.dumps(doc))
     proc = run_cli([
         "eval", "--model", mini_run / "model_ce.txt", "--data", mini_run / "test.csv",
         "--scaler", scaler, "--out", tmp_path,
     ], check=False)
     assert proc.returncode == 3
-    assert "scaler_list.json" in proc.stderr
+    assert proc.stderr.count("scaler_bad.json") == 1
 
 
 def test_eval_without_p_true_omits_oracle_metric(tmp_path, mini_run):
