@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import sys
@@ -40,6 +41,11 @@ METHOD_NAMES = {
 }
 # report fields the comparison table reads
 REPORT_KEYS = ("accuracy", "ece", "mce", "nll_mean")
+# DU eval draws and averages its Monte-Carlo noise this many rows at a time,
+# so the noise block stays 4 MB at K=256 whatever the test-set size. The
+# blocks take the generator's stream in row order, so the probabilities do
+# not depend on the block size.
+EVAL_BLOCK_ROWS = 1024
 
 
 class MissingArtifactError(Exception):
@@ -256,13 +262,9 @@ def cmd_gen(resolved: dict) -> None:
     print(f"wrote {n_train} rows to {out / 'train.csv'} and {n_test} rows to {out / 'test.csv'}")
 
 
-def _load_training_split(data_path, val_fraction: float, split_seed: int):
-    """((x, y) train rows, (x, y) validation rows) of a dataset file."""
-    x, y, _ = datagen.read_dataset(data_path)
-    if len(y) == 0:
-        raise ValueError(f"{data_path}: dataset is empty")
-    train, val, _ = datagen.split(len(y), (1.0 - val_fraction, val_fraction), split_seed)
-    return (x[train], y[train]), (x[val], y[val])
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def cmd_train(resolved: dict) -> None:
@@ -284,14 +286,21 @@ def cmd_train(resolved: dict) -> None:
     )
     config.validate()
     hidden = [int(h) for h in str(resolved["hidden"]).split(",") if h]
-    (x, y), _ = _load_training_split(resolved["data"], val_fraction, seed)
-    params, log = nn.train(x, y, config, layer_sizes=[x.shape[1]] + hidden + [2])
+    data = resolved["data"]
+    x, y, _ = datagen.read_dataset(data)
+    if len(y) == 0:
+        raise ValueError(f"{data}: dataset is empty")
+    data_sha256 = _sha256(data)
+    train, _, _ = datagen.split(len(y), (1.0 - val_fraction, val_fraction), seed)
+    params, log = nn.train(x[train], y[train], config, layer_sizes=[x.shape[1]] + hidden + [2])
     out = _outdir(resolved)
     header = {
         "loss": loss,
         "seed": str(seed),
         "split_seed": str(seed),
         "val_fraction": repr(val_fraction),
+        "data_rows": str(len(y)),
+        "data_sha256": data_sha256,
         "version": __version__,
         "config": json.dumps(resolved, sort_keys=True),
     }
@@ -311,23 +320,75 @@ def _load_model(path):
         raise ModelFormatError(f"{path}: {exc}") from exc
 
 
+def _count(value: str):
+    """A nonnegative decimal integer, or None."""
+    return int(value) if value.isascii() and value.isdigit() else None
+
+
+def _fraction(value: str):
+    fraction = float(value)
+    return fraction if 0.0 <= fraction < 1.0 else None
+
+
+def _hex_digest(value: str):
+    return value if len(value) == 64 and not value.strip("0123456789abcdef") else None
+
+
+# model-header fields that locate the validation rows in the training data,
+# each with its parser (None or ValueError for a malformed value)
+SPLIT_FIELDS = (
+    ("split_seed", _count),
+    ("val_fraction", _fraction),
+    ("data_rows", lambda value: _count(value) or None),  # train refuses empty data
+    ("data_sha256", _hex_digest),
+)
+
+
+def _split_record(model_path, header: dict) -> list:
+    """split_seed, val_fraction, data_rows and data_sha256 of a model
+    header; a missing or malformed field is a model-file error."""
+    record = []
+    for key, parse in SPLIT_FIELDS:
+        if key not in header:
+            raise ModelFormatError(
+                f"{model_path}: model header lacks {key!r}; retrain the model with "
+                f"calibforge {__version__}"
+            )
+        try:
+            value = parse(header[key])
+        except ValueError:
+            value = None
+        if value is None:
+            raise ModelFormatError(
+                f"{model_path}: model header field {key!r} is malformed: {header[key]!r}"
+            )
+        record.append(value)
+    return record
+
+
 def cmd_calibrate(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("calibrate requires --model and --data")
     kind = resolved["kind"]
     if kind in ("vector", "matrix"):
         scaling.check_adam_fit(float(resolved["lr"]), int(resolved["max_iters"]))
-    params, header = _load_model(resolved["model"])
+    model_path, data = resolved["model"], resolved["data"]
+    params, header = _load_model(model_path)
     if params.du_head_enabled:
         raise ValueError("post-hoc scalers apply to cross-entropy models, not du models")
-    try:
-        split_seed = int(header["split_seed"])
-        val_fraction = float(header["val_fraction"])
-    except KeyError as exc:
-        raise ValueError(f"{resolved['model']}: model header lacks {exc}") from exc
-    _, (xv, yv) = _load_training_split(resolved["data"], val_fraction, split_seed)
-    if len(yv) == 0:
+    split_seed, val_fraction, data_rows, data_sha256 = _split_record(model_path, header)
+    _, val, _ = datagen.split(data_rows, (1.0 - val_fraction, val_fraction), split_seed)
+    if len(val) == 0:
         raise ValueError("validation split is empty; retrain with a positive val_fraction")
+    # only the validation rows are parsed, so the file must be the one the
+    # model was trained on: the same bytes give the same row numbering
+    if _sha256(data) != data_sha256:
+        n_rows = len(datagen.read_dataset(data)[1])
+        raise ValueError(
+            f"{data} is not the training data of {model_path}: it has {n_rows} data rows "
+            f"where the model header records {data_rows}, and its sha256 differs"
+        )
+    xv, yv, _ = datagen.read_dataset(data, rows=val)
     logits = nn.forward(params, xv)
     out = _outdir(resolved)
     log_path = out / f"calib_log_{kind}.csv"
@@ -387,9 +448,11 @@ def cmd_eval(resolved: dict) -> None:
             k=int(resolved["k_eval"]), antithetic=bool(resolved["antithetic"])
         )
         rng = np.random.default_rng(int(resolved["seed"]))
-        probs = duloss.expected_probs_batch(
-            mu, s_raw, duloss.draw_noise_batch(len(mu), mc, rng)
-        )
+        probs = np.empty((len(mu), 2))
+        for start in range(0, len(mu), EVAL_BLOCK_ROWS):
+            rows = slice(start, start + EVAL_BLOCK_ROWS)
+            eps = duloss.draw_noise_batch(len(s_raw[rows]), mc, rng)
+            probs[rows] = duloss.expected_probs_batch(mu[rows], s_raw[rows], eps)
         logits_dump, s_dump = mu, s_raw
     else:
         logits_dump, s_dump = raw, None

@@ -256,9 +256,15 @@ def _parse_error(path, numbered_lines, n_cols: int) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: data rows are not numeric CSV")
 
 
-def read_dataset(path):
+def read_dataset(path, rows=None):
     """Parse a dataset CSV into (x, y, p_true) arrays; p_true is None when
     the file has no p_true column.
+
+    ``rows``, when given, is an index array into the data rows (0-based, in
+    file order): only those rows are parsed and checked, and they are
+    returned in the order of ``rows``, so ``read_dataset(path, rows=idx)``
+    equals ``read_dataset(path)`` indexed by ``idx`` whenever the whole file
+    is valid. An index outside the data rows raises DatasetFormatError.
 
     Raises DatasetFormatError naming the 1-based line for a malformed row, a
     wrong column count, a bad header, a non-finite feature, a label other
@@ -299,6 +305,17 @@ def read_dataset(path):
     # loadtxt numbers rows inconsistently in its errors, so the file line of
     # each data row is kept to name a bad row
     numbered = [(no + 1, line) for no, line in enumerate(lines) if no > idx and line]
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
+            raise ValueError("rows must be a 1-D integer index array")
+        outside = (rows < 0) | (rows >= len(numbered))
+        if outside.any():
+            raise DatasetFormatError(
+                f"{path}: row index {rows[np.argmax(outside)]} is outside the file's "
+                f"{len(numbered)} data rows"
+            )
+        numbered = [numbered[i] for i in rows.tolist()]
     data = np.empty((0, n_cols))
     if numbered:
         try:

@@ -1,12 +1,13 @@
 """CLI surface tests: exit codes, artifact schemas, determinism, and the
 auditability contract (reports recomputable from the per-sample dumps)."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from calibforge import metrics
+from calibforge import cli, datagen, metrics
 
 from conftest import MINI_GEN, MINI_TRAIN, load_report, run_cli
 
@@ -188,6 +189,82 @@ def test_calibrate_bad_optimiser_settings_are_config_errors(tmp_path, mini_run, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", ["test-set", "edited-training-file"])
+def test_calibrate_refuses_data_other_than_the_training_file(tmp_path, mini_run, edit):
+    if edit == "test-set":
+        data = mini_run / "test.csv"
+    else:
+        lines = (mini_run / "train.csv").read_text().splitlines()
+        fields = lines[-1].split(",")
+        fields[-3] = "0.5"  # last filler feature of the last row
+        lines[-1] = ",".join(fields)
+        data = tmp_path / "train.csv"
+        data.write_text("\n".join(lines) + "\n")
+    n_rows = len(datagen.read_dataset(data)[1])
+    out = tmp_path / "o"
+    proc = run_cli([
+        "calibrate", "--model", mini_run / "model_ce.txt", "--data", data, "--out", out,
+    ], check=False)
+    assert proc.returncode == 2
+    assert str(data) in proc.stderr
+    assert f"{n_rows} data rows" in proc.stderr and "records 400" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("split_seed", "abc"),
+    ("split_seed", "-1"),
+    ("split_seed", None),
+    ("val_fraction", "1.5"),
+    ("val_fraction", "nan"),
+    ("val_fraction", None),
+    ("data_rows", "0"),
+    ("data_rows", "4e2"),
+    ("data_rows", None),
+    ("data_sha256", "abc"),
+    ("data_sha256", None),
+])
+def test_calibrate_rejects_bad_split_header_fields(tmp_path, mini_run, key, value):
+    lines = [
+        line for line in (mini_run / "model_ce.txt").read_text().splitlines()
+        if not (value is None and line.startswith(f"{key}="))
+    ]
+    if value is not None:
+        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines]
+    model = tmp_path / "model_ce.txt"
+    model.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    proc = run_cli([
+        "calibrate", "--model", model, "--data", mini_run / "train.csv", "--out", out,
+    ], check=False)
+    assert proc.returncode == 3
+    assert str(model) in proc.stderr and repr(key) in proc.stderr
+    if value is None:
+        assert "retrain" in proc.stderr
+    assert not out.exists()
+
+
+def test_calibrate_parses_only_the_validation_rows(tmp_path, mini_run, monkeypatch):
+    loadtxt = np.loadtxt
+    parsed = []
+
+    def counting_loadtxt(lines, *args, **kwargs):
+        parsed.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    out = tmp_path / "o"
+    code = cli.main([
+        "calibrate", "--model", str(mini_run / "model_ce.txt"),
+        "--data", str(mini_run / "train.csv"), "--max-iters", "300", "--out", str(out),
+    ])
+    assert code == 0
+    _, val, _ = datagen.split(400, (0.9, 0.1), 11)  # MINI_GEN rows, MINI_TRAIN seed
+    assert parsed == [len(val)]
+    fitted = json.loads((out / "scaler_temperature.json").read_text())
+    assert fitted["T"] == json.loads((mini_run / "scaler_temperature.json").read_text())["T"]
+
+
 # --- eval ---------------------------------------------------------------------
 
 def test_eval_writes_full_artifact_set(mini_run):
@@ -216,6 +293,24 @@ def test_eval_is_deterministic(tmp_path, mini_run):
     assert (mini_run / "predictions_du.csv").read_text().splitlines()[1:] == (
         out / "predictions_du.csv"
     ).read_text().splitlines()[1:]
+
+
+def test_du_eval_block_size_does_not_change_outputs(tmp_path, mini_run, monkeypatch):
+    out = tmp_path / "o"
+    args = [
+        "eval", "--model", str(mini_run / "model_du.txt"), "--data", str(mini_run / "test.csv"),
+        "--k-eval", "64", "--seed", "11", "--out", str(out),
+    ]
+    names = ("predictions_du.csv", "report_du.json")
+    assert cli.main(args) == 0
+    one_block = {name: (out / name).read_bytes() for name in names}
+    monkeypatch.setattr(cli, "EVAL_BLOCK_ROWS", 7)  # 50 test rows: 7 full blocks and 1 row
+    assert cli.main(args) == 0
+    assert {name: (out / name).read_bytes() for name in names} == one_block
+    # and the same rows as the fixture's own eval, whose header names another directory
+    assert one_block["predictions_du.csv"].splitlines()[1:] == (
+        mini_run / "predictions_du.csv"
+    ).read_bytes().splitlines()[1:]
 
 
 def test_eval_temperature_keeps_accuracy_field(mini_run):
@@ -400,7 +495,8 @@ def test_every_artifact_carries_version_and_config(mini_run):
         "# calibforge v"
     )
     assert (mini_run / "reliability_none.svg").read_text().startswith("<!-- calibforge v")
-    model_header = (mini_run / "model_ce.txt").read_text().splitlines()[:10]
+    model_lines = (mini_run / "model_ce.txt").read_text().splitlines()
+    model_header = list(itertools.takewhile(lambda line: not line.startswith("param "), model_lines))
     assert any(line.startswith("version=") for line in model_header)
     assert any(line.startswith("config=") for line in model_header)
     doc = load_report(mini_run, "none")

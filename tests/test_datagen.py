@@ -216,6 +216,53 @@ def test_parse_error_names_line(tmp_path):
             datagen.read_dataset(path)
 
 
+def test_read_rows_equals_full_read_indexed(tmp_path):
+    x, y, p_true = datagen.generate_dataset(small_config(60, seed=5))
+    path = tmp_path / "data.csv"
+    datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
+    full = datagen.read_dataset(path)
+    idx = np.random.default_rng(0).permutation(60)[:25]
+    part = datagen.read_dataset(path, rows=idx)
+    for whole, picked in zip(full, part):
+        assert picked.dtype == whole.dtype and picked.flags["C_CONTIGUOUS"]
+        assert picked.tobytes() == whole[idx].tobytes()
+    x0, y0, p0 = datagen.read_dataset(path, rows=np.array([], dtype=int))
+    assert x0.shape == (0, 25) and y0.shape == (0,) and p0.shape == (0,)
+
+
+@pytest.mark.parametrize("rows", [[0, 5], [-1], [2, 60, 3]])
+def test_read_rows_rejects_index_outside_the_data(tmp_path, rows):
+    data = datagen.generate_dataset(small_config(5, seed=1))
+    path = tmp_path / "data.csv"
+    datagen.write_dataset(path, *data, roster_size=12)
+    with pytest.raises(datagen.DatasetFormatError, match="outside the file's 5 data rows"):
+        datagen.read_dataset(path, rows=rows)
+
+
+def test_read_rows_rejects_a_boolean_mask(tmp_path):
+    data = datagen.generate_dataset(small_config(5, seed=1))
+    path = tmp_path / "data.csv"
+    datagen.write_dataset(path, *data, roster_size=12)
+    with pytest.raises(ValueError, match="integer index array"):
+        datagen.read_dataset(path, rows=np.ones(5, dtype=bool))
+
+
+def test_read_rows_names_the_line_of_a_bad_selected_row(tmp_path):
+    data = datagen.generate_dataset(small_config(6, seed=1))
+    path = tmp_path / "bad.csv"
+    datagen.write_dataset(path, *data, roster_size=12, comment="meta")
+    lines = path.read_text().splitlines()
+    fields = lines[5].split(",")  # comment, header, then data row 3
+    fields[1] = "nan"
+    lines[5] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(datagen.DatasetFormatError, match="line 6"):
+        datagen.read_dataset(path, rows=[4, 3])
+    # a row that is not selected is not parsed
+    x, _, _ = datagen.read_dataset(path, rows=[4, 0])
+    assert np.isfinite(x).all()
+
+
 def test_wrong_column_count_is_schema_error(tmp_path):
     data = datagen.generate_dataset(small_config(5, seed=1))
     path = tmp_path / "bad.csv"
