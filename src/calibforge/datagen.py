@@ -43,6 +43,10 @@ COMP_COEF_STD = 0.05  # per-champion latent effect, deliberately small
 
 _PICKS_PER_TEAM = 5
 
+# write_dataset formats this many rows at a time, which bounds its sort,
+# index and string arrays to one block whatever the dataset size
+WRITE_BLOCK_ROWS = 1024
+
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset files; the message names the line."""
@@ -71,6 +75,9 @@ class SyntheticConfig:
             raise ValueError("roster_size must allow ten distinct picks")
         if self.n_features < len(SCALAR_COLUMNS) + self.roster_size:
             raise ValueError("n_features too small for the scalar and roster blocks")
+        for key in ("coef_scale", "noise_floor", "noise_gain"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if self.noise_floor < 0 or self.noise_gain < 0:
             raise ValueError("noise parameters must be nonnegative")
         if self.noise_floor + self.noise_gain <= 0:
@@ -143,6 +150,8 @@ def generate_dataset(config: SyntheticConfig):
     rows = np.arange(n)[:, None]
     comp[rows, order[:, :_PICKS_PER_TEAM]] = 1.0  # red picks
     comp[rows, order[:, _PICKS_PER_TEAM : 2 * _PICKS_PER_TEAM]] = -1.0  # blue picks
+    # freed before the filler and feature arrays are built, to keep it out of gen's peak RSS
+    del order
 
     filler = np.round(rng.standard_normal((n, config.filler_size)), 4)
 
@@ -223,21 +232,60 @@ def write_dataset(
     path, x, y, p_true, roster_size: int, comment: str | None = None
 ) -> None:
     """Write (x, y, p_true) arrays as CSV; pass p_true=None for data without
-    a known win probability. Values round-trip exactly through read_dataset."""
+    a known win probability. Values round-trip exactly through read_dataset.
+
+    Raises ValueError naming the first row that read_dataset would reject
+    (a non-finite feature, a label other than 0/1, a p_true outside
+    [0, 1]) before anything is written, so a previous file is kept.
+    """
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     n_rows, n_features = x.shape
     if len(y) != n_rows or (p_true is not None and len(p_true) != n_rows):
         raise ValueError("x, y and p_true must have one entry per row")
     filler_size = n_features - len(SCALAR_COLUMNS) - roster_size
     if filler_size < 0:
         raise ValueError("roster_size larger than the feature vector allows")
-    tails = [str(int(label)) for label in np.asarray(y).tolist()]
+    checks = [
+        (~np.isfinite(x).all(axis=1), "features must be finite"),
+        ((y != 0.0) & (y != 1.0), "label must be 0 or 1"),
+    ]
     if p_true is not None:
-        tails = [f"{t},{p!r}" for t, p in zip(tails, np.asarray(p_true, dtype=float).tolist())]
+        p_true = np.asarray(p_true, dtype=float)
+        checks.append((~((p_true >= 0.0) & (p_true <= 1.0)), "p_true must lie in [0, 1]"))
+    problems = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
+    if problems:
+        row, message = min(problems)
+        raise ValueError(f"row {row}: {message}")
+    tails = [str(int(label)) for label in y.tolist()]
+    if p_true is not None:
+        tails = [f"{t},{p!r}" for t, p in zip(tails, p_true.tolist())]
     head = [f"# {comment}"] if comment else []
     head.append(dataset_header(roster_size, filler_size, p_true is not None))
-    rows = (",".join(format_numbers(row) + [tail]) for row, tail in zip(x, tails))
-    write_lines(path, itertools.chain(head, rows))
+    write_lines(path, itertools.chain(head, _csv_rows(x, tails)))
+
+
+def _csv_rows(x, tails):
+    """Yield each row of finite x as format_numbers text, comma-joined and
+    ended by its tail.
+
+    Each distinct value is formatted once: the sorted distinct values of x
+    are merged from per-block sets, and every block of WRITE_BLOCK_ROWS rows
+    looks its cells up in their text. Finite floats that compare equal
+    differ in text only as 0.0 and -0.0, which both format to "0", so the
+    lookup gives every cell the text format_numbers would give it.
+    """
+    starts = range(0, len(x), WRITE_BLOCK_ROWS)
+    blocks = [np.unique(x[i : i + WRITE_BLOCK_ROWS]) for i in starts]
+    values = np.unique(np.concatenate(blocks)) if blocks else np.empty(0)
+    text = np.array(format_numbers(values), dtype=object)
+    for i in starts:
+        block = x[i : i + WRITE_BLOCK_ROWS]
+        distinct, inverse = np.unique(block, return_inverse=True)
+        cells = text[np.searchsorted(values, distinct)][inverse].reshape(block.shape)
+        for row, tail in zip(cells.tolist(), tails[i : i + WRITE_BLOCK_ROWS]):
+            row.append(tail)
+            yield ",".join(row)
 
 
 def _parse_error(path, numbered_lines, n_cols: int) -> DatasetFormatError:

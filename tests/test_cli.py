@@ -34,6 +34,24 @@ def test_gen_zero_rows_is_config_error(tmp_path):
     assert proc.stderr.strip()
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--coef-scale", "nan", "coef_scale"),
+        ("--coef-scale", "inf", "coef_scale"),
+        ("--noise-floor", "nan", "noise_floor"),
+        ("--noise-gain", "inf", "noise_gain"),
+    ],
+)
+def test_gen_non_finite_knob_is_config_error(tmp_path, flag, value, key):
+    out = tmp_path / "o"
+    proc = run_cli(["gen", "--n", "50", "--n-features", "45", "--roster-size", "20",
+                    flag, value, "--out", out], check=False)
+    assert proc.returncode == 2
+    assert f"{key} must be finite" in proc.stderr
+    assert not out.exists()
+
+
 def test_gen_config_file_with_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_train": 50, "n_test": 10, "frobnicate": 1}))

@@ -192,6 +192,119 @@ def test_write_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def reference_bytes(x, y, p_true, roster_size, comment=None):
+    """The dataset text cell by cell: integral values as integers, others
+    as their repr, the label as an integer and p_true as its repr."""
+    lines = [f"# {comment}"] if comment else []
+    filler_size = x.shape[1] - len(datagen.SCALAR_COLUMNS) - roster_size
+    lines.append(datagen.dataset_header(roster_size, filler_size, p_true is not None))
+    for i, row in enumerate(np.asarray(x, dtype=float).tolist()):
+        cells = [str(int(v)) if v.is_integer() else repr(v) for v in row]
+        cells.append(str(int(y[i])))
+        if p_true is not None:
+            cells.append(repr(float(p_true[i])))
+        lines.append(",".join(cells))
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+def assert_writes_reference_bytes(path, x, y, p_true, roster_size=12, comment=None):
+    datagen.write_dataset(path, x, y, p_true, roster_size=roster_size, comment=comment)
+    assert path.read_bytes() == reference_bytes(x, y, p_true, roster_size, comment)
+
+
+def test_write_matches_per_value_rule_on_generated_data(tmp_path):
+    x, y, p_true = datagen.generate_dataset(small_config(300, seed=11))
+    assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true, comment="meta")
+    assert_writes_reference_bytes(tmp_path / "n.csv", x, y, None)
+
+
+def test_write_matches_per_value_rule_on_signed_zeros(tmp_path):
+    x, y, p_true = datagen.generate_dataset(small_config(40, seed=2))
+    x[:, 1] = np.where(np.arange(40) % 3 == 0, -0.0, 0.0)
+    x[::5, 7] = -0.0
+    assert np.signbit(x[:, 1]).any() and not np.signbit(x[:, 1]).all()
+    assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true)
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    assert all(line.split(",")[1] == "0" for line in lines[1:])
+
+
+def test_write_matches_per_value_rule_on_edge_values(tmp_path):
+    edge = [1e-07, 5e-324, 2.0**53, 2.0**53 + 2, 1e300, 0.1 + 0.2]
+    edge += [-v for v in edge]
+    x = np.resize(np.array(edge), (30, 25))
+    p_true = np.array([0.0, 1.0, 0.1 + 0.2] * 10)
+    assert_writes_reference_bytes(tmp_path / "d.csv", x, np.arange(30) % 2, p_true)
+    cells = (tmp_path / "d.csv").read_text().splitlines()[1].split(",")
+    assert cells[:6] == ["1e-07", "5e-324", "9007199254740992", "9007199254740994",
+                         str(int(1e300)), "0.30000000000000004"]
+
+
+def test_write_matches_per_value_rule_on_all_distinct_values(tmp_path):
+    x = np.random.default_rng(3).standard_normal((400, 25))
+    assert np.unique(x).size == x.size
+    _, y, p_true = datagen.generate_dataset(small_config(400, seed=3))
+    assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true)
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_write_matches_per_value_rule_around_the_block_edge(tmp_path, n):
+    x, y, p_true = datagen.generate_dataset(small_config(n, seed=n))
+    assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true, comment="meta")
+
+
+def test_write_block_size_changes_no_byte(tmp_path, monkeypatch):
+    data = datagen.generate_dataset(small_config(100, seed=4))
+    assert datagen.WRITE_BLOCK_ROWS == 1024
+    datagen.write_dataset(tmp_path / "a.csv", *data, roster_size=12)
+    monkeypatch.setattr(datagen, "WRITE_BLOCK_ROWS", 7)
+    datagen.write_dataset(tmp_path / "b.csv", *data, roster_size=12)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "b.csv").read_bytes() == reference_bytes(*data, roster_size=12)
+
+
+def test_write_empty_dataset_is_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    datagen.write_dataset(path, np.empty((0, 25)), np.empty(0), np.empty(0), roster_size=12)
+    assert path.read_text() == datagen.dataset_header(12, 8, True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "column, row, value, message",
+    [
+        ("y", 3, 0.7, "label must be 0 or 1"),
+        ("y", 3, 2, "label must be 0 or 1"),
+        ("y", 3, float("nan"), "label must be 0 or 1"),
+        ("x", 3, float("nan"), "features must be finite"),
+        ("x", 3, float("-inf"), "features must be finite"),
+        ("p", 3, 1.5, r"p_true must lie in \[0, 1\]"),
+        ("p", 3, -0.25, r"p_true must lie in \[0, 1\]"),
+        ("p", 3, float("nan"), r"p_true must lie in \[0, 1\]"),
+    ],
+)
+def test_write_refuses_what_read_would_reject(tmp_path, column, row, value, message):
+    x, y, p_true = datagen.generate_dataset(small_config(8, seed=6))
+    path = tmp_path / "d.csv"
+    datagen.write_dataset(path, x, y, p_true, roster_size=12)
+    before = path.read_bytes()
+    y = y.astype(float)
+    target = {"x": x[:, 2], "y": y, "p": p_true}[column]
+    target[row] = value
+    with pytest.raises(ValueError, match=f"row {row}: {message}"):
+        datagen.write_dataset(path, x, y, p_true, roster_size=12)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["d.csv"]
+
+
+def test_write_names_the_first_bad_row(tmp_path):
+    x, y, p_true = datagen.generate_dataset(small_config(8, seed=6))
+    x[5, 0] = np.nan
+    y[2] = 3
+    p_true[4] = 2.0
+    with pytest.raises(ValueError, match=r"row 2: label must be 0 or 1"):
+        datagen.write_dataset(tmp_path / "d.csv", x, y, p_true, roster_size=12)
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_header_only_file_is_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(datagen.dataset_header(12, 8, True) + "\n")
