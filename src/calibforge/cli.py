@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, datagen, duloss, metrics, nn, scaling
 from .artifacts import write_lines
 from .datagen import DatasetFormatError
@@ -41,11 +39,6 @@ METHOD_NAMES = {
 }
 # report fields the comparison table reads
 REPORT_KEYS = ("accuracy", "ece", "mce", "nll_mean")
-# DU eval draws and averages its Monte-Carlo noise this many rows at a time,
-# so the noise block stays 4 MB at K=256 whatever the test-set size. The
-# blocks take the generator's stream in row order, so the probabilities do
-# not depend on the block size.
-EVAL_BLOCK_ROWS = 1024
 
 
 class MissingArtifactError(Exception):
@@ -101,9 +94,6 @@ COMMAND_DEFAULTS: dict[str, dict] = {
         "data": None,
         "scaler": None,
         "m_bins": 10,
-        "k_eval": 256,
-        "antithetic": True,
-        "label": None,
     },
     "compare": {
         "seed": 42,
@@ -162,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=str, default=None, help="the test dataset CSV")
     p.add_argument("--scaler", type=str, default=None)
     p.add_argument("--m-bins", dest="m_bins", type=int, default=None)
-    p.add_argument("--k-eval", dest="k_eval", type=int, default=None)
-    p.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--label", type=str, default=None, help="artifact name suffix")
 
     p = sub.add_parser("compare", parents=[common], help="tabulate eval reports")
     p.add_argument("--dir", type=str, default=None, help="directory holding the eval reports")
@@ -371,7 +358,9 @@ def cmd_calibrate(resolved: dict) -> None:
         raise ValueError("calibrate requires --model and --data")
     kind = resolved["kind"]
     if kind in ("vector", "matrix"):
-        scaling.check_adam_fit(float(resolved["lr"]), int(resolved["max_iters"]))
+        scaling.check_adam_fit(
+            float(resolved["lr"]), int(resolved["max_iters"]), float(resolved["tol"])
+        )
     model_path, data = resolved["model"], resolved["data"]
     params, header = _load_model(model_path)
     if params.du_head_enabled:
@@ -444,15 +433,7 @@ def cmd_eval(resolved: dict) -> None:
     raw = nn.forward(params, x)
     if params.du_head_enabled:
         mu, s_raw = nn.split_outputs(params, raw)
-        mc = duloss.MCConfig(
-            k=int(resolved["k_eval"]), antithetic=bool(resolved["antithetic"])
-        )
-        rng = np.random.default_rng(int(resolved["seed"]))
-        probs = np.empty((len(mu), 2))
-        for start in range(0, len(mu), EVAL_BLOCK_ROWS):
-            rows = slice(start, start + EVAL_BLOCK_ROWS)
-            eps = duloss.draw_noise_batch(len(s_raw[rows]), mc, rng)
-            probs[rows] = duloss.expected_probs_batch(mu[rows], s_raw[rows], eps)
+        probs = duloss.expected_probs_exact(mu, s_raw)
         logits_dump, s_dump = mu, s_raw
     else:
         logits_dump, s_dump = raw, None
@@ -461,16 +442,10 @@ def cmd_eval(resolved: dict) -> None:
 
     report = metrics.build_report(probs, y, int(resolved["m_bins"]))
 
-    label = resolved["label"]
-    if label is None:
-        if scaler is not None:
-            label = scaler.kind
-        elif params.du_head_enabled:
-            label = "du"
-        else:
-            label = "none"
-
+    label = scaler.kind if scaler is not None else "du" if params.du_head_enabled else "none"
     extra = {"version": __version__, "config": resolved, "method": label}
+    if params.du_head_enabled:
+        extra["probability_rule"] = duloss.EXACT_RULE
     if p_true is not None:
         extra["oracle_ece"] = datagen.oracle_ece(probs, p_true)
 
@@ -480,7 +455,7 @@ def cmd_eval(resolved: dict) -> None:
     metrics.write_reliability_csv(report, out / f"reliability_{label}.csv", comment=meta)
     metrics.write_reliability_svg(
         report, out / f"reliability_{label}.svg",
-        title=f"reliability: {METHOD_NAMES.get(label, label)}", comment=meta,
+        title=f"reliability: {METHOD_NAMES[label]}", comment=meta,
     )
 
     confidence, predicted = metrics.predict(probs)

@@ -77,13 +77,17 @@ class SyntheticConfig:
             raise ValueError("n_features too small for the scalar and roster blocks")
         for key in ("coef_scale", "noise_floor", "noise_gain"):
             if not np.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite")
-        if self.noise_floor < 0 or self.noise_gain < 0:
-            raise ValueError("noise parameters must be nonnegative")
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        for key in ("noise_floor", "noise_gain", "minute_min"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be nonnegative, got {getattr(self, key)!r}")
         if self.noise_floor + self.noise_gain <= 0:
-            raise ValueError("noise temperature must be strictly positive")
-        if self.minute_max < self.minute_min or self.minute_min < 0:
-            raise ValueError("minute range is empty")
+            raise ValueError("noise_floor and noise_gain must not both be 0")
+        if self.minute_max < self.minute_min:
+            raise ValueError(
+                f"minute range is empty: minute_max {self.minute_max!r} < "
+                f"minute_min {self.minute_min!r}"
+            )
 
     @property
     def filler_size(self) -> int:

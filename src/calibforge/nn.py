@@ -84,9 +84,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     epochs: int = 20
     batch_size: int = 512
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     rng_seed: int = 0
     loss_kind: str = "ce"  # "ce" or "du"
     k_train: int = 32
@@ -344,15 +341,7 @@ def train(
             loss, grads, out = backward(params, x[idx], yb, config.loss_kind, noise)
             loss_sum += loss * len(idx)
             correct += int(np.count_nonzero(np.argmax(out[:, :2], axis=1) == yb))
-            adam_step(
-                flat,
-                grads.weights + grads.biases,
-                state,
-                lr=config.learning_rate,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                eps=config.adam_eps,
-            )
+            adam_step(flat, grads.weights + grads.biases, state, lr=config.learning_rate)
         log.append(EpochLog(epoch=epoch, loss=loss_sum / n, train_acc=correct / n))
     return params, log
 
@@ -420,11 +409,11 @@ def load_model(path) -> tuple[ModelParams, dict]:
     weights, biases = [], []
     while i < len(lines) and lines[i] != "end":
         parts = lines[i].split()
-        if parts[0] != "param":
+        if len(parts) < 2 or parts[0] != "param":
             raise ModelFormatError(f"{path}: line {i + 1}: expected a param block")
-        name, shape = parts[1], [int(p) for p in parts[2:]]
-        i += 1
         try:
+            name, shape = parts[1], [int(p) for p in parts[2:]]
+            i += 1
             if name.startswith("W"):
                 rows = []
                 for _ in range(shape[0]):

@@ -191,16 +191,19 @@ def _nll_and_grads(kind, w, b, logits, labels):
     return nll, [g.T @ logits, g.sum(axis=0)]
 
 
-def check_adam_fit(lr: float, max_iters: int) -> None:
-    """Vector and matrix fits need a finite step size >= 0 and an iteration
-    budget >= 0; anything else would return the identity scaler unfitted."""
+def check_adam_fit(lr: float, max_iters: int, tol: float) -> None:
+    """Vector and matrix fits need a finite step size >= 0, an iteration
+    budget >= 0 and a finite gradient-norm tolerance >= 0; anything else
+    would return the identity scaler unfitted or never test convergence."""
     check_learning_rate(lr, "lr")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
 def _fit_affine(kind, val_logits, val_labels, lr, max_iters, tol, log_path):
-    check_adam_fit(lr, max_iters)
+    check_adam_fit(lr, max_iters, tol)
     logits, labels = _check_val_set(val_logits, val_labels)
     if kind == "vector":
         param_list = [np.ones(2)]

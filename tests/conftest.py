@@ -114,8 +114,5 @@ def mini_run(tmp_path_factory):
             "eval", "--model", out / "model_ce.txt", "--data", test_csv,
             "--scaler", out / f"scaler_{kind}.json", "--seed", "11", *outf,
         ])
-    run_cli([
-        "eval", "--model", out / "model_du.txt", "--data", test_csv,
-        "--k-eval", "64", "--seed", "11", *outf,
-    ])
+    run_cli(["eval", "--model", out / "model_du.txt", "--data", test_csv, "--seed", "11", *outf])
     return out

@@ -1,13 +1,14 @@
 """CLI surface tests: exit codes, artifact schemas, determinism, and the
 auditability contract (reports recomputable from the per-sample dumps)."""
 
+import argparse
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from calibforge import cli, datagen, metrics
+from calibforge import cli, datagen, duloss, metrics
 
 from conftest import MINI_GEN, MINI_TRAIN, load_report, run_cli
 
@@ -49,6 +50,27 @@ def test_gen_non_finite_knob_is_config_error(tmp_path, flag, value, key):
                     flag, value, "--out", out], check=False)
     assert proc.returncode == 2
     assert f"{key} must be finite" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--noise-floor", "-1"], "noise_floor must be nonnegative, got -1.0"),
+        (["--noise-gain", "-0.5"], "noise_gain must be nonnegative, got -0.5"),
+        (["--noise-floor", "0", "--noise-gain", "0"], "noise_floor and noise_gain"),
+        (["--minute-min", "-5"], "minute_min must be nonnegative, got -5"),
+        (["--minute-min", "30", "--minute-max", "20"],
+         "minute range is empty: minute_max 20 < minute_min 30"),
+    ],
+    ids=["noise-floor", "noise-gain", "both-zero", "minute-min", "empty-range"],
+)
+def test_gen_out_of_range_knob_names_the_key(tmp_path, flags, message):
+    out = tmp_path / "o"
+    proc = run_cli(["gen", "--n", "50", "--n-features", "45", "--roster-size", "20",
+                    *flags, "--out", out], check=False)
+    assert proc.returncode == 2
+    assert message in proc.stderr
     assert not out.exists()
 
 
@@ -195,6 +217,7 @@ def test_calibrate_rejects_du_model(tmp_path, mini_run):
 @pytest.mark.parametrize("kind", ["vector", "matrix"])
 @pytest.mark.parametrize("flag, named", [
     ("--lr=nan", "lr"), ("--lr=-1", "lr"), ("--max-iters=-1", "max_iters"),
+    ("--tol=inf", "tol"), ("--tol=nan", "tol"), ("--tol=-1", "tol"),
 ])
 def test_calibrate_bad_optimiser_settings_are_config_errors(tmp_path, mini_run, kind, flag, named):
     out = tmp_path / "o"
@@ -301,7 +324,7 @@ def test_eval_is_deterministic(tmp_path, mini_run):
     out = tmp_path / "redo"
     run_cli([
         "eval", "--model", mini_run / "model_du.txt", "--data", mini_run / "test.csv",
-        "--k-eval", "64", "--seed", "11", "--out", out,
+        "--seed", "11", "--out", out,
     ])
     first = (mini_run / "report_du.json").read_text()
     again = (out / "report_du.json").read_text()
@@ -313,22 +336,38 @@ def test_eval_is_deterministic(tmp_path, mini_run):
     ).read_text().splitlines()[1:]
 
 
-def test_du_eval_block_size_does_not_change_outputs(tmp_path, mini_run, monkeypatch):
+def test_du_eval_does_not_depend_on_the_seed(tmp_path, mini_run):
+    rows = {}
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        run_cli([
+            "eval", "--model", mini_run / "model_du.txt", "--data", mini_run / "test.csv",
+            "--seed", seed, "--out", out,
+        ])
+        rows[seed] = (out / "predictions_du.csv").read_text().splitlines()[1:]
+    assert rows["1"] == rows["2"]
+    assert rows["1"] == (mini_run / "predictions_du.csv").read_text().splitlines()[1:]
+    assert load_report(mini_run, "du")["probability_rule"] == duloss.EXACT_RULE
+
+
+def test_eval_takes_no_sampling_or_label_settings(tmp_path, mini_run):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for action in sub.choices["eval"]._actions for flag in action.option_strings}
+    assert flags == {
+        "-h", "--help", "--seed", "--config", "--out", "--model", "--data", "--scaler", "--m-bins",
+    }
+    assert set(cli.COMMAND_DEFAULTS["eval"]) == {"seed", "out", "model", "data", "scaler", "m_bins"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"antithetic": True}))
     out = tmp_path / "o"
-    args = [
-        "eval", "--model", str(mini_run / "model_du.txt"), "--data", str(mini_run / "test.csv"),
-        "--k-eval", "64", "--seed", "11", "--out", str(out),
-    ]
-    names = ("predictions_du.csv", "report_du.json")
-    assert cli.main(args) == 0
-    one_block = {name: (out / name).read_bytes() for name in names}
-    monkeypatch.setattr(cli, "EVAL_BLOCK_ROWS", 7)  # 50 test rows: 7 full blocks and 1 row
-    assert cli.main(args) == 0
-    assert {name: (out / name).read_bytes() for name in names} == one_block
-    # and the same rows as the fixture's own eval, whose header names another directory
-    assert one_block["predictions_du.csv"].splitlines()[1:] == (
-        mini_run / "predictions_du.csv"
-    ).read_bytes().splitlines()[1:]
+    proc = run_cli([
+        "eval", "--model", mini_run / "model_du.txt", "--data", mini_run / "test.csv",
+        "--config", cfg, "--out", out,
+    ], check=False)
+    assert proc.returncode == 2
+    assert "unknown config keys: antithetic" in proc.stderr
+    assert not out.exists()
 
 
 def test_eval_temperature_keeps_accuracy_field(mini_run):

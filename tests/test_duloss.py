@@ -177,6 +177,72 @@ def test_expected_probs_batch_rows_match_single_row_calls():
         np.testing.assert_array_equal(batch[i], single[0])
 
 
+# --- expected_probs_exact ---------------------------------------------------------
+
+def quad_less_likely(m, s):
+    """Adaptive-quadrature reference for q = E[sigmoid(-|m| + s Z)], Z ~ N(0, 1),
+    integrated in whichever variable is smooth: Z for s < 1, else the
+    standard logistic L of q = E[Phi((-|m| + L) / s)]."""
+    from scipy import integrate, special, stats
+
+    low = -abs(m)
+    if s < 1.0:
+        center = min(max(-low / s, -40.0), 40.0)
+        f = lambda z: stats.norm.pdf(z) * special.expit(low + s * z)  # noqa: E731
+        bounds, points = (-40.0, 40.0), [center]
+    else:
+        f = lambda v: stats.logistic.pdf(v) * special.ndtr((low + v) / s)  # noqa: E731
+        bounds, points = (-60.0, 60.0), [min(-low, 60.0)]
+    value, _ = integrate.quad(f, *bounds, points=points, epsabs=1e-16, epsrel=1e-13, limit=500)
+    return value
+
+
+def test_exact_probs_match_adaptive_quadrature():
+    rng = np.random.default_rng(2024)
+    m = np.concatenate([rng.uniform(-30.0, 30.0, 300), [0.7, -2.0, 5.0, -1.5, 0.0]])
+    s = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 300)),
+        [1.0, 1.0 - 1e-12, 1e4, 1.0 + 1e-12, 0.8],  # both sides of the branch edge
+    ])
+    s_raw = np.log(s / math.sqrt(2.0))
+    p = duloss.expected_probs_exact(np.column_stack([np.zeros_like(m), m]), s_raw)
+    seen = math.sqrt(2.0) * np.exp(s_raw)  # s as the rule computes it
+    for mi, si, (p0, p1) in zip(m.tolist(), seen.tolist(), p.tolist()):
+        q = quad_less_likely(mi, si)
+        expected = (q, 1.0 - q) if mi > 0 else (1.0 - q, q)
+        assert abs(p0 - expected[0]) <= 1e-12 and abs(p1 - expected[1]) <= 1e-12, (mi, si)
+
+
+def test_exact_probs_swap_with_mu_columns():
+    rng = np.random.default_rng(77)
+    mu = rng.normal(0.0, 5.0, (400, 2))
+    mu[:10, 1] = mu[:10, 0]  # m = 0 rows
+    s_raw = rng.normal(0.0, 3.0, 400)  # both branches
+    p = duloss.expected_probs_exact(mu, s_raw)
+    np.testing.assert_array_equal(duloss.expected_probs_exact(mu[:, ::-1], s_raw), p[:, ::-1])
+    np.testing.assert_array_equal(p[:10], 0.5)
+
+
+def test_exact_probs_rows_match_single_row_calls():
+    rng = np.random.default_rng(13)
+    n = 40
+    mu, s_raw = rng.normal(0.0, 5.0, (n, 2)), rng.normal(0.0, 3.0, n)
+    batch = duloss.expected_probs_exact(mu, s_raw)
+    assert 0 < np.count_nonzero(math.sqrt(2.0) * np.exp(s_raw) < 1.0) < n
+    for i in range(n):
+        single = duloss.expected_probs_exact(mu[i : i + 1], s_raw[i : i + 1])
+        np.testing.assert_array_equal(batch[i], single[0])
+
+
+def test_exact_probs_agree_with_mc_at_k_1e6():
+    # criterion 4's grid and seeds
+    for mu_c in (0.5, 1.0, 2.0):
+        for sigma in (0.5, 1.0):
+            est, se = mc_p1_with_se(mu_c, sigma, 10**6, seed=int(mu_c * 100 + sigma * 10))
+            p = duloss.expected_probs_exact(*one_row([mu_c, 0.0], math.log(sigma)))
+            assert abs(p[0, 0] - est) < 5.0 * se
+
+
 # --- the DU loss ------------------------------------------------------------------
 
 def test_du_loss_reduces_to_cross_entropy_at_zero_sigma():

@@ -2,6 +2,8 @@
 against central finite differences, Adam against a hand-traced recurrence,
 and the training determinism contract."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -390,3 +392,11 @@ def test_model_load_rejects_garbage(tmp_path):
     path.write_text("calibforge-model v1\nlayer_sizes=3,2\ndu_head=false\nparam W0 3 2\n1 2\nend\n")
     with pytest.raises(nn.ModelFormatError):
         nn.load_model(path)
+    # a blank or bare `param` line where a parameter block should start
+    for stray in ("", "param"):
+        path.write_text(
+            "calibforge-model v1\nlayer_sizes=2,2\ndu_head=false\nparam W0 2 2\n1 2\n3 4\n"
+            f"{stray}\nparam b0 2\n0 0\nend\n"
+        )
+        with pytest.raises(nn.ModelFormatError, match=re.escape(f"{path}: line 7")):
+            nn.load_model(path)

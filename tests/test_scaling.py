@@ -169,7 +169,11 @@ def test_fit_rejects_bad_validation_sets():
     ({"lr": -1.0}, "lr"),
     ({"lr": float("inf")}, "lr"),
     ({"max_iters": -1}, "max_iters"),
-], ids=["lr-nan", "lr-negative", "lr-inf", "max-iters-negative"])
+    ({"tol": float("inf")}, "tol"),
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": -1.0}, "tol"),
+], ids=["lr-nan", "lr-negative", "lr-inf", "max-iters-negative", "tol-inf", "tol-nan",
+        "tol-negative"])
 def test_adam_fits_reject_bad_optimiser_settings(fit, settings, named):
     z, labels = calibrated_set(n=200, seed=1)
     with pytest.raises(ValueError, match=named):
