@@ -254,6 +254,18 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _hidden_sizes(text: str) -> list[int]:
+    """The comma-separated hidden layer sizes, each a positive integer."""
+    try:
+        sizes = [int(h) for h in str(text).split(",") if h]
+        ok = all(size >= 1 for size in sizes)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"hidden sizes must be positive integers, got hidden={text!r}")
+    return sizes
+
+
 def cmd_train(resolved: dict) -> None:
     if resolved["data"] is None:
         raise ValueError("train requires --data")
@@ -272,7 +284,7 @@ def cmd_train(resolved: dict) -> None:
         antithetic=bool(resolved["antithetic"]),
     )
     config.validate()
-    hidden = [int(h) for h in str(resolved["hidden"]).split(",") if h]
+    hidden = _hidden_sizes(resolved["hidden"])
     data = resolved["data"]
     x, y, _ = datagen.read_dataset(data)
     if len(y) == 0:
@@ -448,6 +460,7 @@ def cmd_eval(resolved: dict) -> None:
         extra["probability_rule"] = duloss.EXACT_RULE
     if p_true is not None:
         extra["oracle_ece"] = datagen.oracle_ece(probs, p_true)
+        extra["true_ece"] = datagen.true_ece(probs, p_true, int(resolved["m_bins"]))
 
     out = _outdir(resolved)
     meta = _meta("eval", resolved)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .artifacts import format_numbers, write_lines
 from .duloss import sigmoid
-from .metrics import predict
+from .metrics import bin_indices, predict
 
 SCALAR_COLUMNS = ["minute", "gold_diff", "xp_diff", "kills_blue", "kills_red"]
 
@@ -179,23 +179,49 @@ def generate_dataset(config: SyntheticConfig):
     return features, labels, p_true
 
 
-def oracle_ece(probs, p_true) -> float:
-    """Mean absolute gap between predicted confidence and the true
-    confidence of the predicted class.
-
-    The truth for the predicted class is p_true for class 1 and 1 - p_true
-    for class 0. Being an expectation over the known per-sample truth, it
-    needs no binning and no labels, so it has none of the label noise of
-    the binned estimate. The gaps are summed sequentially in row order.
-    """
+def _true_confidence(probs, p_true) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted confidence of each row and the true probability of the
+    predicted class: p_true for class 1 and 1 - p_true for class 0."""
     confidence, predicted = predict(probs)
     p_true = np.asarray(p_true, dtype=float)  # None becomes a 0-d NaN
     if p_true.shape != confidence.shape:
         raise ValueError("p_true must hold one probability per row of probs")
     if len(p_true) == 0:
         raise ValueError("the prediction set must be nonempty")
-    true_conf = np.where(predicted == 1, p_true, 1.0 - p_true)
-    return float(np.cumsum(np.abs(confidence - true_conf))[-1]) / len(p_true)
+    return confidence, np.where(predicted == 1, p_true, 1.0 - p_true)
+
+
+def oracle_ece(probs, p_true) -> float:
+    """Mean absolute gap between predicted confidence and the true
+    confidence of the predicted class.
+
+    Being an expectation over the known per-sample truth, it needs no
+    binning and no labels, so it has none of the label noise of the binned
+    estimate. It is a per-row L1 error, so it mixes calibration with
+    sharpness. The gaps are summed sequentially in row order.
+    """
+    confidence, true_conf = _true_confidence(probs, p_true)
+    return float(np.cumsum(np.abs(confidence - true_conf))[-1]) / len(true_conf)
+
+
+def true_ece(probs, p_true, m_bins: int) -> float:
+    """The binned ECE of ``metrics.build_report`` on the same M confidence
+    bins, with the true probability of the predicted class in place of the
+    0/1 correctness of each row.
+
+    It has no label noise: with p_true equal to the 0/1 labels it is the
+    label ECE, and with calibrated truth it is 0 whatever the test size.
+    """
+    confidence, true_conf = _true_confidence(probs, p_true)
+    idx = bin_indices(confidence, m_bins) - 1
+    counts = np.bincount(idx, minlength=m_bins).tolist()
+    truth_sums = np.bincount(idx, weights=true_conf, minlength=m_bins).tolist()
+    conf_sums = np.bincount(idx, weights=confidence, minlength=m_bins).tolist()
+    total = 0.0
+    for count, truth, conf in zip(counts, truth_sums, conf_sums):
+        if count > 0:
+            total += (count / len(idx)) * abs(truth / count - conf / count)
+    return total
 
 
 def split(n: int, fractions, seed: int):

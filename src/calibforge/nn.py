@@ -7,9 +7,16 @@ loss. Gradients are hand-derived for the two supported losses
 (softmax cross-entropy and the data-uncertainty loss) and checked against
 finite differences in the test suite.
 
-Everything is seeded and single-threaded: the same seed, config and data
-reproduce the same parameter trajectory bit for bit, and the text model
-format round-trips exactly.
+Every pass computes in the dtype of the parameters it is given. ``train``
+keeps float64 master weights and Adam state and runs each step's forward
+and backward pass in float32 on a float32 copy of them; the loss and its
+gradient w.r.t. the network outputs are always taken in float64. Inference
+and the gradient checks use the float64 parameters as they are.
+
+Everything is seeded: on the same machine setup (BLAS library and thread
+count included) the same seed, config and data reproduce the same
+parameter trajectory bit for bit, and the text model format round-trips
+exactly.
 """
 
 from __future__ import annotations
@@ -137,7 +144,8 @@ def _forward_cached(params: ModelParams, x: np.ndarray):
 
 
 def _check_batch(params: ModelParams, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    """``x`` as an array of the parameters' dtype, copied only if needed."""
+    x = np.asarray(x).astype(params.weights[0].dtype, copy=False)
     if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
         raise ValueError(
             f"input must be an (n, {params.layer_sizes[0]}) array, got shape {x.shape}"
@@ -168,23 +176,34 @@ class Gradients:
     biases: list[np.ndarray]
 
 
+def _loss_and_delta(out: np.ndarray, y: np.ndarray, loss_kind: str, noise):
+    """Mean batch loss and its gradient w.r.t. the raw outputs, both in
+    float64 whatever the dtype of ``out``."""
+    out = out.astype(np.float64, copy=False)
+    n = len(out)
+    rows = np.arange(n)
+    if loss_kind == "ce":
+        p = softmax(out)
+        loss = float(np.mean(-np.log(np.maximum(p[rows, y], PROB_FLOOR))))
+        onehot = np.zeros_like(p)
+        onehot[rows, y] = 1.0
+        return loss, (p - onehot) / n
+    if loss_kind == "du":
+        if noise is None:
+            raise ValueError("du loss requires a frozen noise block")
+        mu, s_raw = out[:, :2], out[:, 2]
+        losses, dmu, ds = duloss.batch_losses_and_grads(mu, s_raw, y, noise)
+        return float(losses.mean()), np.concatenate([dmu, ds[:, None]], axis=1) / n
+    raise ValueError(f"unknown loss_kind {loss_kind!r}")
+
+
 def batch_loss(
     params: ModelParams, x: np.ndarray, y: np.ndarray, loss_kind: str = "ce", noise=None
 ) -> float:
     """Mean loss over a batch; the quantity whose gradient backward() returns."""
     y = np.asarray(y, dtype=int)
     _, _, out = _forward_cached(params, _check_batch(params, x))
-    if loss_kind == "ce":
-        p = softmax(out)
-        rows = np.arange(len(y))
-        return float(np.mean(-np.log(np.maximum(p[rows, y], PROB_FLOOR))))
-    if loss_kind == "du":
-        if noise is None:
-            raise ValueError("du loss requires a frozen noise block")
-        mu, s_raw = out[:, :2], out[:, 2]
-        losses, _, _ = duloss.batch_losses_and_grads(mu, s_raw, y, noise)
-        return float(losses.mean())
-    raise ValueError(f"unknown loss_kind {loss_kind!r}")
+    return _loss_and_delta(out, y, loss_kind, noise)[0]
 
 
 def backward(
@@ -193,35 +212,20 @@ def backward(
     """Mean batch loss, its gradient w.r.t. every parameter, and the raw
     network outputs of the batch (as ``forward`` would return them).
 
-    For the data-uncertainty loss the (n, K, 2) noise block must be passed
-    in explicitly; the gradient is pathwise through the frozen draws. The
-    gradient w.r.t. the input is never formed.
+    The passes run in the parameters' dtype and the gradients come back in
+    it; the loss is taken in float64. For the data-uncertainty loss the
+    (n, K, 2) noise block must be passed in explicitly; the gradient is
+    pathwise through the frozen draws. The gradient w.r.t. the input is
+    never formed.
     """
     x = _check_batch(params, x)
     y = np.asarray(y, dtype=int)
-    n = x.shape[0]
     activations, pre, out = _forward_cached(params, x)
-    rows = np.arange(n)
-
-    if loss_kind == "ce":
-        p = softmax(out)
-        loss = float(np.mean(-np.log(np.maximum(p[rows, y], PROB_FLOOR))))
-        onehot = np.zeros_like(p)
-        onehot[rows, y] = 1.0
-        delta = (p - onehot) / n
-    elif loss_kind == "du":
-        if noise is None:
-            raise ValueError("du loss requires a frozen noise block")
-        mu, s_raw = out[:, :2], out[:, 2]
-        losses, dmu, ds = duloss.batch_losses_and_grads(mu, s_raw, y, noise)
-        loss = float(losses.mean())
-        delta = np.concatenate([dmu, ds[:, None]], axis=1) / n
-    else:
-        raise ValueError(f"unknown loss_kind {loss_kind!r}")
+    loss, delta = _loss_and_delta(out, y, loss_kind, noise)
 
     dweights = [None] * len(params.weights)
     dbiases = [None] * len(params.biases)
-    dpre = delta
+    dpre = delta.astype(out.dtype, copy=False)
     for layer in range(len(params.weights) - 1, -1, -1):
         dweights[layer] = activations[layer].T @ dpre
         dbiases[layer] = dpre.sum(axis=0)
@@ -303,9 +307,13 @@ def train(
     running accuracy over the epoch's batches, each batch scored (argmax of
     the two logits) before its own Adam step; no separate pass over the
     training set is made.
+
+    Each step runs its forward and backward pass in float32, on the float32
+    rows and a float32 copy of the parameters; the gradients are cast back
+    to float64 for Adam, which updates the float64 parameters it returns.
     """
     config.validate()
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=np.float32)
     y = np.asarray(y, dtype=int)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("dataset must be a nonempty (n, F) array")
@@ -337,11 +345,18 @@ def train(
                     [config.rng_seed, _NOISE_STREAM_TAG, epoch, batch_idx]
                 )
                 noise = duloss.draw_noise_batch(len(idx), mc, noise_rng)
+            work = ModelParams(
+                params.layer_sizes,
+                [w.astype(np.float32) for w in params.weights],
+                [b.astype(np.float32) for b in params.biases],
+                du_head_enabled=du,
+            )
             yb = y[idx]
-            loss, grads, out = backward(params, x[idx], yb, config.loss_kind, noise)
+            loss, grads, out = backward(work, x[idx], yb, config.loss_kind, noise)
             loss_sum += loss * len(idx)
             correct += int(np.count_nonzero(np.argmax(out[:, :2], axis=1) == yb))
-            adam_step(flat, grads.weights + grads.biases, state, lr=config.learning_rate)
+            grads64 = [g.astype(np.float64) for g in grads.weights + grads.biases]
+            adam_step(flat, grads64, state, lr=config.learning_rate)
         log.append(EpochLog(epoch=epoch, loss=loss_sum / n, train_acc=correct / n))
     return params, log
 

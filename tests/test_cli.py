@@ -184,6 +184,19 @@ def test_train_non_finite_lr_is_config_error(tmp_path, mini_run):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hidden", ["0", "8,0", "-4", "8,x"])
+def test_train_hidden_size_below_one_is_config_error(tmp_path, mini_run, hidden):
+    out = tmp_path / "o"
+    proc = run_cli([
+        "train", "--data", mini_run / "train.csv", *MINI_TRAIN, f"--hidden={hidden}",
+        "--out", out,
+    ], check=False)
+    assert proc.returncode == 2
+    assert f"hidden='{hidden}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # --- calibrate ---------------------------------------------------------------
 
 def test_calibrate_emits_scaler_and_log(mini_run):
@@ -317,6 +330,7 @@ def test_eval_writes_full_artifact_set(mini_run):
         doc = load_report(mini_run, label)
         assert doc["method"] == label
         assert "oracle_ece" in doc  # synthetic data carries p_true
+        assert 0.0 <= doc["true_ece"] <= 1.0
         assert len(doc["bins"]) == 10
 
 
@@ -466,7 +480,7 @@ def test_eval_without_p_true_omits_oracle_metric(tmp_path, mini_run):
         "--seed", "11", "--out", out,
     ])
     doc = json.loads((out / "report_none.json").read_text())
-    assert "oracle_ece" not in doc
+    assert "oracle_ece" not in doc and "true_ece" not in doc
     assert doc["accuracy"] == load_report(mini_run, "none")["accuracy"]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from calibforge import datagen
+from calibforge import datagen, metrics
 from calibforge.datagen import SyntheticConfig
 
 
@@ -158,6 +158,28 @@ def test_oracle_ece_requires_p_true():
         datagen.oracle_ece(np.array([[0.1, 0.9]]), None)
     with pytest.raises(ValueError):
         datagen.oracle_ece(np.array([[0.1, 0.9]]), np.array([0.5, 0.5]))
+
+
+# --- true_ece -------------------------------------------------------------------
+
+def test_true_ece_with_labels_as_truth_is_the_label_ece():
+    rng = np.random.default_rng(6)
+    p1 = rng.uniform(0.0, 1.0, 700)
+    labels = rng.integers(0, 2, 700)
+    probs = np.column_stack([1.0 - p1, p1])
+    for m_bins in (10, 15):
+        report = metrics.build_report(probs, labels, m_bins)
+        true_ece = datagen.true_ece(probs, labels.astype(float), m_bins)
+        assert true_ece == pytest.approx(report.ece, abs=1e-12)
+
+
+def test_true_ece_two_bin_hand_case():
+    # four bins of width 0.25; the confidences fill (0.5, 0.75] and (0.75, 1]
+    probs = np.array([[0.4, 0.6], [0.7, 0.3], [0.1, 0.9], [0.2, 0.8]])
+    p_true = np.array([0.7, 0.2, 0.5, 0.9])
+    # truth of the predicted class: 0.7, 0.8 | 0.5, 0.9
+    # bin 3: |0.75 - 0.65| = 0.10, bin 4: |0.70 - 0.85| = 0.15, each of weight 1/2
+    assert datagen.true_ece(probs, p_true, 4) == pytest.approx(0.125, abs=1e-15)
 
 
 # --- file io ---------------------------------------------------------------------

@@ -193,6 +193,38 @@ def test_duplicated_batch_equals_single_sample_gradient():
         np.testing.assert_allclose(g1, g2, atol=1e-14)
 
 
+def as_float32(params):
+    return nn.ModelParams(
+        params.layer_sizes,
+        [w.astype(np.float32) for w in params.weights],
+        [b.astype(np.float32) for b in params.biases],
+        du_head_enabled=params.du_head_enabled,
+    )
+
+
+@pytest.mark.parametrize("loss_kind", ["ce", "du"])
+def test_float32_backward_matches_float64(loss_kind):
+    # the training step's precision on the reference shape: float32 passes,
+    # float64 loss head, against the float64 gradient of the same weights
+    du = loss_kind == "du"
+    params = nn.init_params([295, 256, 256, 2], du_head=du, seed=3)
+    rng = np.random.default_rng(8)
+    x = rng.normal(0.0, 1.0, (1024, 295))
+    y = rng.integers(0, 2, 1024)
+    noise = None
+    if du:
+        noise = duloss.draw_noise_batch(1024, duloss.MCConfig(k=8), rng)
+    loss64, grads64, out64 = nn.backward(params, x, y, loss_kind, noise)
+    loss32, grads32, out32 = nn.backward(as_float32(params), x, y, loss_kind, noise)
+    exact = grads64.weights + grads64.biases
+    narrow = grads32.weights + grads32.biases
+    assert out64.dtype == np.float64 and out32.dtype == np.float32
+    assert all(g.dtype == np.float64 for g in exact)
+    assert all(g.dtype == np.float32 for g in narrow)
+    assert relative_error([g.astype(np.float64) for g in narrow], exact) <= 1e-5
+    assert loss32 == pytest.approx(loss64, rel=1e-6)
+
+
 def test_backward_rejects_width_mismatch():
     params = nn.init_params([4, 3, 2], seed=0)
     with pytest.raises(ValueError):
@@ -325,6 +357,41 @@ def test_train_same_seed_bit_identical():
         assert [(r.epoch, r.loss, r.train_acc) for r in log1] == [
             (r.epoch, r.loss, r.train_acc) for r in log2
         ]
+
+
+def test_train_step_is_a_float32_pass_and_a_float64_adam_update():
+    # one epoch of one full batch, replayed by hand: float32 rows and
+    # weights through backward, float64 gradients into Adam
+    x, y = toy_separable(40)
+    config = nn.TrainConfig(learning_rate=1e-2, epochs=1, batch_size=40, rng_seed=9)
+    params, _ = nn.train(x, y, config, layer_sizes=[2, 4, 2])
+    init_ss, shuffle_ss = np.random.SeedSequence(9).spawn(2)
+    expected = nn.init_params([2, 4, 2], seed=init_ss)
+    perm = np.random.default_rng(shuffle_ss).permutation(len(y))
+    _, grads, _ = nn.backward(as_float32(expected), x.astype(np.float32)[perm], y[perm], "ce")
+    flat = expected.weights + expected.biases
+    nn.adam_step(
+        flat, [g.astype(np.float64) for g in grads.weights + grads.biases],
+        nn.adam_init(flat), lr=1e-2,
+    )
+    for a, b in zip(params.weights + params.biases, flat):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_train_returns_float64_params_that_roundtrip(tmp_path):
+    x, y = toy_separable(120, seed=4)
+    for loss_kind in ("ce", "du"):
+        config = nn.TrainConfig(
+            learning_rate=1e-3, epochs=2, batch_size=32, rng_seed=11,
+            loss_kind=loss_kind, k_train=8,
+        )
+        params, _ = nn.train(x, y, config, layer_sizes=[2, 6, 2])
+        path = tmp_path / f"model_{loss_kind}.txt"
+        nn.save_model(params, path)
+        loaded, _ = nn.load_model(path)
+        for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a, b)
 
 
 def test_train_rejects_empty_dataset():
