@@ -39,6 +39,9 @@ METHOD_NAMES = {
 }
 # report fields the comparison table reads
 REPORT_KEYS = ("accuracy", "ece", "mce", "nll_mean")
+# scaler kind -> its fit in scaling, looked up by name at call time so that a
+# wrapped fit (as a tracer installs) is the one called
+SCALER_FITS = {"temperature": "fit_temperature", "vector": "fit_vector", "matrix": "fit_matrix"}
 
 
 class MissingArtifactError(Exception):
@@ -83,8 +86,6 @@ COMMAND_DEFAULTS: dict[str, dict] = {
         "model": None,
         "data": None,
         "kind": "temperature",
-        "lr": 1e-2,
-        "max_iters": 5000,
         "tol": 1e-6,
     },
     "eval": {
@@ -142,10 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[common], help="fit a post-hoc scaler")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--data", type=str, default=None, help="the training dataset CSV")
-    p.add_argument("--kind", type=str, default=None, choices=["temperature", "vector", "matrix"])
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--kind", type=str, default=None, choices=list(SCALER_FITS))
+    p.add_argument("--tol", type=float, default=None, help="gradient-norm tolerance of the fit")
 
     p = sub.add_parser("eval", parents=[common], help="evaluate calibration on a dataset")
     p.add_argument("--model", type=str, default=None)
@@ -163,7 +162,7 @@ def _check_config_types(parser, command: str, overrides: dict, defaults: dict) -
     """A config-file value must have the type its flag parses to: the
     argparse action's type, or bool for a --x/--no-x pair. Ints exclude
     bools and floats, floats admit ints, and null is valid only where the
-    default is null."""
+    default is null. A flag with choices admits only those."""
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     for action in sub.choices[command]._actions:
         if action.dest not in overrides:
@@ -181,6 +180,11 @@ def _check_config_types(parser, command: str, overrides: dict, defaults: dict) -
             raise ValueError(
                 f"config key {action.dest!r} must be {kind.__name__}{null}, "
                 f"got {json.dumps(value)}"
+            )
+        if value is not None and action.choices is not None and value not in action.choices:
+            raise ValueError(
+                f"config key {action.dest!r} must be one of "
+                f"{', '.join(map(json.dumps, action.choices))}, got {json.dumps(value)}"
             )
 
 
@@ -368,11 +372,8 @@ def _split_record(model_path, header: dict) -> list:
 def cmd_calibrate(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("calibrate requires --model and --data")
-    kind = resolved["kind"]
-    if kind in ("vector", "matrix"):
-        scaling.check_adam_fit(
-            float(resolved["lr"]), int(resolved["max_iters"]), float(resolved["tol"])
-        )
+    kind, tol = resolved["kind"], float(resolved["tol"])
+    scaling.check_tol(tol)
     model_path, data = resolved["model"], resolved["data"]
     params, header = _load_model(model_path)
     if params.du_head_enabled:
@@ -392,23 +393,8 @@ def cmd_calibrate(resolved: dict) -> None:
     xv, yv, _ = datagen.read_dataset(data, rows=val)
     logits = nn.forward(params, xv)
     out = _outdir(resolved)
-    log_path = out / f"calib_log_{kind}.csv"
-    if kind == "temperature":
-        scaler = scaling.fit_temperature(logits, yv, log_path=log_path)
-    elif kind == "vector":
-        scaler = scaling.fit_vector(
-            logits, yv, lr=float(resolved["lr"]),
-            max_iters=int(resolved["max_iters"]), tol=float(resolved["tol"]),
-            log_path=log_path,
-        )
-    elif kind == "matrix":
-        scaler = scaling.fit_matrix(
-            logits, yv, lr=float(resolved["lr"]),
-            max_iters=int(resolved["max_iters"]), tol=float(resolved["tol"]),
-            log_path=log_path,
-        )
-    else:
-        raise ValueError(f"unknown scaler kind {kind!r}")
+    fit = getattr(scaling, SCALER_FITS[kind])
+    scaler = fit(logits, yv, tol=tol, log_path=out / f"calib_log_{kind}.csv")
     scaler_path = out / f"scaler_{kind}.json"
     scaling.save_scaler(
         scaler, scaler_path,

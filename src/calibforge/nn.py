@@ -76,14 +76,6 @@ class ModelParams:
                 raise ValueError("parameters must be finite")
 
 
-def check_learning_rate(lr: float, name: str) -> None:
-    """Reject an Adam step size that is not a finite number >= 0: a NaN or
-    infinite step would only surface as non-finite parameters after all the
-    work is done."""
-    if not (math.isfinite(lr) and lr >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {lr!r}")
-
-
 @dataclass
 class TrainConfig:
     """Optimization settings. Defaults: Adam at 1e-4 for 20 epochs."""
@@ -97,7 +89,11 @@ class TrainConfig:
     antithetic: bool = True
 
     def validate(self) -> None:
-        check_learning_rate(self.learning_rate, "learning_rate")
+        # a NaN or infinite step would only surface as non-finite
+        # parameters after all the work is done
+        lr = self.learning_rate
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"learning_rate must be finite and nonnegative, got {lr!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:

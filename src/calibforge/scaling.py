@@ -7,11 +7,13 @@ held-out validation set:
 * vector: softmax(diag(w) z), diagonal transform with the bias fixed at 0
 * matrix: softmax(W z + b), full affine transform
 
-Temperature is optimized by golden-section search over log T followed by a
-few Newton refinements (the objective is unimodal in log T); vector and
-matrix scaling run full-batch Adam from the identity. All fits track the
-best iterate seen, so the returned scaler is never worse on the validation
-set than the uncalibrated starting point.
+With two classes the softmax sees only the margin z1 - z0, which each
+variant makes linear in its parameters: beta = 1/T, (w0, w1), or the three
+directions (s, a, c) of the matrix. Each fit is therefore a logistic
+regression with 1-3 parameters and a convex NLL, minimized by one damped
+Newton routine from the identity scaler. The NLL never rises from that
+start, so the returned scaler is never worse on the validation set than
+the uncalibrated one.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_lines
-from .nn import adam_init, adam_step, check_learning_rate, softmax
+from .duloss import sigmoid
 
 TEMPERATURE_BOUNDS = (1e-2, 1e2)
+# step cap of the Newton fits; only separable data, with no finite optimum, reaches it
+NEWTON_STEPS = 100
+# halvings of one Newton step before the fit stops as making no progress
+MAX_HALVINGS = 64
 
 
 @dataclass
@@ -93,7 +99,17 @@ def mean_nll(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margin)))
 
 
-def _check_val_set(val_logits, val_labels):
+def check_tol(tol: float) -> None:
+    """A fit needs a finite gradient-norm tolerance >= 0: an infinite one
+    would return the identity scaler unfitted, and a NaN or negative one
+    would never test convergence."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
+def _check_fit_inputs(val_logits, val_labels, tol):
+    """The validated (n, 2) logits and each row's label sign, 2y - 1."""
+    check_tol(tol)
     logits = np.asarray(val_logits, dtype=float)
     labels = np.asarray(val_labels, dtype=int)
     if logits.ndim != 2 or logits.shape[1] != 2 or logits.shape[0] == 0:
@@ -102,151 +118,105 @@ def _check_val_set(val_logits, val_labels):
         raise ValueError("labels must align with logits")
     if not np.all(np.isfinite(logits)):
         raise ValueError("validation logits must be finite")
-    return logits, labels
+    return logits, 2.0 * labels - 1.0
 
 
-def fit_temperature(val_logits, val_labels, log_path=None) -> ScalerParams:
+def _objective(phi, sign, theta):
+    """Mean NLL softplus(-sign * (phi @ theta)), its gradient and Hessian."""
+    margin = sign * (phi @ theta)
+    wrong = sigmoid(-margin)  # probability of the other class, overflow-free
+    nll = float(np.mean(np.logaddexp(0.0, -margin)))
+    grad = phi.T @ (-sign * wrong) / len(sign)
+    hess = (phi.T * (wrong * (1.0 - wrong))) @ phi / len(sign)
+    return nll, grad, hess
+
+
+def _newton(phi, sign, theta, tol, lo=-math.inf, hi=math.inf):
+    """Minimize the validation NLL of the margins ``phi @ theta`` by damped
+    Newton from ``theta``, projected onto the box [lo, hi].
+
+    Each step solves with the pseudo-inverse of the exact Hessian (matrix
+    scaling's directions can be collinear) and is halved until the NLL
+    falls, so the NLL never rises from the start point. Stops when the
+    gradient norm is below ``tol``, when no halving lowers the NLL, or after
+    NEWTON_STEPS steps, which only data without a finite optimum (separable
+    classes) reaches. Returns theta and the (iter, nll, grad_norm) log rows.
+    """
+    nll, grad, hess = _objective(phi, sign, theta)
+    rows = []
+    for it in range(NEWTON_STEPS + 1):
+        grad_norm = float(np.linalg.norm(grad))
+        rows.append((it, nll, grad_norm))
+        if grad_norm < tol or it == NEWTON_STEPS:
+            break
+        step = np.linalg.pinv(hess) @ grad
+        for _ in range(MAX_HALVINGS):
+            trial = np.clip(theta - step, lo, hi)
+            trial_nll, trial_grad, trial_hess = _objective(phi, sign, trial)
+            if trial_nll < nll or np.array_equal(trial, theta):
+                break
+            step = step / 2.0
+        if not trial_nll < nll:
+            break
+        theta, nll, grad, hess = trial, trial_nll, trial_grad, trial_hess
+    return theta, rows
+
+
+def fit_temperature(val_logits, val_labels, tol: float = 1e-6, log_path=None) -> ScalerParams:
     """Fit T minimizing validation NLL of softmax(z / T).
 
-    Searches log T over [log 1e-2, log 1e2] by golden section, refines with
-    three Newton steps, and clamps at the bounds (with a warning) when the
-    objective is one-sided.
+    Newton runs on beta = 1/T, in which the NLL is convex, so its slope at
+    the ends of the search box says where the minimum lies: if the NLL
+    still falls at the sharpest bound or already rises at the flattest, the
+    box collapses to that bound and the fit warns; otherwise projected
+    Newton from T = 1 finds the minimum inside.
     """
-    logits, labels = _check_val_set(val_logits, val_labels)
-    rows = np.arange(len(labels))
-    margin = logits[rows, labels] - logits[rows, 1 - labels]
-
-    def nll_at(t: float) -> float:
-        # t = log T; per-sample NLL is softplus(-margin * exp(-t))
-        return float(np.mean(np.logaddexp(0.0, -margin * math.exp(-t))))
-
-    def derivs(t: float) -> tuple[float, float]:
-        u = -margin * math.exp(-t)
-        s = 1.0 / (1.0 + np.exp(-np.clip(u, -500, 500)))
-        d1 = float(np.mean(s * (-u)))
-        d2 = float(np.mean(s * (1.0 - s) * u * u + s * u))
-        return d1, d2
-
-    lo, hi = (math.log(b) for b in TEMPERATURE_BOUNDS)
-    log_rows = []
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = nll_at(c), nll_at(d)
-    it = 0
-    while b - a > 1e-12:
-        it += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = nll_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = nll_at(d)
-        t_mid = 0.5 * (a + b)
-        log_rows.append((it, nll_at(t_mid), abs(derivs(t_mid)[0])))
-    t = 0.5 * (a + b)
-    for _ in range(3):
-        d1, d2 = derivs(t)
-        if d2 > 0:
-            t = min(max(t - d1 / d2, lo), hi)
-        it += 1
-        log_rows.append((it, nll_at(t), abs(derivs(t)[0])))
-
-    # never return something worse than the uncalibrated T=1 point
-    if 0.0 >= lo and 0.0 <= hi and nll_at(0.0) < nll_at(t) - 1e-12:
-        t = 0.0
-
-    temperature = math.exp(t)
+    logits, sign = _check_fit_inputs(val_logits, val_labels, tol)
+    phi = (logits[:, 1] - logits[:, 0])[:, None]
+    lo, hi = (1.0 / t for t in reversed(TEMPERATURE_BOUNDS))
     warning = None
-    bound_lo, bound_hi = TEMPERATURE_BOUNDS
-    if temperature <= bound_lo * 1.001:
-        temperature = bound_lo
-        warning = "temperature clamped at lower search bound; validation NLL is one-sided"
-    elif temperature >= bound_hi * 0.999:
-        temperature = bound_hi
-        warning = "temperature clamped at upper search bound; validation NLL is one-sided"
-
-    if log_path is not None:
-        _write_fit_log(log_path, log_rows)
-    return ScalerParams(kind="temperature", temperature=temperature, warning=warning)
+    if _objective(phi, sign, np.array([hi]))[1][0] < 0:
+        lo, warning = hi, "temperature clamped at lower search bound; validation NLL is one-sided"
+    elif _objective(phi, sign, np.array([lo]))[1][0] > 0:
+        hi, warning = lo, "temperature clamped at upper search bound; validation NLL is one-sided"
+    beta, rows = _newton(phi, sign, np.clip(np.ones(1), lo, hi), tol, lo, hi)
+    _write_fit_log(log_path, rows)
+    return ScalerParams(kind="temperature", temperature=1.0 / float(beta[0]), warning=warning)
 
 
-def _nll_and_grads(kind, w, b, logits, labels):
-    if kind == "vector":
-        zt = logits * w
-    else:
-        zt = logits @ w.T + b
-    p = softmax(zt)
-    rows = np.arange(len(labels))
-    margin = zt[rows, labels] - zt[rows, 1 - labels]
-    nll = float(np.mean(np.logaddexp(0.0, -margin)))
-    onehot = np.zeros_like(p)
-    onehot[rows, labels] = 1.0
-    g = (p - onehot) / len(labels)
-    if kind == "vector":
-        return nll, [np.sum(g * logits, axis=0)]
-    return nll, [g.T @ logits, g.sum(axis=0)]
+def fit_vector(val_logits, val_labels, tol: float = 1e-6, log_path=None) -> ScalerParams:
+    """Fit diagonal scaling (bias fixed at 0), whose margin is w1 z1 - w0 z0,
+    by Newton from the identity."""
+    logits, sign = _check_fit_inputs(val_logits, val_labels, tol)
+    phi = np.column_stack([-logits[:, 0], logits[:, 1]])
+    w_diag, rows = _newton(phi, sign, np.ones(2), tol)
+    _write_fit_log(log_path, rows)
+    return ScalerParams(kind="vector", w_diag=w_diag)
 
 
-def check_adam_fit(lr: float, max_iters: int, tol: float) -> None:
-    """Vector and matrix fits need a finite step size >= 0, an iteration
-    budget >= 0 and a finite gradient-norm tolerance >= 0; anything else
-    would return the identity scaler unfitted or never test convergence."""
-    check_learning_rate(lr, "lr")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters!r}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+def fit_matrix(val_logits, val_labels, tol: float = 1e-6, log_path=None) -> ScalerParams:
+    """Fit the full affine transform by Newton from the identity.
 
-
-def _fit_affine(kind, val_logits, val_labels, lr, max_iters, tol, log_path):
-    check_adam_fit(lr, max_iters, tol)
-    logits, labels = _check_val_set(val_logits, val_labels)
-    if kind == "vector":
-        param_list = [np.ones(2)]
-    else:
-        param_list = [np.eye(2), np.zeros(2)]
-    state = adam_init(param_list)
-    best_nll = math.inf
-    best = [p.copy() for p in param_list]
-    log_rows = []
-    for it in range(max_iters + 1):
-        nll, grads = _nll_and_grads(kind, param_list[0], param_list[-1], logits, labels)
-        grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-        log_rows.append((it, nll, grad_norm))
-        if nll < best_nll:
-            best_nll = nll
-            best = [p.copy() for p in param_list]
-        if it == max_iters or grad_norm < tol:
-            break
-        adam_step(param_list, grads, state, lr=lr)
-    if log_path is not None:
-        _write_fit_log(log_path, log_rows)
-    if kind == "vector":
-        return ScalerParams(kind="vector", w_diag=best[0])
-    return ScalerParams(kind="matrix", w_full=best[0], b=best[1])
-
-
-def fit_vector(
-    val_logits, val_labels, lr: float = 1e-2, max_iters: int = 5000,
-    tol: float = 1e-6, log_path=None,
-) -> ScalerParams:
-    """Fit diagonal scaling (bias fixed at 0) by full-batch Adam from identity."""
-    return _fit_affine("vector", val_logits, val_labels, lr, max_iters, tol, log_path)
-
-
-def fit_matrix(
-    val_logits, val_labels, lr: float = 1e-2, max_iters: int = 5000,
-    tol: float = 1e-6, log_path=None,
-) -> ScalerParams:
-    """Fit the full affine transform by full-batch Adam from identity."""
-    return _fit_affine("matrix", val_logits, val_labels, lr, max_iters, tol, log_path)
+    Two-class softmax sees only the margin s (z1 - z0) + a (z1 + z0) + c, so
+    Newton runs on (s, a, c) from (1, 0, 0) and the result is lifted to the
+    (W, b) nearest the identity: W = I + [-delta; delta], b = (-c, c) / 2,
+    whose columns of W sum to 1 and whose b sums to 0.
+    """
+    logits, sign = _check_fit_inputs(val_logits, val_labels, tol)
+    z0, z1 = logits[:, 0], logits[:, 1]
+    phi = np.column_stack([z1 - z0, z1 + z0, np.ones(len(z0))])
+    (s, a, c), rows = _newton(phi, sign, np.array([1.0, 0.0, 0.0]), tol)
+    _write_fit_log(log_path, rows)
+    # the margin's coefficients on (z0, z1) are (a - s, a + s); the identity's are (-1, 1)
+    delta = (np.array([a - s, a + s]) - (-1.0, 1.0)) / 2.0
+    return ScalerParams(
+        kind="matrix", w_full=np.eye(2) + np.stack([-delta, delta]), b=np.array([-c, c]) / 2.0
+    )
 
 
 def _write_fit_log(path, rows) -> None:
+    if path is None:
+        return
     lines = ["iter,nll,grad_norm"]
     for it, nll, gn in rows:
         lines.append(f"{it},{nll!r},{gn!r}")

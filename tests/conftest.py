@@ -106,7 +106,7 @@ def mini_run(tmp_path_factory):
     for kind in ("temperature", "vector", "matrix"):
         run_cli([
             "calibrate", "--model", out / "model_ce.txt", "--data", train_csv,
-            "--kind", kind, "--max-iters", "300", *outf,
+            "--kind", kind, *outf,
         ])
     run_cli(["eval", "--model", out / "model_ce.txt", "--data", test_csv, "--seed", "11", *outf])
     for kind in ("temperature", "vector", "matrix"):

@@ -106,6 +106,22 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, mini_run, command,
     assert key in proc.stderr
 
 
+@pytest.mark.parametrize("command, key", [("calibrate", "kind"), ("train", "loss")])
+def test_config_value_outside_choices_is_config_error(tmp_path, mini_run, command, key):
+    # a config file cannot get around the choices of the key's flag: nothing
+    # is loaded and the output directory is not created
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "foo"}))
+    out = tmp_path / "o"
+    args = [command, "--config", cfg, "--data", mini_run / "train.csv", "--out", out]
+    if command == "calibrate":
+        args += ["--model", mini_run / "model_ce.txt"]
+    proc = run_cli(args, check=False)
+    assert proc.returncode == 2
+    assert f"config key {key!r} must be one of" in proc.stderr and '"foo"' in proc.stderr
+    assert not out.exists()
+
+
 def test_gen_config_file_overridden_by_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -227,19 +243,46 @@ def test_calibrate_rejects_du_model(tmp_path, mini_run):
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize("kind", ["vector", "matrix"])
+@pytest.mark.parametrize("kind", ["temperature", "vector", "matrix"])
 @pytest.mark.parametrize("flag, named", [
     ("--lr=nan", "lr"), ("--lr=-1", "lr"), ("--max-iters=-1", "max_iters"),
     ("--tol=inf", "tol"), ("--tol=nan", "tol"), ("--tol=-1", "tol"),
 ])
 def test_calibrate_bad_optimiser_settings_are_config_errors(tmp_path, mini_run, kind, flag, named):
+    # --lr and --max-iters no longer exist, so any value of them is rejected
+    # as an unrecognised argument, spelt as the flag was typed
     out = tmp_path / "o"
     proc = run_cli([
         "calibrate", "--model", mini_run / "model_ce.txt", "--data", mini_run / "train.csv",
         "--kind", kind, flag, "--out", out,
     ], check=False)
     assert proc.returncode == 2
-    assert named in proc.stderr
+    assert named.replace("_", "-") in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("lr", 1e-2), ("max_iters", 300)])
+def test_calibrate_takes_no_step_size_or_iteration_budget(tmp_path, mini_run, key, value, via):
+    # every scaler is fit by Newton to --tol; the old Adam settings exit 2
+    assert set(cli.COMMAND_DEFAULTS["calibrate"]) == {"seed", "out", "model", "data", "kind", "tol"}
+    out = tmp_path / "o"
+    args = [
+        "calibrate", "--model", mini_run / "model_ce.txt", "--data", mini_run / "train.csv",
+        "--kind", "vector", "--out", out,
+    ]
+    if via == "flag":
+        flag = f"--{key.replace('_', '-')}={value}"
+        args.append(flag)
+        expected = f"unrecognized arguments: {flag}"
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args += ["--config", cfg]
+        expected = f"unknown config keys: {key}"
+    proc = run_cli(args, check=False)
+    assert proc.returncode == 2
+    assert expected in proc.stderr
     assert not out.exists()
 
 
@@ -310,7 +353,7 @@ def test_calibrate_parses_only_the_validation_rows(tmp_path, mini_run, monkeypat
     out = tmp_path / "o"
     code = cli.main([
         "calibrate", "--model", str(mini_run / "model_ce.txt"),
-        "--data", str(mini_run / "train.csv"), "--max-iters", "300", "--out", str(out),
+        "--data", str(mini_run / "train.csv"), "--out", str(out),
     ])
     assert code == 0
     _, val, _ = datagen.split(400, (0.9, 0.1), 11)  # MINI_GEN rows, MINI_TRAIN seed

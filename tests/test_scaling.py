@@ -20,6 +20,51 @@ def calibrated_set(n=50000, seed=42, spread=1.5):
     return z, labels
 
 
+def miscalibrated_set(n=2000, seed=4):
+    """Logits whose labels follow softmax(A z + c) for a non-identity A and
+    c != 0, so that every scaler kind has something to fit."""
+    z, _ = calibrated_set(n=n, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    zt = z @ np.array([[0.6, 0.1], [-0.2, 0.4]]).T + np.array([0.2, -0.1])
+    return z, (rng.random(n) < nn.softmax(zt)[:, 1]).astype(int)
+
+
+KINDS = ["temperature", "vector", "matrix"]
+FITS = {"temperature": scaling.fit_temperature, "vector": scaling.fit_vector,
+        "matrix": scaling.fit_matrix}
+
+
+def raw_params(scaler):
+    """A scaler's stored parameters as one flat vector: T, w_diag, or W and b."""
+    if scaler.kind == "temperature":
+        return np.array([scaler.temperature])
+    if scaler.kind == "vector":
+        return scaler.w_diag.copy()
+    return np.concatenate([scaler.w_full.ravel(), scaler.b])
+
+
+def raw_nll(kind, params, z, labels):
+    """Validation NLL of the scaler of ``kind`` with flat parameters ``params``."""
+    if kind == "temperature":
+        scaler = ScalerParams(kind=kind, temperature=float(params[0]))
+    elif kind == "vector":
+        scaler = ScalerParams(kind=kind, w_diag=np.asarray(params, dtype=float))
+    else:
+        scaler = ScalerParams(kind=kind, w_full=params[:4].reshape(2, 2), b=params[4:])
+    return scaling.mean_nll(scaling.transform_logits(scaler, z), labels)
+
+
+def raw_gradient(kind, params, z, labels, h=1e-6):
+    """Central-difference gradient of raw_nll in the stored parameters."""
+    grad = np.zeros(len(params))
+    for i in range(len(params)):
+        step = np.zeros(len(params))
+        step[i] = h
+        grad[i] = (raw_nll(kind, params + step, z, labels)
+                   - raw_nll(kind, params - step, z, labels)) / (2 * h)
+    return grad
+
+
 def calibrated(scaler, z):
     """Calibrated probabilities, predicted labels and confidences of an
     (n, 2) logit batch, as eval computes them."""
@@ -163,17 +208,12 @@ def test_fit_rejects_bad_validation_sets():
 
 # --- fit_vector / fit_matrix -------------------------------------------------------
 
-@pytest.mark.parametrize("fit", [scaling.fit_vector, scaling.fit_matrix])
+@pytest.mark.parametrize("fit", [scaling.fit_temperature, scaling.fit_vector, scaling.fit_matrix])
 @pytest.mark.parametrize("settings, named", [
-    ({"lr": float("nan")}, "lr"),
-    ({"lr": -1.0}, "lr"),
-    ({"lr": float("inf")}, "lr"),
-    ({"max_iters": -1}, "max_iters"),
     ({"tol": float("inf")}, "tol"),
     ({"tol": float("nan")}, "tol"),
     ({"tol": -1.0}, "tol"),
-], ids=["lr-nan", "lr-negative", "lr-inf", "max-iters-negative", "tol-inf", "tol-nan",
-        "tol-negative"])
+], ids=["tol-inf", "tol-nan", "tol-negative"])
 def test_adam_fits_reject_bad_optimiser_settings(fit, settings, named):
     z, labels = calibrated_set(n=200, seed=1)
     with pytest.raises(ValueError, match=named):
@@ -202,14 +242,71 @@ def test_matrix_recovers_generating_transform_nll():
     assert abs(fitted - gen_nll) < 1e-3
 
 
-def test_single_iteration_budget_takes_exactly_one_adam_step():
-    z, labels = calibrated_set(n=2000, seed=4)
-    mis = z * 3.0  # overconfident, so the first step is an improvement
-    scaler = scaling.fit_vector(mis, labels, max_iters=1)
-    _, grads = scaling._nll_and_grads("vector", np.ones(2), None, mis, labels)
-    expected = [np.ones(2)]
-    nn.adam_step(expected, grads, nn.adam_init(expected), lr=1e-2)
-    np.testing.assert_allclose(scaler.w_diag, expected[0], atol=1e-15)
+@pytest.mark.parametrize("labelled", ["sampled", "all-right", "all-wrong"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_reaches_tol_or_a_temperature_bound(tmp_path, kind, labelled):
+    if labelled == "sampled":
+        z, labels = miscalibrated_set()
+    else:  # one logit pair repeated: the NLL is one-sided in every scale
+        z = np.tile([2.0, 0.0], (100, 1))
+        labels = np.full(100, 0 if labelled == "all-right" else 1)
+    tol = 1e-6
+    log_path = tmp_path / "fit.csv"
+    scaler = FITS[kind](z, labels, tol=tol, log_path=log_path)
+    params = raw_params(scaler)
+    assert np.all(np.isfinite(params))
+    if scaler.warning is not None:
+        # only temperature has bounds; there the NLL still falls outward
+        assert kind == "temperature" and labelled != "sampled"
+        bound = scaling.TEMPERATURE_BOUNDS[0 if labelled == "all-right" else 1]
+        assert scaler.temperature == bound
+        slope = raw_gradient(kind, params, z, labels, h=1e-4 * bound)[0]
+        assert slope > 0 if labelled == "all-right" else slope < 0
+    else:
+        last = log_path.read_text().splitlines()[-1].split(",")
+        assert float(last[2]) < tol
+        assert np.linalg.norm(raw_gradient(kind, params, z, labels)) < tol
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_matches_scipy_reference(kind):
+    from scipy import optimize
+
+    z, labels = miscalibrated_set()
+    identity = {"temperature": [1.0], "vector": [1.0, 1.0], "matrix": [1.0, 0, 0, 1.0, 0, 0]}[kind]
+    reference = optimize.minimize(
+        lambda p: raw_nll(kind, p, z, labels), identity, method="BFGS", options={"gtol": 1e-9},
+    )
+    fitted = raw_nll(kind, raw_params(FITS[kind](z, labels)), z, labels)
+    assert abs(fitted - reference.fun) < 1e-9
+
+
+def test_matrix_fit_is_the_least_norm_lift():
+    # softmax is unchanged by adding one vector to both rows of W, or one
+    # number to both entries of b; the fit keeps the (W, b) nearest (I, 0)
+    z, labels = miscalibrated_set()
+    scaler = scaling.fit_matrix(z, labels)
+    np.testing.assert_allclose(scaler.w_full.sum(axis=0), [1.0, 1.0], rtol=0, atol=1e-12)
+    assert abs(scaler.b.sum()) <= 1e-12
+    assert np.max(np.abs(scaler.w_full - np.eye(2))) > 0.1  # something was fitted
+
+
+@pytest.mark.parametrize("shape", ["separable", "collinear"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_without_a_unique_optimum_stays_finite(tmp_path, kind, shape):
+    rng = np.random.default_rng(8)
+    if shape == "separable":  # every label is the argmax: no finite optimum
+        z = rng.normal(0, 2, (500, 2))
+        labels = (z[:, 1] > z[:, 0]).astype(int)
+    else:  # z0 = -z1, so matrix scaling's directions are collinear
+        z1 = rng.normal(0, 2, 500)
+        z = np.column_stack([-z1, z1])
+        labels = (rng.random(500) < nn.softmax(z * 0.5)[:, 1]).astype(int)
+    log_path = tmp_path / "fit.csv"
+    scaler = FITS[kind](z, labels, log_path=log_path)
+    assert np.all(np.isfinite(raw_params(scaler)))
+    assert len(log_path.read_text().splitlines()) - 1 <= scaling.NEWTON_STEPS + 1
+    assert scaling.mean_nll(scaling.transform_logits(scaler, z), labels) <= scaling.mean_nll(z, labels)
 
 
 def test_fitted_never_worse_than_uncalibrated():
@@ -249,7 +346,7 @@ def test_scaler_json_roundtrip(tmp_path):
 def test_convergence_log_schema(tmp_path):
     z, labels = calibrated_set(n=1000, seed=5)
     log_path = tmp_path / "fit.csv"
-    scaling.fit_matrix(z * 2.0, labels, max_iters=50, log_path=log_path)
+    scaling.fit_matrix(z * 2.0, labels, log_path=log_path)
     lines = log_path.read_text().splitlines()
     assert lines[0] == "iter,nll,grad_norm"
     assert len(lines) >= 3
@@ -257,10 +354,14 @@ def test_convergence_log_schema(tmp_path):
     assert int(first[0]) == 0
     float(first[1]), float(first[2])
 
-    scaling.fit_temperature(z * 2.0, labels, log_path=log_path)
-    lines = log_path.read_text().splitlines()
-    assert lines[0] == "iter,nll,grad_norm"
-    assert len(lines) > 10
+    for fit in (scaling.fit_temperature, scaling.fit_vector, scaling.fit_matrix):
+        fit(z * 2.0, labels, tol=1e-6, log_path=log_path)
+        lines = log_path.read_text().splitlines()
+        assert lines[0] == "iter,nll,grad_norm"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == list(range(len(rows)))
+        assert all(b[1] <= a[1] for a, b in zip(rows, rows[1:]))  # NLL never rises
+        assert rows[-1][2] < 1e-6
 
 
 def test_mean_nll_stable_for_huge_logits():
