@@ -13,9 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -253,11 +253,6 @@ def cmd_gen(resolved: dict) -> None:
     print(f"wrote {n_train} rows to {out / 'train.csv'} and {n_test} rows to {out / 'test.csv'}")
 
 
-def _sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _hidden_sizes(text: str) -> list[int]:
     """The comma-separated hidden layer sizes, each a positive integer."""
     try:
@@ -290,10 +285,9 @@ def cmd_train(resolved: dict) -> None:
     config.validate()
     hidden = _hidden_sizes(resolved["hidden"])
     data = resolved["data"]
-    x, y, _ = datagen.read_dataset(data)
+    x, y, _, data_sha256 = datagen.read_dataset(data)
     if len(y) == 0:
         raise ValueError(f"{data}: dataset is empty")
-    data_sha256 = _sha256(data)
     train, _, _ = datagen.split(len(y), (1.0 - val_fraction, val_fraction), seed)
     params, log = nn.train(x[train], y[train], config, layer_sizes=[x.shape[1]] + hidden + [2])
     out = _outdir(resolved)
@@ -384,13 +378,13 @@ def cmd_calibrate(resolved: dict) -> None:
         raise ValueError("validation split is empty; retrain with a positive val_fraction")
     # only the validation rows are parsed, so the file must be the one the
     # model was trained on: the same bytes give the same row numbering
-    if _sha256(data) != data_sha256:
-        n_rows = len(datagen.read_dataset(data)[1])
+    try:
+        xv, yv, _, _ = datagen.read_dataset(data, rows=val, sha256=data_sha256)
+    except datagen.DatasetDigestError as exc:
         raise ValueError(
-            f"{data} is not the training data of {model_path}: it has {n_rows} data rows "
+            f"{data} is not the training data of {model_path}: it has {exc.n_rows} data rows "
             f"where the model header records {data_rows}, and its sha256 differs"
-        )
-    xv, yv, _ = datagen.read_dataset(data, rows=val)
+        ) from None
     logits = nn.forward(params, xv)
     out = _outdir(resolved)
     fit = getattr(scaling, SCALER_FITS[kind])
@@ -418,13 +412,15 @@ def _load_scaler(path):
 def cmd_eval(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("eval requires --model and --data")
+    m_bins = int(resolved["m_bins"])
+    metrics.check_m_bins(m_bins)
     params, _ = _load_model(resolved["model"])
     scaler = None
     if resolved["scaler"] is not None:
         scaler = _load_scaler(resolved["scaler"])
     if params.du_head_enabled and scaler is not None:
         raise ValueError("post-hoc scalers do not combine with du models")
-    x, y, p_true = datagen.read_dataset(resolved["data"])
+    x, y, p_true, _ = datagen.read_dataset(resolved["data"])
     if len(y) == 0:
         raise ValueError(f"{resolved['data']}: dataset is empty")
 
@@ -438,7 +434,7 @@ def cmd_eval(resolved: dict) -> None:
         zt = scaling.transform_logits(scaler, raw) if scaler is not None else raw
         probs = nn.softmax(zt)
 
-    report = metrics.build_report(probs, y, int(resolved["m_bins"]))
+    report = metrics.build_report(probs, y, m_bins)
 
     label = scaler.kind if scaler is not None else "du" if params.du_head_enabled else "none"
     extra = {"version": __version__, "config": resolved, "method": label}
@@ -446,7 +442,7 @@ def cmd_eval(resolved: dict) -> None:
         extra["probability_rule"] = duloss.EXACT_RULE
     if p_true is not None:
         extra["oracle_ece"] = datagen.oracle_ece(probs, p_true)
-        extra["true_ece"] = datagen.true_ece(probs, p_true, int(resolved["m_bins"]))
+        extra["true_ece"] = datagen.true_ece(probs, p_true, m_bins)
 
     out = _outdir(resolved)
     meta = _meta("eval", resolved)
@@ -500,6 +496,10 @@ def cmd_compare(resolved: dict) -> None:
             value = reports[label].get(key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ArtifactReadError(f"{path}: key {key!r} is missing or not a number")
+            # a NaN fails every comparison
+            if not (0 <= value <= 1 or key == "nll_mean" and 0 <= value < math.inf):
+                bound = "finite and nonnegative" if key == "nll_mean" else "in [0, 1]"
+                raise ArtifactReadError(f"{path}: key {key!r} must be {bound}, got {value!r}")
 
     header = f"{'Method':<22}{'Accuracy[%]':>12}{'ECE[%]':>9}{'MCE[%]':>9}{'NLL':>8}"
     lines = [header, "-" * len(header)]

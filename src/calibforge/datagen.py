@@ -18,12 +18,16 @@ is exactly reproducible from its own file.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import format_numbers, write_lines
+from .artifacts import format_numbers, replacing, write_lines
 from .duloss import sigmoid
 from .metrics import bin_indices, predict
 
@@ -46,10 +50,31 @@ _PICKS_PER_TEAM = 5
 # write_dataset formats this many rows at a time, which bounds its sort,
 # index and string arrays to one block whatever the dataset size
 WRITE_BLOCK_ROWS = 1024
+# read_dataset splits a file's text into lines about this many characters at
+# a time, so only one block's line strings are alive while loadtxt parses
+PARSE_BLOCK_CHARS = 1 << 20
 
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset files; the message names the line."""
+
+
+class DatasetDigestError(ValueError):
+    """Raised when a dataset file's bytes do not have the sha256 the caller
+    expected; ``n_rows`` is the file's data-row count."""
+
+    def __init__(self, path, n_rows: int):
+        super().__init__(f"{path}: sha256 differs from the expected one ({n_rows} data rows)")
+        self.n_rows = n_rows
+
+
+class Dataset(NamedTuple):
+    """A dataset file read into arrays, with the sha256 of its bytes."""
+
+    x: np.ndarray
+    y: np.ndarray
+    p_true: np.ndarray | None
+    sha256: str
 
 
 @dataclass
@@ -334,23 +359,50 @@ def _parse_error(path, numbered_lines, n_cols: int) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: data rows are not numeric CSV")
 
 
-def read_dataset(path, rows=None):
-    """Parse a dataset CSV into (x, y, p_true) arrays; p_true is None when
-    the file has no p_true column.
+def _numbered_lines(text: str, header_idx: int):
+    """(1-based file line, line) of each non-blank line after the header
+    line, in file order. The text is split PARSE_BLOCK_CHARS at a time, each
+    block ending just after a newline, so the lines are those of
+    ``text.splitlines()`` (whose one two-character break, "\\r\\n", also
+    ends in a newline) and only one block's lines are alive at a time."""
+    no, start = 0, 0
+    while start < len(text):
+        end = text.find("\n", start + PARSE_BLOCK_CHARS - 1) + 1 or len(text)
+        for line in text[start:end].splitlines():
+            if no > header_idx and line:
+                yield no + 1, line
+            no += 1
+        start = end
 
-    ``rows``, when given, is an index array into the data rows (0-based, in
-    file order): only those rows are parsed and checked, and they are
-    returned in the order of ``rows``, so ``read_dataset(path, rows=idx)``
-    equals ``read_dataset(path)`` indexed by ``idx`` whenever the whole file
-    is valid. An index outside the data rows raises DatasetFormatError.
 
-    Raises DatasetFormatError naming the 1-based line for a malformed row, a
-    wrong column count, a bad header, a non-finite feature, a label other
-    than 0/1, or a p_true outside [0, 1]. Leading '#' comment lines and
-    blank lines are skipped; a header-only file yields zero rows.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _loadtxt(lines, n_rows: int, n_cols: int):
+    """The (n_rows, n_cols) matrix of an iterator over n_rows CSV data lines,
+    or None when some line does not hold n_cols numbers. Told the row count,
+    loadtxt allocates the matrix once instead of growing it in steps."""
+    if n_rows == 0:
+        return np.empty((0, n_cols))
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=n_rows)
+    except ValueError:
+        return None
+    return data if data.shape[1] == n_cols else None
+
+
+def _leading_lines(raw: bytes) -> list[str]:
+    """The lines of a file's bytes up to its first line that is not a '#'
+    comment. Only those lines are decoded; each decoded chunk ends at a
+    newline byte, so it splits into the same lines as the whole text."""
+    lines, start = [], 0
+    while start < len(raw) and all(line.startswith("#") for line in lines):
+        end = raw.find(b"\n", start) + 1 or len(raw)
+        lines += raw[start:end].decode("utf-8").splitlines()
+        start = end
+    return lines
+
+
+def _parse_header(path, lines: list[str]) -> tuple[int, int, int, bool]:
+    """Index of the header line, column count, feature count and whether a
+    p_true column follows the label."""
     idx = 0
     while idx < len(lines) and lines[idx].startswith("#"):
         idx += 1
@@ -377,43 +429,162 @@ def read_dataset(path, rows=None):
         raise DatasetFormatError(
             f"{path}: line {idx + 1}: malformed comp/filler column block"
         )
-    n_cols = len(header)
-    n_feat = len(SCALAR_COLUMNS) + n_comp + n_filler
+    return idx, len(header), len(SCALAR_COLUMNS) + n_comp + n_filler, with_p_true
 
-    # loadtxt numbers rows inconsistently in its errors, so the file line of
-    # each data row is kept to name a bad row
-    numbered = [(no + 1, line) for no, line in enumerate(lines) if no > idx and line]
-    if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
-            raise ValueError("rows must be a 1-D integer index array")
-        outside = (rows < 0) | (rows >= len(numbered))
-        if outside.any():
-            raise DatasetFormatError(
-                f"{path}: row index {rows[np.argmax(outside)]} is outside the file's "
-                f"{len(numbered)} data rows"
-            )
-        numbered = [numbered[i] for i in rows.tolist()]
-    data = np.empty((0, n_cols))
-    if numbered:
-        try:
-            data = np.loadtxt(
-                [line for _, line in numbered], delimiter=",", comments=None, ndmin=2
-            )
-        except ValueError:
-            raise _parse_error(path, numbered, n_cols) from None
-        if data.shape[1] != n_cols:
-            raise _parse_error(path, numbered, n_cols)
-    x = np.ascontiguousarray(data[:, :n_feat])
+
+def _row_index(rows):
+    """``rows`` as a 1-D integer index array, or None for every row."""
+    if rows is None:
+        return None
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
+        raise ValueError("rows must be a 1-D integer index array")
+    return rows.astype(np.intp, copy=False)
+
+
+def _check_bounds(path, rows, n_rows: int) -> None:
+    """Every index in ``rows`` must select one of the file's n_rows data rows."""
+    if rows is None:
+        return
+    outside = (rows < 0) | (rows >= n_rows)
+    if outside.any():
+        raise DatasetFormatError(
+            f"{path}: row index {rows[np.argmax(outside)]} is outside the file's "
+            f"{n_rows} data rows"
+        )
+
+
+def _failed_checks(data, n_feat: int, with_p_true: bool) -> list:
+    """(bad-row mask, message) of each value check some row of the parsed
+    matrix fails, in check order."""
     y = data[:, n_feat]
-    p_true = data[:, n_feat + 1].copy() if with_p_true else None
     checks = [
-        (~np.isfinite(x).all(axis=1), "features must be finite"),
+        (~np.isfinite(data[:, :n_feat]).all(axis=1), "features must be finite"),
         ((y != 0.0) & (y != 1.0), "label must be 0 or 1"),
     ]
     if with_p_true:
+        p_true = data[:, n_feat + 1]
         checks.append((~((p_true >= 0.0) & (p_true <= 1.0)), "p_true must lie in [0, 1]"))
-    for bad, message in checks:
-        if bad.any():
-            raise DatasetFormatError(f"{path}: line {numbered[np.argmax(bad)][0]}: {message}")
-    return x, y.astype(int), p_true
+    return [(bad, message) for bad, message in checks if bad.any()]
+
+
+def sidecar_path(path) -> Path:
+    """Where read_dataset caches the parsed matrix of a dataset CSV: the
+    file's name with ``.npz`` appended, in the same directory."""
+    path = Path(path)
+    return path.with_name(path.name + ".npz")
+
+
+def _load_sidecar(path, sha256: str, n_cols: int):
+    """The cached matrix of the CSV bytes with digest ``sha256``, or None
+    when the sidecar is absent or unreadable, or its digest, dtype or width
+    does not match."""
+    try:
+        with open(sidecar_path(path), "rb") as fh:
+            cached = np.load(fh, allow_pickle=False)
+            if not isinstance(cached, np.lib.npyio.NpzFile):
+                return None
+            with cached:
+                if cached["sha256"].item() != sha256:
+                    return None
+                data = cached["data"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != n_cols:
+        return None
+    return data
+
+
+def _write_sidecar(path, data, sha256: str) -> None:
+    """Cache a checked full parse beside its CSV; a directory that refuses
+    the write is left without a sidecar."""
+    try:
+        with replacing(sidecar_path(path), "wb") as fh:
+            np.savez(fh, data=data, sha256=np.array(sha256))
+    except OSError:
+        pass
+
+
+def _dataset(data, n_feat: int, with_p_true: bool, sha256: str) -> Dataset:
+    """Split a checked (n, columns) matrix into the Dataset's arrays."""
+    return Dataset(
+        np.ascontiguousarray(data[:, :n_feat]),
+        data[:, n_feat].astype(int),
+        data[:, n_feat + 1].copy() if with_p_true else None,
+        sha256,
+    )
+
+
+def read_dataset(path, rows=None, sha256=None) -> Dataset:
+    """Parse a dataset CSV into a Dataset: (x, y, p_true) arrays and the
+    sha256 of the file's bytes; p_true is None when the file has no p_true
+    column.
+
+    ``rows``, when given, is an index array into the data rows (0-based, in
+    file order): only those rows are parsed and checked, and they are
+    returned in the order of ``rows``, so ``read_dataset(path, rows=idx)``
+    equals ``read_dataset(path)`` indexed by ``idx`` whenever the whole file
+    is valid. An index outside the data rows raises DatasetFormatError.
+
+    ``sha256``, when given, is the digest the file must have: other bytes
+    raise DatasetDigestError, which counts the file's data rows, before any
+    row is selected or parsed.
+
+    A full read that passes every check caches the parsed matrix with the
+    digest in ``sidecar_path(path)``. A later read of the same bytes, full
+    or partial, loads that matrix instead of parsing the data rows, and
+    runs the same checks on it; if they fail it parses the CSV after all.
+    A sidecar that does not match or cannot be read is passed over, and
+    one that cannot be written is skipped.
+
+    Raises DatasetFormatError naming the 1-based line for a malformed row, a
+    wrong column count, a bad header, a non-finite feature, a label other
+    than 0/1, or a p_true outside [0, 1]. Leading '#' comment lines and
+    blank lines are skipped; a header-only file yields zero rows.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    idx, n_cols, n_feat, with_p_true = _parse_header(path, _leading_lines(raw))
+    if sha256 is not None and digest != sha256:
+        n_rows = sum(1 for _ in _numbered_lines(raw.decode("utf-8"), idx))
+        raise DatasetDigestError(path, n_rows)
+    rows = _row_index(rows)
+
+    cached = _load_sidecar(path, digest, n_cols)
+    if cached is not None:
+        _check_bounds(path, rows, len(cached))
+        data = cached if rows is None else cached[rows]
+        if not _failed_checks(data, n_feat, with_p_true):
+            return _dataset(data, n_feat, with_p_true, digest)
+        del data, cached  # not needed by the parse below
+
+    text = raw.decode("utf-8")
+    del raw  # the bytes would otherwise stay alive through the parse
+    # a full read counts its lines, then streams them into loadtxt: a list
+    # of every line, or a matrix grown row block by row block, would leave
+    # freed memory in the allocator's heap, by an amount that depends on the input
+    numbered = None
+    if rows is None:
+        n_rows = sum(1 for _ in _numbered_lines(text, idx))
+    else:
+        numbered = list(_numbered_lines(text, idx))
+        _check_bounds(path, rows, len(numbered))
+        numbered = [numbered[i] for i in rows.tolist()]
+        n_rows = len(numbered)
+    lines = _numbered_lines(text, idx) if numbered is None else iter(numbered)
+    data = _loadtxt((line for _, line in lines), n_rows, n_cols)
+    failed = [] if data is None else _failed_checks(data, n_feat, with_p_true)
+    if data is None or failed:
+        # loadtxt numbers rows inconsistently in its errors, so the file
+        # line of each data row is listed to name a bad row
+        if numbered is None:
+            numbered = list(_numbered_lines(text, idx))
+        if data is None:
+            raise _parse_error(path, numbered, n_cols)
+        bad, message = failed[0]
+        raise DatasetFormatError(f"{path}: line {numbered[np.argmax(bad)][0]}: {message}")
+    if rows is None:
+        del text  # keeps the text out of the write's peak memory
+        _write_sidecar(path, data, digest)
+    return _dataset(data, n_feat, with_p_true, digest)

@@ -97,14 +97,19 @@ def _prediction_set(probs, labels) -> tuple[np.ndarray, np.ndarray]:
     return probs, labels.astype(int)
 
 
+def check_m_bins(m_bins: int) -> None:
+    """Binned metrics need at least one confidence bin."""
+    if m_bins < 1:
+        raise ValueError("m_bins must be a positive integer")
+
+
 def bin_indices(confidences, m_bins: int) -> np.ndarray:
     """Return the 1-based bin of each confidence among M right-closed bins.
 
     Bin m covers ((m-1)/M, m/M]. A confidence of exactly 0 falls into bin 1
     so the bins partition [0, 1] completely.
     """
-    if m_bins < 1:
-        raise ValueError("m_bins must be a positive integer")
+    check_m_bins(m_bins)
     conf = np.asarray(confidences, dtype=float)
     inside = (conf >= 0.0) & (conf <= 1.0)
     if not inside.all():

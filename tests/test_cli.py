@@ -4,6 +4,7 @@ auditability contract (reports recomputable from the per-sample dumps)."""
 import argparse
 import itertools
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -341,23 +342,50 @@ def test_calibrate_rejects_bad_split_header_fields(tmp_path, mini_run, key, valu
     assert not out.exists()
 
 
-def test_calibrate_parses_only_the_validation_rows(tmp_path, mini_run, monkeypatch):
+def _count_loadtxt_rows(monkeypatch) -> list:
+    """Patch np.loadtxt to record the number of lines of each call; the
+    lines may come as any iterable."""
     loadtxt = np.loadtxt
     parsed = []
 
     def counting_loadtxt(lines, *args, **kwargs):
+        lines = list(lines)
         parsed.append(len(lines))
         return loadtxt(lines, *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    return parsed
+
+
+def test_calibrate_parses_only_the_validation_rows(tmp_path, mini_run, monkeypatch):
+    # a copy has the training file's bytes but no parsed-array sidecar yet
+    data = tmp_path / "train.csv"
+    shutil.copyfile(mini_run / "train.csv", data)
+    parsed = _count_loadtxt_rows(monkeypatch)
+    out = tmp_path / "o"
+    code = cli.main([
+        "calibrate", "--model", str(mini_run / "model_ce.txt"),
+        "--data", str(data), "--out", str(out),
+    ])
+    assert code == 0
+    _, val, _ = datagen.split(400, (0.9, 0.1), 11)  # MINI_GEN rows, MINI_TRAIN seed
+    assert parsed == [len(val)]
+    assert not datagen.sidecar_path(data).exists()  # a partial read caches nothing
+    fitted = json.loads((out / "scaler_temperature.json").read_text())
+    assert fitted["T"] == json.loads((mini_run / "scaler_temperature.json").read_text())["T"]
+
+
+def test_calibrate_on_a_read_training_file_parses_nothing(tmp_path, mini_run, monkeypatch):
+    # train read mini_run/train.csv in full, which left its sidecar
+    assert datagen.sidecar_path(mini_run / "train.csv").exists()
+    parsed = _count_loadtxt_rows(monkeypatch)
     out = tmp_path / "o"
     code = cli.main([
         "calibrate", "--model", str(mini_run / "model_ce.txt"),
         "--data", str(mini_run / "train.csv"), "--out", str(out),
     ])
     assert code == 0
-    _, val, _ = datagen.split(400, (0.9, 0.1), 11)  # MINI_GEN rows, MINI_TRAIN seed
-    assert parsed == [len(val)]
+    assert parsed == []
     fitted = json.loads((out / "scaler_temperature.json").read_text())
     assert fitted["T"] == json.loads((mini_run / "scaler_temperature.json").read_text())["T"]
 
@@ -405,6 +433,45 @@ def test_du_eval_does_not_depend_on_the_seed(tmp_path, mini_run):
     assert rows["1"] == rows["2"]
     assert rows["1"] == (mini_run / "predictions_du.csv").read_text().splitlines()[1:]
     assert load_report(mini_run, "du")["probability_rule"] == duloss.EXACT_RULE
+
+
+@pytest.mark.parametrize("m_bins", ["0", "-3"])
+def test_eval_checks_m_bins_before_reading_anything(tmp_path, mini_run, monkeypatch, m_bins):
+    reads = []
+    read_dataset = datagen.read_dataset
+
+    def counting_read(*args, **kwargs):
+        reads.append(args)
+        return read_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(datagen, "read_dataset", counting_read)
+    out = tmp_path / "o"
+    code = cli.main([
+        "eval", "--model", str(mini_run / "model_ce.txt"), "--data", str(mini_run / "test.csv"),
+        "--m-bins", m_bins, "--out", str(out),
+    ])
+    assert code == 2
+    assert reads == []
+    assert not out.exists()
+
+
+def test_cold_and_warm_eval_write_identical_artifacts(tmp_path, mini_run, monkeypatch):
+    data = tmp_path / "test.csv"
+    shutil.copyfile(mini_run / "test.csv", data)
+    out = tmp_path / "o"
+    argv = [
+        "eval", "--model", str(mini_run / "model_ce.txt"), "--data", str(data),
+        "--scaler", str(mini_run / "scaler_vector.json"), "--out", str(out),
+    ]
+    assert not datagen.sidecar_path(data).exists()
+    assert cli.main(argv) == 0
+    assert datagen.sidecar_path(data).exists()
+    cold = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "predictions_vector.csv" in cold
+    parsed = _count_loadtxt_rows(monkeypatch)
+    assert cli.main(argv) == 0
+    assert parsed == []
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
 
 
 def test_eval_takes_no_sampling_or_label_settings(tmp_path, mini_run):
@@ -587,6 +654,30 @@ def test_compare_malformed_report_exits_3(tmp_path, mini_run, corrupt, named):
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr
 
+
+
+@pytest.mark.parametrize("label, key, value", [
+    ("vector", "ece", float("nan")),
+    ("vector", "accuracy", float("inf")),
+    ("none", "nll_mean", float("inf")),
+    ("du", "nll_mean", -0.25),
+    ("matrix", "mce", 1.5),
+    ("temperature", "ece", -float("inf")),
+])
+def test_compare_rejects_non_finite_or_out_of_range_numbers(tmp_path, mini_run, label, key, value):
+    src = tmp_path / "reports"
+    src.mkdir()
+    for name in ("none", "temperature", "vector", "matrix", "du"):
+        doc = load_report(mini_run, name)
+        if name == label:
+            doc[key] = value  # json.dumps writes NaN and Infinity, and json.load reads them
+        (src / f"report_{name}.json").write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = run_cli(["compare", "--dir", src, "--out", out], check=False)
+    assert proc.returncode == 3
+    assert f"report_{label}.json" in proc.stderr and repr(key) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 # --- misc ---------------------------------------------------------------------
 

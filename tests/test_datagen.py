@@ -1,11 +1,14 @@
 """Generator tests: label/probability statistics against binomial and
 chi-square oracles, file round-trips, and split bookkeeping."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from calibforge import datagen, metrics
+from calibforge import artifacts, datagen, metrics
 from calibforge.datagen import SyntheticConfig
 
 
@@ -188,7 +191,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     x, y, p_true = datagen.generate_dataset(small_config(100, seed=21))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
-    xb, yb, pb = datagen.read_dataset(path)
+    xb, yb, pb, _ = datagen.read_dataset(path)
     assert xb.shape == (100, 25) and xb.flags["C_CONTIGUOUS"]
     np.testing.assert_allclose(xb, x, atol=1e-9)
     np.testing.assert_array_equal(yb, y)
@@ -200,7 +203,7 @@ def test_roundtrip_without_p_true(tmp_path):
     path = tmp_path / "real.csv"
     datagen.write_dataset(path, x, np.array([1, 0]), None, roster_size=12)
     assert "p_true" not in path.read_text().splitlines()[0]
-    xb, yb, pb = datagen.read_dataset(path)
+    xb, yb, pb, _ = datagen.read_dataset(path)
     assert pb is None
     np.testing.assert_array_equal(xb, x)
     assert yb.tolist() == [1, 0]
@@ -330,7 +333,7 @@ def test_write_names_the_first_bad_row(tmp_path):
 def test_header_only_file_is_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(datagen.dataset_header(12, 8, True) + "\n")
-    x, y, p_true = datagen.read_dataset(path)
+    x, y, p_true, _ = datagen.read_dataset(path)
     assert x.shape == (0, 25) and y.shape == (0,) and p_true.shape == (0,)
 
 
@@ -358,10 +361,11 @@ def test_read_rows_equals_full_read_indexed(tmp_path):
     full = datagen.read_dataset(path)
     idx = np.random.default_rng(0).permutation(60)[:25]
     part = datagen.read_dataset(path, rows=idx)
-    for whole, picked in zip(full, part):
+    assert part.sha256 == full.sha256
+    for whole, picked in zip(full[:3], part[:3]):
         assert picked.dtype == whole.dtype and picked.flags["C_CONTIGUOUS"]
         assert picked.tobytes() == whole[idx].tobytes()
-    x0, y0, p0 = datagen.read_dataset(path, rows=np.array([], dtype=int))
+    x0, y0, p0, _ = datagen.read_dataset(path, rows=np.array([], dtype=int))
     assert x0.shape == (0, 25) and y0.shape == (0,) and p0.shape == (0,)
 
 
@@ -394,8 +398,61 @@ def test_read_rows_names_the_line_of_a_bad_selected_row(tmp_path):
     with pytest.raises(datagen.DatasetFormatError, match="line 6"):
         datagen.read_dataset(path, rows=[4, 3])
     # a row that is not selected is not parsed
-    x, _, _ = datagen.read_dataset(path, rows=[4, 0])
+    x, _, _, _ = datagen.read_dataset(path, rows=[4, 0])
     assert np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 300])
+def test_parse_block_size_changes_no_value_or_line_number(tmp_path, monkeypatch, block_chars):
+    data = datagen.generate_dataset(small_config(40, seed=3))
+    path = tmp_path / "data.csv"
+    datagen.write_dataset(path, *data, roster_size=12, comment="meta")
+    lines = path.read_text().splitlines()
+
+    def write(lines):
+        # CRLF and LF line ends and two blank lines, all of which the
+        # block-wise split must treat as one whole-text split does
+        text = "\r\n".join(lines[:20]) + "\r\n\n\n" + "\n".join(lines[20:]) + "\n\n"
+        path.write_bytes(text.encode())
+
+    write(lines)
+    expected = datagen.read_dataset(path)
+    datagen.sidecar_path(path).unlink()
+    monkeypatch.setattr(datagen, "PARSE_BLOCK_CHARS", block_chars)
+    got = datagen.read_dataset(path)
+    for read, whole, generated in zip(got[:3], expected[:3], data):
+        assert read.tobytes() == whole.tobytes()
+        np.testing.assert_array_equal(read, generated)
+    part = datagen.read_dataset(path, rows=[30, 2])
+    assert part.x.tobytes() == expected.x[[30, 2]].tobytes()
+
+    fields = lines[25].split(",")  # data row 23, file line 28 after the blank lines
+    fields[1] = "nan"
+    lines[25] = ",".join(fields)
+    write(lines)
+    with pytest.raises(datagen.DatasetFormatError, match="line 28: features must be finite"):
+        datagen.read_dataset(path)
+
+
+def test_a_cold_read_gives_loadtxt_its_row_count(tmp_path, monkeypatch):
+    # told the count, loadtxt allocates the matrix once; grown in steps, it
+    # leaves freed heap behind that makes the reader's peak memory unsteady
+    data = datagen.generate_dataset(small_config(30, seed=2))
+    path = tmp_path / "data.csv"
+    datagen.write_dataset(path, *data, roster_size=12, comment="meta")
+    loadtxt = np.loadtxt
+    calls = []
+
+    def recording_loadtxt(lines, *args, **kwargs):
+        lines = list(lines)
+        calls.append((len(lines), kwargs.get("max_rows")))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
+    datagen.read_dataset(path)
+    datagen.sidecar_path(path).unlink()
+    datagen.read_dataset(path, rows=[4, 1, 4])
+    assert calls == [(30, 30), (3, 3)]
 
 
 def test_wrong_column_count_is_schema_error(tmp_path):
@@ -415,6 +472,154 @@ def test_bad_header_rejected(tmp_path):
     with pytest.raises(datagen.DatasetFormatError, match="line 1"):
         datagen.read_dataset(path)
 
+
+
+# --- parsed-array sidecar --------------------------------------------------------
+
+def _written(tmp_path, n=30, seed=5):
+    x, y, p_true = datagen.generate_dataset(small_config(n, seed=seed))
+    path = tmp_path / "data.csv"
+    datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
+    return path
+
+
+def _no_parse(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on a sidecar hit")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+def test_sidecar_hit_equals_a_cold_parse(tmp_path, monkeypatch):
+    path = _written(tmp_path)
+    assert not datagen.sidecar_path(path).exists()  # write_dataset caches nothing
+    cold = datagen.read_dataset(path)
+    idx = np.array([7, 0, 29, 7, 12])
+    cold_part = datagen.read_dataset(path, rows=idx)
+    assert datagen.sidecar_path(path).exists()
+    assert cold.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    _no_parse(monkeypatch)
+    for warm, reference in ((datagen.read_dataset(path), cold),
+                            (datagen.read_dataset(path, rows=idx), cold_part)):
+        assert warm.sha256 == reference.sha256
+        for got, want in zip(warm[:3], reference[:3]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags["C_CONTIGUOUS"]
+            assert got.tobytes() == want.tobytes()
+    with pytest.raises(datagen.DatasetFormatError, match="outside the file's 30 data rows"):
+        datagen.read_dataset(path, rows=[30])
+
+
+def test_sidecar_is_replaced_after_an_edit_and_a_bad_edit_still_names_its_line(tmp_path):
+    path = _written(tmp_path)
+    datagen.read_dataset(path)
+    lines = path.read_text().splitlines()
+    fields = lines[4].split(",")  # comment, header, then data row 2
+    fields[1] = "12.5"
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    x, _, _, digest = datagen.read_dataset(path)
+    assert x[2, 1] == 12.5
+    with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
+        assert cached["sha256"].item() == digest
+        assert cached["data"][2, 1] == 12.5
+    fields[1] = "nan"
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    for rows in (None, [2]):
+        with pytest.raises(datagen.DatasetFormatError, match="line 5: features must be finite"):
+            datagen.read_dataset(path, rows=rows)
+
+
+def _fake_sidecar(path, damage):
+    """Overwrite the sidecar of path in one of several broken ways."""
+    sidecar = datagen.sidecar_path(path)
+    with np.load(sidecar, allow_pickle=False) as cached:
+        data, digest = cached["data"], cached["sha256"]
+    if damage in ("truncated", "empty"):
+        keep = sidecar.stat().st_size // 2 if damage == "truncated" else 0
+        sidecar.write_bytes(sidecar.read_bytes()[:keep])
+        return
+    bad = data.copy()
+    bad[3, -2] = 5.0  # a label the checks refuse
+    arrays = {
+        "npy": None,
+        "narrow": {"data": data[:, :-1], "sha256": digest},
+        "float32": {"data": data.astype(np.float32), "sha256": digest},
+        "other digest": {"data": data + 1.0, "sha256": np.array("0" * 64)},
+        "no digest": {"data": data},
+        "bad values": {"data": bad, "sha256": digest},
+    }[damage]
+    with open(sidecar, "wb") as fh:
+        if arrays is None:
+            np.save(fh, data)
+        else:
+            np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("damage", [
+    "truncated", "empty", "npy", "narrow", "float32", "other digest", "no digest", "bad values",
+])
+def test_a_broken_sidecar_is_ignored_and_rewritten(tmp_path, damage):
+    path = _written(tmp_path)
+    cold = datagen.read_dataset(path)
+    with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
+        good = cached["data"]
+    _fake_sidecar(path, damage)
+    part = datagen.read_dataset(path, rows=[3, 1])
+    for got, want in zip(part[:3], cold[:3]):
+        assert got.tobytes() == want[[3, 1]].tobytes()
+    warm = datagen.read_dataset(path)
+    for got, want in zip(warm[:3], cold[:3]):
+        assert got.tobytes() == want.tobytes()
+    with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
+        assert cached["sha256"].item() == cold.sha256
+        assert cached["data"].tobytes() == good.tobytes()
+
+
+def test_a_file_that_fails_its_checks_leaves_no_sidecar(tmp_path):
+    path = _written(tmp_path)
+    lines = path.read_text().splitlines()
+    fields = lines[6].split(",")
+    fields[-1] = "1.5"  # p_true of data row 4
+    lines[6] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(datagen.DatasetFormatError, match="line 7: p_true"):
+        datagen.read_dataset(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_read_in_a_read_only_directory_writes_no_sidecar(tmp_path, monkeypatch):
+    path = _written(tmp_path)
+    expected = datagen.read_dataset(path)
+    datagen.sidecar_path(path).unlink()
+    tmp_path.chmod(0o555)
+    try:
+        if os.access(tmp_path, os.W_OK):
+            # permission bits do not bind this user: refuse the write the
+            # way a read-only directory does
+            def refuse(file, mode="r", *args, **kwargs):
+                if "w" in mode:
+                    raise PermissionError(13, "Permission denied", str(file))
+                return open(file, mode, *args, **kwargs)
+
+            monkeypatch.setattr(artifacts, "open", refuse, raising=False)
+        got = datagen.read_dataset(path)
+    finally:
+        tmp_path.chmod(0o755)
+    for a, b in zip(got[:3], expected[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_read_with_another_digest_counts_rows_and_parses_nothing(tmp_path, monkeypatch):
+    path = _written(tmp_path)
+    digest = datagen.read_dataset(path).sha256
+    _no_parse(monkeypatch)
+    with pytest.raises(datagen.DatasetDigestError, match="30 data rows") as info:
+        datagen.read_dataset(path, rows=[40], sha256="0" * 64)
+    assert info.value.n_rows == 30
+    assert datagen.read_dataset(path, rows=[1], sha256=digest).sha256 == digest
 
 # --- split ------------------------------------------------------------------------
 
