@@ -1,10 +1,10 @@
 """Command-line pipeline: gen, train, calibrate, eval, compare.
 
-Each command resolves its configuration from built-in defaults, then an
-optional JSON config file (--config), then explicit flags, rejects unknown
-keys, echoes the resolved result, and embeds it together with the tool
-version in every artifact it writes. Commands are deterministic given
-identical inputs and seed.
+Each command resolves its configuration from the defaults of its flags in
+``build_parser``, then an optional JSON config file (--config), then
+explicit flags, rejects unknown keys, echoes the resolved result, and
+embeds it together with the tool version in every artifact it writes.
+Commands are deterministic given identical inputs and seed.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 4 missing dependency artifact.
@@ -52,59 +52,11 @@ class ArtifactReadError(Exception):
     """An input artifact exists but cannot be parsed."""
 
 
-COMMAND_DEFAULTS: dict[str, dict] = {
-    "gen": {
-        "seed": 42,
-        "out": "out",
-        "n": None,
-        "n_train": 20000,
-        "n_test": 2500,
-        "n_features": 295,
-        "roster_size": 160,
-        "coef_scale": 1.0,
-        "noise_floor": 0.4,
-        "noise_gain": 7.0,
-        "minute_min": 1,
-        "minute_max": 40,
-    },
-    "train": {
-        "seed": 42,
-        "out": "out",
-        "data": None,
-        "loss": "ce",
-        "epochs": 20,
-        "lr": 1e-4,
-        "batch_size": 512,
-        "k": 32,
-        "antithetic": True,
-        "val_fraction": 0.1,
-        "hidden": "256,256",
-    },
-    "calibrate": {
-        "seed": 42,
-        "out": "out",
-        "model": None,
-        "data": None,
-        "kind": "temperature",
-        "tol": 1e-6,
-    },
-    "eval": {
-        "seed": 42,
-        "out": "out",
-        "model": None,
-        "data": None,
-        "scaler": None,
-        "m_bins": 10,
-    },
-    "compare": {
-        "seed": 42,
-        "out": "out",
-        "dir": None,
-    },
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every option: its flag, type, choices and
+    default. The subcommands share the ``common`` actions, so the
+    ``set_defaults`` of a config file reaches every subcommand of this
+    parser; build a fresh one per command line."""
     parser = argparse.ArgumentParser(
         prog="calibforge",
         description="Train, calibrate and measure a binary win predictor.",
@@ -113,44 +65,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="top-level RNG seed")
+    common.add_argument("--seed", type=int, default=42, help="top-level RNG seed")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--out", type=str, default=None, help="output directory")
+    common.add_argument("--out", type=str, default="out", help="output directory")
 
     p = sub.add_parser("gen", parents=[common], help="generate synthetic datasets")
     p.add_argument("--n", type=int, default=None, help="train rows (test rows become n // 8)")
-    p.add_argument("--n-train", dest="n_train", type=int, default=None)
-    p.add_argument("--n-test", dest="n_test", type=int, default=None)
-    p.add_argument("--n-features", dest="n_features", type=int, default=None)
-    p.add_argument("--roster-size", dest="roster_size", type=int, default=None)
-    p.add_argument("--coef-scale", dest="coef_scale", type=float, default=None)
-    p.add_argument("--noise-floor", dest="noise_floor", type=float, default=None)
-    p.add_argument("--noise-gain", dest="noise_gain", type=float, default=None)
-    p.add_argument("--minute-min", dest="minute_min", type=int, default=None)
-    p.add_argument("--minute-max", dest="minute_max", type=int, default=None)
+    p.add_argument("--n-train", dest="n_train", type=int, default=20000)
+    p.add_argument("--n-test", dest="n_test", type=int, default=2500)
+    p.add_argument("--n-features", dest="n_features", type=int, default=295)
+    p.add_argument("--roster-size", dest="roster_size", type=int, default=160)
+    p.add_argument("--coef-scale", dest="coef_scale", type=float, default=1.0)
+    p.add_argument("--noise-floor", dest="noise_floor", type=float, default=0.4)
+    p.add_argument("--noise-gain", dest="noise_gain", type=float, default=7.0)
+    p.add_argument("--minute-min", dest="minute_min", type=int, default=1)
+    p.add_argument("--minute-max", dest="minute_max", type=int, default=40)
 
     p = sub.add_parser("train", parents=[common], help="train a win predictor")
     p.add_argument("--data", type=str, default=None, help="training dataset CSV")
-    p.add_argument("--loss", type=str, default=None, choices=["ce", "du"])
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help="MC draws per sample (du loss)")
-    p.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
-    p.add_argument("--hidden", type=str, default=None, help="hidden sizes, e.g. 256,256")
+    p.add_argument("--loss", type=str, default="ce", choices=["ce", "du"])
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=512)
+    p.add_argument("--k", type=int, default=32, help="MC draws per sample (du loss)")
+    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.1)
+    p.add_argument("--hidden", type=str, default="256,256", help="hidden sizes, e.g. 256,256")
 
     p = sub.add_parser("calibrate", parents=[common], help="fit a post-hoc scaler")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--data", type=str, default=None, help="the training dataset CSV")
-    p.add_argument("--kind", type=str, default=None, choices=list(SCALER_FITS))
-    p.add_argument("--tol", type=float, default=None, help="gradient-norm tolerance of the fit")
+    p.add_argument("--kind", type=str, default="temperature", choices=list(SCALER_FITS))
 
     p = sub.add_parser("eval", parents=[common], help="evaluate calibration on a dataset")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--data", type=str, default=None, help="the test dataset CSV")
     p.add_argument("--scaler", type=str, default=None)
-    p.add_argument("--m-bins", dest="m_bins", type=int, default=None)
+    p.add_argument("--m-bins", dest="m_bins", type=int, default=10)
 
     p = sub.add_parser("compare", parents=[common], help="tabulate eval reports")
     p.add_argument("--dir", type=str, default=None, help="directory holding the eval reports")
@@ -158,25 +108,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config_types(parser, command: str, overrides: dict, defaults: dict) -> None:
-    """A config-file value must have the type its flag parses to: the
-    argparse action's type, or bool for a --x/--no-x pair. Ints exclude
-    bools and floats, floats admit ints, and null is valid only where the
-    default is null. A flag with choices admits only those."""
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for action in sub.choices[command]._actions:
+def _check_config_types(subparser: argparse.ArgumentParser, overrides: dict) -> None:
+    """A config-file value must have the type its flag parses to: ints
+    exclude bools and floats, floats admit ints, and null is valid only
+    where the flag's default is null. A flag with choices admits only
+    those; argparse checks no default against them."""
+    for action in subparser._actions:
         if action.dest not in overrides:
             continue
-        value = overrides[action.dest]
-        kind = bool if isinstance(action, argparse.BooleanOptionalAction) else action.type
+        value, kind = overrides[action.dest], action.type
         if value is None:
-            ok = defaults[action.dest] is None
+            ok = action.default is None
         else:
-            # bool is a subclass of int, so it is matched only by a bool flag
+            # bool is a subclass of int, so isinstance alone would admit it
             accepted = (int, float) if kind is float else kind
-            ok = isinstance(value, accepted) and isinstance(value, bool) == (kind is bool)
+            ok = isinstance(value, accepted) and not isinstance(value, bool)
         if not ok:
-            null = " or null" if defaults[action.dest] is None else ""
+            null = " or null" if action.default is None else ""
             raise ValueError(
                 f"config key {action.dest!r} must be {kind.__name__}{null}, "
                 f"got {json.dumps(value)}"
@@ -188,12 +136,10 @@ def _check_config_types(parser, command: str, overrides: dict, defaults: dict) -
             )
 
 
-def resolve_config(
-    command: str, args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> dict:
+def resolve_config(argv, args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """defaults < config file < explicit flags; unknown keys and values of
-    the wrong type are rejected."""
-    resolved = dict(COMMAND_DEFAULTS[command])
+    the wrong type are rejected. A config file becomes the defaults of the
+    command's subparser, and ``argv`` is parsed again on top of them."""
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -203,16 +149,16 @@ def resolve_config(
             raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(overrides) - set(resolved))
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        subparser = sub.choices[args.command]
+        keys = {action.dest for action in subparser._actions} - {"help", "config"}
+        unknown = sorted(set(overrides) - keys)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-        _check_config_types(parser, command, overrides, resolved)
-        resolved.update(overrides)
-    for key in resolved:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+        _check_config_types(subparser, overrides)
+        subparser.set_defaults(**overrides)
+        args = parser.parse_args(argv)
+    return {key: value for key, value in vars(args).items() if key not in ("command", "config")}
 
 
 def _meta(command: str, resolved: dict) -> str:
@@ -280,7 +226,6 @@ def cmd_train(resolved: dict) -> None:
         rng_seed=seed,
         loss_kind=loss,
         k_train=int(resolved["k"]),
-        antithetic=bool(resolved["antithetic"]),
     )
     config.validate()
     hidden = _hidden_sizes(resolved["hidden"])
@@ -366,8 +311,7 @@ def _split_record(model_path, header: dict) -> list:
 def cmd_calibrate(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("calibrate requires --model and --data")
-    kind, tol = resolved["kind"], float(resolved["tol"])
-    scaling.check_tol(tol)
+    kind = resolved["kind"]
     model_path, data = resolved["model"], resolved["data"]
     params, header = _load_model(model_path)
     if params.du_head_enabled:
@@ -388,7 +332,7 @@ def cmd_calibrate(resolved: dict) -> None:
     logits = nn.forward(params, xv)
     out = _outdir(resolved)
     fit = getattr(scaling, SCALER_FITS[kind])
-    scaler = fit(logits, yv, tol=tol, log_path=out / f"calib_log_{kind}.csv")
+    scaler = fit(logits, yv, log_path=out / f"calib_log_{kind}.csv")
     scaler_path = out / f"scaler_{kind}.json"
     scaling.save_scaler(
         scaler, scaler_path,
@@ -541,7 +485,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_CONFIG
     try:
-        resolved = resolve_config(args.command, args, parser)
+        resolved = resolve_config(argv, args, parser)
         print(f"{args.command} config: {json.dumps(resolved, sort_keys=True)}")
         HANDLERS[args.command](resolved)
         return EXIT_OK

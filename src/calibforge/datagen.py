@@ -29,7 +29,7 @@ import numpy as np
 
 from .artifacts import format_numbers, replacing, write_lines
 from .duloss import sigmoid
-from .metrics import bin_indices, predict
+from .metrics import bin_stats, ece, predict
 
 SCALAR_COLUMNS = ["minute", "gold_diff", "xp_diff", "kills_blue", "kills_red"]
 
@@ -238,15 +238,7 @@ def true_ece(probs, p_true, m_bins: int) -> float:
     label ECE, and with calibrated truth it is 0 whatever the test size.
     """
     confidence, true_conf = _true_confidence(probs, p_true)
-    idx = bin_indices(confidence, m_bins) - 1
-    counts = np.bincount(idx, minlength=m_bins).tolist()
-    truth_sums = np.bincount(idx, weights=true_conf, minlength=m_bins).tolist()
-    conf_sums = np.bincount(idx, weights=confidence, minlength=m_bins).tolist()
-    total = 0.0
-    for count, truth, conf in zip(counts, truth_sums, conf_sums):
-        if count > 0:
-            total += (count / len(idx)) * abs(truth / count - conf / count)
-    return total
+    return ece(bin_stats(confidence, true_conf, m_bins), len(true_conf))
 
 
 def split(n: int, fractions, seed: int):

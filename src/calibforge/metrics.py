@@ -124,9 +124,16 @@ def compute_bins(probs, labels, m_bins: int) -> list[BinStats]:
     and mean confidence. Always returns exactly ``m_bins`` entries."""
     probs, labels = _prediction_set(probs, labels)
     confidence, predicted = predict(probs)
+    return bin_stats(confidence, predicted == labels, m_bins)
+
+
+def bin_stats(confidence, correct, m_bins: int) -> list[BinStats]:
+    """The ``m_bins`` confidence bins of rows with the given confidence and
+    correctness, 0/1 for a hit or the probability of one. A bin's accuracy
+    is its rows' mean correctness; 0/1 values sum to an exact integer."""
     idx = bin_indices(confidence, m_bins) - 1
     counts = np.bincount(idx, minlength=m_bins).tolist()
-    hits = np.bincount(idx[predicted == labels], minlength=m_bins).tolist()
+    hits = np.bincount(idx, weights=correct, minlength=m_bins).tolist()
     conf_sums = np.bincount(idx, weights=confidence, minlength=m_bins).tolist()
     bins = []
     for b in range(m_bins):

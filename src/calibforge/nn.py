@@ -86,7 +86,6 @@ class TrainConfig:
     rng_seed: int = 0
     loss_kind: str = "ce"  # "ce" or "du"
     k_train: int = 32
-    antithetic: bool = True
 
     def validate(self) -> None:
         # a NaN or infinite step would only surface as non-finite
@@ -101,7 +100,7 @@ class TrainConfig:
         if self.loss_kind not in ("ce", "du"):
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         if self.loss_kind == "du":
-            duloss.MCConfig(k=self.k_train, antithetic=self.antithetic)
+            duloss.MCConfig(k=self.k_train)
 
 
 def init_params(
@@ -327,7 +326,7 @@ def train(
     flat = params.weights + params.biases
     state = adam_init(flat)
     n = x.shape[0]
-    mc = duloss.MCConfig(k=config.k_train, antithetic=config.antithetic) if du else None
+    mc = duloss.MCConfig(k=config.k_train) if du else None
     log = []
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n)

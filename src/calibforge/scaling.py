@@ -99,17 +99,13 @@ def mean_nll(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margin)))
 
 
-def check_tol(tol: float) -> None:
-    """A fit needs a finite gradient-norm tolerance >= 0: an infinite one
-    would return the identity scaler unfitted, and a NaN or negative one
-    would never test convergence."""
+def _check_fit_inputs(val_logits, val_labels, tol):
+    """The validated (n, 2) logits and each row's label sign, 2y - 1. A fit
+    needs a finite gradient-norm tolerance >= 0: an infinite one would
+    return the identity scaler unfitted, and a NaN or negative one would
+    never test convergence."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-
-
-def _check_fit_inputs(val_logits, val_labels, tol):
-    """The validated (n, 2) logits and each row's label sign, 2y - 1."""
-    check_tol(tol)
     logits = np.asarray(val_logits, dtype=float)
     labels = np.asarray(val_labels, dtype=int)
     if logits.ndim != 2 or logits.shape[1] != 2 or logits.shape[0] == 0:

@@ -4,7 +4,9 @@ auditability contract (reports recomputable from the per-sample dumps)."""
 import argparse
 import itertools
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,9 +90,9 @@ def test_gen_config_file_with_unknown_key_rejected(tmp_path):
     [
         ("gen", {"n_train": 50.7}),
         ("gen", {"n_train": None}),
-        ("train", {"antithetic": "false"}),
+        ("train", {"epochs": True}),
     ],
-    ids=["non-integral-int", "null-without-null-default", "string-for-bool"],
+    ids=["non-integral-int", "null-without-null-default", "bool-for-int"],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, mini_run, command, overrides):
     cfg = tmp_path / "cfg.json"
@@ -121,6 +123,23 @@ def test_config_value_outside_choices_is_config_error(tmp_path, mini_run, comman
     assert proc.returncode == 2
     assert f"config key {key!r} must be one of" in proc.stderr and '"foo"' in proc.stderr
     assert not out.exists()
+
+
+def test_a_config_file_does_not_outlive_its_command_line(tmp_path, capsys):
+    # a config file becomes the parser's defaults, which every subcommand
+    # shares through the common options, so each command line needs a fresh
+    # parser: the benchmark tracer runs many command lines in one process
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "n_test": 10}))
+    gen = ["gen", "--n-train", "50", "--n-features", "45", "--roster-size", "20"]
+    assert cli.main([*gen, "--config", str(cfg), "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main([*gen, "--out", str(tmp_path / "b")]) == 0
+    first, second = [
+        json.loads(line.removeprefix("gen config: "))
+        for line in capsys.readouterr().out.splitlines() if line.startswith("gen config: ")
+    ]
+    assert (first["seed"], first["n_test"]) == (5, 10)  # flag > file > default
+    assert (second["seed"], second["n_test"]) == (42, 2500)
 
 
 def test_gen_config_file_overridden_by_flags(tmp_path):
@@ -250,8 +269,8 @@ def test_calibrate_rejects_du_model(tmp_path, mini_run):
     ("--tol=inf", "tol"), ("--tol=nan", "tol"), ("--tol=-1", "tol"),
 ])
 def test_calibrate_bad_optimiser_settings_are_config_errors(tmp_path, mini_run, kind, flag, named):
-    # --lr and --max-iters no longer exist, so any value of them is rejected
-    # as an unrecognised argument, spelt as the flag was typed
+    # --lr, --max-iters and --tol no longer exist, so any value of them is
+    # rejected as an unrecognised argument, spelt as the flag was typed
     out = tmp_path / "o"
     proc = run_cli([
         "calibrate", "--model", mini_run / "model_ce.txt", "--data", mini_run / "train.csv",
@@ -262,18 +281,45 @@ def test_calibrate_bad_optimiser_settings_are_config_errors(tmp_path, mini_run, 
     assert not out.exists()
 
 
+def _subparsers() -> dict:
+    """Each command's parser, from a fresh ``cli.build_parser()``."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _options(command: str) -> set:
+    """The config keys of a command: the dests of its parser's options."""
+    return {action.dest for action in _subparsers()[command]._actions} - {"help", "config"}
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
-@pytest.mark.parametrize("key, value", [("lr", 1e-2), ("max_iters", 300)])
-def test_calibrate_takes_no_step_size_or_iteration_budget(tmp_path, mini_run, key, value, via):
-    # every scaler is fit by Newton to --tol; the old Adam settings exit 2
-    assert set(cli.COMMAND_DEFAULTS["calibrate"]) == {"seed", "out", "model", "data", "kind", "tol"}
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param("calibrate", "lr", 1e-2, id="lr-0.01"),
+    pytest.param("calibrate", "max_iters", 300, id="max_iters-300"),
+    pytest.param("calibrate", "tol", 1e-3, id="tol-0.001"),
+    pytest.param("train", "antithetic", True, id="antithetic-True"),
+    pytest.param("train", "antithetic", False, id="antithetic-False"),
+])
+def test_calibrate_takes_no_step_size_or_iteration_budget(
+    tmp_path, mini_run, command, key, value, via
+):
+    # every scaler is fit by Newton to a fixed tolerance and training always
+    # pairs its draws; the removed settings exit 2 before anything is read
+    assert _options("calibrate") == {"seed", "out", "model", "data", "kind"}
+    assert key not in _options(command)
     out = tmp_path / "o"
-    args = [
-        "calibrate", "--model", mini_run / "model_ce.txt", "--data", mini_run / "train.csv",
-        "--kind", "vector", "--out", out,
-    ]
+    args = [command, "--data", mini_run / "train.csv", "--out", out]
+    if command == "calibrate":
+        args += ["--model", mini_run / "model_ce.txt", "--kind", "vector"]
+    else:
+        args += MINI_TRAIN
     if via == "flag":
-        flag = f"--{key.replace('_', '-')}={value}"
+        name = key.replace("_", "-")
+        if isinstance(value, bool):
+            flag = f"--{name}" if value else f"--no-{name}"
+        else:
+            flag = f"--{name}={value}"
         args.append(flag)
         expected = f"unrecognized arguments: {flag}"
     else:
@@ -475,13 +521,11 @@ def test_cold_and_warm_eval_write_identical_artifacts(tmp_path, mini_run, monkey
 
 
 def test_eval_takes_no_sampling_or_label_settings(tmp_path, mini_run):
-    parser = cli.build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {flag for action in sub.choices["eval"]._actions for flag in action.option_strings}
+    flags = {flag for action in _subparsers()["eval"]._actions for flag in action.option_strings}
     assert flags == {
         "-h", "--help", "--seed", "--config", "--out", "--model", "--data", "--scaler", "--m-bins",
     }
-    assert set(cli.COMMAND_DEFAULTS["eval"]) == {"seed", "out", "model", "data", "scaler", "m_bins"}
+    assert _options("eval") == {"seed", "out", "model", "data", "scaler", "m_bins"}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"antithetic": True}))
     out = tmp_path / "o"
@@ -707,3 +751,25 @@ def test_every_artifact_carries_version_and_config(mini_run):
     doc = load_report(mini_run, "none")
     assert doc["version"]
     assert doc["config"]["m_bins"] == 10
+
+
+def test_readme_commands_use_only_parser_options():
+    # every flag of a `calibforge <command>` line in the README's code blocks
+    # must be an option of that command; continuation lines are joined first
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    subparsers = _subparsers()
+    seen = set()
+    for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+        match = re.search(r"\bcalibforge\s+(\S+)(.*)", line.split("#")[0])
+        if match is None:
+            continue
+        command, rest = match.groups()
+        assert command in subparsers, line
+        options = {
+            flag for action in subparsers[command]._actions for flag in action.option_strings
+        }
+        for flag in re.findall(r"(?<!\S)(--[\w-]+)", rest):
+            assert flag in options, f"README: {command} has no {flag}: {line.strip()}"
+        seen.add(command)
+    assert seen == set(cli.HANDLERS)
