@@ -489,10 +489,22 @@ def _load_sidecar(path, sha256: str, n_cols: int):
 
 def _write_sidecar(path, data, sha256: str) -> None:
     """Cache a checked full parse beside its CSV; a directory that refuses
-    the write is left without a sidecar."""
+    the write is left without a sidecar.
+
+    The bytes are those ``np.savez(fh, data=data, sha256=np.array(sha256))``
+    writes, but each ``.npy`` member is written from the array's own buffer,
+    where ``np.savez`` would copy the matrix in 16 MiB chunks. Zip members
+    are dated 1980-01-01, so the same matrix always gives the same file.
+    """
+    arrays = {"data": data, "sha256": np.array(sha256)}
     try:
-        with replacing(sidecar_path(path), "wb") as fh:
-            np.savez(fh, data=data, sha256=np.array(sha256))
+        with (replacing(sidecar_path(path), "wb") as fh,
+              zipfile.ZipFile(fh, "w", allowZip64=True) as zf):
+            for name, arr in arrays.items():
+                with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                    header = np.lib.format.header_data_from_array_1_0(arr)
+                    np.lib.format.write_array_header_1_0(member, header)
+                    member.write(arr.data)
     except OSError:
         pass
 

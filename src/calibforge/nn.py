@@ -13,6 +13,10 @@ and backward pass in float32 on a float32 copy of them; the loss and its
 gradient w.r.t. the network outputs are always taken in float64. Inference
 and the gradient checks use the float64 parameters as they are.
 
+Inference (``forward``) keeps only the current layer's activation; the
+training pass (``_forward_cached``) keeps every hidden layer for backprop.
+The two compute the same outputs bit for bit.
+
 Everything is seeded: on the same machine setup (BLAS library and thread
 count included) the same seed, config and data reproduce the same
 parameter trajectory bit for bit, and the text model format round-trips
@@ -125,7 +129,9 @@ def init_params(
 
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Run the network keeping hidden pre-activations for backprop."""
+    """Run the network keeping every hidden pre-activation and activation,
+    for backprop only (``backward`` and ``batch_loss``); inference goes
+    through ``forward``."""
     h = x
     activations = [x]
     pre = []
@@ -153,8 +159,19 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
     Output width is 2 (logits), or 3 with the density head: columns 0-1 are
     the logit means and column 2 is the raw noise output.
+
+    Only the current layer is kept: each hidden activation is computed in
+    place and freed once the next layer's product exists, so the pass holds
+    at most two (n, width) arrays beside its input. The values are those of
+    the training pass bit for bit.
     """
-    _, _, out = _forward_cached(params, _check_batch(params, x))
+    h = _check_batch(params, x)
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    out = h @ params.weights[-1]
+    out += params.biases[-1]
     return out
 
 

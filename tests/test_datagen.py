@@ -2,7 +2,9 @@
 chi-square oracles, file round-trips, and split bookkeeping."""
 
 import hashlib
+import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -555,6 +557,37 @@ def _fake_sidecar(path, damage):
             np.save(fh, data)
         else:
             np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("n_rows", [30, 0])
+def test_sidecar_bytes_are_those_of_np_savez(tmp_path, n_rows):
+    # sidecars written by np.savez stay valid, and the same matrix always
+    # gives the same file
+    path = _written(tmp_path)
+    data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2, ndmin=2)[:n_rows]
+    assert data.shape == (n_rows, 25 + 2)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    datagen._write_sidecar(path, data, digest)
+    written = datagen.sidecar_path(path).read_bytes()
+    expected = io.BytesIO()
+    np.savez(expected, data=data, sha256=np.array(digest))
+    assert written == expected.getvalue()
+    cached = datagen._load_sidecar(path, digest, data.shape[1])
+    assert cached.shape == data.shape and cached.tobytes() == data.tobytes()
+
+
+def test_sidecar_write_does_not_copy_the_matrix(tmp_path):
+    data = np.random.default_rng(0).normal(0.0, 1.0, (8192, 512))  # 32 MiB
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        datagen._write_sidecar(path, data, "0" * 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    cached = datagen._load_sidecar(path, "0" * 64, 512)
+    assert cached.tobytes() == data.tobytes()
 
 
 @pytest.mark.parametrize("damage", [

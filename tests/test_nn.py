@@ -3,6 +3,7 @@ against central finite differences, Adam against a hand-traced recurrence,
 and the training determinism contract."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,46 @@ def test_du_head_adds_one_output():
     logits, s_raw = nn.split_outputs(params, out)
     assert logits.shape == (5, 2)
     assert s_raw.shape == (5,)
+
+
+@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("loss_kind", ["ce", "du"])
+def test_forward_equals_the_training_pass_bit_for_bit(loss_kind, dtype, n):
+    # inference and backprop run separate loops over the layers; they must
+    # not drift apart
+    du = loss_kind == "du"
+    params = nn.init_params([11, 16, 9, 2], du_head=du, seed=4)
+    rng = np.random.default_rng(n)
+    for b in params.biases:
+        b += rng.normal(0.0, 0.3, b.shape)
+    params = as_float32(params) if dtype == np.float32 else params
+    x = rng.normal(0.0, 1.0, (n, 11))
+    y = rng.integers(0, 2, n)
+    noise = duloss.draw_noise_batch(n, duloss.MCConfig(k=4), rng) if du else None
+    _, _, trained = nn.backward(params, x, y, loss_kind, noise)
+    out = nn.forward(params, x)
+    assert out.dtype == trained.dtype == dtype
+    assert out.shape == trained.shape == (n, 3 if du else 2)
+    assert out.tobytes() == trained.tobytes()
+
+
+def test_forward_keeps_only_the_current_layer():
+    # beside its input, inference holds one hidden activation and the next
+    # layer's product; the training pass holds every pre-activation and
+    # activation (four arrays for two hidden layers)
+    n, width = 4096, 256
+    params = nn.init_params([64, width, width, 2], seed=1)
+    x = np.random.default_rng(0).normal(0.0, 1.0, (n, 64))
+    activation = n * width * 8
+    tracemalloc.start()
+    try:
+        out = nn.forward(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, 2)
+    assert peak <= 2.5 * activation
 
 
 # --- softmax / the cross-entropy loss ----------------------------------------
