@@ -19,6 +19,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, datagen, duloss, metrics, nn, scaling
 from .artifacts import write_lines
 from .datagen import DatasetFormatError
@@ -234,6 +236,9 @@ def cmd_train(resolved: dict) -> None:
     if len(y) == 0:
         raise ValueError(f"{data}: dataset is empty")
     train, _, _ = datagen.split(len(y), (1.0 - val_fraction, val_fraction), seed)
+    # nn.train runs in float32: casting before the rows are taken makes no
+    # float64 copy of them
+    x = x.astype(np.float32)
     params, log = nn.train(x[train], y[train], config, layer_sizes=[x.shape[1]] + hidden + [2])
     out = _outdir(resolved)
     header = {
@@ -369,6 +374,7 @@ def cmd_eval(resolved: dict) -> None:
         raise ValueError(f"{resolved['data']}: dataset is empty")
 
     raw = nn.forward(params, x)
+    del x  # the features are not needed past the forward pass
     if params.du_head_enabled:
         mu, s_raw = nn.split_outputs(params, raw)
         probs = duloss.expected_probs_exact(mu, s_raw)

@@ -50,9 +50,20 @@ _PICKS_PER_TEAM = 5
 # write_dataset formats this many rows at a time, which bounds its sort,
 # index and string arrays to one block whatever the dataset size
 WRITE_BLOCK_ROWS = 1024
-# read_dataset splits a file's text into lines about this many characters at
-# a time, so only one block's line strings are alive while loadtxt parses
+# read_dataset decodes and splits a file's bytes into lines about this many
+# bytes at a time, so only one block's text and lines are alive while
+# loadtxt parses
 PARSE_BLOCK_CHARS = 1 << 20
+# read_dataset hashes a file this many bytes at a time
+HASH_BLOCK_BYTES = 1 << 20
+# generate_dataset draws its comp and filler columns this many rows at a time.
+# p_true takes each block's comp @ champ_coef, which OpenBLAS's matrix-vector
+# kernel sums in groups of 4 rows with a different path for the rest: blocks
+# of 2, 3, 6 or 7 rows changed some p_true bits, while every multiple of 4
+# reproduced one whole-matrix product. 256 is a multiple of any such group.
+GEN_BLOCK_ROWS = 256
+# _dataset moves the feature columns of a parsed matrix this many rows at a time
+MOVE_BLOCK_ROWS = 256
 
 
 class DatasetFormatError(ValueError):
@@ -163,7 +174,10 @@ def generate_dataset(config: SyntheticConfig):
     (n,) 0/1 labels and (n,) win probabilities of label 1.
 
     Draw order is fixed (minute, gold, xp, kills, picks, filler, labels), so
-    a config reproduces its dataset exactly.
+    a config reproduces its dataset exactly. The picks and the filler are
+    drawn GEN_BLOCK_ROWS rows at a time straight into the one (n, F) feature
+    matrix; consecutive row blocks of a draw hold the values of one
+    whole-matrix draw, so the block size changes no value.
     """
     n = config.n_matches
     rng = np.random.default_rng(config.rng_seed)
@@ -173,34 +187,32 @@ def generate_dataset(config: SyntheticConfig):
     xp_diff = np.round(rng.normal(0.0, XP_STD_PER_SQRT_MINUTE * scale), 3)
     kills_blue = rng.poisson(KILL_RATE_PER_MINUTE * minute)
     kills_red = rng.poisson(KILL_RATE_PER_MINUTE * minute)
+    scalars = (minute, gold_diff, xp_diff, kills_blue, kills_red)
 
-    order = np.argsort(rng.random((n, config.roster_size)), axis=1)
-    comp = np.zeros((n, config.roster_size))
-    rows = np.arange(n)[:, None]
-    comp[rows, order[:, :_PICKS_PER_TEAM]] = 1.0  # red picks
-    comp[rows, order[:, _PICKS_PER_TEAM : 2 * _PICKS_PER_TEAM]] = -1.0  # blue picks
-    # freed before the filler and feature arrays are built, to keep it out of gen's peak RSS
-    del order
-
-    filler = np.round(rng.standard_normal((n, config.filler_size)), 4)
-
+    features = np.empty((n, config.n_features))
+    for col, values in enumerate(scalars):
+        features[:, col] = values
+    comp_end = len(SCALAR_COLUMNS) + config.roster_size
     champ_coef = champion_coefficients(config)
-    p_true = win_probability(
-        minute, gold_diff, xp_diff, kills_blue, kills_red, comp, champ_coef, config
-    )
-    labels = (rng.random(n) < p_true).astype(int)
+    p_true = np.empty(n)
+    for start in range(0, n, GEN_BLOCK_ROWS):
+        stop = min(start + GEN_BLOCK_ROWS, n)
+        rows = slice(start, stop)
+        order = np.argsort(rng.random((stop - start, config.roster_size)), axis=1)
+        comp = np.zeros(order.shape)
+        picked = np.arange(len(comp))[:, None]
+        comp[picked, order[:, :_PICKS_PER_TEAM]] = 1.0  # red picks
+        comp[picked, order[:, _PICKS_PER_TEAM : 2 * _PICKS_PER_TEAM]] = -1.0  # blue picks
+        features[rows, len(SCALAR_COLUMNS) : comp_end] = comp
+        p_true[rows] = win_probability(
+            *(values[rows] for values in scalars), comp, champ_coef, config
+        )
+    for start in range(0, n, GEN_BLOCK_ROWS):
+        stop = min(start + GEN_BLOCK_ROWS, n)
+        filler = rng.standard_normal((stop - start, config.filler_size))
+        features[start:stop, comp_end:] = np.round(filler, 4)
 
-    features = np.column_stack(
-        [
-            minute.astype(float),
-            gold_diff,
-            xp_diff,
-            kills_blue.astype(float),
-            kills_red.astype(float),
-            comp,
-            filler,
-        ]
-    )
+    labels = (rng.random(n) < p_true).astype(int)
     return features, labels, p_true
 
 
@@ -317,14 +329,15 @@ def _csv_rows(x, tails):
     ended by its tail.
 
     Each distinct value is formatted once: the sorted distinct values of x
-    are merged from per-block sets, and every block of WRITE_BLOCK_ROWS rows
+    are merged block by block, and every block of WRITE_BLOCK_ROWS rows
     looks its cells up in their text. Finite floats that compare equal
     differ in text only as 0.0 and -0.0, which both format to "0", so the
     lookup gives every cell the text format_numbers would give it.
     """
     starts = range(0, len(x), WRITE_BLOCK_ROWS)
-    blocks = [np.unique(x[i : i + WRITE_BLOCK_ROWS]) for i in starts]
-    values = np.unique(np.concatenate(blocks)) if blocks else np.empty(0)
+    values = np.empty(0)
+    for i in starts:
+        values = np.union1d(values, x[i : i + WRITE_BLOCK_ROWS])
     text = np.array(format_numbers(values), dtype=object)
     for i in starts:
         block = x[i : i + WRITE_BLOCK_ROWS]
@@ -351,16 +364,18 @@ def _parse_error(path, numbered_lines, n_cols: int) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: data rows are not numeric CSV")
 
 
-def _numbered_lines(text: str, header_idx: int):
+def _numbered_lines(raw: bytes, header_idx: int):
     """(1-based file line, line) of each non-blank line after the header
-    line, in file order. The text is split PARSE_BLOCK_CHARS at a time, each
-    block ending just after a newline, so the lines are those of
-    ``text.splitlines()`` (whose one two-character break, "\\r\\n", also
-    ends in a newline) and only one block's lines are alive at a time."""
+    line, in file order. The UTF-8 bytes are decoded and split about
+    PARSE_BLOCK_CHARS bytes at a time, each block ending just after a
+    newline byte, which UTF-8 never puts inside a multi-byte character. So
+    the lines are those of ``raw.decode().splitlines()`` (whose one
+    two-character break, "\\r\\n", also ends in a newline) and only one
+    block's text and lines are alive at a time."""
     no, start = 0, 0
-    while start < len(text):
-        end = text.find("\n", start + PARSE_BLOCK_CHARS - 1) + 1 or len(text)
-        for line in text[start:end].splitlines():
+    while start < len(raw):
+        end = raw.find(b"\n", start + PARSE_BLOCK_CHARS - 1) + 1 or len(raw)
+        for line in raw[start:end].decode("utf-8").splitlines():
             if no > header_idx and line:
                 yield no + 1, line
             no += 1
@@ -380,16 +395,26 @@ def _loadtxt(lines, n_rows: int, n_cols: int):
     return data if data.shape[1] == n_cols else None
 
 
-def _leading_lines(raw: bytes) -> list[str]:
-    """The lines of a file's bytes up to its first line that is not a '#'
-    comment. Only those lines are decoded; each decoded chunk ends at a
+def _leading_lines(fh) -> list[str]:
+    """The lines of a binary file up to its first line that is not a '#'
+    comment. Only those lines are read; each decoded chunk ends at a
     newline byte, so it splits into the same lines as the whole text."""
-    lines, start = [], 0
-    while start < len(raw) and all(line.startswith("#") for line in lines):
-        end = raw.find(b"\n", start) + 1 or len(raw)
-        lines += raw[start:end].decode("utf-8").splitlines()
-        start = end
+    lines = []
+    while all(line.startswith("#") for line in lines):
+        chunk = fh.readline()
+        if not chunk:
+            break
+        lines += chunk.decode("utf-8").splitlines()
     return lines
+
+
+def _digest(fh) -> str:
+    """The sha256 of a binary file's bytes, read HASH_BLOCK_BYTES at a time."""
+    digest = hashlib.sha256()
+    fh.seek(0)
+    while chunk := fh.read(HASH_BLOCK_BYTES):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _parse_header(path, lines: list[str]) -> tuple[int, int, int, bool]:
@@ -510,19 +535,34 @@ def _write_sidecar(path, data, sha256: str) -> None:
 
 
 def _dataset(data, n_feat: int, with_p_true: bool, sha256: str) -> Dataset:
-    """Split a checked (n, columns) matrix into the Dataset's arrays."""
-    return Dataset(
-        np.ascontiguousarray(data[:, :n_feat]),
-        data[:, n_feat].astype(int),
-        data[:, n_feat + 1].copy() if with_p_true else None,
-        sha256,
-    )
+    """Split a checked, C-contiguous (n, columns) matrix into the Dataset's
+    arrays, without a second matrix.
+
+    The label and p_true columns are copied out first. Then the feature
+    columns are moved to the front of the matrix's own buffer, front to
+    back, MOVE_BLOCK_ROWS rows at a time, and x is the C-contiguous (n, F)
+    view of that front. ``data`` is overwritten.
+    """
+    y = data[:, n_feat].astype(int)
+    p_true = data[:, n_feat + 1].copy() if with_p_true else None
+    n = len(data)
+    x = data.reshape(-1)[: n * n_feat].reshape(n, n_feat)
+    # earlier blocks write only below this block's source rows, and numpy
+    # buffers a block copy whose two sides overlap
+    for start in range(0, n, MOVE_BLOCK_ROWS):
+        rows = slice(start, start + MOVE_BLOCK_ROWS)
+        x[rows] = data[rows, :n_feat]
+    return Dataset(x, y, p_true, sha256)
 
 
 def read_dataset(path, rows=None, sha256=None) -> Dataset:
     """Parse a dataset CSV into a Dataset: (x, y, p_true) arrays and the
     sha256 of the file's bytes; p_true is None when the file has no p_true
-    column.
+    column. x is a C-contiguous view of the parsed or loaded matrix,
+    compacted in its own buffer (see ``_dataset``), so a read holds one
+    matrix beside row-block temporaries. The file is hashed in blocks, and
+    its bytes are read whole only for a parse or to count the rows of a
+    file with another digest.
 
     ``rows``, when given, is an index array into the data rows (0-based, in
     file order): only those rows are parsed and checked, and they are
@@ -547,48 +587,55 @@ def read_dataset(path, rows=None, sha256=None) -> Dataset:
     blank lines are skipped; a header-only file yields zero rows.
     """
     with open(path, "rb") as fh:
+        idx, n_cols, n_feat, with_p_true = _parse_header(path, _leading_lines(fh))
+        digest = _digest(fh)
+        if sha256 is not None and digest != sha256:
+            fh.seek(0)
+            n_rows = sum(1 for _ in _numbered_lines(fh.read(), idx))
+            raise DatasetDigestError(path, n_rows)
+        rows = _row_index(rows)
+
+        cached = _load_sidecar(path, digest, n_cols)
+        if cached is not None:
+            _check_bounds(path, rows, len(cached))
+            data = cached if rows is None else cached[rows]
+            del cached  # a rows= read keeps only its selection
+            if not _failed_checks(data, n_feat, with_p_true):
+                return _dataset(data, n_feat, with_p_true, digest)
+            del data  # not needed by the parse below
+
+        fh.seek(0)
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    idx, n_cols, n_feat, with_p_true = _parse_header(path, _leading_lines(raw))
-    if sha256 is not None and digest != sha256:
-        n_rows = sum(1 for _ in _numbered_lines(raw.decode("utf-8"), idx))
-        raise DatasetDigestError(path, n_rows)
-    rows = _row_index(rows)
-
-    cached = _load_sidecar(path, digest, n_cols)
-    if cached is not None:
-        _check_bounds(path, rows, len(cached))
-        data = cached if rows is None else cached[rows]
-        if not _failed_checks(data, n_feat, with_p_true):
-            return _dataset(data, n_feat, with_p_true, digest)
-        del data, cached  # not needed by the parse below
-
-    text = raw.decode("utf-8")
-    del raw  # the bytes would otherwise stay alive through the parse
     # a full read counts its lines, then streams them into loadtxt: a list
     # of every line, or a matrix grown row block by row block, would leave
-    # freed memory in the allocator's heap, by an amount that depends on the input
+    # freed memory in the allocator's heap, by an amount that depends on the
+    # input. A rows= read keeps only the selected lines.
     numbered = None
     if rows is None:
-        n_rows = sum(1 for _ in _numbered_lines(text, idx))
+        n_rows = sum(1 for _ in _numbered_lines(raw, idx))
     else:
-        numbered = list(_numbered_lines(text, idx))
-        _check_bounds(path, rows, len(numbered))
-        numbered = [numbered[i] for i in rows.tolist()]
+        wanted = set(rows.tolist())
+        selected, n_rows = {}, 0
+        for item in _numbered_lines(raw, idx):
+            if n_rows in wanted:
+                selected[n_rows] = item
+            n_rows += 1
+        _check_bounds(path, rows, n_rows)
+        numbered = [selected[i] for i in rows.tolist()]
         n_rows = len(numbered)
-    lines = _numbered_lines(text, idx) if numbered is None else iter(numbered)
+    lines = _numbered_lines(raw, idx) if numbered is None else iter(numbered)
     data = _loadtxt((line for _, line in lines), n_rows, n_cols)
     failed = [] if data is None else _failed_checks(data, n_feat, with_p_true)
     if data is None or failed:
         # loadtxt numbers rows inconsistently in its errors, so the file
         # line of each data row is listed to name a bad row
         if numbered is None:
-            numbered = list(_numbered_lines(text, idx))
+            numbered = list(_numbered_lines(raw, idx))
         if data is None:
             raise _parse_error(path, numbered, n_cols)
         bad, message = failed[0]
         raise DatasetFormatError(f"{path}: line {numbered[np.argmax(bad)][0]}: {message}")
+    del raw  # keeps the bytes out of the write's and the caller's memory
     if rows is None:
-        del text  # keeps the text out of the write's peak memory
         _write_sidecar(path, data, digest)
     return _dataset(data, n_feat, with_p_true, digest)

@@ -13,9 +13,11 @@ and backward pass in float32 on a float32 copy of them; the loss and its
 gradient w.r.t. the network outputs are always taken in float64. Inference
 and the gradient checks use the float64 parameters as they are.
 
-Inference (``forward``) keeps only the current layer's activation; the
-training pass (``_forward_cached``) keeps every hidden layer for backprop.
-The two compute the same outputs bit for bit.
+Inference (``forward``) keeps only the current layer's activation of one
+row block; the training pass (``_forward_cached``) keeps every hidden layer
+of the whole batch for backprop. The two compute the same outputs bit for
+bit on any batch below ``2 * FORWARD_BLOCK_ROWS`` rows, which inference runs
+as one block.
 
 Everything is seeded: on the same machine setup (BLAS library and thread
 count included) the same seed, config and data reproduce the same
@@ -37,6 +39,16 @@ from .metrics import PROB_FLOOR
 
 DEFAULT_HIDDEN = [256, 256]
 MODEL_MAGIC = "calibforge-model v1"
+
+# forward splits n rows into max(1, n // FORWARD_BLOCK_ROWS) equal contiguous
+# blocks, so a block holds 4096 to 8191 rows and any n below 8192 is one
+# block. The floor is there for bit-identity: OpenBLAS runs the narrow
+# output layer (256 -> 2 or 3) on another path at small M. On the 25000-row
+# score test set, equal blocks of 2000 rows or more reproduced a whole-batch
+# pass bit for bit, while blocks of 1500 rows or fewer (CE model) or 1000 or
+# fewer (DU model) moved most rows by up to 5.3e-15. A fixed chunk size
+# leaves a small last block, so the blocks are equal instead.
+FORWARD_BLOCK_ROWS = 4096
 
 # entropy tag separating the training noise stream from other consumers of
 # the same top-level seed
@@ -160,18 +172,29 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     Output width is 2 (logits), or 3 with the density head: columns 0-1 are
     the logit means and column 2 is the raw noise output.
 
-    Only the current layer is kept: each hidden activation is computed in
-    place and freed once the next layer's product exists, so the pass holds
-    at most two (n, width) arrays beside its input. The values are those of
-    the training pass bit for bit.
+    The rows run in ``max(1, n // FORWARD_BLOCK_ROWS)`` equal contiguous
+    blocks, each written into one preallocated (n, out) array. Within a
+    block only the current layer is kept: each hidden activation is computed
+    in place and freed once the next layer's product exists, so the pass
+    holds at most two (block, width) arrays beside its input and output. A
+    batch below ``2 * FORWARD_BLOCK_ROWS`` rows is one block and gives the
+    training pass's values bit for bit; ``FORWARD_BLOCK_ROWS`` says why
+    larger batches run in large equal blocks.
     """
-    h = _check_batch(params, x)
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = h @ w
-        h += b
-        np.maximum(h, 0.0, out=h)
-    out = h @ params.weights[-1]
-    out += params.biases[-1]
+    x = _check_batch(params, x)
+    n = len(x)
+    n_blocks = max(1, n // FORWARD_BLOCK_ROWS)
+    out = np.empty((n, params.weights[-1].shape[1]), dtype=x.dtype)
+    for i in range(n_blocks):
+        rows = slice(i * n // n_blocks, (i + 1) * n // n_blocks)
+        h = x[rows]
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        h = h @ params.weights[-1]
+        h += params.biases[-1]
+        out[rows] = h
     return out
 
 

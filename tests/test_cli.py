@@ -268,16 +268,20 @@ def test_calibrate_rejects_du_model(tmp_path, mini_run):
     ("--lr=nan", "lr"), ("--lr=-1", "lr"), ("--max-iters=-1", "max_iters"),
     ("--tol=inf", "tol"), ("--tol=nan", "tol"), ("--tol=-1", "tol"),
 ])
-def test_calibrate_bad_optimiser_settings_are_config_errors(tmp_path, mini_run, kind, flag, named):
+def test_calibrate_bad_optimiser_settings_are_config_errors(
+    tmp_path, mini_run, kind, flag, named, capsys
+):
     # --lr, --max-iters and --tol no longer exist, so any value of them is
-    # rejected as an unrecognised argument, spelt as the flag was typed
+    # rejected as an unrecognised argument, spelt as the flag was typed;
+    # argparse exits 2 before the command runs, so the check runs in-process
     out = tmp_path / "o"
-    proc = run_cli([
-        "calibrate", "--model", mini_run / "model_ce.txt", "--data", mini_run / "train.csv",
-        "--kind", kind, flag, "--out", out,
-    ], check=False)
-    assert proc.returncode == 2
-    assert named.replace("_", "-") in proc.stderr
+    with pytest.raises(SystemExit) as info:
+        cli.main([
+            "calibrate", "--model", str(mini_run / "model_ce.txt"),
+            "--data", str(mini_run / "train.csv"), "--kind", kind, flag, "--out", str(out),
+        ])
+    assert info.value.code == 2
+    assert named.replace("_", "-") in capsys.readouterr().err
     assert not out.exists()
 
 

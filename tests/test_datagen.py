@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from calibforge import artifacts, datagen, metrics
+from calibforge import artifacts, cli, datagen, metrics
 from calibforge.datagen import SyntheticConfig
 
 
@@ -18,6 +18,17 @@ def small_config(n, seed=0, **kw):
     defaults = dict(n_matches=n, n_features=25, roster_size=12, rng_seed=seed)
     defaults.update(kw)
     return SyntheticConfig(**defaults)
+
+
+def traced_peak(call):
+    """call()'s result and the tracemalloc peak of the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 # --- config validation ------------------------------------------------------
@@ -127,6 +138,44 @@ def test_generation_deterministic():
     b = datagen.generate_dataset(small_config(100, seed=13))
     for s, t in zip(a, b):
         np.testing.assert_array_equal(s, t)
+
+
+def test_generation_block_size_changes_no_value(monkeypatch):
+    # 1000 rows span four default blocks and 125 blocks of 8; the last
+    # block is short in both
+    assert datagen.GEN_BLOCK_ROWS == 256
+    config = small_config(1000, seed=13)
+    whole = datagen.generate_dataset(config)
+    monkeypatch.setattr(datagen, "GEN_BLOCK_ROWS", 8)
+    for got, want in zip(datagen.generate_dataset(config), whole):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_generation_holds_one_feature_matrix():
+    # the picks and the filler are drawn block by block into the feature
+    # matrix, so no full-height comp, filler or stacked copy exists beside it
+    config = SyntheticConfig(n_matches=8192, rng_seed=5)
+    (x, _, _), peak = traced_peak(lambda: datagen.generate_dataset(config))
+    assert x.shape == (8192, 295)
+    assert peak <= 1.2 * x.nbytes
+
+
+def test_gen_csv_bodies_are_pinned(tmp_path, capsys):
+    # 1100 generated rows span more than three generation blocks; the digests
+    # were taken from whole-matrix draws, so they pin the draw order
+    out = tmp_path / "gen"
+    assert cli.main(["gen", "--n-train", "900", "--n-test", "200", "--n-features", "25",
+                     "--roster-size", "12", "--seed", "11", "--out", str(out)]) == 0
+    assert 1100 > 3 * datagen.GEN_BLOCK_ROWS
+    digests = {}
+    for name in ("train.csv", "test.csv"):
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"#"))
+        digests[name] = hashlib.sha256(body).hexdigest()
+    assert digests == {
+        "train.csv": "00422abadf3479e14b97247bccec012ad44cc43feeaa5ce4887d583952f39b53",
+        "test.csv": "013e15035a49b12f54a8ba1b6065ebf95ff9c1308f3ffa1f53ab9f6c76ac411d",
+    }
 
 
 # --- oracle_ece ----------------------------------------------------------------
@@ -643,6 +692,46 @@ def test_read_in_a_read_only_directory_writes_no_sidecar(tmp_path, monkeypatch):
     for a, b in zip(got[:3], expected[:3]):
         assert a.tobytes() == b.tobytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """A 3000-row dataset at the default 295-feature width (4.0 MB of CSV),
+    written without a sidecar, and the arrays it was written from."""
+    data = datagen.generate_dataset(SyntheticConfig(n_matches=3000, rng_seed=3))
+    path = tmp_path_factory.mktemp("wide") / "data.csv"
+    datagen.write_dataset(path, *data, roster_size=160, comment="meta")
+    return path, data
+
+
+def test_a_cold_rows_read_holds_the_file_once(wide_csv, monkeypatch):
+    # the bytes are kept through the parse, but not their whole text nor a
+    # list of every line: only the selected lines. Small blocks keep one
+    # block's text and lines a negligible part of this 4 MB file, as one
+    # 1 MiB block is of a 26.5 MB training file.
+    path, (x, _, _) = wide_csv
+    datagen.sidecar_path(path).unlink(missing_ok=True)
+    monkeypatch.setattr(datagen, "PARSE_BLOCK_CHARS", 1 << 16)
+    rows = np.random.default_rng(0).permutation(3000)[:300]
+    part, peak = traced_peak(lambda: datagen.read_dataset(path, rows=rows))
+    np.testing.assert_array_equal(part.x, x[rows])  # -0.0 is written as 0
+    assert not datagen.sidecar_path(path).exists()
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_a_warm_read_holds_one_matrix(wide_csv):
+    # x is a view of the loaded sidecar matrix with its feature columns moved
+    # to the front; the finite check's boolean mask is the only other array
+    # of note
+    path, data = wide_csv
+    datagen.read_dataset(path)  # writes the sidecar
+    with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
+        matrix_bytes = cached["data"].nbytes
+    warm, peak = traced_peak(lambda: datagen.read_dataset(path))
+    assert warm.x.flags["C_CONTIGUOUS"]
+    for got, want in zip(warm[:3], data):
+        np.testing.assert_array_equal(got, want)
+    assert peak <= 1.2 * matrix_bytes
 
 
 def test_read_with_another_digest_counts_rows_and_parses_nothing(tmp_path, monkeypatch):

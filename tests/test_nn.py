@@ -142,6 +142,26 @@ def test_forward_keeps_only_the_current_layer():
     assert peak <= 2.5 * activation
 
 
+def test_forward_runs_a_large_batch_in_equal_row_blocks():
+    # above 2 * FORWARD_BLOCK_ROWS rows the pass runs block by block, so
+    # beside its input and output it holds a block's activations, not the
+    # batch's
+    n, width = 3 * nn.FORWARD_BLOCK_ROWS + 37, 256
+    params = nn.init_params([64, width, width, 2], seed=1)
+    x = np.random.default_rng(0).normal(0.0, 1.0, (n, 64))
+    tracemalloc.start()
+    try:
+        out = nn.forward(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bounds = [i * n // 3 for i in range(4)]
+    blocks = [nn.forward(params, x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert out.tobytes() == np.concatenate(blocks).tobytes()
+    block_activation = (n // 3 + 1) * width * 8
+    assert peak - out.nbytes < 3 * block_activation
+
+
 # --- softmax / the cross-entropy loss ----------------------------------------
 
 def test_softmax_symmetry():
