@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import itertools
 import json
 import math
@@ -191,12 +193,14 @@ def cmd_gen(resolved: dict) -> None:
         minute_max=int(resolved["minute_max"]),
         rng_seed=int(resolved["seed"]),
     )
-    x, y, p_true = datagen.generate_dataset(config)
+    data = datagen.GeneratedDataset(config)
     out = _outdir(resolved)
     meta = _meta("gen", resolved)
-    for name, rows in (("train.csv", slice(None, n_train)), ("test.csv", slice(n_train, None))):
+    # each file takes the next feature rows as they are made
+    for name, start, stop in (("train.csv", 0, n_train), ("test.csv", n_train, config.n_matches)):
         datagen.write_dataset(
-            out / name, x[rows], y[rows], p_true[rows], config.roster_size, comment=meta
+            out / name, data.features(stop), data.y[start:stop], data.p_true[start:stop],
+            config.roster_size, comment=meta,
         )
     print(f"wrote {n_train} rows to {out / 'train.csv'} and {n_test} rows to {out / 'test.csv'}")
 
@@ -211,6 +215,27 @@ def _hidden_sizes(text: str) -> list[int]:
     if not ok:
         raise ValueError(f"hidden sizes must be positive integers, got hidden={text!r}")
     return sizes
+
+
+def _serve_step_arrays_from_the_heap() -> None:
+    """Have glibc's malloc serve arrays below 32 MiB from its heap.
+
+    Each training step allocates and frees a few dozen arrays of 0.3-1.2 MB
+    (a batch, its activations, gradients, Adam temporaries). Above its mmap
+    threshold, 128 KiB at start, glibc maps each one and unmaps it on free,
+    so every step pays for fresh pages. glibc itself raises the threshold
+    to the size of a mapped block that is freed, up to these settings, so
+    without them training speed would depend on what the command happened
+    to free before it: a 20000-row DU training ran about 20% slower when
+    nothing large had been freed. Elsewhere than glibc this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
 
 
 def cmd_train(resolved: dict) -> None:
@@ -232,22 +257,26 @@ def cmd_train(resolved: dict) -> None:
     config.validate()
     hidden = _hidden_sizes(resolved["hidden"])
     data = resolved["data"]
-    x, y, _, data_sha256 = datagen.read_dataset(data)
-    if len(y) == 0:
+    _serve_step_arrays_from_the_heap()
+
+    def training_rows(info, blocks):
+        # nn.train runs in float32, so only the training rows are kept, and
+        # in float32
+        train, _, _ = datagen.split(info.n_rows, (1.0 - val_fraction, val_fraction), seed)
+        return info, datagen.take_rows(info, blocks, train, dtype=np.float32)
+
+    info, (x, y, _, _) = datagen.scan_dataset(data, training_rows)
+    if info.n_rows == 0:
         raise ValueError(f"{data}: dataset is empty")
-    train, _, _ = datagen.split(len(y), (1.0 - val_fraction, val_fraction), seed)
-    # nn.train runs in float32: casting before the rows are taken makes no
-    # float64 copy of them
-    x = x.astype(np.float32)
-    params, log = nn.train(x[train], y[train], config, layer_sizes=[x.shape[1]] + hidden + [2])
+    params, log = nn.train(x, y, config, layer_sizes=[x.shape[1]] + hidden + [2])
     out = _outdir(resolved)
     header = {
         "loss": loss,
         "seed": str(seed),
         "split_seed": str(seed),
         "val_fraction": repr(val_fraction),
-        "data_rows": str(len(y)),
-        "data_sha256": data_sha256,
+        "data_rows": str(info.n_rows),
+        "data_sha256": info.sha256,
         "version": __version__,
         "config": json.dumps(resolved, sort_keys=True),
     }
@@ -358,6 +387,22 @@ def _load_scaler(path):
         raise ArtifactReadError(f"{path}: {exc}") from exc
 
 
+def _network_outputs(params, info, blocks):
+    """The raw network outputs, labels and p_true (or None) of every data
+    row of a scan. Its blocks are the row blocks of ``nn.forward``, so each
+    call computes what one call on all rows would; only the features of
+    the current block are held."""
+    raw = np.empty((info.n_rows, params.weights[-1].shape[1]))
+    y = np.empty(info.n_rows, dtype=int)
+    p_true = np.empty(info.n_rows) if info.with_p_true else None
+    for block in blocks:
+        raw[block.rows] = nn.forward(params, block.x)
+        y[block.rows] = block.y
+        if p_true is not None:
+            p_true[block.rows] = block.p_true
+    return raw, y, p_true
+
+
 def cmd_eval(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("eval requires --model and --data")
@@ -369,12 +414,12 @@ def cmd_eval(resolved: dict) -> None:
         scaler = _load_scaler(resolved["scaler"])
     if params.du_head_enabled and scaler is not None:
         raise ValueError("post-hoc scalers do not combine with du models")
-    x, y, p_true, _ = datagen.read_dataset(resolved["data"])
+    raw, y, p_true = datagen.scan_dataset(
+        resolved["data"], functools.partial(_network_outputs, params), bounds=nn.row_blocks
+    )
     if len(y) == 0:
         raise ValueError(f"{resolved['data']}: dataset is empty")
 
-    raw = nn.forward(params, x)
-    del x  # the features are not needed past the forward pass
     if params.du_head_enabled:
         mu, s_raw = nn.split_outputs(params, raw)
         probs = duloss.expected_probs_exact(mu, s_raw)

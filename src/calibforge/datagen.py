@@ -18,16 +18,20 @@ is exactly reproducible from its own file.
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import itertools
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .artifacts import format_numbers, replacing, write_lines
+from .artifacts import format_numbers, replacing
 from .duloss import sigmoid
 from .metrics import bin_stats, ece, predict
 
@@ -47,23 +51,24 @@ COMP_COEF_STD = 0.05  # per-champion latent effect, deliberately small
 
 _PICKS_PER_TEAM = 5
 
-# write_dataset formats this many rows at a time, which bounds its sort,
-# index and string arrays to one block whatever the dataset size
+# write_dataset formats an array's rows this many at a time, which bounds its
+# sort, index and string arrays to one block whatever the dataset size
 WRITE_BLOCK_ROWS = 1024
-# read_dataset decodes and splits a file's bytes into lines about this many
-# bytes at a time, so only one block's text and lines are alive while
-# loadtxt parses
+# a parse decodes and splits a file's bytes into lines about this many bytes
+# at a time, so only one block's text and lines are alive while loadtxt parses
 PARSE_BLOCK_CHARS = 1 << 20
-# read_dataset hashes a file this many bytes at a time
+# a read hashes a file, and counts the lines of a file with another digest,
+# this many bytes at a time
 HASH_BLOCK_BYTES = 1 << 20
-# generate_dataset draws its comp and filler columns this many rows at a time.
-# p_true takes each block's comp @ champ_coef, which OpenBLAS's matrix-vector
-# kernel sums in groups of 4 rows with a different path for the rest: blocks
-# of 2, 3, 6 or 7 rows changed some p_true bits, while every multiple of 4
-# reproduced one whole-matrix product. 256 is a multiple of any such group.
+# scan_dataset's row blocks when its caller names none
+READ_BLOCK_ROWS = 256
+# GeneratedDataset draws its picks and p_true this many rows at a time, and
+# makes its feature rows in blocks of at most this many rows. p_true takes
+# each block's comp @ champ_coef, which OpenBLAS's matrix-vector kernel sums
+# in groups of 4 rows with a different path for the rest: blocks of 2, 3, 6
+# or 7 rows changed some p_true bits, while every multiple of 4 reproduced
+# one whole-matrix product. 256 is a multiple of any such group.
 GEN_BLOCK_ROWS = 256
-# _dataset moves the feature columns of a parsed matrix this many rows at a time
-MOVE_BLOCK_ROWS = 256
 
 
 class DatasetFormatError(ValueError):
@@ -169,51 +174,91 @@ def win_probability(
     return sigmoid(a / noise_temperature(minute, config))
 
 
-def generate_dataset(config: SyntheticConfig):
-    """Draw a seeded dataset as (x, y, p_true) arrays: (n, F) float features,
-    (n,) 0/1 labels and (n,) win probabilities of label 1.
+def _row_slices(start: int, stop: int, size: int) -> list[slice]:
+    """Consecutive slices of at most ``size`` rows covering [start, stop)."""
+    return [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
+
+
+class GeneratedDataset:
+    """A seeded synthetic dataset whose (n, F) feature matrix is made on
+    demand, block by block, so that no caller needs to hold it.
 
     Draw order is fixed (minute, gold, xp, kills, picks, filler, labels), so
-    a config reproduces its dataset exactly. The picks and the filler are
-    drawn GEN_BLOCK_ROWS rows at a time straight into the one (n, F) feature
-    matrix; consecutive row blocks of a draw hold the values of one
-    whole-matrix draw, so the block size changes no value.
+    a config reproduces its dataset exactly. The stream is read twice.
+    Construction draws the scalars, then the picks GEN_BLOCK_ROWS rows at a
+    time, keeping each row's ten pick indices and p_true; it then draws the
+    filler only to advance the stream to the labels, from which it takes
+    ``y``. ``features`` redraws the filler from a copy of the generator taken
+    where the filler starts. Consecutive row blocks of a draw hold the
+    values of one whole-matrix draw, so no block size changes a value.
     """
-    n = config.n_matches
-    rng = np.random.default_rng(config.rng_seed)
-    minute = rng.integers(config.minute_min, config.minute_max + 1, size=n)
-    scale = np.sqrt(np.maximum(minute, 1))
-    gold_diff = np.round(rng.normal(0.0, GOLD_STD_PER_SQRT_MINUTE * scale), 3)
-    xp_diff = np.round(rng.normal(0.0, XP_STD_PER_SQRT_MINUTE * scale), 3)
-    kills_blue = rng.poisson(KILL_RATE_PER_MINUTE * minute)
-    kills_red = rng.poisson(KILL_RATE_PER_MINUTE * minute)
-    scalars = (minute, gold_diff, xp_diff, kills_blue, kills_red)
 
-    features = np.empty((n, config.n_features))
-    for col, values in enumerate(scalars):
-        features[:, col] = values
-    comp_end = len(SCALAR_COLUMNS) + config.roster_size
-    champ_coef = champion_coefficients(config)
-    p_true = np.empty(n)
-    for start in range(0, n, GEN_BLOCK_ROWS):
-        stop = min(start + GEN_BLOCK_ROWS, n)
-        rows = slice(start, stop)
-        order = np.argsort(rng.random((stop - start, config.roster_size)), axis=1)
-        comp = np.zeros(order.shape)
-        picked = np.arange(len(comp))[:, None]
-        comp[picked, order[:, :_PICKS_PER_TEAM]] = 1.0  # red picks
-        comp[picked, order[:, _PICKS_PER_TEAM : 2 * _PICKS_PER_TEAM]] = -1.0  # blue picks
-        features[rows, len(SCALAR_COLUMNS) : comp_end] = comp
-        p_true[rows] = win_probability(
-            *(values[rows] for values in scalars), comp, champ_coef, config
-        )
-    for start in range(0, n, GEN_BLOCK_ROWS):
-        stop = min(start + GEN_BLOCK_ROWS, n)
-        filler = rng.standard_normal((stop - start, config.filler_size))
-        features[start:stop, comp_end:] = np.round(filler, 4)
+    def __init__(self, config: SyntheticConfig):
+        self.config = config
+        n = config.n_matches
+        rng = np.random.default_rng(config.rng_seed)
+        minute = rng.integers(config.minute_min, config.minute_max + 1, size=n)
+        scale = np.sqrt(np.maximum(minute, 1))
+        gold_diff = np.round(rng.normal(0.0, GOLD_STD_PER_SQRT_MINUTE * scale), 3)
+        xp_diff = np.round(rng.normal(0.0, XP_STD_PER_SQRT_MINUTE * scale), 3)
+        kills_blue = rng.poisson(KILL_RATE_PER_MINUTE * minute)
+        kills_red = rng.poisson(KILL_RATE_PER_MINUTE * minute)
+        self._scalars = (minute, gold_diff, xp_diff, kills_blue, kills_red)
 
-    labels = (rng.random(n) < p_true).astype(int)
-    return features, labels, p_true
+        champ_coef = champion_coefficients(config)
+        self._picks = np.empty((n, 2 * _PICKS_PER_TEAM), dtype=np.intp)
+        self.p_true = np.empty(n)
+        for rows in _row_slices(0, n, GEN_BLOCK_ROWS):
+            order = np.argsort(rng.random((rows.stop - rows.start, config.roster_size)), axis=1)
+            self._picks[rows] = order[:, : 2 * _PICKS_PER_TEAM]
+            self.p_true[rows] = win_probability(
+                *(values[rows] for values in self._scalars), self._comp(rows), champ_coef, config
+            )
+        self._filler_rng = copy.deepcopy(rng)
+        for rows in _row_slices(0, n, GEN_BLOCK_ROWS):
+            rng.standard_normal((rows.stop - rows.start, config.filler_size))
+        self.y = (rng.random(n) < self.p_true).astype(int)
+        self._next_row = 0
+
+    def _comp(self, rows: slice) -> np.ndarray:
+        """The +1 (red) / -1 (blue) champion-composition block of ``rows``."""
+        picks = self._picks[rows]
+        comp = np.zeros((len(picks), self.config.roster_size))
+        picked = np.arange(len(picks))[:, None]
+        comp[picked, picks[:, :_PICKS_PER_TEAM]] = 1.0
+        comp[picked, picks[:, _PICKS_PER_TEAM:]] = -1.0
+        return comp
+
+    def features(self, stop: int):
+        """Yield the feature rows from the first row not yet made up to row
+        ``stop``, as (rows, F) float arrays of at most GEN_BLOCK_ROWS rows.
+        The filler is one stream, so the rows come in order: ``features(k)``
+        then ``features(n)`` make rows [0, k) and then [k, n)."""
+        config = self.config
+        comp_end = len(SCALAR_COLUMNS) + config.roster_size
+        for rows in _row_slices(self._next_row, stop, GEN_BLOCK_ROWS):
+            block = np.empty((rows.stop - rows.start, config.n_features))
+            for col, values in enumerate(self._scalars):
+                block[:, col] = values[rows]
+            block[:, len(SCALAR_COLUMNS) : comp_end] = self._comp(rows)
+            filler = self._filler_rng.standard_normal((len(block), config.filler_size))
+            block[:, comp_end:] = np.round(filler, 4)
+            self._next_row = rows.stop
+            yield block
+
+
+def generate_dataset(config: SyntheticConfig):
+    """Draw a seeded dataset as (x, y, p_true) arrays: (n, F) float features,
+    (n,) 0/1 labels and (n,) win probabilities of label 1, the values of
+    ``GeneratedDataset(config)``. The feature blocks are copied into one
+    (n, F) matrix as they are made."""
+    data = GeneratedDataset(config)
+    x = np.empty((config.n_matches, config.n_features))
+    start = 0
+    for block in data.features(config.n_matches):
+        x[start : start + len(block)] = block
+        start += len(block)
+    return x, data.y, data.p_true
 
 
 def _true_confidence(probs, p_true) -> tuple[np.ndarray, np.ndarray]:
@@ -290,62 +335,131 @@ def dataset_header(roster_size: int, filler_size: int, with_p_true: bool) -> str
 def write_dataset(
     path, x, y, p_true, roster_size: int, comment: str | None = None
 ) -> None:
-    """Write (x, y, p_true) arrays as CSV; pass p_true=None for data without
-    a known win probability. Values round-trip exactly through read_dataset.
+    """Write (x, y, p_true) as CSV, and beside it the sidecar that a full
+    read of the CSV would write; pass p_true=None for data without a known
+    win probability. Values round-trip exactly through read_dataset.
+
+    ``x`` is the (n, F) feature array, or an iterator over its consecutive
+    row blocks (as ``GeneratedDataset.features`` yields them), whose first
+    block gives the feature count; then no (n, F) matrix is ever held. Each
+    block is checked, written as CSV text and hashed, and its parsed rows
+    go to the sidecar, before the next block is taken.
 
     Raises ValueError naming the first row that read_dataset would reject
     (a non-finite feature, a label other than 0/1, a p_true outside
-    [0, 1]) before anything is written, so a previous file is kept.
+    [0, 1]). Both files are written to temporary files and moved into place
+    only when every row has been written, so a failed write keeps the
+    previous ones.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n_rows, n_features = x.shape
-    if len(y) != n_rows or (p_true is not None and len(p_true) != n_rows):
-        raise ValueError("x, y and p_true must have one entry per row")
+    n_rows = len(y)
+    if p_true is not None:
+        p_true = np.asarray(p_true, dtype=float)
+        if len(p_true) != n_rows:
+            raise ValueError("x, y and p_true must have one entry per row")
+    if isinstance(x, Iterator):
+        first = next(x, None)
+        if first is None:
+            raise ValueError("x yields no row block")
+        blocks = itertools.chain([first], x)
+        n_features = np.shape(first)[-1]
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or len(x) != n_rows:
+            raise ValueError("x, y and p_true must have one entry per row")
+        blocks = (x[i : i + WRITE_BLOCK_ROWS] for i in range(0, n_rows, WRITE_BLOCK_ROWS))
+        n_features = x.shape[1]
     filler_size = n_features - len(SCALAR_COLUMNS) - roster_size
     if filler_size < 0:
         raise ValueError("roster_size larger than the feature vector allows")
-    checks = [
-        (~np.isfinite(x).all(axis=1), "features must be finite"),
-        ((y != 0.0) & (y != 1.0), "label must be 0 or 1"),
-    ]
-    if p_true is not None:
-        p_true = np.asarray(p_true, dtype=float)
-        checks.append((~((p_true >= 0.0) & (p_true <= 1.0)), "p_true must lie in [0, 1]"))
-    problems = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
-    if problems:
-        row, message = min(problems)
-        raise ValueError(f"row {row}: {message}")
-    tails = [str(int(label)) for label in y.tolist()]
-    if p_true is not None:
-        tails = [f"{t},{p!r}" for t, p in zip(tails, p_true.tolist())]
     head = [f"# {comment}"] if comment else []
     head.append(dataset_header(roster_size, filler_size, p_true is not None))
-    write_lines(path, itertools.chain(head, _csv_rows(x, tails)))
+    digest = hashlib.sha256()
+
+    def parsed_blocks(fh):
+        # the CSV text goes to fh and the digest as it is made
+        def emit(text):
+            chunk = text.encode("utf-8")
+            fh.write(chunk)
+            digest.update(chunk)
+
+        emit("".join(f"{line}\n" for line in head))
+        for text, parsed in _csv_blocks(_checked_blocks(blocks, n_features, y, p_true), y, p_true):
+            emit(text)
+            yield parsed
+
+    n_cols = n_features + 1 + (p_true is not None)
+    with replacing(path, "wb") as fh, replacing(sidecar_path(path), "wb") as side:
+        _save_sidecar(side, (n_rows, n_cols), parsed_blocks(fh), digest.hexdigest)
 
 
-def _csv_rows(x, tails):
-    """Yield each row of finite x as format_numbers text, comma-joined and
-    ended by its tail.
+def _checked_blocks(blocks, n_features: int, y, p_true):
+    """(rows, block) of each float row block of x, once its rows pass the
+    checks read_dataset runs; a failed check raises ValueError naming its
+    row (0-based), and so does a block count of rows other than len(y)."""
+    start = 0
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        rows = slice(start, start + len(block))
+        if block.ndim != 2 or block.shape[1] != n_features or rows.stop > len(y):
+            raise ValueError("x, y and p_true must have one entry per row")
+        labels = y[rows]
+        checks = [
+            (~np.isfinite(block).all(axis=1), "features must be finite"),
+            ((labels != 0.0) & (labels != 1.0), "label must be 0 or 1"),
+        ]
+        if p_true is not None:
+            p = p_true[rows]
+            checks.append((~((p >= 0.0) & (p <= 1.0)), "p_true must lie in [0, 1]"))
+        problems = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
+        if problems:
+            row, message = min(problems)
+            raise ValueError(f"row {start + row}: {message}")
+        yield rows, block
+        start = rows.stop
+    if start != len(y):
+        raise ValueError("x, y and p_true must have one entry per row")
 
-    Each distinct value is formatted once: the sorted distinct values of x
-    are merged block by block, and every block of WRITE_BLOCK_ROWS rows
-    looks its cells up in their text. Finite floats that compare equal
-    differ in text only as 0.0 and -0.0, which both format to "0", so the
-    lookup gives every cell the text format_numbers would give it.
+
+def _csv_blocks(checked, y, p_true):
+    """(text, parsed) of each checked row block: its CSV lines in the
+    format_numbers text of each value, and the float64 rows a parse of those
+    lines gives (-0.0 reads back as 0).
+
+    Each distinct value is formatted once: a sorted table of the values met
+    so far, with their text, gains each block's new values, and the block
+    looks its cells up in it. Finite floats that compare equal differ in
+    text only as 0.0 and -0.0, which both format to "0", so the lookup gives
+    every cell the text format_numbers would give it.
     """
-    starts = range(0, len(x), WRITE_BLOCK_ROWS)
-    values = np.empty(0)
-    for i in starts:
-        values = np.union1d(values, x[i : i + WRITE_BLOCK_ROWS])
-    text = np.array(format_numbers(values), dtype=object)
-    for i in starts:
-        block = x[i : i + WRITE_BLOCK_ROWS]
+    # each value's text carries the comma that follows it in a row
+    values, text = np.empty(0), np.empty(0, dtype=object)
+    for rows, block in checked:
         distinct, inverse = np.unique(block, return_inverse=True)
-        cells = text[np.searchsorted(values, distinct)][inverse].reshape(block.shape)
-        for row, tail in zip(cells.tolist(), tails[i : i + WRITE_BLOCK_ROWS]):
-            row.append(tail)
-            yield ",".join(row)
+        at = np.searchsorted(values, distinct)
+        new = np.ones(len(distinct), dtype=bool)
+        if len(values):
+            new = values[np.minimum(at, len(values) - 1)] != distinct
+        if new.any():
+            added = np.array([t + "," for t in format_numbers(distinct[new])], dtype=object)
+            values = np.insert(values, at[new], distinct[new])
+            text = np.insert(text, at[new], added)
+            # each distinct value moves up by the new values below it
+            at += np.cumsum(new) - new
+        n_feat = block.shape[1]
+        cells = np.empty((len(block), n_feat + 1), dtype=object)
+        cells[:, :n_feat] = text[at[inverse].reshape(block.shape)]
+        labels = [str(int(label)) for label in y[rows].tolist()]
+        parsed = np.empty((len(block), n_feat + 1 + (p_true is not None)))
+        np.add(block, 0.0, out=parsed[:, :n_feat])
+        parsed[:, n_feat] = y[rows] + 0.0
+        if p_true is None:
+            cells[:, n_feat] = [f"{label}\n" for label in labels]
+        else:
+            p = p_true[rows]
+            cells[:, n_feat] = [f"{label},{v!r}\n" for label, v in zip(labels, p.tolist())]
+            parsed[:, -1] = p
+        yield "".join(cells.ravel().tolist()), parsed
 
 
 def _parse_error(path, numbered_lines, n_cols: int) -> DatasetFormatError:
@@ -364,22 +478,28 @@ def _parse_error(path, numbered_lines, n_cols: int) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: data rows are not numeric CSV")
 
 
-def _numbered_lines(raw: bytes, header_idx: int):
+def _line_blocks(fh, size: int):
+    """The bytes of a binary file from its current position, in blocks of
+    about ``size`` bytes that each end just after a newline byte (the last
+    one at the end of the file)."""
+    while chunk := fh.read(size):
+        yield chunk + fh.readline()
+
+
+def _numbered_lines(blocks, header_idx: int):
     """(1-based file line, line) of each non-blank line after the header
-    line, in file order. The UTF-8 bytes are decoded and split about
-    PARSE_BLOCK_CHARS bytes at a time, each block ending just after a
-    newline byte, which UTF-8 never puts inside a multi-byte character. So
-    the lines are those of ``raw.decode().splitlines()`` (whose one
+    line, in file order, from the UTF-8 bytes of a whole file in blocks that
+    each end just after a newline byte, which UTF-8 never puts inside a
+    multi-byte character. Each block is decoded and split on its own, so
+    the lines are those of the whole text's ``splitlines()`` (whose one
     two-character break, "\\r\\n", also ends in a newline) and only one
     block's text and lines are alive at a time."""
-    no, start = 0, 0
-    while start < len(raw):
-        end = raw.find(b"\n", start + PARSE_BLOCK_CHARS - 1) + 1 or len(raw)
-        for line in raw[start:end].decode("utf-8").splitlines():
+    no = 0
+    for block in blocks:
+        for line in block.decode("utf-8").splitlines():
             if no > header_idx and line:
                 yield no + 1, line
             no += 1
-        start = end
 
 
 def _loadtxt(lines, n_rows: int, n_cols: int):
@@ -486,156 +606,328 @@ def _failed_checks(data, n_feat: int, with_p_true: bool) -> list:
 
 
 def sidecar_path(path) -> Path:
-    """Where read_dataset caches the parsed matrix of a dataset CSV: the
-    file's name with ``.npz`` appended, in the same directory."""
+    """Where the parsed matrix of a dataset CSV is cached: the file's name
+    with ``.npz`` appended, in the same directory."""
     path = Path(path)
     return path.with_name(path.name + ".npz")
 
 
-def _load_sidecar(path, sha256: str, n_cols: int):
-    """The cached matrix of the CSV bytes with digest ``sha256``, or None
-    when the sidecar is absent or unreadable, or its digest, dtype or width
-    does not match."""
-    try:
-        with open(sidecar_path(path), "rb") as fh:
-            cached = np.load(fh, allow_pickle=False)
-            if not isinstance(cached, np.lib.npyio.NpzFile):
-                return None
-            with cached:
-                if cached["sha256"].item() != sha256:
-                    return None
-                data = cached["data"]
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-    if data.dtype != np.float64 or data.ndim != 2 or data.shape[1] != n_cols:
-        return None
-    return data
+def _save_sidecar(fh, shape, blocks, sha256: Callable[[], str]) -> None:
+    """Write to a binary file the bytes that
+    ``np.savez(fh, data=matrix, sha256=np.array(sha256()))`` writes, where
+    ``matrix`` is the (n, columns) float64 matrix whose C-contiguous row
+    blocks ``blocks`` yields, and ``sha256()`` is taken after the last one.
+
+    Each ``.npy`` member is written from the arrays' own buffers, where
+    ``np.savez`` would copy the matrix in 16 MiB chunks. Zip members are
+    dated 1980-01-01, so the same matrix always gives the same file.
+    """
+    data_header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                   "fortran_order": False, "shape": tuple(shape)}
+    with zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+        with zf.open("data.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(member, data_header)
+            for block in blocks:
+                member.write(block.data)
+        digest = np.array(sha256())
+        with zf.open("sha256.npy", "w", force_zip64=True) as member:
+            np.lib.format.write_array_header_1_0(
+                member, np.lib.format.header_data_from_array_1_0(digest)
+            )
+            member.write(digest.data)
 
 
 def _write_sidecar(path, data, sha256: str) -> None:
     """Cache a checked full parse beside its CSV; a directory that refuses
-    the write is left without a sidecar.
-
-    The bytes are those ``np.savez(fh, data=data, sha256=np.array(sha256))``
-    writes, but each ``.npy`` member is written from the array's own buffer,
-    where ``np.savez`` would copy the matrix in 16 MiB chunks. Zip members
-    are dated 1980-01-01, so the same matrix always gives the same file.
-    """
-    arrays = {"data": data, "sha256": np.array(sha256)}
+    the write is left without a sidecar."""
     try:
-        with (replacing(sidecar_path(path), "wb") as fh,
-              zipfile.ZipFile(fh, "w", allowZip64=True) as zf):
-            for name, arr in arrays.items():
-                with zf.open(name + ".npy", "w", force_zip64=True) as member:
-                    header = np.lib.format.header_data_from_array_1_0(arr)
-                    np.lib.format.write_array_header_1_0(member, header)
-                    member.write(arr.data)
+        with replacing(sidecar_path(path), "wb") as fh:
+            _save_sidecar(fh, data.shape, [data], lambda: sha256)
     except OSError:
         pass
 
 
-def _dataset(data, n_feat: int, with_p_true: bool, sha256: str) -> Dataset:
-    """Split a checked, C-contiguous (n, columns) matrix into the Dataset's
-    arrays, without a second matrix.
+class DatasetInfo(NamedTuple):
+    """What a scan knows of a dataset file before its first row: its path,
+    its data-row count and feature count, whether a p_true column follows
+    the label, and the sha256 of its bytes."""
 
-    The label and p_true columns are copied out first. Then the feature
-    columns are moved to the front of the matrix's own buffer, front to
-    back, MOVE_BLOCK_ROWS rows at a time, and x is the C-contiguous (n, F)
-    view of that front. ``data`` is overwritten.
+    path: str
+    n_rows: int
+    n_features: int
+    with_p_true: bool
+    sha256: str
+
+
+class Block(NamedTuple):
+    """Consecutive data rows of a dataset file: their row range and (rows, F)
+    features, labels (as the floats 0 and 1) and p_true (None without the
+    column). The arrays are views of the scan's buffer, valid until the next
+    block is taken."""
+
+    rows: slice
+    x: np.ndarray
+    y: np.ndarray
+    p_true: np.ndarray | None
+
+
+class _Layout(NamedTuple):
+    """A dataset file's header line index, column count, feature count and
+    whether a p_true column follows the label."""
+
+    header_idx: int
+    n_cols: int
+    n_feat: int
+    with_p_true: bool
+
+
+# the fixed part of a zip member's local header (APPNOTE 4.3.7); its last two
+# fields are the lengths of the file name and the extra field that follow it
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
+_LOCAL_HEADER_MAGIC = b"PK\x03\x04"
+
+
+class _StaleSidecar(Exception):
+    """The sidecar is absent or unreadable, or does not hold the parsed
+    matrix of the file's bytes."""
+
+
+def _block(rows: slice, matrix, layout: _Layout) -> Block:
+    n_feat = layout.n_feat
+    p_true = matrix[:, n_feat + 1] if layout.with_p_true else None
+    return Block(rows, matrix[:, :n_feat], matrix[:, n_feat], p_true)
+
+
+def _sidecar_blocks(fh, crc: int, expected_crc: int, layout: _Layout, bounds: list[slice]):
+    """Read the rows of a ``data.npy`` member from a binary file positioned at
+    its first row, in the order of ``bounds``, into one reused (largest
+    block, columns) buffer, and yield each block once its values pass the
+    checks a parse runs. ``crc`` is the zip CRC-32 of the member's header;
+    the rows carry it on, and at the end it must be the member's CRC. A
+    short read, a failed check or another CRC is _StaleSidecar."""
+    buf = np.empty((max((r.stop - r.start for r in bounds), default=0), layout.n_cols))
+    raw = buf.reshape(-1).view(np.uint8)
+    for rows in bounds:
+        size = (rows.stop - rows.start) * layout.n_cols * buf.itemsize
+        if fh.readinto(raw[:size]) != size:
+            raise _StaleSidecar
+        crc = zlib.crc32(raw[:size], crc)
+        matrix = buf[: rows.stop - rows.start]
+        if _failed_checks(matrix, layout.n_feat, layout.with_p_true):
+            raise _StaleSidecar
+        yield _block(rows, matrix, layout)
+    if crc != expected_crc:
+        raise _StaleSidecar
+
+
+def _scan_sidecar(path, layout: _Layout, sha256: str, consume, bounds):
+    """consume(info, blocks) over the rows of the sidecar of ``path``, read
+    in the row blocks ``bounds(n_rows)``.
+
+    Before any row is read, the sidecar's ``sha256`` member must hold
+    ``sha256``, and its ``data.npy`` member must be stored uncompressed and
+    hold just a C-ordered (n, columns) float64 matrix. Its rows are then
+    read in order straight from the file, and after ``consume`` returns any
+    rows it left are read, so the member's CRC is always checked. A sidecar
+    that fails any of this, or whose rows fail a value check, raises
+    _StaleSidecar, and what ``consume`` made of its rows is to be thrown
+    away.
     """
-    y = data[:, n_feat].astype(int)
-    p_true = data[:, n_feat + 1].copy() if with_p_true else None
-    n = len(data)
-    x = data.reshape(-1)[: n * n_feat].reshape(n, n_feat)
-    # earlier blocks write only below this block's source rows, and numpy
-    # buffers a block copy whose two sides overlap
-    for start in range(0, n, MOVE_BLOCK_ROWS):
-        rows = slice(start, start + MOVE_BLOCK_ROWS)
-        x[rows] = data[rows, :n_feat]
-    return Dataset(x, y, p_true, sha256)
+    fmt = np.lib.format
+    try:
+        fh = open(sidecar_path(path), "rb")
+    except OSError as exc:
+        raise _StaleSidecar from exc
+    with fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                with zf.open("sha256.npy") as member:
+                    stored = fmt.read_array(member, allow_pickle=False)
+                entry = zf.getinfo("data.npy")
+            # the member's bytes follow its local header, whose fixed part
+            # ends with the lengths of the name and extra fields after it
+            fh.seek(entry.header_offset)
+            local = fh.read(_LOCAL_HEADER.size)
+            if len(local) != _LOCAL_HEADER.size or local[:4] != _LOCAL_HEADER_MAGIC:
+                raise _StaleSidecar
+            name_len, extra_len = _LOCAL_HEADER.unpack(local)[-2:]
+            start = entry.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+            fh.seek(start)
+            read_header = {(1, 0): fmt.read_array_header_1_0,
+                           (2, 0): fmt.read_array_header_2_0}[fmt.read_magic(fh)]
+            shape, fortran_order, dtype = read_header(fh)
+            header_len = fh.tell() - start
+            fh.seek(start)
+            crc = zlib.crc32(fh.read(header_len))
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise _StaleSidecar from exc
+        if (
+            stored.shape != () or stored.item() != sha256
+            or entry.compress_type != zipfile.ZIP_STORED or entry.flag_bits & 0x1  # encrypted
+            or dtype != np.float64 or fortran_order
+            or len(shape) != 2 or shape[1] != layout.n_cols
+            or entry.file_size != header_len + shape[0] * shape[1] * dtype.itemsize
+        ):
+            raise _StaleSidecar
+        info = DatasetInfo(str(path), shape[0], layout.n_feat, layout.with_p_true, sha256)
+        blocks = _sidecar_blocks(fh, crc, entry.CRC, layout, bounds(shape[0]))
+        result = consume(info, blocks)
+        for _ in blocks:
+            pass
+        return result
+
+
+def _parse(path, fh, layout: _Layout, rows=None):
+    """The checked (n, columns) matrix of a dataset file's data rows, or of
+    the rows that ``rows`` selects, in its order, parsed from the open
+    binary file. The bytes are streamed from the file PARSE_BLOCK_CHARS at a
+    time: a full parse counts the data lines, then streams them into
+    ``np.loadtxt`` with that row count, and a ``rows=`` parse keeps only the
+    selected lines. A list of every line, or a matrix grown row block by
+    row block, would leave freed memory in the allocator's heap, by an
+    amount that depends on the input. Raises DatasetFormatError naming the
+    line of the first malformed or failing row."""
+
+    def numbered():
+        fh.seek(0)
+        return _numbered_lines(_line_blocks(fh, PARSE_BLOCK_CHARS), layout.header_idx)
+
+    listed = None
+    if rows is None:
+        n_rows = sum(1 for _ in numbered())
+    else:
+        wanted = set(rows.tolist())
+        selected, n_rows = {}, 0
+        for item in numbered():
+            if n_rows in wanted:
+                selected[n_rows] = item
+            n_rows += 1
+        _check_bounds(path, rows, n_rows)
+        listed = [selected[i] for i in rows.tolist()]
+        n_rows = len(listed)
+    lines = numbered() if listed is None else iter(listed)
+    data = _loadtxt((line for _, line in lines), n_rows, layout.n_cols)
+    failed = [] if data is None else _failed_checks(data, layout.n_feat, layout.with_p_true)
+    if data is None or failed:
+        # loadtxt numbers rows inconsistently in its errors, so the file
+        # line of each data row is listed to name a bad row
+        if listed is None:
+            listed = list(numbered())
+        if data is None:
+            raise _parse_error(path, listed, layout.n_cols)
+        bad, message = failed[0]
+        raise DatasetFormatError(f"{path}: line {listed[np.argmax(bad)][0]}: {message}")
+    return data
+
+
+def take_rows(info: DatasetInfo, blocks, rows=None, dtype=np.float64) -> Dataset:
+    """A Dataset of the data rows that the index array ``rows`` selects (in
+    its order; every row when None) from the blocks of a scan, with x in
+    ``dtype``. Each array is allocated once at its final size and filled
+    block by block, so beside them only the scan's buffer is held."""
+    if rows is not None:
+        _check_bounds(info.path, rows, info.n_rows)
+        order = np.argsort(rows, kind="stable")
+        in_order = rows[order]
+    n = info.n_rows if rows is None else len(rows)
+    x = np.empty((n, info.n_features), dtype=dtype)
+    y = np.empty(n, dtype=int)
+    p_true = np.empty(n) if info.with_p_true else None
+    for block in blocks:
+        if rows is None:
+            dest, src = block.rows, slice(None)
+        else:
+            lo, hi = np.searchsorted(in_order, (block.rows.start, block.rows.stop))
+            dest, src = order[lo:hi], in_order[lo:hi] - block.rows.start
+        x[dest] = block.x[src]
+        y[dest] = block.y[src]
+        if p_true is not None:
+            p_true[dest] = block.p_true[src]
+    return Dataset(x, y, p_true, info.sha256)
+
+
+def _read(path, consume, sha256, bounds, rows=None):
+    """consume(info, blocks) over a dataset file's rows: those of its
+    sidecar when that holds the parse of the file's bytes, or else those of
+    a parse, which then saves its sidecar. With ``rows``, ``consume`` takes
+    a ``rows`` keyword: a sidecar's blocks are consumed with ``rows=rows``,
+    and a parse of only the selected rows, which saves no sidecar, is
+    consumed whole."""
+    with open(path, "rb") as fh:
+        layout = _Layout(*_parse_header(path, _leading_lines(fh)))
+        digest = _digest(fh)
+        if sha256 is not None and digest != sha256:
+            fh.seek(0)
+            lines = _numbered_lines(_line_blocks(fh, HASH_BLOCK_BYTES), layout.header_idx)
+            raise DatasetDigestError(path, sum(1 for _ in lines))
+        rows = _row_index(rows)
+        warm = consume if rows is None else functools.partial(consume, rows=rows)
+        try:
+            return _scan_sidecar(path, layout, digest, warm, bounds)
+        except _StaleSidecar:
+            pass
+        data = _parse(path, fh, layout, rows)
+    if rows is None:
+        _write_sidecar(path, data, digest)
+    info = DatasetInfo(str(path), len(data), layout.n_feat, layout.with_p_true, digest)
+    return consume(info, (_block(r, data[r], layout) for r in bounds(len(data))))
+
+
+def _read_bounds(n_rows: int) -> list[slice]:
+    return _row_slices(0, n_rows, READ_BLOCK_ROWS)
+
+
+def scan_dataset(path, consume, sha256=None, bounds=None):
+    """Return ``consume(info, blocks)``: ``info`` is the file's DatasetInfo,
+    and ``blocks`` yields a Block for each row range of ``bounds(n_rows)``
+    (consecutive slices that cover the data rows; READ_BLOCK_ROWS rows each
+    by default), in order. This is how a caller keeps only what it needs of
+    each block, instead of the whole (n, F) matrix.
+
+    A warm scan reads the sidecar's uncompressed ``data.npy`` member in
+    order, one block at a time, into one reused buffer. If the sidecar turns
+    out to be unusable part way (a value check fails, or the member ends
+    early or has the wrong CRC, which is only known at its end), ``consume``
+    is run again from the start on the rows of a parse of the CSV, so it
+    must not act on its rows before it returns. A cold scan parses the
+    whole file and saves its sidecar, and its blocks are views of the
+    parsed matrix.
+
+    ``sha256`` and the errors are those of read_dataset.
+    """
+    return _read(path, consume, sha256, bounds or _read_bounds)
 
 
 def read_dataset(path, rows=None, sha256=None) -> Dataset:
     """Parse a dataset CSV into a Dataset: (x, y, p_true) arrays and the
     sha256 of the file's bytes; p_true is None when the file has no p_true
-    column. x is a C-contiguous view of the parsed or loaded matrix,
-    compacted in its own buffer (see ``_dataset``), so a read holds one
-    matrix beside row-block temporaries. The file is hashed in blocks, and
-    its bytes are read whole only for a parse or to count the rows of a
-    file with another digest.
+    column. The arrays are filled block by block from a scan (see
+    ``scan_dataset`` and ``take_rows``); the file is hashed in blocks, and a
+    parse streams it.
 
     ``rows``, when given, is an index array into the data rows (0-based, in
-    file order): only those rows are parsed and checked, and they are
+    file order): only those rows are kept and checked, and they are
     returned in the order of ``rows``, so ``read_dataset(path, rows=idx)``
     equals ``read_dataset(path)`` indexed by ``idx`` whenever the whole file
-    is valid. An index outside the data rows raises DatasetFormatError.
+    is valid. A parse then parses only the selected lines. An index outside
+    the data rows raises DatasetFormatError.
 
     ``sha256``, when given, is the digest the file must have: other bytes
     raise DatasetDigestError, which counts the file's data rows, before any
     row is selected or parsed.
 
-    A full read that passes every check caches the parsed matrix with the
-    digest in ``sidecar_path(path)``. A later read of the same bytes, full
-    or partial, loads that matrix instead of parsing the data rows, and
-    runs the same checks on it; if they fail it parses the CSV after all.
-    A sidecar that does not match or cannot be read is passed over, and
-    one that cannot be written is skipped.
+    A full read that parses the file and passes every check caches the
+    parsed matrix with the digest in ``sidecar_path(path)``, as
+    write_dataset does when it writes the file. A later read of the same
+    bytes, full or partial, reads that matrix instead of parsing the data
+    rows, and runs the same checks on it; if they fail, or the sidecar is
+    damaged, it parses the CSV after all. A sidecar that does not match or
+    cannot be read is passed over, and one that cannot be written is
+    skipped.
 
     Raises DatasetFormatError naming the 1-based line for a malformed row, a
     wrong column count, a bad header, a non-finite feature, a label other
     than 0/1, or a p_true outside [0, 1]. Leading '#' comment lines and
     blank lines are skipped; a header-only file yields zero rows.
     """
-    with open(path, "rb") as fh:
-        idx, n_cols, n_feat, with_p_true = _parse_header(path, _leading_lines(fh))
-        digest = _digest(fh)
-        if sha256 is not None and digest != sha256:
-            fh.seek(0)
-            n_rows = sum(1 for _ in _numbered_lines(fh.read(), idx))
-            raise DatasetDigestError(path, n_rows)
-        rows = _row_index(rows)
-
-        cached = _load_sidecar(path, digest, n_cols)
-        if cached is not None:
-            _check_bounds(path, rows, len(cached))
-            data = cached if rows is None else cached[rows]
-            del cached  # a rows= read keeps only its selection
-            if not _failed_checks(data, n_feat, with_p_true):
-                return _dataset(data, n_feat, with_p_true, digest)
-            del data  # not needed by the parse below
-
-        fh.seek(0)
-        raw = fh.read()
-    # a full read counts its lines, then streams them into loadtxt: a list
-    # of every line, or a matrix grown row block by row block, would leave
-    # freed memory in the allocator's heap, by an amount that depends on the
-    # input. A rows= read keeps only the selected lines.
-    numbered = None
-    if rows is None:
-        n_rows = sum(1 for _ in _numbered_lines(raw, idx))
-    else:
-        wanted = set(rows.tolist())
-        selected, n_rows = {}, 0
-        for item in _numbered_lines(raw, idx):
-            if n_rows in wanted:
-                selected[n_rows] = item
-            n_rows += 1
-        _check_bounds(path, rows, n_rows)
-        numbered = [selected[i] for i in rows.tolist()]
-        n_rows = len(numbered)
-    lines = _numbered_lines(raw, idx) if numbered is None else iter(numbered)
-    data = _loadtxt((line for _, line in lines), n_rows, n_cols)
-    failed = [] if data is None else _failed_checks(data, n_feat, with_p_true)
-    if data is None or failed:
-        # loadtxt numbers rows inconsistently in its errors, so the file
-        # line of each data row is listed to name a bad row
-        if numbered is None:
-            numbered = list(_numbered_lines(raw, idx))
-        if data is None:
-            raise _parse_error(path, numbered, n_cols)
-        bad, message = failed[0]
-        raise DatasetFormatError(f"{path}: line {numbered[np.argmax(bad)][0]}: {message}")
-    del raw  # keeps the bytes out of the write's and the caller's memory
-    if rows is None:
-        _write_sidecar(path, data, digest)
-    return _dataset(data, n_feat, with_p_true, digest)
+    return _read(path, take_rows, sha256, _read_bounds, rows)

@@ -166,27 +166,33 @@ def _check_batch(params: ModelParams, x) -> np.ndarray:
     return x
 
 
+def row_blocks(n: int) -> list[slice]:
+    """The contiguous row blocks ``forward`` runs n rows in:
+    ``max(1, n // FORWARD_BLOCK_ROWS)`` equal ones (see FORWARD_BLOCK_ROWS).
+    A caller that hands ``forward`` these blocks one at a time gets the
+    outputs of one call on all n rows, bit for bit."""
+    n_blocks = max(1, n // FORWARD_BLOCK_ROWS)
+    return [slice(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
+
+
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Raw network outputs for an (n, F) batch.
 
     Output width is 2 (logits), or 3 with the density head: columns 0-1 are
     the logit means and column 2 is the raw noise output.
 
-    The rows run in ``max(1, n // FORWARD_BLOCK_ROWS)`` equal contiguous
-    blocks, each written into one preallocated (n, out) array. Within a
-    block only the current layer is kept: each hidden activation is computed
-    in place and freed once the next layer's product exists, so the pass
-    holds at most two (block, width) arrays beside its input and output. A
+    The rows run in the equal contiguous blocks of ``row_blocks(n)``, each
+    written into one preallocated (n, out) array. Within a block only the
+    current layer is kept: each hidden activation is computed in place and
+    freed once the next layer's product exists, so the pass holds at most
+    two (block, width) arrays beside its input and output. A
     batch below ``2 * FORWARD_BLOCK_ROWS`` rows is one block and gives the
     training pass's values bit for bit; ``FORWARD_BLOCK_ROWS`` says why
     larger batches run in large equal blocks.
     """
     x = _check_batch(params, x)
-    n = len(x)
-    n_blocks = max(1, n // FORWARD_BLOCK_ROWS)
-    out = np.empty((n, params.weights[-1].shape[1]), dtype=x.dtype)
-    for i in range(n_blocks):
-        rows = slice(i * n // n_blocks, (i + 1) * n // n_blocks)
+    out = np.empty((len(x), params.weights[-1].shape[1]), dtype=x.dtype)
+    for rows in row_blocks(len(x)):
         h = x[rows]
         for w, b in zip(params.weights[:-1], params.biases[:-1]):
             h = h @ w

@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -176,6 +177,89 @@ def test_gen_csv_bodies_are_pinned(tmp_path, capsys):
         "train.csv": "00422abadf3479e14b97247bccec012ad44cc43feeaa5ce4887d583952f39b53",
         "test.csv": "013e15035a49b12f54a8ba1b6065ebf95ff9c1308f3ffa1f53ab9f6c76ac411d",
     }
+
+
+# the sha256 of whole gen files (comment line included), taken from the
+# whole-matrix generator and writer that came before GeneratedDataset
+GEN_FILE_DIGESTS = {
+    7: {
+        "train.csv": "5c1e1c9c611b53c8210b914aac0404080b016806a7a9b77aa31eb9f84b9ee1b1",
+        "test.csv": "bf6691e0d958e2758abdb6241fa5fb1c38eb0f7e0f2bb61ba69efb55f23e437f",
+    },
+    42: {
+        "train.csv": "91c4da7222a227a45daa33ef12515875beec5f1eab340ba214a1b7f476385a4c",
+        "test.csv": "9e3ee28312bfe9fa628cbf3c6f77793cabc2a3914e60f41ec020940e7265da69",
+    },
+}
+# 1000 train rows end inside a generation block, so the test file starts
+# part way through one
+PINNED_GEN = ["gen", "--n-train", "1000", "--n-test", "300", "--n-features", "40",
+              "--roster-size", "16", "--out", "gen"]
+
+
+@pytest.mark.parametrize("seed", sorted(GEN_FILE_DIGESTS))
+def test_gen_files_are_pinned(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.chdir(tmp_path)  # a relative --out keeps the comment line fixed
+    assert cli.main([*PINNED_GEN, "--seed", str(seed)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "gen" / name).read_bytes()).hexdigest()
+               for name in ("train.csv", "test.csv")}
+    assert digests == GEN_FILE_DIGESTS[seed]
+
+
+def test_gen_block_size_changes_no_byte(tmp_path, monkeypatch, capsys):
+    # 8-row blocks put the train/test cut and the block edges elsewhere
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*PINNED_GEN, "--seed", "7"]) == 0
+    files = ("train.csv", "test.csv", "train.csv.npz", "test.csv.npz")
+    expected = {name: (tmp_path / "gen" / name).read_bytes() for name in files}
+    monkeypatch.setattr(datagen, "GEN_BLOCK_ROWS", 8)
+    assert cli.main([*PINNED_GEN, "--seed", "7"]) == 0
+    assert {name: (tmp_path / "gen" / name).read_bytes() for name in files} == expected
+
+
+def test_gen_sidecars_are_those_of_a_cold_read(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert cli.main(["gen", "--n-train", "600", "--n-test", "90", "--n-features", "25",
+                     "--roster-size", "12", "--seed", "3", "--out", str(out)]) == 0
+    for name in ("train.csv", "test.csv"):
+        sidecar = datagen.sidecar_path(out / name)
+        written = sidecar.read_bytes()
+        sidecar.unlink()
+        datagen.read_dataset(out / name)  # parses, then saves the sidecar
+        assert sidecar.read_bytes() == written
+
+
+def test_write_dataset_sidecar_is_that_of_a_cold_read_with_signed_zeros(tmp_path):
+    # -0.0 is written as "0", so the sidecar must hold +0.0 where x and y
+    # hold -0.0; p_true is written by repr, so its -0.0 stays
+    x, y, p_true = datagen.generate_dataset(small_config(40, seed=2))
+    y = y.astype(float)
+    x[[0, 5, 39], [3, 20, 24]] = -0.0
+    y[y == 0.0] = -0.0
+    p_true[7] = -0.0
+    path = tmp_path / "zeros.csv"
+    datagen.write_dataset(path, x, y, p_true, roster_size=12)
+    written = datagen.sidecar_path(path).read_bytes()
+    datagen.sidecar_path(path).unlink()
+    datagen.read_dataset(path)
+    assert datagen.sidecar_path(path).read_bytes() == written
+
+
+def test_generating_and_writing_holds_no_feature_matrix(tmp_path, capsys):
+    # gen makes and writes the rows block by block: 9000 more rows add their
+    # per-row vectors (scalars, pick indices, p_true, labels, the float
+    # copies written per file) and distinct values to the text table, about
+    # 180 bytes a row here, but no (n, F) matrix of 2360 bytes a row
+    def gen_peak(n_rows):
+        out = tmp_path / str(n_rows)
+        _, peak = traced_peak(lambda: cli.main([
+            "gen", "--n-train", str(n_rows - 500), "--n-test", "500", "--seed", "3",
+            "--out", str(out),
+        ]))
+        return peak
+
+    growth = gen_peak(12000) - gen_peak(3000)
+    assert growth <= 9000 * 400
 
 
 # --- oracle_ece ----------------------------------------------------------------
@@ -362,13 +446,15 @@ def test_write_refuses_what_read_would_reject(tmp_path, column, row, value, mess
     path = tmp_path / "d.csv"
     datagen.write_dataset(path, x, y, p_true, roster_size=12)
     before = path.read_bytes()
+    sidecar_before = datagen.sidecar_path(path).read_bytes()
     y = y.astype(float)
     target = {"x": x[:, 2], "y": y, "p": p_true}[column]
     target[row] = value
     with pytest.raises(ValueError, match=f"row {row}: {message}"):
         datagen.write_dataset(path, x, y, p_true, roster_size=12)
     assert path.read_bytes() == before
-    assert [f.name for f in tmp_path.iterdir()] == ["d.csv"]
+    assert datagen.sidecar_path(path).read_bytes() == sidecar_before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.csv", "d.csv.npz"]
 
 
 def test_write_names_the_first_bad_row(tmp_path):
@@ -491,6 +577,7 @@ def test_a_cold_read_gives_loadtxt_its_row_count(tmp_path, monkeypatch):
     data = datagen.generate_dataset(small_config(30, seed=2))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, *data, roster_size=12, comment="meta")
+    datagen.sidecar_path(path).unlink()
     loadtxt = np.loadtxt
     calls = []
 
@@ -543,7 +630,7 @@ def _no_parse(monkeypatch):
 
 def test_sidecar_hit_equals_a_cold_parse(tmp_path, monkeypatch):
     path = _written(tmp_path)
-    assert not datagen.sidecar_path(path).exists()  # write_dataset caches nothing
+    datagen.sidecar_path(path).unlink()  # the one write_dataset wrote
     cold = datagen.read_dataset(path)
     idx = np.array([7, 0, 29, 7, 12])
     cold_part = datagen.read_dataset(path, rows=idx)
@@ -587,6 +674,27 @@ def _fake_sidecar(path, damage):
     sidecar = datagen.sidecar_path(path)
     with np.load(sidecar, allow_pickle=False) as cached:
         data, digest = cached["data"], cached["sha256"]
+    if damage == "flipped byte":
+        # the lowest mantissa bit of one feature value: the value stays
+        # finite and passes every check, so only the zip CRC can tell
+        raw = bytearray(sidecar.read_bytes())
+        at = raw.find(data[3].tobytes())
+        assert at > 0
+        raw[at + 8 * 4] ^= 1
+        sidecar.write_bytes(bytes(raw))
+        return
+    if damage == "short header":
+        # the header counts 5 rows fewer than the member holds
+        with zipfile.ZipFile(sidecar, "w") as zf:
+            with zf.open("data.npy", "w") as member:
+                np.lib.format.write_array_header_1_0(member, {
+                    "descr": "<f8", "fortran_order": False,
+                    "shape": (len(data) - 5, data.shape[1]),
+                })
+                member.write(data.tobytes())
+            with zf.open("sha256.npy", "w") as member:
+                np.lib.format.write_array(member, digest)
+        return
     if damage in ("truncated", "empty"):
         keep = sidecar.stat().st_size // 2 if damage == "truncated" else 0
         sidecar.write_bytes(sidecar.read_bytes()[:keep])
@@ -621,7 +729,10 @@ def test_sidecar_bytes_are_those_of_np_savez(tmp_path, n_rows):
     expected = io.BytesIO()
     np.savez(expected, data=data, sha256=np.array(digest))
     assert written == expected.getvalue()
-    cached = datagen._load_sidecar(path, digest, data.shape[1])
+    # a warm read takes those bytes as they are: 0 rows are 0 rows
+    cached = datagen.scan_dataset(path, lambda info, blocks: np.concatenate(
+        [np.column_stack([b.x, b.y, b.p_true]) for b in blocks] or [np.empty((0, 27))]
+    ))
     assert cached.shape == data.shape and cached.tobytes() == data.tobytes()
 
 
@@ -635,32 +746,66 @@ def test_sidecar_write_does_not_copy_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    cached = datagen._load_sidecar(path, "0" * 64, 512)
-    assert cached.tobytes() == data.tobytes()
+    with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
+        assert cached["sha256"].item() == "0" * 64
+        assert cached["data"].tobytes() == data.tobytes()
+
+
+def _scanned(path):
+    """A scan_dataset read of every row in 7-row blocks, as read_dataset's
+    arrays; each block is copied as it comes, since its views are reused."""
+    def consume(info, blocks):
+        parts = [(b.x.copy(), b.y.astype(int), b.p_true.copy()) for b in blocks]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    return datagen.scan_dataset(path, consume, bounds=lambda n: [
+        slice(i, min(i + 7, n)) for i in range(0, n, 7)
+    ])
 
 
 @pytest.mark.parametrize("damage", [
     "truncated", "empty", "npy", "narrow", "float32", "other digest", "no digest", "bad values",
+    "flipped byte", "short header",
 ])
 def test_a_broken_sidecar_is_ignored_and_rewritten(tmp_path, damage):
     path = _written(tmp_path)
+    sidecar = datagen.sidecar_path(path)
+    sidecar.unlink()
     cold = datagen.read_dataset(path)
-    with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
-        good = cached["data"]
+    good = sidecar.read_bytes()
+    # each read meets a freshly broken sidecar and equals the cold parse
     _fake_sidecar(path, damage)
-    part = datagen.read_dataset(path, rows=[3, 1])
+    part = datagen.read_dataset(path, rows=[3, 1, 29])
     for got, want in zip(part[:3], cold[:3]):
-        assert got.tobytes() == want[[3, 1]].tobytes()
-    warm = datagen.read_dataset(path)
-    for got, want in zip(warm[:3], cold[:3]):
-        assert got.tobytes() == want.tobytes()
-    with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
-        assert cached["sha256"].item() == cold.sha256
-        assert cached["data"].tobytes() == good.tobytes()
+        assert got.tobytes() == want[[3, 1, 29]].tobytes()
+    for read in (_scanned, datagen.read_dataset):
+        sidecar.write_bytes(good)
+        _fake_sidecar(path, damage)
+        for got, want in zip(read(path)[:3], cold[:3]):
+            assert got.tobytes() == want.tobytes()
+        assert sidecar.read_bytes() == good  # a full read rewrote it
+
+
+def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path):
+    # the flipped byte lies in the last row; a consumer that takes only the
+    # first block still gets a scan that reads on to the CRC, falls back to
+    # a parse and rewrites the sidecar
+    path = _written(tmp_path)
+    sidecar = datagen.sidecar_path(path)
+    good = sidecar.read_bytes()
+    with np.load(sidecar, allow_pickle=False) as cached:
+        last = cached["data"][-1].tobytes()
+    raw = bytearray(good)
+    raw[raw.find(last) + 8 * 4] ^= 1
+    sidecar.write_bytes(bytes(raw))
+    first = datagen.scan_dataset(path, lambda info, blocks: next(blocks).x.copy())
+    assert first.tobytes() == datagen.read_dataset(path).x[: datagen.READ_BLOCK_ROWS].tobytes()
+    assert sidecar.read_bytes() == good
 
 
 def test_a_file_that_fails_its_checks_leaves_no_sidecar(tmp_path):
     path = _written(tmp_path)
+    datagen.sidecar_path(path).unlink()  # the one write_dataset wrote
     lines = path.read_text().splitlines()
     fields = lines[6].split(",")
     fields[-1] = "1.5"  # p_true of data row 4
@@ -732,6 +877,36 @@ def test_a_warm_read_holds_one_matrix(wide_csv):
     for got, want in zip(warm[:3], data):
         np.testing.assert_array_equal(got, want)
     assert peak <= 1.2 * matrix_bytes
+
+
+def test_a_warm_rows_read_holds_its_rows_and_one_block(wide_csv, monkeypatch):
+    # the sidecar's rows are read one READ_BLOCK_ROWS block at a time and
+    # only the selected ones kept, so the read holds about 300 + 256 rows
+    # of the 3000; 64 KiB hash reads keep the file's hashing out of the peak
+    path, (x, _, _) = wide_csv
+    datagen.read_dataset(path)  # makes sure the sidecar is there
+    monkeypatch.setattr(datagen, "HASH_BLOCK_BYTES", 1 << 16)
+    rows = np.random.default_rng(1).permutation(3000)[:300]
+    part, peak = traced_peak(lambda: datagen.read_dataset(path, rows=rows))
+    np.testing.assert_array_equal(part.x, x[rows])
+    row_bytes = (x.shape[1] + 2) * 8
+    assert peak <= 1.25 * (len(rows) + datagen.READ_BLOCK_ROWS) * row_bytes
+
+
+def test_a_read_with_another_digest_counts_rows_in_blocks(wide_csv, monkeypatch):
+    # the wrong file is only counted, HASH_BLOCK_BYTES at a time, never
+    # held whole
+    path, _ = wide_csv
+    monkeypatch.setattr(datagen, "HASH_BLOCK_BYTES", 1 << 16)
+
+    def read():
+        with pytest.raises(datagen.DatasetDigestError) as info:
+            datagen.read_dataset(path, rows=[0], sha256="0" * 64)
+        return info.value.n_rows
+
+    n_rows, peak = traced_peak(read)
+    assert n_rows == 3000
+    assert peak < 0.25 * path.stat().st_size
 
 
 def test_read_with_another_digest_counts_rows_and_parses_nothing(tmp_path, monkeypatch):

@@ -162,6 +162,17 @@ def test_forward_runs_a_large_batch_in_equal_row_blocks():
     assert peak - out.nbytes < 3 * block_activation
 
 
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 3 * 4096 + 37, 50000])
+def test_row_blocks_are_the_equal_blocks_forward_runs(n):
+    blocks = nn.row_blocks(n)
+    assert len(blocks) == max(1, n // nn.FORWARD_BLOCK_ROWS)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = {b.stop - b.start for b in blocks}
+    assert max(sizes) - min(sizes) <= 1
+    assert n < 2 * nn.FORWARD_BLOCK_ROWS or min(sizes) >= nn.FORWARD_BLOCK_ROWS
+
+
 # --- softmax / the cross-entropy loss ----------------------------------------
 
 def test_softmax_symmetry():
