@@ -18,13 +18,12 @@ is exactly reproducible from its own file.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import hashlib
 import itertools
-import struct
 import zipfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -60,6 +59,9 @@ PARSE_BLOCK_CHARS = 1 << 20
 # a read hashes a file, and counts the lines of a file with another digest,
 # this many bytes at a time
 HASH_BLOCK_BYTES = 1 << 20
+# a scan reads a sidecar's rows this many bytes at a time: a zip member's
+# readinto copies through a bytes object of the size it is asked for
+SIDECAR_READ_BYTES = 1 << 16
 # scan_dataset's row blocks when its caller names none
 READ_BLOCK_ROWS = 256
 # GeneratedDataset draws its picks and p_true this many rows at a time, and
@@ -421,21 +423,34 @@ def _checked_blocks(blocks, n_features: int, y, p_true):
         raise ValueError("x, y and p_true must have one entry per row")
 
 
+# write_dataset gives the integral cells within this bound (the comp columns,
+# minutes, kill counts) their text from one fixed table, without a sort
+_SMALL_INT = 1024
+# each entry carries the comma that follows a value in a row
+_SMALL_INT_TEXT = np.array([f"{i}," for i in range(-_SMALL_INT, _SMALL_INT + 1)], dtype=object)
+
+
 def _csv_blocks(checked, y, p_true):
     """(text, parsed) of each checked row block: its CSV lines in the
     format_numbers text of each value, and the float64 rows a parse of those
     lines gives (-0.0 reads back as 0).
 
-    Each distinct value is formatted once: a sorted table of the values met
-    so far, with their text, gains each block's new values, and the block
-    looks its cells up in it. Finite floats that compare equal differ in
-    text only as 0.0 and -0.0, which both format to "0", so the lookup gives
-    every cell the text format_numbers would give it.
+    An integral cell within _SMALL_INT takes its text from a fixed table.
+    Every other distinct value is formatted once: a sorted table of the
+    values met so far, with their text, gains each block's new values, and
+    the block looks its cells up in it. Finite floats that compare equal
+    differ in text only as 0.0 and -0.0, which both format to "0", so the
+    lookup gives every cell the text format_numbers would give it.
     """
     # each value's text carries the comma that follows it in a row
     values, text = np.empty(0), np.empty(0, dtype=object)
     for rows, block in checked:
-        distinct, inverse = np.unique(block, return_inverse=True)
+        n_feat = block.shape[1]
+        cells = np.empty((len(block), n_feat + 1), dtype=object)
+        ints = np.clip(block, -_SMALL_INT, _SMALL_INT).astype(np.intp)
+        cells[:, :n_feat] = _SMALL_INT_TEXT[ints + _SMALL_INT]
+        other = ints != block
+        distinct, inverse = np.unique(block[other], return_inverse=True)
         at = np.searchsorted(values, distinct)
         new = np.ones(len(distinct), dtype=bool)
         if len(values):
@@ -446,9 +461,7 @@ def _csv_blocks(checked, y, p_true):
             text = np.insert(text, at[new], added)
             # each distinct value moves up by the new values below it
             at += np.cumsum(new) - new
-        n_feat = block.shape[1]
-        cells = np.empty((len(block), n_feat + 1), dtype=object)
-        cells[:, :n_feat] = text[at[inverse].reshape(block.shape)]
+        cells[:, :n_feat][other] = text[at[inverse]]
         labels = [str(int(label)) for label in y[rows].tolist()]
         parsed = np.empty((len(block), n_feat + 1 + (p_true is not None)))
         np.add(block, 0.0, out=parsed[:, :n_feat])
@@ -681,12 +694,6 @@ class _Layout(NamedTuple):
     with_p_true: bool
 
 
-# the fixed part of a zip member's local header (APPNOTE 4.3.7); its last two
-# fields are the lengths of the file name and the extra field that follow it
-_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")
-_LOCAL_HEADER_MAGIC = b"PK\x03\x04"
-
-
 class _StaleSidecar(Exception):
     """The sidecar is absent or unreadable, or does not hold the parsed
     matrix of the file's bytes."""
@@ -698,26 +705,27 @@ def _block(rows: slice, matrix, layout: _Layout) -> Block:
     return Block(rows, matrix[:, :n_feat], matrix[:, n_feat], p_true)
 
 
-def _sidecar_blocks(fh, crc: int, expected_crc: int, layout: _Layout, bounds: list[slice]):
-    """Read the rows of a ``data.npy`` member from a binary file positioned at
-    its first row, in the order of ``bounds``, into one reused (largest
-    block, columns) buffer, and yield each block once its values pass the
-    checks a parse runs. ``crc`` is the zip CRC-32 of the member's header;
-    the rows carry it on, and at the end it must be the member's CRC. A
-    short read, a failed check or another CRC is _StaleSidecar."""
+def _sidecar_blocks(member, layout: _Layout, bounds: list[slice]):
+    """Read the rows of an open ``data.npy`` zip member, positioned at its
+    first row, in the order of ``bounds`` into one reused (largest block,
+    columns) buffer, and yield each block once its values pass the checks a
+    parse runs. The member checks its CRC-32 as its last byte is read. A
+    short read, a failed check or a bad CRC is _StaleSidecar."""
     buf = np.empty((max((r.stop - r.start for r in bounds), default=0), layout.n_cols))
     raw = buf.reshape(-1).view(np.uint8)
     for rows in bounds:
         size = (rows.stop - rows.start) * layout.n_cols * buf.itemsize
-        if fh.readinto(raw[:size]) != size:
-            raise _StaleSidecar
-        crc = zlib.crc32(raw[:size], crc)
+        try:
+            for piece in range(0, size, SIDECAR_READ_BYTES):
+                into = raw[piece : min(piece + SIDECAR_READ_BYTES, size)]
+                if member.readinto(into) != len(into):
+                    raise _StaleSidecar
+        except (OSError, EOFError, zipfile.BadZipFile) as exc:
+            raise _StaleSidecar from exc
         matrix = buf[: rows.stop - rows.start]
         if _failed_checks(matrix, layout.n_feat, layout.with_p_true):
             raise _StaleSidecar
         yield _block(rows, matrix, layout)
-    if crc != expected_crc:
-        raise _StaleSidecar
 
 
 def _scan_sidecar(path, layout: _Layout, sha256: str, consume, bounds):
@@ -725,52 +733,38 @@ def _scan_sidecar(path, layout: _Layout, sha256: str, consume, bounds):
     in the row blocks ``bounds(n_rows)``.
 
     Before any row is read, the sidecar's ``sha256`` member must hold
-    ``sha256``, and its ``data.npy`` member must be stored uncompressed and
-    hold just a C-ordered (n, columns) float64 matrix. Its rows are then
-    read in order straight from the file, and after ``consume`` returns any
-    rows it left are read, so the member's CRC is always checked. A sidecar
-    that fails any of this, or whose rows fail a value check, raises
-    _StaleSidecar, and what ``consume`` made of its rows is to be thrown
-    away.
+    ``sha256``, and its ``data.npy`` member must hold just a C-ordered (n,
+    columns) float64 matrix. Its rows are then read in order, and after
+    ``consume`` returns any rows it left are read, so the member's CRC is
+    always checked. A sidecar that fails any of this, or whose rows fail a
+    value check, raises _StaleSidecar, and what ``consume`` made of its rows
+    is to be thrown away.
     """
     fmt = np.lib.format
-    try:
-        fh = open(sidecar_path(path), "rb")
-    except OSError as exc:
-        raise _StaleSidecar from exc
-    with fh:
+    with contextlib.ExitStack() as stack:
         try:
-            with zipfile.ZipFile(fh) as zf:
-                with zf.open("sha256.npy") as member:
-                    stored = fmt.read_array(member, allow_pickle=False)
-                entry = zf.getinfo("data.npy")
-            # the member's bytes follow its local header, whose fixed part
-            # ends with the lengths of the name and extra fields after it
-            fh.seek(entry.header_offset)
-            local = fh.read(_LOCAL_HEADER.size)
-            if len(local) != _LOCAL_HEADER.size or local[:4] != _LOCAL_HEADER_MAGIC:
-                raise _StaleSidecar
-            name_len, extra_len = _LOCAL_HEADER.unpack(local)[-2:]
-            start = entry.header_offset + _LOCAL_HEADER.size + name_len + extra_len
-            fh.seek(start)
+            zf = stack.enter_context(zipfile.ZipFile(stack.enter_context(
+                open(sidecar_path(path), "rb")
+            )))
+            with zf.open("sha256.npy") as member:
+                stored = fmt.read_array(member, allow_pickle=False)
+            member = stack.enter_context(zf.open("data.npy"))
             read_header = {(1, 0): fmt.read_array_header_1_0,
-                           (2, 0): fmt.read_array_header_2_0}[fmt.read_magic(fh)]
-            shape, fortran_order, dtype = read_header(fh)
-            header_len = fh.tell() - start
-            fh.seek(start)
-            crc = zlib.crc32(fh.read(header_len))
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+                           (2, 0): fmt.read_array_header_2_0}[fmt.read_magic(member)]
+            shape, fortran_order, dtype = read_header(member)
+        except (OSError, EOFError, KeyError, ValueError, RuntimeError, NotImplementedError,
+                zipfile.BadZipFile) as exc:  # RuntimeError: encrypted
             raise _StaleSidecar from exc
         if (
             stored.shape != () or stored.item() != sha256
-            or entry.compress_type != zipfile.ZIP_STORED or entry.flag_bits & 0x1  # encrypted
             or dtype != np.float64 or fortran_order
             or len(shape) != 2 or shape[1] != layout.n_cols
-            or entry.file_size != header_len + shape[0] * shape[1] * dtype.itemsize
+            or zf.getinfo("data.npy").file_size
+            != member.tell() + shape[0] * shape[1] * dtype.itemsize
         ):
             raise _StaleSidecar
         info = DatasetInfo(str(path), shape[0], layout.n_feat, layout.with_p_true, sha256)
-        blocks = _sidecar_blocks(fh, crc, entry.CRC, layout, bounds(shape[0]))
+        blocks = _sidecar_blocks(member, layout, bounds(shape[0]))
         result = consume(info, blocks)
         for _ in blocks:
             pass
@@ -877,7 +871,7 @@ def _read_bounds(n_rows: int) -> list[slice]:
     return _row_slices(0, n_rows, READ_BLOCK_ROWS)
 
 
-def scan_dataset(path, consume, sha256=None, bounds=None):
+def scan_dataset(path, consume, bounds=None):
     """Return ``consume(info, blocks)``: ``info`` is the file's DatasetInfo,
     and ``blocks`` yields a Block for each row range of ``bounds(n_rows)``
     (consecutive slices that cover the data rows; READ_BLOCK_ROWS rows each
@@ -893,9 +887,9 @@ def scan_dataset(path, consume, sha256=None, bounds=None):
     whole file and saves its sidecar, and its blocks are views of the
     parsed matrix.
 
-    ``sha256`` and the errors are those of read_dataset.
+    The errors are those of read_dataset.
     """
-    return _read(path, consume, sha256, bounds or _read_bounds)
+    return _read(path, consume, None, bounds or _read_bounds)
 
 
 def read_dataset(path, rows=None, sha256=None) -> Dataset:

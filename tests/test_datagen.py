@@ -399,6 +399,19 @@ def test_write_matches_per_value_rule_on_edge_values(tmp_path):
                          str(int(1e300)), "0.30000000000000004"]
 
 
+def test_write_matches_per_value_rule_around_the_small_integer_table(tmp_path):
+    # integral cells within the bound take their text from a fixed table and
+    # every other cell from the sorted table of values met so far
+    k = float(datagen._SMALL_INT)
+    edge = [k, k + 1, k - 0.5, k + 0.5, 1.0 + 2**-52, 1.0 - 2**-53, 3.0, -0.0]
+    edge += [-v for v in edge]
+    x = np.resize(np.array(edge), (30, 25))
+    _, y, p_true = datagen.generate_dataset(small_config(30, seed=6))
+    assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true)
+    cells = (tmp_path / "d.csv").read_text().splitlines()[1].split(",")
+    assert cells[:4] == ["1024", "1025", "1023.5", "1024.5"]
+
+
 def test_write_matches_per_value_rule_on_all_distinct_values(tmp_path):
     x = np.random.default_rng(3).standard_normal((400, 25))
     assert np.unique(x).size == x.size
@@ -784,6 +797,24 @@ def test_a_broken_sidecar_is_ignored_and_rewritten(tmp_path, damage):
         for got, want in zip(read(path)[:3], cold[:3]):
             assert got.tobytes() == want.tobytes()
         assert sidecar.read_bytes() == good  # a full read rewrote it
+
+
+def test_a_compressed_sidecar_is_read_without_a_parse(tmp_path, monkeypatch):
+    # zipfile inflates the member as it reads it, so a sidecar written by
+    # np.savez_compressed serves a read as one written by np.savez does
+    path = _written(tmp_path)
+    sidecar = datagen.sidecar_path(path)
+    expected = datagen.read_dataset(path)
+    with np.load(sidecar, allow_pickle=False) as cached:
+        arrays = {name: cached[name] for name in ("data", "sha256")}
+    np.savez_compressed(sidecar, **arrays)
+    compressed = sidecar.read_bytes()
+    _no_parse(monkeypatch)
+    warm = datagen.read_dataset(path)
+    assert warm.sha256 == expected.sha256
+    for got, want in zip(warm[:3], expected[:3]):
+        assert got.tobytes() == want.tobytes()
+    assert sidecar.read_bytes() == compressed
 
 
 def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path):
