@@ -818,9 +818,10 @@ def test_a_compressed_sidecar_is_read_without_a_parse(tmp_path, monkeypatch):
 
 
 def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path):
-    # the flipped byte lies in the last row; a consumer that takes only the
-    # first block still gets a scan that reads on to the CRC, falls back to
-    # a parse and rewrites the sidecar
+    # the flipped byte lies in the last row, and the CRC is checked only
+    # when the member's last byte is read; a consumer that takes only the
+    # first 7-row block still gets a scan that reads on to the CRC, falls
+    # back to a parse and rewrites the sidecar
     path = _written(tmp_path)
     sidecar = datagen.sidecar_path(path)
     good = sidecar.read_bytes()
@@ -829,9 +830,10 @@ def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path):
     raw = bytearray(good)
     raw[raw.find(last) + 8 * 4] ^= 1
     sidecar.write_bytes(bytes(raw))
-    first = datagen.scan_dataset(path, lambda info, blocks: next(blocks).x.copy())
-    assert first.tobytes() == datagen.read_dataset(path).x[: datagen.READ_BLOCK_ROWS].tobytes()
+    first = datagen.scan_dataset(path, lambda info, blocks: next(blocks).x.copy(),
+                                 bounds=lambda n: datagen._row_slices(0, n, 7))
     assert sidecar.read_bytes() == good
+    assert first.tobytes() == datagen.read_dataset(path).x[:7].tobytes()
 
 
 def test_a_file_that_fails_its_checks_leaves_no_sidecar(tmp_path):
