@@ -354,7 +354,7 @@ def cmd_calibrate(resolved: dict) -> None:
     _, val, _ = datagen.split(data_rows, (1.0 - val_fraction, val_fraction), split_seed)
     if len(val) == 0:
         raise ValueError("validation split is empty; retrain with a positive val_fraction")
-    # only the validation rows are parsed, so the file must be the one the
+    # only the validation rows are kept, so the file must be the one the
     # model was trained on: the same bytes give the same row numbering
     try:
         xv, yv, _, _ = datagen.read_dataset(data, rows=val, sha256=data_sha256)

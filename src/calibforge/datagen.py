@@ -23,6 +23,7 @@ import copy
 import functools
 import hashlib
 import itertools
+import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,15 +55,14 @@ _PICKS_PER_TEAM = 5
 # sort, index and string arrays to one block whatever the dataset size
 WRITE_BLOCK_ROWS = 1024
 # a parse decodes and splits a file's bytes into lines about this many bytes
-# at a time, so only one block's text and lines are alive while loadtxt parses
+# at a time, so only one chunk's text and lines are alive
 PARSE_BLOCK_CHARS = 1 << 20
-# a read hashes a file, and counts the lines of a file with another digest,
-# this many bytes at a time
+# a read hashes a file, and counts its data lines, this many bytes at a time
 HASH_BLOCK_BYTES = 1 << 20
 # a scan reads a sidecar's rows this many bytes at a time: a zip member's
 # readinto copies through a bytes object of the size it is asked for
 SIDECAR_READ_BYTES = 1 << 16
-# scan_dataset's row blocks when its caller names none
+# a parse's row blocks, and scan_dataset's when its caller names none
 READ_BLOCK_ROWS = 256
 # GeneratedDataset draws its picks and p_true this many rows at a time, and
 # makes its feature rows in blocks of at most this many rows. p_true takes
@@ -337,8 +337,8 @@ def dataset_header(roster_size: int, filler_size: int, with_p_true: bool) -> str
 def write_dataset(
     path, x, y, p_true, roster_size: int, comment: str | None = None
 ) -> None:
-    """Write (x, y, p_true) as CSV, and beside it the sidecar that a full
-    read of the CSV would write; pass p_true=None for data without a known
+    """Write (x, y, p_true) as CSV, and beside it the sidecar that a read of
+    the CSV would write; pass p_true=None for data without a known
     win probability. Values round-trip exactly through read_dataset.
 
     ``x`` is the (n, F) feature array, or an iterator over its consecutive
@@ -396,31 +396,50 @@ def write_dataset(
 
 
 def _checked_blocks(blocks, n_features: int, y, p_true):
-    """(rows, block) of each float row block of x, once its rows pass the
-    checks read_dataset runs; a failed check raises ValueError naming its
-    row (0-based), and so does a block count of rows other than len(y)."""
+    """(rows, block, parsed) of each float row block of x: its row range,
+    the block, and the float64 rows a parse of its CSV lines gives (-0.0
+    reads back as 0), once those pass the checks read_dataset runs. A
+    failed check raises ValueError naming its row (0-based), and so does a
+    block count of rows other than len(y)."""
     start = 0
     for block in blocks:
         block = np.asarray(block, dtype=float)
         rows = slice(start, start + len(block))
         if block.ndim != 2 or block.shape[1] != n_features or rows.stop > len(y):
             raise ValueError("x, y and p_true must have one entry per row")
-        labels = y[rows]
-        checks = [
-            (~np.isfinite(block).all(axis=1), "features must be finite"),
-            ((labels != 0.0) & (labels != 1.0), "label must be 0 or 1"),
-        ]
+        parsed = np.empty((len(block), n_features + 1 + (p_true is not None)))
+        np.add(block, 0.0, out=parsed[:, :n_features])
+        parsed[:, n_features] = y[rows] + 0.0
         if p_true is not None:
-            p = p_true[rows]
-            checks.append((~((p >= 0.0) & (p <= 1.0)), "p_true must lie in [0, 1]"))
-        problems = [(int(np.argmax(bad)), message) for bad, message in checks if bad.any()]
-        if problems:
-            row, message = min(problems)
+            parsed[:, -1] = p_true[rows]
+        failure = _first_failure(parsed, n_features, p_true is not None)
+        if failure is not None:
+            row, message = failure
             raise ValueError(f"row {start + row}: {message}")
-        yield rows, block
+        yield rows, block, parsed
         start = rows.stop
     if start != len(y):
         raise ValueError("x, y and p_true must have one entry per row")
+
+
+def _first_failure(matrix, n_feat: int, with_p_true: bool) -> tuple[int, str] | None:
+    """(row, message) of the first row of a parsed (rows, columns) matrix
+    that fails a value check, with the first check in check order that it
+    fails (a non-finite feature, a label other than 0/1, a p_true outside
+    [0, 1]); None when every row passes."""
+    y = matrix[:, n_feat]
+    checks = [
+        (~np.isfinite(matrix[:, :n_feat]).all(axis=1), "features must be finite"),
+        ((y != 0.0) & (y != 1.0), "label must be 0 or 1"),
+    ]
+    if with_p_true:
+        p_true = matrix[:, n_feat + 1]
+        checks.append((~((p_true >= 0.0) & (p_true <= 1.0)), "p_true must lie in [0, 1]"))
+    failures = [(int(np.argmax(bad)), order) for order, (bad, _) in enumerate(checks) if bad.any()]
+    if not failures:
+        return None
+    row, order = min(failures)
+    return row, checks[order][1]
 
 
 # write_dataset gives the integral cells within this bound (the comp columns,
@@ -432,8 +451,7 @@ _SMALL_INT_TEXT = np.array([f"{i}," for i in range(-_SMALL_INT, _SMALL_INT + 1)]
 
 def _csv_blocks(checked, y, p_true):
     """(text, parsed) of each checked row block: its CSV lines in the
-    format_numbers text of each value, and the float64 rows a parse of those
-    lines gives (-0.0 reads back as 0).
+    format_numbers text of each value, and its parsed rows.
 
     An integral cell within _SMALL_INT takes its text from a fixed table.
     Every other distinct value is formatted once: a sorted table of the
@@ -444,7 +462,7 @@ def _csv_blocks(checked, y, p_true):
     """
     # each value's text carries the comma that follows it in a row
     values, text = np.empty(0), np.empty(0, dtype=object)
-    for rows, block in checked:
+    for rows, block, parsed in checked:
         n_feat = block.shape[1]
         cells = np.empty((len(block), n_feat + 1), dtype=object)
         ints = np.clip(block, -_SMALL_INT, _SMALL_INT).astype(np.intp)
@@ -463,15 +481,11 @@ def _csv_blocks(checked, y, p_true):
             at += np.cumsum(new) - new
         cells[:, :n_feat][other] = text[at[inverse]]
         labels = [str(int(label)) for label in y[rows].tolist()]
-        parsed = np.empty((len(block), n_feat + 1 + (p_true is not None)))
-        np.add(block, 0.0, out=parsed[:, :n_feat])
-        parsed[:, n_feat] = y[rows] + 0.0
         if p_true is None:
             cells[:, n_feat] = [f"{label}\n" for label in labels]
         else:
             p = p_true[rows]
             cells[:, n_feat] = [f"{label},{v!r}\n" for label, v in zip(labels, p.tolist())]
-            parsed[:, -1] = p
         yield "".join(cells.ravel().tolist()), parsed
 
 
@@ -515,17 +529,11 @@ def _numbered_lines(blocks, header_idx: int):
             no += 1
 
 
-def _loadtxt(lines, n_rows: int, n_cols: int):
-    """The (n_rows, n_cols) matrix of an iterator over n_rows CSV data lines,
-    or None when some line does not hold n_cols numbers. Told the row count,
-    loadtxt allocates the matrix once instead of growing it in steps."""
-    if n_rows == 0:
-        return np.empty((0, n_cols))
-    try:
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=n_rows)
-    except ValueError:
-        return None
-    return data if data.shape[1] == n_cols else None
+def _count_rows(fh, header_idx: int) -> int:
+    """The data-row count of an open binary dataset file: its non-blank
+    lines after the header line, read HASH_BLOCK_BYTES at a time."""
+    fh.seek(0)
+    return sum(1 for _ in _numbered_lines(_line_blocks(fh, HASH_BLOCK_BYTES), header_idx))
 
 
 def _leading_lines(fh) -> list[str]:
@@ -604,20 +612,6 @@ def _check_bounds(path, rows, n_rows: int) -> None:
         )
 
 
-def _failed_checks(data, n_feat: int, with_p_true: bool) -> list:
-    """(bad-row mask, message) of each value check some row of the parsed
-    matrix fails, in check order."""
-    y = data[:, n_feat]
-    checks = [
-        (~np.isfinite(data[:, :n_feat]).all(axis=1), "features must be finite"),
-        ((y != 0.0) & (y != 1.0), "label must be 0 or 1"),
-    ]
-    if with_p_true:
-        p_true = data[:, n_feat + 1]
-        checks.append((~((p_true >= 0.0) & (p_true <= 1.0)), "p_true must lie in [0, 1]"))
-    return [(bad, message) for bad, message in checks if bad.any()]
-
-
 def sidecar_path(path) -> Path:
     """Where the parsed matrix of a dataset CSV is cached: the file's name
     with ``.npz`` appended, in the same directory."""
@@ -648,16 +642,6 @@ def _save_sidecar(fh, shape, blocks, sha256: Callable[[], str]) -> None:
                 member, np.lib.format.header_data_from_array_1_0(digest)
             )
             member.write(digest.data)
-
-
-def _write_sidecar(path, data, sha256: str) -> None:
-    """Cache a checked full parse beside its CSV; a directory that refuses
-    the write is left without a sidecar."""
-    try:
-        with replacing(sidecar_path(path), "wb") as fh:
-            _save_sidecar(fh, data.shape, [data], lambda: sha256)
-    except OSError:
-        pass
 
 
 class DatasetInfo(NamedTuple):
@@ -699,12 +683,6 @@ class _StaleSidecar(Exception):
     matrix of the file's bytes."""
 
 
-def _block(rows: slice, matrix, layout: _Layout) -> Block:
-    n_feat = layout.n_feat
-    p_true = matrix[:, n_feat + 1] if layout.with_p_true else None
-    return Block(rows, matrix[:, :n_feat], matrix[:, n_feat], p_true)
-
-
 def _sidecar_blocks(member, layout: _Layout, bounds: list[slice]):
     """Read the rows of an open ``data.npy`` zip member, positioned at its
     first row, in the order of ``bounds`` into one reused (largest block,
@@ -722,15 +700,17 @@ def _sidecar_blocks(member, layout: _Layout, bounds: list[slice]):
                     raise _StaleSidecar
         except (OSError, EOFError, zipfile.BadZipFile) as exc:
             raise _StaleSidecar from exc
-        matrix = buf[: rows.stop - rows.start]
-        if _failed_checks(matrix, layout.n_feat, layout.with_p_true):
+        matrix, n_feat = buf[: rows.stop - rows.start], layout.n_feat
+        if _first_failure(matrix, n_feat, layout.with_p_true) is not None:
             raise _StaleSidecar
-        yield _block(rows, matrix, layout)
+        p_true = matrix[:, n_feat + 1] if layout.with_p_true else None
+        yield Block(rows, matrix[:, :n_feat], matrix[:, n_feat], p_true)
 
 
-def _scan_sidecar(path, layout: _Layout, sha256: str, consume, bounds):
-    """consume(info, blocks) over the rows of the sidecar of ``path``, read
-    in the row blocks ``bounds(n_rows)``.
+def _scan_sidecar(path, sidecar, layout: _Layout, sha256: str, consume, bounds):
+    """consume(info, blocks) over the rows of a sidecar of the dataset file
+    ``path``, read in the row blocks ``bounds(n_rows)``; ``sidecar`` is its
+    path or an open binary file.
 
     Before any row is read, the sidecar's ``sha256`` member must hold
     ``sha256``, and its ``data.npy`` member must hold just a C-ordered (n,
@@ -743,9 +723,7 @@ def _scan_sidecar(path, layout: _Layout, sha256: str, consume, bounds):
     fmt = np.lib.format
     with contextlib.ExitStack() as stack:
         try:
-            zf = stack.enter_context(zipfile.ZipFile(stack.enter_context(
-                open(sidecar_path(path), "rb")
-            )))
+            zf = stack.enter_context(zipfile.ZipFile(sidecar))
             with zf.open("sha256.npy") as member:
                 stored = fmt.read_array(member, allow_pickle=False)
             member = stack.enter_context(zf.open("data.npy"))
@@ -771,47 +749,29 @@ def _scan_sidecar(path, layout: _Layout, sha256: str, consume, bounds):
         return result
 
 
-def _parse(path, fh, layout: _Layout, rows=None):
-    """The checked (n, columns) matrix of a dataset file's data rows, or of
-    the rows that ``rows`` selects, in its order, parsed from the open
-    binary file. The bytes are streamed from the file PARSE_BLOCK_CHARS at a
-    time: a full parse counts the data lines, then streams them into
-    ``np.loadtxt`` with that row count, and a ``rows=`` parse keeps only the
-    selected lines. A list of every line, or a matrix grown row block by
-    row block, would leave freed memory in the allocator's heap, by an
-    amount that depends on the input. Raises DatasetFormatError naming the
-    line of the first malformed or failing row."""
-
-    def numbered():
-        fh.seek(0)
-        return _numbered_lines(_line_blocks(fh, PARSE_BLOCK_CHARS), layout.header_idx)
-
-    listed = None
-    if rows is None:
-        n_rows = sum(1 for _ in numbered())
-    else:
-        wanted = set(rows.tolist())
-        selected, n_rows = {}, 0
-        for item in numbered():
-            if n_rows in wanted:
-                selected[n_rows] = item
-            n_rows += 1
-        _check_bounds(path, rows, n_rows)
-        listed = [selected[i] for i in rows.tolist()]
-        n_rows = len(listed)
-    lines = numbered() if listed is None else iter(listed)
-    data = _loadtxt((line for _, line in lines), n_rows, layout.n_cols)
-    failed = [] if data is None else _failed_checks(data, layout.n_feat, layout.with_p_true)
-    if data is None or failed:
-        # loadtxt numbers rows inconsistently in its errors, so the file
-        # line of each data row is listed to name a bad row
-        if listed is None:
-            listed = list(numbered())
-        if data is None:
-            raise _parse_error(path, listed, layout.n_cols)
-        bad, message = failed[0]
-        raise DatasetFormatError(f"{path}: line {listed[np.argmax(bad)][0]}: {message}")
-    return data
+def _parsed_blocks(path, fh, layout: _Layout):
+    """The checked (rows, columns) float64 matrix of each READ_BLOCK_ROWS
+    consecutive data lines of an open binary dataset file, in file order.
+    The bytes are decoded and split into lines PARSE_BLOCK_CHARS at a time,
+    so beside one block only one chunk's text and lines are alive. Raises
+    DatasetFormatError naming the line of the first malformed or failing
+    row."""
+    fh.seek(0)
+    lines = _numbered_lines(_line_blocks(fh, PARSE_BLOCK_CHARS), layout.header_idx)
+    while numbered := list(itertools.islice(lines, READ_BLOCK_ROWS)):
+        try:
+            block = np.loadtxt([line for _, line in numbered], delimiter=",", comments=None,
+                               ndmin=2)
+        except ValueError:
+            block = None
+        if block is None or block.shape[1] != layout.n_cols:
+            # loadtxt numbers rows inconsistently in its errors
+            raise _parse_error(path, numbered, layout.n_cols)
+        failure = _first_failure(block, layout.n_feat, layout.with_p_true)
+        if failure is not None:
+            row, message = failure
+            raise DatasetFormatError(f"{path}: line {numbered[row][0]}: {message}")
+        yield block
 
 
 def take_rows(info: DatasetInfo, blocks, rows=None, dtype=np.float64) -> Dataset:
@@ -841,30 +801,35 @@ def take_rows(info: DatasetInfo, blocks, rows=None, dtype=np.float64) -> Dataset
 
 
 def _read(path, consume, sha256, bounds, rows=None):
-    """consume(info, blocks) over a dataset file's rows: those of its
-    sidecar when that holds the parse of the file's bytes, or else those of
-    a parse, which then saves its sidecar. With ``rows``, ``consume`` takes
-    a ``rows`` keyword: a sidecar's blocks are consumed with ``rows=rows``,
-    and a parse of only the selected rows, which saves no sidecar, is
-    consumed whole."""
+    """consume(info, blocks) over a dataset file's rows, always scanned from
+    a sidecar: the file's own when that holds the parse of the file's bytes,
+    or else the one a parse of the file writes first, which is moved into
+    place once ``consume`` returns. With ``rows``, ``consume`` is given
+    ``rows=rows``."""
     with open(path, "rb") as fh:
         layout = _Layout(*_parse_header(path, _leading_lines(fh)))
         digest = _digest(fh)
         if sha256 is not None and digest != sha256:
-            fh.seek(0)
-            lines = _numbered_lines(_line_blocks(fh, HASH_BLOCK_BYTES), layout.header_idx)
-            raise DatasetDigestError(path, sum(1 for _ in lines))
+            raise DatasetDigestError(path, _count_rows(fh, layout.header_idx))
         rows = _row_index(rows)
-        warm = consume if rows is None else functools.partial(consume, rows=rows)
+        if rows is not None:
+            consume = functools.partial(consume, rows=rows)
         try:
-            return _scan_sidecar(path, layout, digest, warm, bounds)
+            return _scan_sidecar(path, sidecar_path(path), layout, digest, consume, bounds)
         except _StaleSidecar:
             pass
-        data = _parse(path, fh, layout, rows)
-    if rows is None:
-        _write_sidecar(path, data, digest)
-    info = DatasetInfo(str(path), len(data), layout.n_feat, layout.with_p_true, digest)
-    return consume(info, (_block(r, data[r], layout) for r in bounds(len(data))))
+        with contextlib.ExitStack() as stack:
+            try:
+                side = stack.enter_context(replacing(sidecar_path(path), "w+b"))
+            except OSError:  # a read-only directory
+                side = stack.enter_context(tempfile.TemporaryFile())
+            shape = (_count_rows(fh, layout.header_idx), layout.n_cols)
+            _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
+            side.seek(0)
+            try:
+                return _scan_sidecar(path, side, layout, digest, consume, bounds)
+            except _StaleSidecar as exc:
+                raise OSError(f"{path}: the sidecar a parse just wrote fails its scan") from exc
 
 
 def _read_bounds(n_rows: int) -> list[slice]:
@@ -878,14 +843,15 @@ def scan_dataset(path, consume, bounds=None):
     by default), in order. This is how a caller keeps only what it needs of
     each block, instead of the whole (n, F) matrix.
 
-    A warm scan reads the sidecar's uncompressed ``data.npy`` member in
-    order, one block at a time, into one reused buffer. If the sidecar turns
-    out to be unusable part way (a value check fails, or the member ends
-    early or has the wrong CRC, which is only known at its end), ``consume``
-    is run again from the start on the rows of a parse of the CSV, so it
-    must not act on its rows before it returns. A cold scan parses the
-    whole file and saves its sidecar, and its blocks are views of the
-    parsed matrix.
+    The rows always come from the file's sidecar: its uncompressed
+    ``data.npy`` member is read in order, one block at a time, into one
+    reused buffer. A cold scan, of a file without a matching sidecar, first
+    parses the CSV into one, READ_BLOCK_ROWS lines at a time. If the
+    sidecar turns out to be unusable part way (a value check fails, or the
+    member ends early or has the wrong CRC, which is only known at its
+    end), ``consume`` is run again from the start on the rows of a sidecar
+    that a parse of the CSV writes, so it must not act on its rows before
+    it returns.
 
     The errors are those of read_dataset.
     """
@@ -893,35 +859,33 @@ def scan_dataset(path, consume, bounds=None):
 
 
 def read_dataset(path, rows=None, sha256=None) -> Dataset:
-    """Parse a dataset CSV into a Dataset: (x, y, p_true) arrays and the
+    """Read a dataset CSV into a Dataset: (x, y, p_true) arrays and the
     sha256 of the file's bytes; p_true is None when the file has no p_true
     column. The arrays are filled block by block from a scan (see
-    ``scan_dataset`` and ``take_rows``); the file is hashed in blocks, and a
-    parse streams it.
+    ``scan_dataset`` and ``take_rows``); the file is hashed in blocks.
 
     ``rows``, when given, is an index array into the data rows (0-based, in
-    file order): only those rows are kept and checked, and they are
-    returned in the order of ``rows``, so ``read_dataset(path, rows=idx)``
-    equals ``read_dataset(path)`` indexed by ``idx`` whenever the whole file
-    is valid. A parse then parses only the selected lines. An index outside
-    the data rows raises DatasetFormatError.
+    file order): every row is checked, only those rows are kept, and they
+    are returned in the order of ``rows``, so ``read_dataset(path,
+    rows=idx)`` equals ``read_dataset(path)`` indexed by ``idx``. An index
+    outside the data rows raises DatasetFormatError.
 
     ``sha256``, when given, is the digest the file must have: other bytes
     raise DatasetDigestError, which counts the file's data rows, before any
     row is selected or parsed.
 
-    A full read that parses the file and passes every check caches the
-    parsed matrix with the digest in ``sidecar_path(path)``, as
-    write_dataset does when it writes the file. A later read of the same
-    bytes, full or partial, reads that matrix instead of parsing the data
-    rows, and runs the same checks on it; if they fail, or the sidecar is
-    damaged, it parses the CSV after all. A sidecar that does not match or
-    cannot be read is passed over, and one that cannot be written is
-    skipped.
+    The rows are read from ``sidecar_path(path)``, the parsed matrix with
+    the digest that write_dataset writes beside the file, and run through
+    the same checks as a parse. A read of a file whose sidecar is missing,
+    does not match, cannot be read or fails a check first parses the CSV
+    into a new sidecar, and keeps it; in a directory that refuses the
+    write, the new sidecar is a temporary file. A sidecar just written that
+    fails its own scan raises OSError.
 
-    Raises DatasetFormatError naming the 1-based line for a malformed row, a
-    wrong column count, a bad header, a non-finite feature, a label other
-    than 0/1, or a p_true outside [0, 1]. Leading '#' comment lines and
-    blank lines are skipped; a header-only file yields zero rows.
+    Raises DatasetFormatError naming the 1-based line of the first
+    malformed or failing row: a wrong column count, a value that is not a
+    number, a non-finite feature, a label other than 0/1, or a p_true
+    outside [0, 1]; or of a bad header. Leading '#' comment lines and blank
+    lines are skipped; a header-only file yields zero rows.
     """
     return _read(path, take_rows, sha256, _read_bounds, rows)

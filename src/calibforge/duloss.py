@@ -57,15 +57,15 @@ def softmax(z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Monte-Carlo sampling knobs: draw count and antithetic pairing."""
+    """Monte-Carlo sampling: the draw count K, which must be even because
+    draws come in antithetic pairs."""
 
     k: int = 32
-    antithetic: bool = True
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.antithetic and self.k % 2 != 0:
+        if self.k % 2 != 0:
             raise ValueError("antithetic sampling requires an even k")
 
 
@@ -73,13 +73,11 @@ def draw_noise_batch(n: int, mc: MCConfig, rng: np.random.Generator) -> np.ndarr
     """Draw an (n, K, 2) standard-normal noise block, one K-draw set per input.
 
     Rows come from ``rng`` in order, so a seeded generator reproduces the
-    block bit for bit. With antithetic pairing draw j + K/2 is the negation
-    of draw j, so each row's draws average to zero exactly.
+    block bit for bit. Draws come in antithetic pairs: draw j + K/2 is the
+    negation of draw j, so each row's draws average to zero exactly.
     """
-    if mc.antithetic:
-        half = rng.standard_normal((n, mc.k // 2, 2))
-        return np.concatenate([half, -half], axis=1)
-    return rng.standard_normal((n, mc.k, 2))
+    half = rng.standard_normal((n, mc.k // 2, 2))
+    return np.concatenate([half, -half], axis=1)
 
 
 def expected_probs_batch(mu: np.ndarray, s_raw: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -86,7 +86,7 @@ def test_criterion_1_metric_oracle_equivalence():
 
 def noise_block(k, seed):
     """The (1, K, 2) antithetic noise block of one input, seeded."""
-    mc = duloss.MCConfig(k=k, antithetic=True)
+    mc = duloss.MCConfig(k=k)
     return duloss.draw_noise_batch(1, mc, np.random.default_rng(seed))
 
 

@@ -409,7 +409,9 @@ def _count_loadtxt_rows(monkeypatch) -> list:
     return parsed
 
 
-def test_calibrate_parses_only_the_validation_rows(tmp_path, mini_run, monkeypatch):
+def test_a_cold_calibrate_parses_every_row_once_and_leaves_the_sidecar(
+    tmp_path, mini_run, monkeypatch
+):
     # a copy has the training file's bytes but no parsed-array sidecar yet
     data = tmp_path / "train.csv"
     shutil.copyfile(mini_run / "train.csv", data)
@@ -420,9 +422,10 @@ def test_calibrate_parses_only_the_validation_rows(tmp_path, mini_run, monkeypat
         "--data", str(data), "--out", str(out),
     ])
     assert code == 0
-    _, val, _ = datagen.split(400, (0.9, 0.1), 11)  # MINI_GEN rows, MINI_TRAIN seed
-    assert parsed == [len(val)]
-    assert not datagen.sidecar_path(data).exists()  # a partial read caches nothing
+    assert sum(parsed) == 400  # MINI_GEN rows
+    # the same bytes give the sidecar gen wrote
+    sidecar = datagen.sidecar_path(data).read_bytes()
+    assert sidecar == datagen.sidecar_path(mini_run / "train.csv").read_bytes()
     fitted = json.loads((out / "scaler_temperature.json").read_text())
     assert fitted["T"] == json.loads((mini_run / "scaler_temperature.json").read_text())["T"]
 

@@ -487,6 +487,24 @@ def test_header_only_file_is_empty_dataset(tmp_path):
     assert x.shape == (0, 25) and y.shape == (0,) and p_true.shape == (0,)
 
 
+def test_read_names_the_first_bad_row(tmp_path):
+    # data row 2 has label 2 and data row 5 a NaN feature: the first failing
+    # row is named, not the first row of the first failing check, by a full
+    # read and by a rows= read that selects neither
+    data = datagen.generate_dataset(small_config(8, seed=6))
+    path = tmp_path / "d.csv"
+    datagen.write_dataset(path, *data, roster_size=12)
+    lines = path.read_text().splitlines()
+    for line_no, column, value in ((4, -2, "2"), (7, 0, "nan")):
+        fields = lines[line_no - 1].split(",")
+        fields[column] = value
+        lines[line_no - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    for rows in (None, [0]):
+        with pytest.raises(datagen.DatasetFormatError, match="line 4: label must be 0 or 1"):
+            datagen.read_dataset(path, rows=rows)
+
+
 def test_parse_error_names_line(tmp_path):
     data = datagen.generate_dataset(small_config(5, seed=1))
     path = tmp_path / "bad.csv"
@@ -547,9 +565,9 @@ def test_read_rows_names_the_line_of_a_bad_selected_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(datagen.DatasetFormatError, match="line 6"):
         datagen.read_dataset(path, rows=[4, 3])
-    # a row that is not selected is not parsed
-    x, _, _, _ = datagen.read_dataset(path, rows=[4, 0])
-    assert np.isfinite(x).all()
+    # a cold read parses every row, so a bad row that is not selected fails it
+    with pytest.raises(datagen.DatasetFormatError, match="line 6"):
+        datagen.read_dataset(path, rows=[4, 0])
 
 
 @pytest.mark.parametrize("block_chars", [1, 7, 300])
@@ -582,28 +600,6 @@ def test_parse_block_size_changes_no_value_or_line_number(tmp_path, monkeypatch,
     write(lines)
     with pytest.raises(datagen.DatasetFormatError, match="line 28: features must be finite"):
         datagen.read_dataset(path)
-
-
-def test_a_cold_read_gives_loadtxt_its_row_count(tmp_path, monkeypatch):
-    # told the count, loadtxt allocates the matrix once; grown in steps, it
-    # leaves freed heap behind that makes the reader's peak memory unsteady
-    data = datagen.generate_dataset(small_config(30, seed=2))
-    path = tmp_path / "data.csv"
-    datagen.write_dataset(path, *data, roster_size=12, comment="meta")
-    datagen.sidecar_path(path).unlink()
-    loadtxt = np.loadtxt
-    calls = []
-
-    def recording_loadtxt(lines, *args, **kwargs):
-        lines = list(lines)
-        calls.append((len(lines), kwargs.get("max_rows")))
-        return loadtxt(lines, *args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", recording_loadtxt)
-    datagen.read_dataset(path)
-    datagen.sidecar_path(path).unlink()
-    datagen.read_dataset(path, rows=[4, 1, 4])
-    assert calls == [(30, 30), (3, 3)]
 
 
 def test_wrong_column_count_is_schema_error(tmp_path):
@@ -737,7 +733,8 @@ def test_sidecar_bytes_are_those_of_np_savez(tmp_path, n_rows):
     data = np.loadtxt(path, delimiter=",", comments="#", skiprows=2, ndmin=2)[:n_rows]
     assert data.shape == (n_rows, 25 + 2)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    datagen._write_sidecar(path, data, digest)
+    with open(datagen.sidecar_path(path), "wb") as fh:
+        datagen._save_sidecar(fh, data.shape, [data], lambda: digest)
     written = datagen.sidecar_path(path).read_bytes()
     expected = io.BytesIO()
     np.savez(expected, data=data, sha256=np.array(digest))
@@ -754,7 +751,8 @@ def test_sidecar_write_does_not_copy_the_matrix(tmp_path):
     path = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        datagen._write_sidecar(path, data, "0" * 64)
+        with open(datagen.sidecar_path(path), "wb") as fh:
+            datagen._save_sidecar(fh, data.shape, [data], lambda: "0" * 64)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -849,6 +847,18 @@ def test_a_file_that_fails_its_checks_leaves_no_sidecar(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
+def test_a_sidecar_that_fails_its_own_scan_is_an_os_error(tmp_path, monkeypatch):
+    # the parse's sidecar is written with another digest, so its scan fails
+    path = _written(tmp_path)
+    datagen.sidecar_path(path).unlink()
+    save = datagen._save_sidecar
+    monkeypatch.setattr(datagen, "_save_sidecar", lambda fh, shape, blocks, sha256: save(
+        fh, shape, blocks, lambda: "0" * 64))
+    with pytest.raises(OSError, match="fails its scan"):
+        datagen.read_dataset(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 def test_read_in_a_read_only_directory_writes_no_sidecar(tmp_path, monkeypatch):
     path = _written(tmp_path)
     expected = datagen.read_dataset(path)
@@ -882,19 +892,18 @@ def wide_csv(tmp_path_factory):
     return path, data
 
 
-def test_a_cold_rows_read_holds_the_file_once(wide_csv, monkeypatch):
-    # the bytes are kept through the parse, but not their whole text nor a
-    # list of every line: only the selected lines. Small blocks keep one
-    # block's text and lines a negligible part of this 4 MB file, as one
-    # 1 MiB block is of a 26.5 MB training file.
-    path, (x, _, _) = wide_csv
+def test_a_cold_read_writes_its_sidecar_and_holds_its_output_and_one_block(wide_csv):
+    # a cold read parses the CSV into its sidecar one READ_BLOCK_ROWS block
+    # at a time and then scans that sidecar, so beside its arrays it holds
+    # about one block of rows, never the parsed matrix
+    path, data = wide_csv
     datagen.sidecar_path(path).unlink(missing_ok=True)
-    monkeypatch.setattr(datagen, "PARSE_BLOCK_CHARS", 1 << 16)
-    rows = np.random.default_rng(0).permutation(3000)[:300]
-    part, peak = traced_peak(lambda: datagen.read_dataset(path, rows=rows))
-    np.testing.assert_array_equal(part.x, x[rows])  # -0.0 is written as 0
-    assert not datagen.sidecar_path(path).exists()
-    assert peak < 1.5 * path.stat().st_size
+    cold, peak = traced_peak(lambda: datagen.read_dataset(path))
+    assert datagen.sidecar_path(path).exists()
+    for got, want in zip(cold[:3], data):
+        np.testing.assert_array_equal(got, want)  # -0.0 is written as 0
+    n_rows, n_feat = data[0].shape
+    assert peak <= 1.25 * (n_rows + datagen.READ_BLOCK_ROWS) * (n_feat + 2) * 8
 
 
 def test_a_warm_read_holds_one_matrix(wide_csv):
