@@ -52,7 +52,7 @@ COMP_COEF_STD = 0.05  # per-champion latent effect, deliberately small
 _PICKS_PER_TEAM = 5
 
 # write_dataset formats an array's rows this many at a time, which bounds its
-# sort, index and string arrays to one block whatever the dataset size
+# word, text and byte arrays to one block whatever the dataset size
 WRITE_BLOCK_ROWS = 1024
 # a parse decodes and splits a file's bytes into lines about this many bytes
 # at a time, so only one chunk's text and lines are alive
@@ -380,12 +380,11 @@ def write_dataset(
 
     def parsed_blocks(fh):
         # the CSV text goes to fh and the digest as it is made
-        def emit(text):
-            chunk = text.encode("utf-8")
+        def emit(chunk: bytes):
             fh.write(chunk)
             digest.update(chunk)
 
-        emit("".join(f"{line}\n" for line in head))
+        emit("".join(f"{line}\n" for line in head).encode("utf-8"))
         for text, parsed in _csv_blocks(_checked_blocks(blocks, n_features, y, p_true), y, p_true):
             emit(text)
             yield parsed
@@ -442,51 +441,97 @@ def _first_failure(matrix, n_feat: int, with_p_true: bool) -> tuple[int, str] | 
     return row, checks[order][1]
 
 
-# write_dataset gives the integral cells within this bound (the comp columns,
-# minutes, kill counts) their text from one fixed table, without a sort
-_SMALL_INT = 1024
-# each entry carries the comma that follows a value in a row
-_SMALL_INT_TEXT = np.array([f"{i}," for i in range(-_SMALL_INT, _SMALL_INT + 1)], dtype=object)
+# A decimal cell (see _decimal_words) is v = k / 1e4 for an integer k with
+# |k| < _CELL_SCALE * _CELL_INT_BOUND, and its text, with the comma that
+# follows it, fits one word of _CELL_BYTES bytes.
+_CELL_SCALE = 10_000
+_CELL_INT_BOUND = 1024
+_CELL_BYTES = 8
+
+
+@functools.cache
+def _cell_words() -> tuple[np.ndarray, np.ndarray]:
+    """The word tables of decimal cells' text, built at the first write:
+    entry i of the first holds the integer part i from the word's first
+    byte (entry _CELL_INT_BOUND + i: "-" and i), and entry f of the second
+    holds the fraction f / _CELL_SCALE with its trailing zeros stripped
+    (nothing for 0) and the comma, up to the word's last byte. A word's
+    bytes are read in memory order, and unused bytes are NUL."""
+    heads = b"".join(f"{sign}{i}".encode().ljust(_CELL_BYTES, b"\0")
+                     for sign in ("", "-") for i in range(_CELL_INT_BOUND))
+    fractions = (f".{f:04d}".rstrip("0") if f else "" for f in range(_CELL_SCALE))
+    tails = b"".join(text.encode().rjust(_CELL_BYTES - 1, b"\0") + b"," for text in fractions)
+    return np.frombuffer(heads, dtype="<u8"), np.frombuffer(tails, dtype="<u8")
+
+
+def _decimal_words(block: np.ndarray) -> np.ndarray | None:
+    """The (rows, F) little-endian words of a float block's cells, each its
+    format_numbers text and a comma padded with NUL bytes, or None when a
+    cell is not decimal or its text and comma take more than _CELL_BYTES.
+
+    A cell v is decimal when k = rint(v * 1e4) has |k| < 1024e4 and
+    k / 1e4 == v. Its text here is "-" when k < 0 (so -0.0, whose k is 0,
+    takes none), the integer part of |k| / 1e4 and, unless it is 0, "." and
+    the four-digit fraction with its trailing zeros stripped. That is
+    format_numbers' text. When 1e4 divides k, v is integral, and str(int(v))
+    is that sign and integer part. Otherwise the text is the decimal
+    d = k / 10^4, which reads back as v because k / 1e4 is rounded
+    correctly, and repr(v) is the decimal with the fewest digits that reads
+    back as v, written without an exponent since 1e-4 <= |v| < 1e16. Two
+    decimals that read back as v lie within one ulp of v (at most 2**-43
+    here) of each other, so one with fewer digits than d has its leading
+    digit at d's place (it could only move if d were a power of ten, and no
+    decimal has fewer digits than that) and so has at most 4 places; but any
+    other decimal of at most 4 places lies 1e-4 or more from d. So repr(v)
+    is d.
+    """
+    with np.errstate(over="ignore"):  # a huge v makes k infinite: not decimal
+        k = np.rint(block * float(_CELL_SCALE))
+    bound = float(_CELL_SCALE * _CELL_INT_BOUND)
+    if not ((np.abs(k) < bound).all() and (k / _CELL_SCALE == block).all()):
+        return None
+    k = k.astype(np.int32)
+    size = np.abs(k)
+    whole = size // _CELL_SCALE
+    fraction = size - whole * _CELL_SCALE
+    whole |= (k >> 31) & _CELL_INT_BOUND  # the entries with "-" where k < 0
+    heads, tails = _cell_words()
+    head, tail = heads.take(whole), tails.take(fraction)
+    # every text byte (digits, "-", "." and ",") has the 0x20 bit set, so
+    # two texts overlap in the word where their AND is not 0
+    if (head & tail).any():
+        return None
+    return np.bitwise_or(head, tail, out=head)
 
 
 def _csv_blocks(checked, y, p_true):
-    """(text, parsed) of each checked row block: its CSV lines in the
-    format_numbers text of each value, and its parsed rows.
+    """(text, parsed) of each checked row block: its CSV lines as UTF-8
+    bytes, in the format_numbers text of each value, and its parsed rows.
 
-    An integral cell within _SMALL_INT takes its text from a fixed table.
-    Every other distinct value is formatted once: a sorted table of the
-    values met so far, with their text, gains each block's new values, and
-    the block looks its cells up in it. Finite floats that compare equal
-    differ in text only as 0.0 and -0.0, which both format to "0", so the
-    lookup gives every cell the text format_numbers would give it.
+    Each cell of a block whose cells are all decimal is one NUL-padded word
+    (see _decimal_words). The label and p_true (by repr) end each row, also
+    NUL-padded to one width, and the block's text is its bytes without the
+    NULs. Any other block is written cell by cell with format_numbers.
     """
-    # each value's text carries the comma that follows it in a row
-    values, text = np.empty(0), np.empty(0, dtype=object)
     for rows, block, parsed in checked:
-        n_feat = block.shape[1]
-        cells = np.empty((len(block), n_feat + 1), dtype=object)
-        ints = np.clip(block, -_SMALL_INT, _SMALL_INT).astype(np.intp)
-        cells[:, :n_feat] = _SMALL_INT_TEXT[ints + _SMALL_INT]
-        other = ints != block
-        distinct, inverse = np.unique(block[other], return_inverse=True)
-        at = np.searchsorted(values, distinct)
-        new = np.ones(len(distinct), dtype=bool)
-        if len(values):
-            new = values[np.minimum(at, len(values) - 1)] != distinct
-        if new.any():
-            added = np.array([t + "," for t in format_numbers(distinct[new])], dtype=object)
-            values = np.insert(values, at[new], distinct[new])
-            text = np.insert(text, at[new], added)
-            # each distinct value moves up by the new values below it
-            at += np.cumsum(new) - new
-        cells[:, :n_feat][other] = text[at[inverse]]
         labels = [str(int(label)) for label in y[rows].tolist()]
         if p_true is None:
-            cells[:, n_feat] = [f"{label}\n" for label in labels]
+            ends = [f"{label}\n" for label in labels]
         else:
-            p = p_true[rows]
-            cells[:, n_feat] = [f"{label},{v!r}\n" for label, v in zip(labels, p.tolist())]
-        yield "".join(cells.ravel().tolist()), parsed
+            ends = [f"{label},{v!r}\n" for label, v in zip(labels, p_true[rows].tolist())]
+        n_feat = block.shape[1]
+        words = _decimal_words(block) if len(block) else None
+        if words is None:
+            cells = format_numbers(block.ravel())
+            text = "".join(
+                "".join(f"{cell}," for cell in cells[i * n_feat : (i + 1) * n_feat]) + end
+                for i, end in enumerate(ends)
+            )
+            yield text.encode(), parsed
+            continue
+        ends = np.array(ends, dtype=np.bytes_).view(np.uint8).reshape(len(block), -1)
+        lines = np.concatenate((words.view(np.uint8), ends), axis=1).ravel()
+        yield np.compress(lines != 0, lines).tobytes(), parsed
 
 
 def _parse_error(path, numbered_lines, n_cols: int) -> DatasetFormatError:
@@ -804,8 +849,8 @@ def _read(path, consume, sha256, bounds, rows=None):
     """consume(info, blocks) over a dataset file's rows, always scanned from
     a sidecar: the file's own when that holds the parse of the file's bytes,
     or else the one a parse of the file writes first, which is moved into
-    place once ``consume`` returns. With ``rows``, ``consume`` is given
-    ``rows=rows``."""
+    place once its scan has read every row, also when ``consume`` raised.
+    With ``rows``, ``consume`` is given ``rows=rows``."""
     with open(path, "rb") as fh:
         layout = _Layout(*_parse_header(path, _leading_lines(fh)))
         digest = _digest(fh)
@@ -827,9 +872,27 @@ def _read(path, consume, sha256, bounds, rows=None):
             _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
             side.seek(0)
             try:
-                return _scan_sidecar(path, side, layout, digest, consume, bounds)
+                outcome = _scan_sidecar(path, side, layout, digest, _outcome(consume), bounds)
             except _StaleSidecar as exc:
                 raise OSError(f"{path}: the sidecar a parse just wrote fails its scan") from exc
+        # the new sidecar is in place: an error of consume's leaves it there
+        result, error = outcome
+        if error is not None:
+            raise error
+        return result
+
+
+def _outcome(consume):
+    """consume, made to return (its result, None), or (None, the Exception
+    it raised), so that a scan reads on to the sidecar's last row after it."""
+
+    def wrapped(*args, **kwargs):
+        try:
+            return consume(*args, **kwargs), None
+        except Exception as exc:  # raised again once the sidecar is kept
+            return None, exc
+
+    return wrapped
 
 
 def _read_bounds(n_rows: int) -> list[slice]:

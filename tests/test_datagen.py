@@ -399,10 +399,19 @@ def test_write_matches_per_value_rule_on_edge_values(tmp_path):
                          str(int(1e300)), "0.30000000000000004"]
 
 
-def test_write_matches_per_value_rule_around_the_small_integer_table(tmp_path):
-    # integral cells within the bound take their text from a fixed table and
-    # every other cell from the sorted table of values met so far
-    k = float(datagen._SMALL_INT)
+def _in_a_decimal_block(value, n=30):
+    """An (n, 25) block of four-place cells below 10 in magnitude, whose
+    text and comma fit a word, with ``value`` in one cell."""
+    x = np.round(np.random.default_rng(8).uniform(-10.0, 10.0, (n, 25)), 4)
+    x[n // 2, 7] = value
+    return x
+
+
+def test_write_matches_per_value_rule_around_the_cell_bounds(tmp_path):
+    # a block whose cells all have at most four places, an integer part
+    # below the bound and a text that fits one word with its comma is
+    # written a word per cell; any other block cell by cell
+    k = float(datagen._CELL_INT_BOUND)
     edge = [k, k + 1, k - 0.5, k + 0.5, 1.0 + 2**-52, 1.0 - 2**-53, 3.0, -0.0]
     edge += [-v for v in edge]
     x = np.resize(np.array(edge), (30, 25))
@@ -410,6 +419,40 @@ def test_write_matches_per_value_rule_around_the_small_integer_table(tmp_path):
     assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true)
     cells = (tmp_path / "d.csv").read_text().splitlines()[1].split(",")
     assert cells[:4] == ["1024", "1025", "1023.5", "1024.5"]
+
+    def fits(v):
+        text = str(int(v)) if v.is_integer() else repr(v)
+        places = len(text.partition(".")[2])
+        return ("e" not in text and places <= 4 and abs(v) < k
+                and len(text) + 1 <= datagen._CELL_BYTES)
+
+    around = [k - 1, k - 0.5, k - 0.25, k - 0.0001, k, 99.9999, 12.3456, 1.2345, 1e-05]
+    around += [-v for v in around]
+    assert [fits(v) for v in around[:9]] == [True, True, True, False, False, True, True,
+                                             True, False]
+    assert [fits(v) for v in around[9:]] == [True, True, False, False, False, False, False,
+                                             True, False]
+    for i, value in enumerate(around):
+        x = _in_a_decimal_block(value)
+        assert (datagen._decimal_words(x) is not None) == fits(value)
+        assert_writes_reference_bytes(tmp_path / f"a{i}.csv", x, y, p_true)
+
+
+def test_write_matches_per_value_rule_on_every_four_place_value(tmp_path):
+    # every four-place value in [-2, 2] is a decimal cell; each edge value,
+    # put in a block of decimal cells, leaves that block on the word path or
+    # sends it cell by cell, and either way the text is the per-value rule's
+    x = np.resize(np.arange(-20000, 20001) / 1e4, (1601, 25))
+    assert datagen._decimal_words(x) is not None
+    n = len(x)
+    y, p_true = np.arange(n) % 2, np.linspace(0.0, 1.0, n)
+    assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true, comment="meta")
+    edge = [1023.9999, 1024.0, 1024.5, 0.0001, 12.3456]
+    edge += [-v for v in edge] + [1e-05, 0.1 + 0.2, -0.0]
+    blocks = [_in_a_decimal_block(value) for value in edge]
+    assert {datagen._decimal_words(block) is None for block in blocks} == {True, False}
+    for i, block in enumerate(blocks):
+        assert_writes_reference_bytes(tmp_path / f"e{i}.csv", block, y[:30], p_true[:30])
 
 
 def test_write_matches_per_value_rule_on_all_distinct_values(tmp_path):
@@ -845,6 +888,20 @@ def test_a_file_that_fails_its_checks_leaves_no_sidecar(tmp_path):
     with pytest.raises(datagen.DatasetFormatError, match="line 7: p_true"):
         datagen.read_dataset(path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_a_cold_read_whose_consumer_fails_keeps_its_sidecar(tmp_path, monkeypatch):
+    # the index 30 of a 30-row file fails inside the scan's consumer, after
+    # the parse: the sidecar it wrote stays, so the next read parses nothing
+    path = _written(tmp_path)
+    sidecar = datagen.sidecar_path(path)
+    written = sidecar.read_bytes()
+    sidecar.unlink()
+    with pytest.raises(datagen.DatasetFormatError, match="row index 30 is outside"):
+        datagen.read_dataset(path, rows=[30])
+    assert sidecar.read_bytes() == written
+    _no_parse(monkeypatch)
+    assert datagen.read_dataset(path, rows=[29]).x.shape == (1, 25)
 
 
 def test_a_sidecar_that_fails_its_own_scan_is_an_os_error(tmp_path, monkeypatch):
