@@ -262,7 +262,7 @@ def cmd_train(resolved: dict) -> None:
     def training_rows(info, blocks):
         # nn.train runs in float32, so only the training rows are kept, and
         # in float32
-        train, _, _ = datagen.split(info.n_rows, (1.0 - val_fraction, val_fraction), seed)
+        train, _ = datagen.split(info.n_rows, val_fraction, seed)
         return info, datagen.take_rows(info, blocks, train, dtype=np.float32)
 
     info, (x, y, _, _) = datagen.scan_dataset(data, training_rows)
@@ -351,18 +351,21 @@ def cmd_calibrate(resolved: dict) -> None:
     if params.du_head_enabled:
         raise ValueError("post-hoc scalers apply to cross-entropy models, not du models")
     split_seed, val_fraction, data_rows, data_sha256 = _split_record(model_path, header)
-    _, val, _ = datagen.split(data_rows, (1.0 - val_fraction, val_fraction), split_seed)
-    if len(val) == 0:
-        raise ValueError("validation split is empty; retrain with a positive val_fraction")
-    # only the validation rows are kept, so the file must be the one the
-    # model was trained on: the same bytes give the same row numbering
-    try:
-        xv, yv, _, _ = datagen.read_dataset(data, rows=val, sha256=data_sha256)
-    except datagen.DatasetDigestError as exc:
-        raise ValueError(
-            f"{data} is not the training data of {model_path}: it has {exc.n_rows} data rows "
-            f"where the model header records {data_rows}, and its sha256 differs"
-        ) from None
+
+    def validation_rows(info, blocks):
+        # only the validation rows are kept, so the file must be the one the
+        # model was trained on: the same bytes give the same row numbering
+        if info.sha256 != data_sha256:
+            raise ValueError(
+                f"{data} is not the training data of {model_path}: it has {info.n_rows} data "
+                f"rows where the model header records {data_rows}, and its sha256 differs"
+            )
+        _, val = datagen.split(info.n_rows, val_fraction, split_seed)
+        if len(val) == 0:
+            raise ValueError("validation split is empty; retrain with a positive val_fraction")
+        return datagen.take_rows(info, blocks, val)
+
+    xv, yv, _, _ = datagen.scan_dataset(data, validation_rows)
     logits = nn.forward(params, xv)
     out = _outdir(resolved)
     fit = getattr(scaling, SCALER_FITS[kind])
@@ -543,13 +546,7 @@ def main(argv=None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (DatasetFormatError, ModelFormatError, ArtifactReadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (DatasetFormatError, ModelFormatError, ArtifactReadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -51,39 +51,26 @@ COMP_COEF_STD = 0.05  # per-champion latent effect, deliberately small
 
 _PICKS_PER_TEAM = 5
 
-# write_dataset formats an array's rows this many at a time, which bounds its
-# word, text and byte arrays to one block whatever the dataset size
-WRITE_BLOCK_ROWS = 1024
-# a parse decodes and splits a file's bytes into lines about this many bytes
-# at a time, so only one chunk's text and lines are alive
-PARSE_BLOCK_CHARS = 1 << 20
-# a read hashes a file, and counts its data lines, this many bytes at a time
-HASH_BLOCK_BYTES = 1 << 20
+# Every block-wise pass over a dataset takes this many rows at a time, which
+# bounds its arrays to one block whatever the dataset size: GeneratedDataset
+# draws its picks and p_true and makes its feature rows, write_dataset formats
+# an array, a parse runs np.loadtxt, and scan_dataset reads a sidecar unless
+# its caller names other row blocks. p_true takes each block's
+# comp @ champ_coef, which OpenBLAS's matrix-vector kernel sums in groups of 4
+# rows with a different path for the rest: blocks of 2, 3, 6 or 7 rows changed
+# some p_true bits, while every multiple of 4 reproduced one whole-matrix
+# product. 256 is a multiple of any such group.
+BLOCK_ROWS = 256
+# a read hashes a file, counts its data lines, and decodes and splits them
+# for a parse, this many bytes at a time
+BLOCK_BYTES = 1 << 20
 # a scan reads a sidecar's rows this many bytes at a time: a zip member's
 # readinto copies through a bytes object of the size it is asked for
 SIDECAR_READ_BYTES = 1 << 16
-# a parse's row blocks, and scan_dataset's when its caller names none
-READ_BLOCK_ROWS = 256
-# GeneratedDataset draws its picks and p_true this many rows at a time, and
-# makes its feature rows in blocks of at most this many rows. p_true takes
-# each block's comp @ champ_coef, which OpenBLAS's matrix-vector kernel sums
-# in groups of 4 rows with a different path for the rest: blocks of 2, 3, 6
-# or 7 rows changed some p_true bits, while every multiple of 4 reproduced
-# one whole-matrix product. 256 is a multiple of any such group.
-GEN_BLOCK_ROWS = 256
 
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset files; the message names the line."""
-
-
-class DatasetDigestError(ValueError):
-    """Raised when a dataset file's bytes do not have the sha256 the caller
-    expected; ``n_rows`` is the file's data-row count."""
-
-    def __init__(self, path, n_rows: int):
-        super().__init__(f"{path}: sha256 differs from the expected one ({n_rows} data rows)")
-        self.n_rows = n_rows
 
 
 class Dataset(NamedTuple):
@@ -187,7 +174,7 @@ class GeneratedDataset:
 
     Draw order is fixed (minute, gold, xp, kills, picks, filler, labels), so
     a config reproduces its dataset exactly. The stream is read twice.
-    Construction draws the scalars, then the picks GEN_BLOCK_ROWS rows at a
+    Construction draws the scalars, then the picks BLOCK_ROWS rows at a
     time, keeping each row's ten pick indices and p_true; it then draws the
     filler only to advance the stream to the labels, from which it takes
     ``y``. ``features`` redraws the filler from a copy of the generator taken
@@ -210,14 +197,14 @@ class GeneratedDataset:
         champ_coef = champion_coefficients(config)
         self._picks = np.empty((n, 2 * _PICKS_PER_TEAM), dtype=np.intp)
         self.p_true = np.empty(n)
-        for rows in _row_slices(0, n, GEN_BLOCK_ROWS):
+        for rows in _row_slices(0, n, BLOCK_ROWS):
             order = np.argsort(rng.random((rows.stop - rows.start, config.roster_size)), axis=1)
             self._picks[rows] = order[:, : 2 * _PICKS_PER_TEAM]
             self.p_true[rows] = win_probability(
                 *(values[rows] for values in self._scalars), self._comp(rows), champ_coef, config
             )
         self._filler_rng = copy.deepcopy(rng)
-        for rows in _row_slices(0, n, GEN_BLOCK_ROWS):
+        for rows in _row_slices(0, n, BLOCK_ROWS):
             rng.standard_normal((rows.stop - rows.start, config.filler_size))
         self.y = (rng.random(n) < self.p_true).astype(int)
         self._next_row = 0
@@ -233,12 +220,12 @@ class GeneratedDataset:
 
     def features(self, stop: int):
         """Yield the feature rows from the first row not yet made up to row
-        ``stop``, as (rows, F) float arrays of at most GEN_BLOCK_ROWS rows.
+        ``stop``, as (rows, F) float arrays of at most BLOCK_ROWS rows.
         The filler is one stream, so the rows come in order: ``features(k)``
         then ``features(n)`` make rows [0, k) and then [k, n)."""
         config = self.config
         comp_end = len(SCALAR_COLUMNS) + config.roster_size
-        for rows in _row_slices(self._next_row, stop, GEN_BLOCK_ROWS):
+        for rows in _row_slices(self._next_row, stop, BLOCK_ROWS):
             block = np.empty((rows.stop - rows.start, config.n_features))
             for col, values in enumerate(self._scalars):
                 block[:, col] = values[rows]
@@ -300,28 +287,15 @@ def true_ece(probs, p_true, m_bins: int) -> float:
     return ece(bin_stats(confidence, true_conf, m_bins), len(true_conf))
 
 
-def split(n: int, fractions, seed: int):
-    """Seeded disjoint partition of n rows into (train, val, test) index
-    arrays.
-
-    ``fractions`` lists (train, val[, test]) shares; they must be
-    nonnegative and sum to at most 1. The val and test sizes are exact
-    floors; whatever remains goes to train.
-    """
-    fracs = list(fractions)
-    if len(fracs) == 2:
-        fracs.append(0.0)
-    if len(fracs) != 3:
-        raise ValueError("fractions must list (train, val[, test]) shares")
-    if any(f < 0 for f in fracs):
-        raise ValueError("fractions must be nonnegative")
-    if sum(fracs) > 1.0 + 1e-12:
-        raise ValueError("fractions must sum to at most 1")
-    n_val = int(np.floor(fracs[1] * n))
-    n_test = int(np.floor(fracs[2] * n))
+def split(n: int, val_fraction: float, seed: int):
+    """Seeded disjoint partition of n rows into (train, val) index arrays.
+    The val size is the exact floor of val_fraction * n, for a val_fraction
+    in [0, 1]; the other rows go to train."""
+    if not 0.0 <= val_fraction <= 1.0:
+        raise ValueError(f"val_fraction must lie in [0, 1], got {val_fraction!r}")
+    n_train = n - int(np.floor(val_fraction * n))
     perm = np.random.default_rng(seed).permutation(n)
-    n_train = n - n_val - n_test
-    return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
+    return perm[:n_train], perm[n_train:]
 
 
 def dataset_header(roster_size: int, filler_size: int, with_p_true: bool) -> str:
@@ -369,7 +343,7 @@ def write_dataset(
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or len(x) != n_rows:
             raise ValueError("x, y and p_true must have one entry per row")
-        blocks = (x[i : i + WRITE_BLOCK_ROWS] for i in range(0, n_rows, WRITE_BLOCK_ROWS))
+        blocks = (x[rows] for rows in _row_slices(0, n_rows, BLOCK_ROWS))
         n_features = x.shape[1]
     filler_size = n_features - len(SCALAR_COLUMNS) - roster_size
     if filler_size < 0:
@@ -576,9 +550,9 @@ def _numbered_lines(blocks, header_idx: int):
 
 def _count_rows(fh, header_idx: int) -> int:
     """The data-row count of an open binary dataset file: its non-blank
-    lines after the header line, read HASH_BLOCK_BYTES at a time."""
+    lines after the header line, read BLOCK_BYTES at a time."""
     fh.seek(0)
-    return sum(1 for _ in _numbered_lines(_line_blocks(fh, HASH_BLOCK_BYTES), header_idx))
+    return sum(1 for _ in _numbered_lines(_line_blocks(fh, BLOCK_BYTES), header_idx))
 
 
 def _leading_lines(fh) -> list[str]:
@@ -595,10 +569,10 @@ def _leading_lines(fh) -> list[str]:
 
 
 def _digest(fh) -> str:
-    """The sha256 of a binary file's bytes, read HASH_BLOCK_BYTES at a time."""
+    """The sha256 of a binary file's bytes, read BLOCK_BYTES at a time."""
     digest = hashlib.sha256()
     fh.seek(0)
-    while chunk := fh.read(HASH_BLOCK_BYTES):
+    while chunk := fh.read(BLOCK_BYTES):
         digest.update(chunk)
     return digest.hexdigest()
 
@@ -633,28 +607,6 @@ def _parse_header(path, lines: list[str]) -> tuple[int, int, int, bool]:
             f"{path}: line {idx + 1}: malformed comp/filler column block"
         )
     return idx, len(header), len(SCALAR_COLUMNS) + n_comp + n_filler, with_p_true
-
-
-def _row_index(rows):
-    """``rows`` as a 1-D integer index array, or None for every row."""
-    if rows is None:
-        return None
-    rows = np.asarray(rows)
-    if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
-        raise ValueError("rows must be a 1-D integer index array")
-    return rows.astype(np.intp, copy=False)
-
-
-def _check_bounds(path, rows, n_rows: int) -> None:
-    """Every index in ``rows`` must select one of the file's n_rows data rows."""
-    if rows is None:
-        return
-    outside = (rows < 0) | (rows >= n_rows)
-    if outside.any():
-        raise DatasetFormatError(
-            f"{path}: row index {rows[np.argmax(outside)]} is outside the file's "
-            f"{n_rows} data rows"
-        )
 
 
 def sidecar_path(path) -> Path:
@@ -795,15 +747,15 @@ def _scan_sidecar(path, sidecar, layout: _Layout, sha256: str, consume, bounds):
 
 
 def _parsed_blocks(path, fh, layout: _Layout):
-    """The checked (rows, columns) float64 matrix of each READ_BLOCK_ROWS
+    """The checked (rows, columns) float64 matrix of each BLOCK_ROWS
     consecutive data lines of an open binary dataset file, in file order.
-    The bytes are decoded and split into lines PARSE_BLOCK_CHARS at a time,
-    so beside one block only one chunk's text and lines are alive. Raises
+    The bytes are decoded and split into lines BLOCK_BYTES at a time, so
+    beside one block only one chunk's text and lines are alive. Raises
     DatasetFormatError naming the line of the first malformed or failing
     row."""
     fh.seek(0)
-    lines = _numbered_lines(_line_blocks(fh, PARSE_BLOCK_CHARS), layout.header_idx)
-    while numbered := list(itertools.islice(lines, READ_BLOCK_ROWS)):
+    lines = _numbered_lines(_line_blocks(fh, BLOCK_BYTES), layout.header_idx)
+    while numbered := list(itertools.islice(lines, BLOCK_ROWS)):
         try:
             block = np.loadtxt([line for _, line in numbered], delimiter=",", comments=None,
                                ndmin=2)
@@ -823,9 +775,23 @@ def take_rows(info: DatasetInfo, blocks, rows=None, dtype=np.float64) -> Dataset
     """A Dataset of the data rows that the index array ``rows`` selects (in
     its order; every row when None) from the blocks of a scan, with x in
     ``dtype``. Each array is allocated once at its final size and filled
-    block by block, so beside them only the scan's buffer is held."""
+    block by block, so beside them only the scan's buffer is held.
+
+    ``rows`` must be a 1-D integer array of indices into the file's data
+    rows (0-based, in file order); anything else, such as a boolean mask or
+    an index outside the data rows, raises DatasetFormatError before any
+    block is taken."""
     if rows is not None:
-        _check_bounds(info.path, rows, info.n_rows)
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
+            raise DatasetFormatError(f"{info.path}: rows must be a 1-D integer index array")
+        rows = rows.astype(np.intp, copy=False)
+        outside = (rows < 0) | (rows >= info.n_rows)
+        if outside.any():
+            raise DatasetFormatError(
+                f"{info.path}: row index {rows[np.argmax(outside)]} is outside the file's "
+                f"{info.n_rows} data rows"
+            )
         order = np.argsort(rows, kind="stable")
         in_order = rows[order]
     n = info.n_rows if rows is None else len(rows)
@@ -845,110 +811,72 @@ def take_rows(info: DatasetInfo, blocks, rows=None, dtype=np.float64) -> Dataset
     return Dataset(x, y, p_true, info.sha256)
 
 
-def _read(path, consume, sha256, bounds, rows=None):
-    """consume(info, blocks) over a dataset file's rows, always scanned from
-    a sidecar: the file's own when that holds the parse of the file's bytes,
-    or else the one a parse of the file writes first, which is moved into
-    place once its scan has read every row, also when ``consume`` raised.
-    With ``rows``, ``consume`` is given ``rows=rows``."""
+def scan_dataset(path, consume, bounds=None):
+    """Return ``consume(info, blocks)``: ``info`` is the file's DatasetInfo,
+    and ``blocks`` yields a Block for each row range of ``bounds(n_rows)``
+    (consecutive slices that cover the data rows; BLOCK_ROWS rows each by
+    default), in order. This is how a caller keeps only what it needs of
+    each block, instead of the whole (n, F) matrix.
+
+    The rows always come from the sidecar at ``sidecar_path(path)``: its
+    uncompressed ``data.npy`` member is read in order, one block at a time,
+    into one reused buffer. A cold scan, of a file without a matching
+    sidecar, first parses the CSV into a new sidecar in that place,
+    BLOCK_ROWS lines at a time, and then scans it as a warm scan does; in a
+    directory that refuses the write, the new sidecar is a temporary file.
+    A sidecar just written that fails its own scan is removed and raises
+    OSError. If an existing sidecar turns out to be unusable part way (a
+    value check fails, or the member ends early or has the wrong CRC, which
+    is only known at its end), ``consume`` is run again from the start on
+    the rows of the sidecar a parse writes, so it must not act on its rows
+    before it returns. An error that ``consume`` raises is raised as it is,
+    and a sidecar the scan wrote stays.
+
+    The errors are those of read_dataset.
+    """
+    if bounds is None:
+        bounds = functools.partial(_row_slices, 0, size=BLOCK_ROWS)
+    sidecar = sidecar_path(path)
     with open(path, "rb") as fh:
         layout = _Layout(*_parse_header(path, _leading_lines(fh)))
         digest = _digest(fh)
-        if sha256 is not None and digest != sha256:
-            raise DatasetDigestError(path, _count_rows(fh, layout.header_idx))
-        rows = _row_index(rows)
-        if rows is not None:
-            consume = functools.partial(consume, rows=rows)
         try:
-            return _scan_sidecar(path, sidecar_path(path), layout, digest, consume, bounds)
+            return _scan_sidecar(path, sidecar, layout, digest, consume, bounds)
         except _StaleSidecar:
             pass
         with contextlib.ExitStack() as stack:
             try:
-                side = stack.enter_context(replacing(sidecar_path(path), "w+b"))
+                side = stack.enter_context(replacing(sidecar, "wb"))
             except OSError:  # a read-only directory
-                side = stack.enter_context(tempfile.TemporaryFile())
+                side = sidecar = stack.enter_context(tempfile.TemporaryFile())
             shape = (_count_rows(fh, layout.header_idx), layout.n_cols)
             _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
-            side.seek(0)
+            if side is not sidecar:
+                stack.close()  # moves the new sidecar into place
             try:
-                outcome = _scan_sidecar(path, side, layout, digest, _outcome(consume), bounds)
+                return _scan_sidecar(path, sidecar, layout, digest, consume, bounds)
             except _StaleSidecar as exc:
+                if side is not sidecar:
+                    sidecar.unlink(missing_ok=True)
                 raise OSError(f"{path}: the sidecar a parse just wrote fails its scan") from exc
-        # the new sidecar is in place: an error of consume's leaves it there
-        result, error = outcome
-        if error is not None:
-            raise error
-        return result
 
 
-def _outcome(consume):
-    """consume, made to return (its result, None), or (None, the Exception
-    it raised), so that a scan reads on to the sidecar's last row after it."""
-
-    def wrapped(*args, **kwargs):
-        try:
-            return consume(*args, **kwargs), None
-        except Exception as exc:  # raised again once the sidecar is kept
-            return None, exc
-
-    return wrapped
-
-
-def _read_bounds(n_rows: int) -> list[slice]:
-    return _row_slices(0, n_rows, READ_BLOCK_ROWS)
-
-
-def scan_dataset(path, consume, bounds=None):
-    """Return ``consume(info, blocks)``: ``info`` is the file's DatasetInfo,
-    and ``blocks`` yields a Block for each row range of ``bounds(n_rows)``
-    (consecutive slices that cover the data rows; READ_BLOCK_ROWS rows each
-    by default), in order. This is how a caller keeps only what it needs of
-    each block, instead of the whole (n, F) matrix.
-
-    The rows always come from the file's sidecar: its uncompressed
-    ``data.npy`` member is read in order, one block at a time, into one
-    reused buffer. A cold scan, of a file without a matching sidecar, first
-    parses the CSV into one, READ_BLOCK_ROWS lines at a time. If the
-    sidecar turns out to be unusable part way (a value check fails, or the
-    member ends early or has the wrong CRC, which is only known at its
-    end), ``consume`` is run again from the start on the rows of a sidecar
-    that a parse of the CSV writes, so it must not act on its rows before
-    it returns.
-
-    The errors are those of read_dataset.
-    """
-    return _read(path, consume, None, bounds or _read_bounds)
-
-
-def read_dataset(path, rows=None, sha256=None) -> Dataset:
+def read_dataset(path, rows=None) -> Dataset:
     """Read a dataset CSV into a Dataset: (x, y, p_true) arrays and the
     sha256 of the file's bytes; p_true is None when the file has no p_true
-    column. The arrays are filled block by block from a scan (see
-    ``scan_dataset`` and ``take_rows``); the file is hashed in blocks.
+    column. The arrays are filled block by block by ``take_rows`` from a
+    ``scan_dataset`` of the file.
 
     ``rows``, when given, is an index array into the data rows (0-based, in
     file order): every row is checked, only those rows are kept, and they
     are returned in the order of ``rows``, so ``read_dataset(path,
-    rows=idx)`` equals ``read_dataset(path)`` indexed by ``idx``. An index
-    outside the data rows raises DatasetFormatError.
-
-    ``sha256``, when given, is the digest the file must have: other bytes
-    raise DatasetDigestError, which counts the file's data rows, before any
-    row is selected or parsed.
-
-    The rows are read from ``sidecar_path(path)``, the parsed matrix with
-    the digest that write_dataset writes beside the file, and run through
-    the same checks as a parse. A read of a file whose sidecar is missing,
-    does not match, cannot be read or fails a check first parses the CSV
-    into a new sidecar, and keeps it; in a directory that refuses the
-    write, the new sidecar is a temporary file. A sidecar just written that
-    fails its own scan raises OSError.
+    rows=idx)`` equals ``read_dataset(path)`` indexed by ``idx``.
 
     Raises DatasetFormatError naming the 1-based line of the first
     malformed or failing row: a wrong column count, a value that is not a
     number, a non-finite feature, a label other than 0/1, or a p_true
-    outside [0, 1]; or of a bad header. Leading '#' comment lines and blank
-    lines are skipped; a header-only file yields zero rows.
+    outside [0, 1]; or of a bad header; or naming a bad ``rows``. Leading
+    '#' comment lines and blank lines are skipped; a header-only file
+    yields zero rows.
     """
-    return _read(path, take_rows, sha256, _read_bounds, rows)
+    return scan_dataset(path, functools.partial(take_rows, rows=rows))

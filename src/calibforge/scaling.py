@@ -32,6 +32,8 @@ TEMPERATURE_BOUNDS = (1e-2, 1e2)
 NEWTON_STEPS = 100
 # halvings of one Newton step before the fit stops as making no progress
 MAX_HALVINGS = 64
+# gradient norm of the validation NLL below which a Newton fit has converged
+TOL = 1e-6
 
 
 @dataclass
@@ -99,13 +101,8 @@ def mean_nll(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margin)))
 
 
-def _check_fit_inputs(val_logits, val_labels, tol):
-    """The validated (n, 2) logits and each row's label sign, 2y - 1. A fit
-    needs a finite gradient-norm tolerance >= 0: an infinite one would
-    return the identity scaler unfitted, and a NaN or negative one would
-    never test convergence."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+def _check_fit_inputs(val_logits, val_labels):
+    """The validated (n, 2) logits and each row's label sign, 2y - 1."""
     logits = np.asarray(val_logits, dtype=float)
     labels = np.asarray(val_labels, dtype=int)
     if logits.ndim != 2 or logits.shape[1] != 2 or logits.shape[0] == 0:
@@ -127,14 +124,14 @@ def _objective(phi, sign, theta):
     return nll, grad, hess
 
 
-def _newton(phi, sign, theta, tol, lo=-math.inf, hi=math.inf):
+def _newton(phi, sign, theta, lo=-math.inf, hi=math.inf):
     """Minimize the validation NLL of the margins ``phi @ theta`` by damped
     Newton from ``theta``, projected onto the box [lo, hi].
 
     Each step solves with the pseudo-inverse of the exact Hessian (matrix
     scaling's directions can be collinear) and is halved until the NLL
     falls, so the NLL never rises from the start point. Stops when the
-    gradient norm is below ``tol``, when no halving lowers the NLL, or after
+    gradient norm is below TOL, when no halving lowers the NLL, or after
     NEWTON_STEPS steps, which only data without a finite optimum (separable
     classes) reaches. Returns theta and the (iter, nll, grad_norm) log rows.
     """
@@ -143,7 +140,7 @@ def _newton(phi, sign, theta, tol, lo=-math.inf, hi=math.inf):
     for it in range(NEWTON_STEPS + 1):
         grad_norm = float(np.linalg.norm(grad))
         rows.append((it, nll, grad_norm))
-        if grad_norm < tol or it == NEWTON_STEPS:
+        if grad_norm < TOL or it == NEWTON_STEPS:
             break
         step = np.linalg.pinv(hess) @ grad
         for _ in range(MAX_HALVINGS):
@@ -158,7 +155,7 @@ def _newton(phi, sign, theta, tol, lo=-math.inf, hi=math.inf):
     return theta, rows
 
 
-def fit_temperature(val_logits, val_labels, tol: float = 1e-6, log_path=None) -> ScalerParams:
+def fit_temperature(val_logits, val_labels, log_path=None) -> ScalerParams:
     """Fit T minimizing validation NLL of softmax(z / T).
 
     Newton runs on beta = 1/T, in which the NLL is convex, so its slope at
@@ -167,7 +164,7 @@ def fit_temperature(val_logits, val_labels, tol: float = 1e-6, log_path=None) ->
     box collapses to that bound and the fit warns; otherwise projected
     Newton from T = 1 finds the minimum inside.
     """
-    logits, sign = _check_fit_inputs(val_logits, val_labels, tol)
+    logits, sign = _check_fit_inputs(val_logits, val_labels)
     phi = (logits[:, 1] - logits[:, 0])[:, None]
     lo, hi = (1.0 / t for t in reversed(TEMPERATURE_BOUNDS))
     warning = None
@@ -175,22 +172,22 @@ def fit_temperature(val_logits, val_labels, tol: float = 1e-6, log_path=None) ->
         lo, warning = hi, "temperature clamped at lower search bound; validation NLL is one-sided"
     elif _objective(phi, sign, np.array([lo]))[1][0] > 0:
         hi, warning = lo, "temperature clamped at upper search bound; validation NLL is one-sided"
-    beta, rows = _newton(phi, sign, np.clip(np.ones(1), lo, hi), tol, lo, hi)
+    beta, rows = _newton(phi, sign, np.clip(np.ones(1), lo, hi), lo, hi)
     _write_fit_log(log_path, rows)
     return ScalerParams(kind="temperature", temperature=1.0 / float(beta[0]), warning=warning)
 
 
-def fit_vector(val_logits, val_labels, tol: float = 1e-6, log_path=None) -> ScalerParams:
+def fit_vector(val_logits, val_labels, log_path=None) -> ScalerParams:
     """Fit diagonal scaling (bias fixed at 0), whose margin is w1 z1 - w0 z0,
     by Newton from the identity."""
-    logits, sign = _check_fit_inputs(val_logits, val_labels, tol)
+    logits, sign = _check_fit_inputs(val_logits, val_labels)
     phi = np.column_stack([-logits[:, 0], logits[:, 1]])
-    w_diag, rows = _newton(phi, sign, np.ones(2), tol)
+    w_diag, rows = _newton(phi, sign, np.ones(2))
     _write_fit_log(log_path, rows)
     return ScalerParams(kind="vector", w_diag=w_diag)
 
 
-def fit_matrix(val_logits, val_labels, tol: float = 1e-6, log_path=None) -> ScalerParams:
+def fit_matrix(val_logits, val_labels, log_path=None) -> ScalerParams:
     """Fit the full affine transform by Newton from the identity.
 
     Two-class softmax sees only the margin s (z1 - z0) + a (z1 + z0) + c, so
@@ -198,10 +195,10 @@ def fit_matrix(val_logits, val_labels, tol: float = 1e-6, log_path=None) -> Scal
     (W, b) nearest the identity: W = I + [-delta; delta], b = (-c, c) / 2,
     whose columns of W sum to 1 and whose b sums to 0.
     """
-    logits, sign = _check_fit_inputs(val_logits, val_labels, tol)
+    logits, sign = _check_fit_inputs(val_logits, val_labels)
     z0, z1 = logits[:, 0], logits[:, 1]
     phi = np.column_stack([z1 - z0, z1 + z0, np.ones(len(z0))])
-    (s, a, c), rows = _newton(phi, sign, np.array([1.0, 0.0, 0.0]), tol)
+    (s, a, c), rows = _newton(phi, sign, np.array([1.0, 0.0, 0.0]))
     _write_fit_log(log_path, rows)
     # the margin's coefficients on (z0, z1) are (a - s, a + s); the identity's are (-1, 1)
     delta = (np.array([a - s, a + s]) - (-1.0, 1.0)) / 2.0

@@ -445,6 +445,27 @@ def test_calibrate_on_a_read_training_file_parses_nothing(tmp_path, mini_run, mo
     assert fitted["T"] == json.loads((mini_run / "scaler_temperature.json").read_text())["T"]
 
 
+def test_calibrate_refuses_a_wrong_file_from_its_sidecar_without_a_parse(
+    tmp_path, mini_run, monkeypatch, capsys
+):
+    # the test set's sidecar, which gen wrote, gives its digest and row
+    # count, so calibrate refuses it before it takes a row and parses no line
+    data = mini_run / "test.csv"
+    assert datagen.sidecar_path(data).exists()
+    parsed = _count_loadtxt_rows(monkeypatch)
+    out = tmp_path / "o"
+    code = cli.main([
+        "calibrate", "--model", str(mini_run / "model_ce.txt"), "--data", str(data),
+        "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{data} is not the training data" in err
+    assert "50 data rows" in err and "records 400" in err
+    assert parsed == []
+    assert not out.exists()
+
+
 # --- eval ---------------------------------------------------------------------
 
 def test_eval_writes_full_artifact_set(mini_run):
@@ -540,7 +561,7 @@ def test_eval_reads_the_forward_row_blocks_and_holds_one_of_them(tmp_path, monke
     datagen.write_dataset(path, *data, roster_size=12)
     params = nn.init_params([25, 8, 2], seed=2)
     expected = nn.forward(params, data[0])
-    monkeypatch.setattr(datagen, "HASH_BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(datagen, "BLOCK_BYTES", 1 << 16)
     forward, sizes = nn.forward, []
 
     def recording_forward(params, x):

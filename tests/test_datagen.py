@@ -144,10 +144,10 @@ def test_generation_deterministic():
 def test_generation_block_size_changes_no_value(monkeypatch):
     # 1000 rows span four default blocks and 125 blocks of 8; the last
     # block is short in both
-    assert datagen.GEN_BLOCK_ROWS == 256
+    assert datagen.BLOCK_ROWS == 256
     config = small_config(1000, seed=13)
     whole = datagen.generate_dataset(config)
-    monkeypatch.setattr(datagen, "GEN_BLOCK_ROWS", 8)
+    monkeypatch.setattr(datagen, "BLOCK_ROWS", 8)
     for got, want in zip(datagen.generate_dataset(config), whole):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -167,7 +167,7 @@ def test_gen_csv_bodies_are_pinned(tmp_path, capsys):
     out = tmp_path / "gen"
     assert cli.main(["gen", "--n-train", "900", "--n-test", "200", "--n-features", "25",
                      "--roster-size", "12", "--seed", "11", "--out", str(out)]) == 0
-    assert 1100 > 3 * datagen.GEN_BLOCK_ROWS
+    assert 1100 > 3 * datagen.BLOCK_ROWS
     digests = {}
     for name in ("train.csv", "test.csv"):
         lines = (out / name).read_bytes().splitlines(keepends=True)
@@ -212,7 +212,7 @@ def test_gen_block_size_changes_no_byte(tmp_path, monkeypatch, capsys):
     assert cli.main([*PINNED_GEN, "--seed", "7"]) == 0
     files = ("train.csv", "test.csv", "train.csv.npz", "test.csv.npz")
     expected = {name: (tmp_path / "gen" / name).read_bytes() for name in files}
-    monkeypatch.setattr(datagen, "GEN_BLOCK_ROWS", 8)
+    monkeypatch.setattr(datagen, "BLOCK_ROWS", 8)
     assert cli.main([*PINNED_GEN, "--seed", "7"]) == 0
     assert {name: (tmp_path / "gen" / name).read_bytes() for name in files} == expected
 
@@ -470,9 +470,9 @@ def test_write_matches_per_value_rule_around_the_block_edge(tmp_path, n):
 
 def test_write_block_size_changes_no_byte(tmp_path, monkeypatch):
     data = datagen.generate_dataset(small_config(100, seed=4))
-    assert datagen.WRITE_BLOCK_ROWS == 1024
+    assert datagen.BLOCK_ROWS == 256
     datagen.write_dataset(tmp_path / "a.csv", *data, roster_size=12)
-    monkeypatch.setattr(datagen, "WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(datagen, "BLOCK_ROWS", 7)
     datagen.write_dataset(tmp_path / "b.csv", *data, roster_size=12)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "b.csv").read_bytes() == reference_bytes(*data, roster_size=12)
@@ -597,6 +597,16 @@ def test_read_rows_rejects_a_boolean_mask(tmp_path):
         datagen.read_dataset(path, rows=np.ones(5, dtype=bool))
 
 
+@pytest.mark.parametrize("rows, message", [
+    (np.ones(30, dtype=bool), "rows must be a 1-D integer index array"),
+    ([2, 30], "row index 30 is outside the file's 30 data rows"),
+], ids=["mask", "outside"])
+def test_take_rows_in_a_scan_rejects_a_mask_or_an_index_outside_the_data(tmp_path, rows, message):
+    path = _written(tmp_path)
+    with pytest.raises(datagen.DatasetFormatError, match=message):
+        datagen.scan_dataset(path, lambda info, blocks: datagen.take_rows(info, blocks, rows))
+
+
 def test_read_rows_names_the_line_of_a_bad_selected_row(tmp_path):
     data = datagen.generate_dataset(small_config(6, seed=1))
     path = tmp_path / "bad.csv"
@@ -629,7 +639,7 @@ def test_parse_block_size_changes_no_value_or_line_number(tmp_path, monkeypatch,
     write(lines)
     expected = datagen.read_dataset(path)
     datagen.sidecar_path(path).unlink()
-    monkeypatch.setattr(datagen, "PARSE_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(datagen, "BLOCK_BYTES", block_chars)
     got = datagen.read_dataset(path)
     for read, whole, generated in zip(got[:3], expected[:3], data):
         assert read.tobytes() == whole.tobytes()
@@ -950,7 +960,7 @@ def wide_csv(tmp_path_factory):
 
 
 def test_a_cold_read_writes_its_sidecar_and_holds_its_output_and_one_block(wide_csv):
-    # a cold read parses the CSV into its sidecar one READ_BLOCK_ROWS block
+    # a cold read parses the CSV into its sidecar one BLOCK_ROWS block
     # at a time and then scans that sidecar, so beside its arrays it holds
     # about one block of rows, never the parsed matrix
     path, data = wide_csv
@@ -960,7 +970,7 @@ def test_a_cold_read_writes_its_sidecar_and_holds_its_output_and_one_block(wide_
     for got, want in zip(cold[:3], data):
         np.testing.assert_array_equal(got, want)  # -0.0 is written as 0
     n_rows, n_feat = data[0].shape
-    assert peak <= 1.25 * (n_rows + datagen.READ_BLOCK_ROWS) * (n_feat + 2) * 8
+    assert peak <= 1.25 * (n_rows + datagen.BLOCK_ROWS) * (n_feat + 2) * 8
 
 
 def test_a_warm_read_holds_one_matrix(wide_csv):
@@ -979,72 +989,50 @@ def test_a_warm_read_holds_one_matrix(wide_csv):
 
 
 def test_a_warm_rows_read_holds_its_rows_and_one_block(wide_csv, monkeypatch):
-    # the sidecar's rows are read one READ_BLOCK_ROWS block at a time and
+    # the sidecar's rows are read one BLOCK_ROWS block at a time and
     # only the selected ones kept, so the read holds about 300 + 256 rows
     # of the 3000; 64 KiB hash reads keep the file's hashing out of the peak
     path, (x, _, _) = wide_csv
     datagen.read_dataset(path)  # makes sure the sidecar is there
-    monkeypatch.setattr(datagen, "HASH_BLOCK_BYTES", 1 << 16)
+    monkeypatch.setattr(datagen, "BLOCK_BYTES", 1 << 16)
     rows = np.random.default_rng(1).permutation(3000)[:300]
     part, peak = traced_peak(lambda: datagen.read_dataset(path, rows=rows))
     np.testing.assert_array_equal(part.x, x[rows])
     row_bytes = (x.shape[1] + 2) * 8
-    assert peak <= 1.25 * (len(rows) + datagen.READ_BLOCK_ROWS) * row_bytes
+    assert peak <= 1.25 * (len(rows) + datagen.BLOCK_ROWS) * row_bytes
 
-
-def test_a_read_with_another_digest_counts_rows_in_blocks(wide_csv, monkeypatch):
-    # the wrong file is only counted, HASH_BLOCK_BYTES at a time, never
-    # held whole
-    path, _ = wide_csv
-    monkeypatch.setattr(datagen, "HASH_BLOCK_BYTES", 1 << 16)
-
-    def read():
-        with pytest.raises(datagen.DatasetDigestError) as info:
-            datagen.read_dataset(path, rows=[0], sha256="0" * 64)
-        return info.value.n_rows
-
-    n_rows, peak = traced_peak(read)
-    assert n_rows == 3000
-    assert peak < 0.25 * path.stat().st_size
-
-
-def test_read_with_another_digest_counts_rows_and_parses_nothing(tmp_path, monkeypatch):
-    path = _written(tmp_path)
-    digest = datagen.read_dataset(path).sha256
-    _no_parse(monkeypatch)
-    with pytest.raises(datagen.DatasetDigestError, match="30 data rows") as info:
-        datagen.read_dataset(path, rows=[40], sha256="0" * 64)
-    assert info.value.n_rows == 30
-    assert datagen.read_dataset(path, rows=[1], sha256=digest).sha256 == digest
 
 # --- split ------------------------------------------------------------------------
 
 def test_split_sizes_exact():
-    train, val, test = datagen.split(100, (0.8, 0.1, 0.1), seed=1)
-    assert (len(train), len(val), len(test)) == (80, 10, 10)
+    train, val = datagen.split(100, 0.1, seed=1)
+    assert (len(train), len(val)) == (90, 10)
 
 
 def test_split_remainder_goes_to_train():
-    train, val, test = datagen.split(103, (0.8, 0.1, 0.1), seed=1)
-    assert (len(val), len(test)) == (10, 10)
-    assert len(train) == 83
+    train, val = datagen.split(103, 0.1, seed=1)
+    assert len(val) == 10
+    assert len(train) == 93
 
 
 def test_split_deterministic():
-    a = datagen.split(60, (0.7, 0.2, 0.1), seed=9)
-    b = datagen.split(60, (0.7, 0.2, 0.1), seed=9)
+    a = datagen.split(60, 0.2, seed=9)
+    b = datagen.split(60, 0.2, seed=9)
     for part_a, part_b in zip(a, b):
         assert part_a.tolist() == part_b.tolist()
+    # the seeded permutation, cut at the val size: a model header's
+    # split_seed and val_fraction locate the same rows in every version
+    perm = np.random.default_rng(9).permutation(60)
+    assert a[0].tolist() == perm[:48].tolist() and a[1].tolist() == perm[48:].tolist()
 
 
 def test_split_union_is_original_multiset():
-    train, val, test = datagen.split(77, (0.6, 0.25, 0.15), seed=3)
-    combined = sorted(np.concatenate([train, val, test]).tolist())
+    train, val = datagen.split(77, 0.25, seed=3)
+    combined = sorted(np.concatenate([train, val]).tolist())
     assert combined == list(range(77))
 
 
 def test_split_rejects_bad_fractions():
-    with pytest.raises(ValueError):
-        datagen.split(10, (0.8, 0.3, 0.2), seed=0)
-    with pytest.raises(ValueError):
-        datagen.split(10, (0.8, -0.1, 0.1), seed=0)
+    for val_fraction in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="val_fraction"):
+            datagen.split(10, val_fraction, seed=0)
