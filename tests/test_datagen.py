@@ -1002,6 +1002,50 @@ def test_a_warm_rows_read_holds_its_rows_and_one_block(wide_csv, monkeypatch):
     assert peak <= 1.25 * (len(rows) + datagen.BLOCK_ROWS) * row_bytes
 
 
+class _OtherData(Exception):
+    """What a consumer raises when the scanned file's digest is not the one
+    it expects; it carries the file's row count, as calibrate's refusal
+    does."""
+
+    def __init__(self, n_rows):
+        super().__init__(n_rows)
+        self.n_rows = n_rows
+
+
+def _refuse_other_digest(sha256):
+    def consume(info, blocks):
+        if info.sha256 != sha256:
+            raise _OtherData(info.n_rows)
+        return datagen.take_rows(info, blocks, rows=[0])
+    return consume
+
+
+def test_a_read_with_another_digest_counts_rows_in_blocks(wide_csv, monkeypatch):
+    # the wrong file is only hashed, BLOCK_BYTES at a time, and its row
+    # count comes from the sidecar's header: no row of it is held
+    path, _ = wide_csv
+    datagen.read_dataset(path)  # makes sure the sidecar is there
+    monkeypatch.setattr(datagen, "BLOCK_BYTES", 1 << 16)
+
+    def read():
+        with pytest.raises(_OtherData) as info:
+            datagen.scan_dataset(path, _refuse_other_digest("0" * 64))
+        return info.value.n_rows
+
+    n_rows, peak = traced_peak(read)
+    assert n_rows == 3000
+    assert peak < 0.25 * path.stat().st_size
+
+
+def test_read_with_another_digest_counts_rows_and_parses_nothing(tmp_path, monkeypatch):
+    path = _written(tmp_path)
+    digest = datagen.read_dataset(path).sha256
+    _no_parse(monkeypatch)
+    with pytest.raises(_OtherData) as info:
+        datagen.scan_dataset(path, _refuse_other_digest("0" * 64))
+    assert info.value.n_rows == 30
+    assert datagen.scan_dataset(path, _refuse_other_digest(digest)).sha256 == digest
+
 # --- split ------------------------------------------------------------------------
 
 def test_split_sizes_exact():

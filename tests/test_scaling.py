@@ -209,11 +209,17 @@ def test_fit_rejects_bad_validation_sets():
 # --- fit_vector / fit_matrix -------------------------------------------------------
 
 @pytest.mark.parametrize("fit", [scaling.fit_temperature, scaling.fit_vector, scaling.fit_matrix])
-def test_fits_take_no_tolerance(fit):
-    # every fit runs Newton to the fixed gradient norm scaling.TOL
+@pytest.mark.parametrize("settings", [
+    {"tol": float("inf")},
+    {"tol": float("nan")},
+    {"tol": -1.0},
+], ids=["tol-inf", "tol-nan", "tol-negative"])
+def test_adam_fits_reject_bad_optimiser_settings(fit, settings):
+    # every fit runs Newton to the fixed gradient norm scaling.TOL and takes
+    # no tolerance of its own, so any tol setting is refused
     z, labels = calibrated_set(n=200, seed=1)
     with pytest.raises(TypeError, match="tol"):
-        fit(z, labels, tol=1e-6)
+        fit(z, labels, **settings)
 
 
 def test_affine_fits_near_identity_when_calibrated():
