@@ -15,9 +15,10 @@ averaging flattens confident outputs on the concave side of the sigmoid,
 which is what produces the calibration effect.
 
 Every function works on a batch of n inputs: ``draw_noise_batch`` draws the
-(n, K, 2) noise block from the caller's generator, ``expected_probs_batch``
-averages the sampled softmaxes, and ``batch_losses_and_grads`` returns
-per-input losses and pathwise gradients for that frozen noise (training).
+(n, K, 2) noise block from the caller's generator; ``expected_probs_batch``
+and ``batch_losses_and_grads`` average per-draw sigmoids of the collapsed
+margin mu_c + sigma * eps_c, an (n, K) array, for the probabilities and for
+the per-input losses and pathwise gradients of that frozen noise (training).
 
 Evaluation needs no noise: ``expected_probs_exact`` integrates the same
 expectation with a fixed quadrature rule, so it is deterministic and
@@ -80,15 +81,23 @@ def draw_noise_batch(n: int, mc: MCConfig, rng: np.random.Generator) -> np.ndarr
     return np.concatenate([half, -half], axis=1)
 
 
+def _margin_draws(mu, s_raw, eps):
+    """The collapsed draws a = m + sigma * eps_c, shape (n, K), with
+    m = mu_1 - mu_0 and eps_c = eps_1 - eps_0, returned with eps_c and sigma."""
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.exp(np.asarray(s_raw, dtype=float))
+    eps_c = eps[:, :, 1] - eps[:, :, 0]
+    return (mu[:, 1] - mu[:, 0])[:, None] + sigma[:, None] * eps_c, eps_c, sigma
+
+
 def expected_probs_batch(mu: np.ndarray, s_raw: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """MC-averaged class probabilities: the mean of softmax(mu + sigma * eps).
+    """MC-averaged class probabilities: the mean of softmax(mu + sigma * eps),
+    taken as the means of sigmoid(-a) and sigmoid(a) over the collapsed draws.
 
     Shapes: mu (n, 2), s_raw (n,), eps (n, K, 2). Returns (n, 2).
     """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.exp(np.asarray(s_raw, dtype=float))
-    u = mu[:, None, :] + sigma[:, None, None] * eps
-    return softmax(u).mean(axis=1)
+    a, _, _ = _margin_draws(mu, s_raw, eps)
+    return np.column_stack([sigmoid(-a).mean(axis=1), sigmoid(a).mean(axis=1)])
 
 
 # the rule of expected_probs_exact, as DU eval reports name it
@@ -149,25 +158,13 @@ def batch_losses_and_grads(
     probability sits below the clamp floor get zero gradient, matching the
     flat region of the clamped loss.
     """
-    n, k = eps.shape[0], eps.shape[1]
-    sigma = np.exp(s_raw)
-    u = mu[:, None, :] + sigma[:, None, None] * eps
-    p = softmax(u)  # (n, K, 2)
-    pbar = p.mean(axis=1)  # (n, 2)
-    rows = np.arange(n)
-    py = pbar[rows, y]
-    losses = -np.log(np.maximum(py, PROB_FLOOR))
-
-    onehot = np.zeros((n, 2))
-    onehot[rows, y] = 1.0
-    pky = p[rows, :, y]  # (n, K)
-    coef = -(pky / (k * py)[:, None])  # (n, K)
-    dldu = coef[:, :, None] * (onehot[:, None, :] - p)  # (n, K, 2)
-    dmu = dldu.sum(axis=1)
-    ds = (dldu * eps).sum(axis=(1, 2)) * sigma
-
-    clamped = py < PROB_FLOOR
-    if np.any(clamped):
-        dmu[clamped] = 0.0
-        ds[clamped] = 0.0
-    return losses, dmu, ds
+    a, eps_c, sigma = _margin_draws(mu, s_raw, eps)
+    sign = (2.0 * np.asarray(y) - 1.0)[:, None]
+    p = sigmoid(sign * a)  # each draw's true-class probability, (n, K)
+    py = p.mean(axis=1)
+    floor = np.maximum(py, PROB_FLOOR)
+    losses = -np.log(floor)
+    g = -sign * p * (1.0 - p) / (a.shape[1] * floor)[:, None]  # dloss / da
+    g = np.where((py < PROB_FLOOR)[:, None], 0.0, g)
+    dmargin = g.sum(axis=1)
+    return losses, np.column_stack([-dmargin, dmargin]), (g * eps_c).sum(axis=1) * sigma

@@ -7,6 +7,7 @@ is guarded against regressions.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,57 @@ def test_grad_symmetric_antithetic_case_agrees_with_fd():
         np.testing.assert_allclose([dmu[0], dmu[1], ds], numeric, atol=1e-6)
         # averaged over antithetic pairs the two logits pull symmetrically
         assert dmu[0] < 0 < dmu[1]
+
+
+def softmax_form(mu, s_raw, y, eps):
+    """Reference: the DU loss, its gradients and the MC probabilities from the
+    (n, K, 2) softmax of the sampled logits, with a one-hot gradient tensor;
+    the module computes them in the collapsed (n, K) margin form."""
+    n, k = eps.shape[0], eps.shape[1]
+    sigma = np.exp(s_raw)
+    u = mu[:, None, :] + sigma[:, None, None] * eps
+    p = duloss.softmax(u)  # (n, K, 2)
+    pbar = p.mean(axis=1)
+    rows = np.arange(n)
+    py = pbar[rows, y]
+    losses = -np.log(np.maximum(py, duloss.PROB_FLOOR))
+    onehot = np.zeros((n, 2))
+    onehot[rows, y] = 1.0
+    coef = -(p[rows, :, y] / (k * py)[:, None])  # (n, K)
+    dldu = coef[:, :, None] * (onehot[:, None, :] - p)  # (n, K, 2)
+    return losses, dldu.sum(axis=1), (dldu * eps).sum(axis=(1, 2)) * sigma, pbar
+
+
+def test_margin_form_matches_softmax_form():
+    rng = np.random.default_rng(4242)
+    worst = 0.0
+    for k in (2, 8, 32):
+        for trial in range(20):
+            n = 64
+            mu = rng.uniform(-10.0, 10.0, (n, 2))
+            s_raw = rng.uniform(-5.0, 3.0, n)
+            y = rng.integers(0, 2, n)
+            eps = noise(k, seed=1000 * k + trial, n=n)
+            losses, dmu, ds, pbar = softmax_form(mu, s_raw, y, eps)
+            got = duloss.batch_losses_and_grads(mu, s_raw, y, eps)
+            got_p = duloss.expected_probs_batch(mu, s_raw, eps)
+            for a, b in zip((*got, got_p), (losses, dmu, ds, pbar)):
+                worst = max(worst, float(np.max(np.abs(a - b))))
+    assert worst <= 1e-13, worst
+
+
+def test_clamped_rows_have_floor_loss_and_zero_gradient():
+    # row 0's true-class probability underflows to 0; row 1's is about 2e-35,
+    # positive but below the floor
+    mu = np.array([[800.0, -800.0], [40.0, -40.0]])
+    s_raw = np.array([-40.0, -40.0])
+    eps = noise(4, seed=6, n=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        losses, dmu, ds = duloss.batch_losses_and_grads(mu, s_raw, np.array([1, 1]), eps)
+    np.testing.assert_array_equal(losses, -math.log(duloss.PROB_FLOOR))
+    np.testing.assert_array_equal(dmu, 0.0)
+    np.testing.assert_array_equal(ds, 0.0)
 
 
 # --- binary collapse ------------------------------------------------------------------
