@@ -287,15 +287,6 @@ def cmd_train(resolved: dict) -> None:
     print(f"wrote {model_path} (final loss {final.loss:.4f}, train acc {final.train_acc:.4f})")
 
 
-def _load_model(path):
-    try:
-        return nn.load_model(path)
-    except ModelFormatError:
-        raise
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
-
-
 def _count(value: str):
     """A nonnegative decimal integer, or None."""
     return int(value) if value.isascii() and value.isdigit() else None
@@ -347,7 +338,7 @@ def cmd_calibrate(resolved: dict) -> None:
         raise ValueError("calibrate requires --model and --data")
     kind = resolved["kind"]
     model_path, data = resolved["model"], resolved["data"]
-    params, header = _load_model(model_path)
+    params, header = nn.load_model(model_path)
     if params.du_head_enabled:
         raise ValueError("post-hoc scalers apply to cross-entropy models, not du models")
     split_seed, val_fraction, data_rows, data_sha256 = _split_record(model_path, header)
@@ -411,7 +402,7 @@ def cmd_eval(resolved: dict) -> None:
         raise ValueError("eval requires --model and --data")
     m_bins = int(resolved["m_bins"])
     metrics.check_m_bins(m_bins)
-    params, _ = _load_model(resolved["model"])
+    params, _ = nn.load_model(resolved["model"])
     scaler = None
     if resolved["scaler"] is not None:
         scaler = _load_scaler(resolved["scaler"])

@@ -13,11 +13,12 @@ and backward pass in float32 on a float32 copy of them; the loss and its
 gradient w.r.t. the network outputs are always taken in float64. Inference
 and the gradient checks use the float64 parameters as they are.
 
-Inference (``forward``) keeps only the current layer's activation of one
-row block; the training pass (``_forward_cached``) keeps every hidden layer
-of the whole batch for backprop. The two compute the same outputs bit for
-bit on any batch below ``2 * FORWARD_BLOCK_ROWS`` rows, which inference runs
-as one block.
+There is one layer loop, ``_forward_cached``. It keeps one array per
+hidden layer, the activation, computed in place; backprop takes both its
+inputs and its ReLU masks from those arrays. Training runs it on each
+batch, and inference (``forward``) on each row block, keeping only the
+outputs. So inference gives the training pass's outputs bit for bit on any
+batch below ``2 * FORWARD_BLOCK_ROWS`` rows, which it runs as one block.
 
 Everything is seeded: on the same machine setup (BLAS library and thread
 count included) the same seed, config and data reproduce the same
@@ -28,7 +29,7 @@ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +50,9 @@ MODEL_MAGIC = "calibforge-model v1"
 # fewer (DU model) moved most rows by up to 5.3e-15. A fixed chunk size
 # leaves a small last block, so the blocks are equal instead.
 FORWARD_BLOCK_ROWS = 4096
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # entropy tag separating the training noise stream from other consumers of
 # the same top-level seed
@@ -141,19 +145,18 @@ def init_params(
 
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
-    """Run the network keeping every hidden pre-activation and activation,
-    for backprop only (``backward`` and ``batch_loss``); inference goes
-    through ``forward``."""
+    """The one layer loop: ``(activations, out)``, the input and every
+    hidden activation (each computed in place), and the raw outputs."""
     h = x
     activations = [x]
-    pre = []
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        u = h @ w + b
-        pre.append(u)
-        h = np.maximum(u, 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
-    out = h @ params.weights[-1] + params.biases[-1]
-    return activations, pre, out
+    out = h @ params.weights[-1]
+    out += params.biases[-1]
+    return activations, out
 
 
 def _check_batch(params: ModelParams, x) -> np.ndarray:
@@ -181,26 +184,18 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     Output width is 2 (logits), or 3 with the density head: columns 0-1 are
     the logit means and column 2 is the raw noise output.
 
-    The rows run in the equal contiguous blocks of ``row_blocks(n)``, each
-    written into one preallocated (n, out) array. Within a block only the
-    current layer is kept: each hidden activation is computed in place and
-    freed once the next layer's product exists, so the pass holds at most
-    two (block, width) arrays beside its input and output. A
-    batch below ``2 * FORWARD_BLOCK_ROWS`` rows is one block and gives the
+    The rows run through ``_forward_cached``, the training pass's layer
+    loop, in the equal contiguous blocks of ``row_blocks(n)``, each written
+    into one preallocated (n, out) array, so beside its input and output
+    the pass holds one block's hidden activations. A batch
+    below ``2 * FORWARD_BLOCK_ROWS`` rows is one block and gives the
     training pass's values bit for bit; ``FORWARD_BLOCK_ROWS`` says why
     larger batches run in large equal blocks.
     """
     x = _check_batch(params, x)
     out = np.empty((len(x), params.weights[-1].shape[1]), dtype=x.dtype)
     for rows in row_blocks(len(x)):
-        h = x[rows]
-        for w, b in zip(params.weights[:-1], params.biases[:-1]):
-            h = h @ w
-            h += b
-            np.maximum(h, 0.0, out=h)
-        h = h @ params.weights[-1]
-        h += params.biases[-1]
-        out[rows] = h
+        out[rows] = _forward_cached(params, x[rows])[1]
     return out
 
 
@@ -226,9 +221,8 @@ def _loss_and_delta(out: np.ndarray, y: np.ndarray, loss_kind: str, noise):
     if loss_kind == "ce":
         p = softmax(out)
         loss = float(np.mean(-np.log(np.maximum(p[rows, y], PROB_FLOOR))))
-        onehot = np.zeros_like(p)
-        onehot[rows, y] = 1.0
-        return loss, (p - onehot) / n
+        p[rows, y] -= 1.0
+        return loss, p / n
     if loss_kind == "du":
         if noise is None:
             raise ValueError("du loss requires a frozen noise block")
@@ -243,7 +237,7 @@ def batch_loss(
 ) -> float:
     """Mean loss over a batch; the quantity whose gradient backward() returns."""
     y = np.asarray(y, dtype=int)
-    _, _, out = _forward_cached(params, _check_batch(params, x))
+    _, out = _forward_cached(params, _check_batch(params, x))
     return _loss_and_delta(out, y, loss_kind, noise)[0]
 
 
@@ -261,7 +255,7 @@ def backward(
     """
     x = _check_batch(params, x)
     y = np.asarray(y, dtype=int)
-    activations, pre, out = _forward_cached(params, x)
+    activations, out = _forward_cached(params, x)
     loss, delta = _loss_and_delta(out, y, loss_kind, noise)
 
     dweights = [None] * len(params.weights)
@@ -271,7 +265,9 @@ def backward(
         dweights[layer] = activations[layer].T @ dpre
         dbiases[layer] = dpre.sum(axis=0)
         if layer > 0:
-            dpre = (dpre @ params.weights[layer].T) * (pre[layer - 1] > 0.0)
+            # the activation max(u, 0) is positive exactly where u is, NaN included
+            dpre = dpre @ params.weights[layer].T
+            dpre *= activations[layer] > 0.0
     return loss, Gradients(dweights, dbiases), out
 
 
@@ -295,9 +291,6 @@ def adam_step(
     grad_list: list[np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update over a flat list of parameter arrays.
 
@@ -307,20 +300,20 @@ def adam_step(
     bit for bit as an out-of-place update.
     """
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(param_list, grad_list, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
         g2 = g * g
-        g2 *= 1.0 - beta2
-        v *= beta2
+        g2 *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += g2
         step = m / c1
         step *= lr
         denom = v / c2
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += ADAM_EPS
         step /= denom
         p -= step
 
@@ -440,9 +433,13 @@ def save_model(params: ModelParams, path, header: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, dict]:
-    """Read a model file back; returns (params, header dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    """Read a model file back; returns (params, header dict). A file that
+    is not a well-formed model raises ``ModelFormatError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     if not lines or lines[0] != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: missing '{MODEL_MAGIC}' header")
     header: dict = {}
@@ -457,44 +454,41 @@ def load_model(path) -> tuple[ModelParams, dict]:
         header[key] = value
         i += 1
     try:
-        layer_sizes = [int(s) for s in header["layer_sizes"].split(",")]
-        du_head = header["du_head"] == "true"
+        sizes, flag = header["layer_sizes"], header["du_head"]
+        layer_sizes = [int(s) for s in sizes.split(",")]
     except KeyError as exc:
         raise ModelFormatError(f"{path}: missing header field {exc}") from exc
+    except ValueError as exc:
+        msg = f"header field 'layer_sizes' is malformed: {sizes!r}"
+        raise ModelFormatError(f"{path}: {msg}") from exc
+    if flag not in ("true", "false"):
+        raise ModelFormatError(f"{path}: header field 'du_head' must be true or false: {flag!r}")
 
     weights, biases = [], []
     while i < len(lines) and lines[i] != "end":
         parts = lines[i].split()
         if len(parts) < 2 or parts[0] != "param":
             raise ModelFormatError(f"{path}: line {i + 1}: expected a param block")
+        # a weight matrix has one line per row, a bias vector one line
+        name, is_weight = parts[1], parts[1].startswith("W")
         try:
-            name, shape = parts[1], [int(p) for p in parts[2:]]
-            i += 1
-            if name.startswith("W"):
-                rows = []
-                for _ in range(shape[0]):
-                    rows.append([float(v) for v in lines[i].split()])
-                    i += 1
-                arr = np.array(rows)
-                if arr.shape != tuple(shape):
-                    raise ModelFormatError(f"{path}: {name}: shape mismatch")
-                weights.append(arr)
-            else:
-                arr = np.array([float(v) for v in lines[i].split()])
+            shape = tuple(int(p) for p in parts[2:])
+            rows = []
+            for _ in range(shape[0] if is_weight else 1):
                 i += 1
-                if arr.shape != (shape[0],):
-                    raise ModelFormatError(f"{path}: {name}: shape mismatch")
-                biases.append(arr)
+                rows.append([float(v) for v in lines[i].split()])
+            arr = np.array(rows if is_weight else rows[0])
         except (ValueError, IndexError) as exc:
-            if isinstance(exc, ModelFormatError):
-                raise
             raise ModelFormatError(f"{path}: line {i + 1}: {exc}") from exc
+        if arr.shape != shape:
+            raise ModelFormatError(f"{path}: {name}: shape mismatch")
+        (weights if is_weight else biases).append(arr)
+        i += 1
     if i >= len(lines) or lines[i] != "end":
         raise ModelFormatError(f"{path}: missing end marker")
-    params = ModelParams(layer_sizes, weights, biases, du_head_enabled=du_head)
+    params = ModelParams(layer_sizes, weights, biases, du_head_enabled=flag == "true")
     try:
         params.validate()
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     return params, header
-

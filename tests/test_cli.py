@@ -713,6 +713,16 @@ def test_eval_missing_model_is_io_error(tmp_path, mini_run):
     assert proc.returncode == 3
 
 
+def test_eval_binary_model_file_is_io_error(tmp_path, mini_run):
+    model = tmp_path / "model_ce.txt"
+    model.write_bytes(np.random.default_rng(3).bytes(4096))
+    proc = run_cli([
+        "eval", "--model", model, "--data", mini_run / "test.csv", "--out", tmp_path,
+    ], check=False)
+    assert proc.returncode == 3
+    assert "model_ce.txt" in proc.stderr
+
+
 # --- compare -----------------------------------------------------------------
 
 def test_compare_table_matches_reports(mini_run):

@@ -106,8 +106,8 @@ def test_du_head_adds_one_output():
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("loss_kind", ["ce", "du"])
 def test_forward_equals_the_training_pass_bit_for_bit(loss_kind, dtype, n):
-    # inference and backprop run separate loops over the layers; they must
-    # not drift apart
+    # inference runs each row block through the training pass, and a batch
+    # this small is one block
     du = loss_kind == "du"
     params = nn.init_params([11, 16, 9, 2], du_head=du, seed=4)
     rng = np.random.default_rng(n)
@@ -125,9 +125,8 @@ def test_forward_equals_the_training_pass_bit_for_bit(loss_kind, dtype, n):
 
 
 def test_forward_keeps_only_the_current_layer():
-    # beside its input, inference holds one hidden activation and the next
-    # layer's product; the training pass holds every pre-activation and
-    # activation (four arrays for two hidden layers)
+    # beside its input and output, inference holds the hidden activations of
+    # one row block (two arrays for two hidden layers), each computed in place
     n, width = 4096, 256
     params = nn.init_params([64, width, width, 2], seed=1)
     x = np.random.default_rng(0).normal(0.0, 1.0, (n, 64))
@@ -295,6 +294,28 @@ def test_float32_backward_matches_float64(loss_kind):
     assert all(g.dtype == np.float32 for g in narrow)
     assert relative_error([g.astype(np.float64) for g in narrow], exact) <= 1e-5
     assert loss32 == pytest.approx(loss64, rel=1e-6)
+
+
+@pytest.mark.parametrize("loss_kind", ["ce", "du"])
+def test_backward_keeps_one_array_per_hidden_layer(loss_kind):
+    # the pass keeps each hidden activation and takes its ReLU masks from
+    # them; beside those two it holds at most the propagated gradient, its
+    # product with the next layer's weights and a boolean mask
+    du = loss_kind == "du"
+    n, width = 4096, 256
+    params = nn.init_params([64, width, width, 2], du_head=du, seed=1)
+    rng = np.random.default_rng(0)
+    x = rng.normal(0.0, 1.0, (n, 64))
+    y = rng.integers(0, 2, n)
+    noise = duloss.draw_noise_batch(n, duloss.MCConfig(k=8), rng) if du else None
+    activation = n * width * 8
+    tracemalloc.start()
+    try:
+        nn.backward(params, x, y, loss_kind, noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * activation
 
 
 def test_backward_rejects_width_mismatch():
@@ -539,3 +560,21 @@ def test_model_load_rejects_garbage(tmp_path):
         )
         with pytest.raises(nn.ModelFormatError, match=re.escape(f"{path}: line 7")):
             nn.load_model(path)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda text: text.replace("layer_sizes=3,4,2", "layer_sizes=3,x"), "layer_sizes"),
+    (lambda text: text.replace("layer_sizes=3,4,2", "layer_sizes=3,,2"), "layer_sizes"),
+    (lambda text: text.replace("du_head=false", "du_head=yes"), "du_head"),
+    (None, None),
+], ids=["non-integer-size", "empty-size", "du-head-yes", "random-bytes"])
+def test_model_load_names_the_file_of_a_malformed_model(tmp_path, edit, key):
+    path = tmp_path / "model.txt"
+    if edit is None:
+        path.write_bytes(np.random.default_rng(3).bytes(4096))
+    else:
+        nn.save_model(nn.init_params([3, 4, 2], seed=0), path)
+        path.write_text(edit(path.read_text()))
+    with pytest.raises(nn.ModelFormatError, match=re.escape(str(path))) as info:
+        nn.load_model(path)
+    assert key is None or repr(key) in str(info.value)
