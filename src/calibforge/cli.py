@@ -27,6 +27,7 @@ from . import __version__, datagen, duloss, metrics, nn, scaling
 from .artifacts import write_lines
 from .datagen import DatasetFormatError
 from .nn import ModelFormatError
+from .scaling import ScalerFormatError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -372,20 +373,10 @@ def cmd_calibrate(resolved: dict) -> None:
     print(f"wrote {scaler_path} ({detail}, val NLL minimized on {len(yv)} points)")
 
 
-def _load_scaler(path):
-    try:
-        return scaling.load_scaler(path)
-    except FileNotFoundError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ArtifactReadError(f"{path}: {exc}") from exc
-
-
 def _network_outputs(params, info, blocks):
     """The raw network outputs, labels and p_true (or None) of every data
-    row of a scan. Its blocks are the row blocks of ``nn.forward``, so each
-    call computes what one call on all rows would; only the features of
-    the current block are held."""
+    row of a scan, one ``nn.forward`` call per block, so only the features
+    and activations of the current block are held."""
     raw = np.empty((info.n_rows, params.weights[-1].shape[1]))
     y = np.empty(info.n_rows, dtype=int)
     p_true = np.empty(info.n_rows) if info.with_p_true else None
@@ -405,11 +396,11 @@ def cmd_eval(resolved: dict) -> None:
     params, _ = nn.load_model(resolved["model"])
     scaler = None
     if resolved["scaler"] is not None:
-        scaler = _load_scaler(resolved["scaler"])
+        scaler = scaling.load_scaler(resolved["scaler"])
     if params.du_head_enabled and scaler is not None:
         raise ValueError("post-hoc scalers do not combine with du models")
     raw, y, p_true = datagen.scan_dataset(
-        resolved["data"], functools.partial(_network_outputs, params), bounds=nn.row_blocks
+        resolved["data"], functools.partial(_network_outputs, params)
     )
     if len(y) == 0:
         raise ValueError(f"{resolved['data']}: dataset is empty")
@@ -537,7 +528,8 @@ def main(argv=None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (DatasetFormatError, ModelFormatError, ArtifactReadError, OSError) as exc:
+    except (DatasetFormatError, ModelFormatError, ScalerFormatError, ArtifactReadError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

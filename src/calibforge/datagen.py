@@ -54,8 +54,8 @@ _PICKS_PER_TEAM = 5
 # Every block-wise pass over a dataset takes this many rows at a time, which
 # bounds its arrays to one block whatever the dataset size: GeneratedDataset
 # draws its picks and p_true and makes its feature rows, write_dataset formats
-# an array, a parse runs np.loadtxt, and scan_dataset reads a sidecar unless
-# its caller names other row blocks. p_true takes each block's
+# an array, a parse runs np.loadtxt, scan_dataset reads a sidecar, and eval
+# runs nn.forward on each block a scan yields. p_true takes each block's
 # comp @ champ_coef, which OpenBLAS's matrix-vector kernel sums in groups of 4
 # rows with a different path for the rest: blocks of 2, 3, 6 or 7 rows changed
 # some p_true bits, while every multiple of 4 reproduced one whole-matrix
@@ -680,15 +680,15 @@ class _StaleSidecar(Exception):
     matrix of the file's bytes."""
 
 
-def _sidecar_blocks(member, layout: _Layout, bounds: list[slice]):
-    """Read the rows of an open ``data.npy`` zip member, positioned at its
-    first row, in the order of ``bounds`` into one reused (largest block,
-    columns) buffer, and yield each block once its values pass the checks a
-    parse runs. The member checks its CRC-32 as its last byte is read. A
-    short read, a failed check or a bad CRC is _StaleSidecar."""
-    buf = np.empty((max((r.stop - r.start for r in bounds), default=0), layout.n_cols))
+def _sidecar_blocks(member, layout: _Layout, n_rows: int):
+    """Read the ``n_rows`` rows of an open ``data.npy`` zip member,
+    positioned at its first row, BLOCK_ROWS at a time into one reused
+    (BLOCK_ROWS, columns) buffer, and yield each block once its values pass
+    the checks a parse runs. The member checks its CRC-32 as its last byte
+    is read. A short read, a failed check or a bad CRC is _StaleSidecar."""
+    buf = np.empty((min(BLOCK_ROWS, n_rows), layout.n_cols))
     raw = buf.reshape(-1).view(np.uint8)
-    for rows in bounds:
+    for rows in _row_slices(0, n_rows, BLOCK_ROWS):
         size = (rows.stop - rows.start) * layout.n_cols * buf.itemsize
         try:
             for piece in range(0, size, SIDECAR_READ_BYTES):
@@ -704,10 +704,10 @@ def _sidecar_blocks(member, layout: _Layout, bounds: list[slice]):
         yield Block(rows, matrix[:, :n_feat], matrix[:, n_feat], p_true)
 
 
-def _scan_sidecar(path, sidecar, layout: _Layout, sha256: str, consume, bounds):
+def _scan_sidecar(path, sidecar, layout: _Layout, sha256: str, consume):
     """consume(info, blocks) over the rows of a sidecar of the dataset file
-    ``path``, read in the row blocks ``bounds(n_rows)``; ``sidecar`` is its
-    path or an open binary file.
+    ``path``, read BLOCK_ROWS rows at a time; ``sidecar`` is its path or an
+    open binary file.
 
     Before any row is read, the sidecar's ``sha256`` member must hold
     ``sha256``, and its ``data.npy`` member must hold just a C-ordered (n,
@@ -739,7 +739,7 @@ def _scan_sidecar(path, sidecar, layout: _Layout, sha256: str, consume, bounds):
         ):
             raise _StaleSidecar
         info = DatasetInfo(str(path), shape[0], layout.n_feat, layout.with_p_true, sha256)
-        blocks = _sidecar_blocks(member, layout, bounds(shape[0]))
+        blocks = _sidecar_blocks(member, layout, shape[0])
         result = consume(info, blocks)
         for _ in blocks:
             pass
@@ -811,12 +811,11 @@ def take_rows(info: DatasetInfo, blocks, rows=None, dtype=np.float64) -> Dataset
     return Dataset(x, y, p_true, info.sha256)
 
 
-def scan_dataset(path, consume, bounds=None):
+def scan_dataset(path, consume):
     """Return ``consume(info, blocks)``: ``info`` is the file's DatasetInfo,
-    and ``blocks`` yields a Block for each row range of ``bounds(n_rows)``
-    (consecutive slices that cover the data rows; BLOCK_ROWS rows each by
-    default), in order. This is how a caller keeps only what it needs of
-    each block, instead of the whole (n, F) matrix.
+    and ``blocks`` yields a Block for each BLOCK_ROWS consecutive data rows
+    (the last one may be shorter), in order. This is how a caller keeps only
+    what it needs of each block, instead of the whole (n, F) matrix.
 
     The rows always come from the sidecar at ``sidecar_path(path)``: its
     uncompressed ``data.npy`` member is read in order, one block at a time,
@@ -834,14 +833,12 @@ def scan_dataset(path, consume, bounds=None):
 
     The errors are those of read_dataset.
     """
-    if bounds is None:
-        bounds = functools.partial(_row_slices, 0, size=BLOCK_ROWS)
     sidecar = sidecar_path(path)
     with open(path, "rb") as fh:
         layout = _Layout(*_parse_header(path, _leading_lines(fh)))
         digest = _digest(fh)
         try:
-            return _scan_sidecar(path, sidecar, layout, digest, consume, bounds)
+            return _scan_sidecar(path, sidecar, layout, digest, consume)
         except _StaleSidecar:
             pass
         with contextlib.ExitStack() as stack:
@@ -854,7 +851,7 @@ def scan_dataset(path, consume, bounds=None):
             if side is not sidecar:
                 stack.close()  # moves the new sidecar into place
             try:
-                return _scan_sidecar(path, sidecar, layout, digest, consume, bounds)
+                return _scan_sidecar(path, sidecar, layout, digest, consume)
             except _StaleSidecar as exc:
                 if side is not sidecar:
                     sidecar.unlink(missing_ok=True)

@@ -16,9 +16,8 @@ and the gradient checks use the float64 parameters as they are.
 There is one layer loop, ``_forward_cached``. It keeps one array per
 hidden layer, the activation, computed in place; backprop takes both its
 inputs and its ReLU masks from those arrays. Training runs it on each
-batch, and inference (``forward``) on each row block, keeping only the
-outputs. So inference gives the training pass's outputs bit for bit on any
-batch below ``2 * FORWARD_BLOCK_ROWS`` rows, which it runs as one block.
+batch, and inference (``forward``) is one such pass that keeps only the
+outputs, so it gives the training pass's outputs bit for bit on any batch.
 
 Everything is seeded: on the same machine setup (BLAS library and thread
 count included) the same seed, config and data reproduce the same
@@ -40,16 +39,6 @@ from .metrics import PROB_FLOOR
 
 DEFAULT_HIDDEN = [256, 256]
 MODEL_MAGIC = "calibforge-model v1"
-
-# forward splits n rows into max(1, n // FORWARD_BLOCK_ROWS) equal contiguous
-# blocks, so a block holds 4096 to 8191 rows and any n below 8192 is one
-# block. The floor is there for bit-identity: OpenBLAS runs the narrow
-# output layer (256 -> 2 or 3) on another path at small M. On the 25000-row
-# score test set, equal blocks of 2000 rows or more reproduced a whole-batch
-# pass bit for bit, while blocks of 1500 rows or fewer (CE model) or 1000 or
-# fewer (DU model) moved most rows by up to 5.3e-15. A fixed chunk size
-# leaves a small last block, so the blocks are equal instead.
-FORWARD_BLOCK_ROWS = 4096
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -169,34 +158,17 @@ def _check_batch(params: ModelParams, x) -> np.ndarray:
     return x
 
 
-def row_blocks(n: int) -> list[slice]:
-    """The contiguous row blocks ``forward`` runs n rows in:
-    ``max(1, n // FORWARD_BLOCK_ROWS)`` equal ones (see FORWARD_BLOCK_ROWS).
-    A caller that hands ``forward`` these blocks one at a time gets the
-    outputs of one call on all n rows, bit for bit."""
-    n_blocks = max(1, n // FORWARD_BLOCK_ROWS)
-    return [slice(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
-
-
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Raw network outputs for an (n, F) batch.
 
     Output width is 2 (logits), or 3 with the density head: columns 0-1 are
     the logit means and column 2 is the raw noise output.
 
-    The rows run through ``_forward_cached``, the training pass's layer
-    loop, in the equal contiguous blocks of ``row_blocks(n)``, each written
-    into one preallocated (n, out) array, so beside its input and output
-    the pass holds one block's hidden activations. A batch
-    below ``2 * FORWARD_BLOCK_ROWS`` rows is one block and gives the
-    training pass's values bit for bit; ``FORWARD_BLOCK_ROWS`` says why
-    larger batches run in large equal blocks.
+    One pass of the training loop (``_forward_cached``) on the batch as
+    given, keeping only its outputs, so its values are the training pass's
+    bit for bit. eval passes it one ``datagen.BLOCK_ROWS`` block at a time.
     """
-    x = _check_batch(params, x)
-    out = np.empty((len(x), params.weights[-1].shape[1]), dtype=x.dtype)
-    for rows in row_blocks(len(x)):
-        out[rows] = _forward_cached(params, x[rows])[1]
-    return out
+    return _forward_cached(params, _check_batch(params, x))[1]
 
 
 def split_outputs(params: ModelParams, out: np.ndarray):
@@ -237,8 +209,7 @@ def batch_loss(
 ) -> float:
     """Mean loss over a batch; the quantity whose gradient backward() returns."""
     y = np.asarray(y, dtype=int)
-    _, out = _forward_cached(params, _check_batch(params, x))
-    return _loss_and_delta(out, y, loss_kind, noise)[0]
+    return _loss_and_delta(forward(params, x), y, loss_kind, noise)[0]
 
 
 def backward(

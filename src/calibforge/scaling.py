@@ -36,6 +36,11 @@ MAX_HALVINGS = 64
 TOL = 1e-6
 
 
+class ScalerFormatError(ValueError):
+    """Raised when a scaler file is not a well-formed scaler; the message
+    names the file."""
+
+
 @dataclass
 class ScalerParams:
     """One fitted calibrator. Only the fields of its kind are set.
@@ -252,21 +257,29 @@ def _json_numbers(doc: dict, key: str, scalar: bool = False):
 
 
 def load_scaler(path) -> ScalerParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("a scaler file must hold a JSON object")
-    kind = doc.get("kind")
-    if kind == "temperature":
-        scaler = ScalerParams(kind=kind, temperature=_json_numbers(doc, "T", scalar=True))
-    elif kind == "vector":
-        scaler = ScalerParams(kind=kind, w_diag=_json_numbers(doc, "w_diag"))
-    elif kind == "matrix":
-        scaler = ScalerParams(
-            kind=kind, w_full=_json_numbers(doc, "W"), b=_json_numbers(doc, "b")
-        )
-    else:
-        raise ValueError(f"unknown scaler kind {kind!r}")
-    scaler.warning = doc.get("warning")
-    scaler.validate()
+    """Read a scaler file back. A file that is not a well-formed scaler
+    raises ``ScalerFormatError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("a scaler file must hold a JSON object")
+        kind = doc.get("kind")
+        if kind == "temperature":
+            scaler = ScalerParams(kind=kind, temperature=_json_numbers(doc, "T", scalar=True))
+        elif kind == "vector":
+            scaler = ScalerParams(kind=kind, w_diag=_json_numbers(doc, "w_diag"))
+        elif kind == "matrix":
+            scaler = ScalerParams(
+                kind=kind, w_full=_json_numbers(doc, "W"), b=_json_numbers(doc, "b")
+            )
+        else:
+            raise ValueError(f"unknown scaler kind {kind!r}")
+        warning = doc.get("warning")
+        if "warning" in doc and not isinstance(warning, str):
+            raise ValueError(f"scaler key 'warning' must be a string, got {json.dumps(warning)}")
+        scaler.warning = warning
+        scaler.validate()
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise ScalerFormatError(f"{path}: {exc}") from exc
     return scaler

@@ -822,9 +822,9 @@ def _scanned(path):
         parts = [(b.x.copy(), b.y.astype(int), b.p_true.copy()) for b in blocks]
         return tuple(np.concatenate(column) for column in zip(*parts))
 
-    return datagen.scan_dataset(path, consume, bounds=lambda n: [
-        slice(i, min(i + 7, n)) for i in range(0, n, 7)
-    ])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datagen, "BLOCK_ROWS", 7)
+        return datagen.scan_dataset(path, consume)
 
 
 @pytest.mark.parametrize("damage", [
@@ -868,7 +868,7 @@ def test_a_compressed_sidecar_is_read_without_a_parse(tmp_path, monkeypatch):
     assert sidecar.read_bytes() == compressed
 
 
-def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path):
+def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path, monkeypatch):
     # the flipped byte lies in the last row, and the CRC is checked only
     # when the member's last byte is read; a consumer that takes only the
     # first 7-row block still gets a scan that reads on to the CRC, falls
@@ -881,8 +881,8 @@ def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path):
     raw = bytearray(good)
     raw[raw.find(last) + 8 * 4] ^= 1
     sidecar.write_bytes(bytes(raw))
-    first = datagen.scan_dataset(path, lambda info, blocks: next(blocks).x.copy(),
-                                 bounds=lambda n: datagen._row_slices(0, n, 7))
+    monkeypatch.setattr(datagen, "BLOCK_ROWS", 7)
+    first = datagen.scan_dataset(path, lambda info, blocks: next(blocks).x.copy())
     assert sidecar.read_bytes() == good
     assert first.tobytes() == datagen.read_dataset(path).x[:7].tobytes()
 

@@ -102,12 +102,11 @@ def test_du_head_adds_one_output():
     assert s_raw.shape == (5,)
 
 
-@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("n", [1, 37, 8193])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("loss_kind", ["ce", "du"])
 def test_forward_equals_the_training_pass_bit_for_bit(loss_kind, dtype, n):
-    # inference runs each row block through the training pass, and a batch
-    # this small is one block
+    # inference is one training pass on the batch it is given, at any size
     du = loss_kind == "du"
     params = nn.init_params([11, 16, 9, 2], du_head=du, seed=4)
     rng = np.random.default_rng(n)
@@ -126,7 +125,8 @@ def test_forward_equals_the_training_pass_bit_for_bit(loss_kind, dtype, n):
 
 def test_forward_keeps_only_the_current_layer():
     # beside its input and output, inference holds the hidden activations of
-    # one row block (two arrays for two hidden layers), each computed in place
+    # the one row block it is given (two arrays for two hidden layers), each
+    # computed in place
     n, width = 4096, 256
     params = nn.init_params([64, width, width, 2], seed=1)
     x = np.random.default_rng(0).normal(0.0, 1.0, (n, 64))
@@ -139,37 +139,6 @@ def test_forward_keeps_only_the_current_layer():
         tracemalloc.stop()
     assert out.shape == (n, 2)
     assert peak <= 2.5 * activation
-
-
-def test_forward_runs_a_large_batch_in_equal_row_blocks():
-    # above 2 * FORWARD_BLOCK_ROWS rows the pass runs block by block, so
-    # beside its input and output it holds a block's activations, not the
-    # batch's
-    n, width = 3 * nn.FORWARD_BLOCK_ROWS + 37, 256
-    params = nn.init_params([64, width, width, 2], seed=1)
-    x = np.random.default_rng(0).normal(0.0, 1.0, (n, 64))
-    tracemalloc.start()
-    try:
-        out = nn.forward(params, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    bounds = [i * n // 3 for i in range(4)]
-    blocks = [nn.forward(params, x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    assert out.tobytes() == np.concatenate(blocks).tobytes()
-    block_activation = (n // 3 + 1) * width * 8
-    assert peak - out.nbytes < 3 * block_activation
-
-
-@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 3 * 4096 + 37, 50000])
-def test_row_blocks_are_the_equal_blocks_forward_runs(n):
-    blocks = nn.row_blocks(n)
-    assert len(blocks) == max(1, n // nn.FORWARD_BLOCK_ROWS)
-    assert blocks[0].start == 0 and blocks[-1].stop == n
-    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-    sizes = {b.stop - b.start for b in blocks}
-    assert max(sizes) - min(sizes) <= 1
-    assert n < 2 * nn.FORWARD_BLOCK_ROWS or min(sizes) >= nn.FORWARD_BLOCK_ROWS
 
 
 # --- softmax / the cross-entropy loss ----------------------------------------

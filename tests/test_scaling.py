@@ -1,6 +1,7 @@
 """Scaler tests: identity cases, synthetic recovery oracles, and the
 argmax/normalization/never-worse invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -342,6 +343,26 @@ def test_scaler_json_roundtrip(tmp_path):
         else:
             np.testing.assert_array_equal(loaded.w_full, scaler.w_full)
             np.testing.assert_array_equal(loaded.b, scaler.b)
+
+
+@pytest.mark.parametrize("content", [
+    np.random.default_rng(0).integers(0, 256, 512, dtype=np.uint8).tobytes(),
+    b"{not json",
+    json.dumps([{"kind": "temperature", "T": 1.5}]).encode(),
+    json.dumps({"kind": "temperature", "T": "x"}).encode(),
+    json.dumps({"kind": "bogus"}).encode(),
+    json.dumps({"kind": "matrix", "W": [[1.0, 0.0], [0.0]], "b": [0.0, 0.0]}).encode(),
+    json.dumps({"kind": "temperature", "T": 1.5, "warning": 7}).encode(),
+    json.dumps({"kind": "temperature", "T": 1.5, "warning": None}).encode(),
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["random-bytes", "not-json", "json-list", "string-T", "unknown-kind", "ragged-W",
+        "numeric-warning", "null-warning", "deeply-nested"])
+def test_load_scaler_names_the_file_of_a_malformed_scaler(tmp_path, content):
+    path = tmp_path / "scaler_bad.json"
+    path.write_bytes(content)
+    with pytest.raises(scaling.ScalerFormatError) as info:
+        scaling.load_scaler(path)
+    assert str(info.value).count(str(path)) == 1
 
 
 def test_convergence_log_schema(tmp_path):
