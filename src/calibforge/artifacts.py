@@ -1,4 +1,4 @@
-"""Artifact writing shared by every module that emits files.
+"""Artifact reading and writing shared by every module.
 
 Artifacts are written to a temporary file in the target directory and moved
 into place with ``os.replace``, so an interrupted stage leaves either the
@@ -8,12 +8,31 @@ stage to read.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+
+class FormatError(ValueError):
+    """An input file exists but cannot be read as its format; the message
+    names the file."""
+
+
+def read_json_object(path, error=FormatError) -> dict:
+    """The JSON object in the UTF-8 file ``path``. A file that is not UTF-8,
+    not JSON, nested too deep to parse, or not an object raises ``error``
+    (FormatError or a subclass) naming the file; OSError passes through."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise error(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object")
+    return doc
 
 
 @contextmanager

@@ -6,15 +6,15 @@ explicit flags, rejects unknown keys, echoes the resolved result, and
 embeds it together with the tool version in every artifact it writes.
 Commands are deterministic given identical inputs and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
-4 missing dependency artifact.
+Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error
+(among them a config file that is not a UTF-8 JSON object), 4 missing
+dependency artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
-import functools
 import itertools
 import json
 import math
@@ -24,10 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datagen, duloss, metrics, nn, scaling
-from .artifacts import write_lines
-from .datagen import DatasetFormatError
-from .nn import ModelFormatError
-from .scaling import ScalerFormatError
+from .artifacts import FormatError, read_json_object, write_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,10 +48,6 @@ SCALER_FITS = {"temperature": "fit_temperature", "vector": "fit_vector", "matrix
 
 class MissingArtifactError(Exception):
     """A compare input produced by an earlier pipeline stage is absent."""
-
-
-class ArtifactReadError(Exception):
-    """An input artifact exists but cannot be parsed."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,14 +139,7 @@ def resolve_config(argv, args: argparse.Namespace, parser: argparse.ArgumentPars
     the wrong type are rejected. A config file becomes the defaults of the
     command's subparser, and ``argv`` is parsed again on top of them."""
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            overrides = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: invalid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
+        overrides = read_json_object(args.config)
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         subparser = sub.choices[args.command]
         keys = {action.dest for action in subparser._actions} - {"help", "config"}
@@ -318,7 +304,7 @@ def _split_record(model_path, header: dict) -> list:
     record = []
     for key, parse in SPLIT_FIELDS:
         if key not in header:
-            raise ModelFormatError(
+            raise nn.ModelFormatError(
                 f"{model_path}: model header lacks {key!r}; retrain the model with "
                 f"calibforge {__version__}"
             )
@@ -327,7 +313,7 @@ def _split_record(model_path, header: dict) -> list:
         except ValueError:
             value = None
         if value is None:
-            raise ModelFormatError(
+            raise nn.ModelFormatError(
                 f"{model_path}: model header field {key!r} is malformed: {header[key]!r}"
             )
         record.append(value)
@@ -399,9 +385,17 @@ def cmd_eval(resolved: dict) -> None:
         scaler = scaling.load_scaler(resolved["scaler"])
     if params.du_head_enabled and scaler is not None:
         raise ValueError("post-hoc scalers do not combine with du models")
-    raw, y, p_true = datagen.scan_dataset(
-        resolved["data"], functools.partial(_network_outputs, params)
-    )
+
+    def network_outputs(info, blocks):
+        # a file of another width is refused before its first block is taken
+        if info.n_features != params.layer_sizes[0]:
+            raise ValueError(
+                f"{info.path} has {info.n_features} features, but {resolved['model']} takes "
+                f"{params.layer_sizes[0]} inputs"
+            )
+        return _network_outputs(params, info, blocks)
+
+    raw, y, p_true = datagen.scan_dataset(resolved["data"], network_outputs)
     if len(y) == 0:
         raise ValueError(f"{resolved['data']}: dataset is empty")
 
@@ -465,21 +459,15 @@ def cmd_compare(resolved: dict) -> None:
         raise MissingArtifactError("missing eval reports: " + ", ".join(missing))
     reports = {}
     for label, path in paths.items():
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                reports[label] = json.load(fh)
-        except (json.JSONDecodeError, OSError) as exc:
-            raise ArtifactReadError(f"{path}: {exc}") from exc
-        if not isinstance(reports[label], dict):
-            raise ArtifactReadError(f"{path}: expected a JSON object")
+        reports[label] = read_json_object(path)
         for key in REPORT_KEYS:
             value = reports[label].get(key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ArtifactReadError(f"{path}: key {key!r} is missing or not a number")
+                raise FormatError(f"{path}: key {key!r} is missing or not a number")
             # a NaN fails every comparison
             if not (0 <= value <= 1 or key == "nll_mean" and 0 <= value < math.inf):
                 bound = "finite and nonnegative" if key == "nll_mean" else "in [0, 1]"
-                raise ArtifactReadError(f"{path}: key {key!r} must be {bound}, got {value!r}")
+                raise FormatError(f"{path}: key {key!r} must be {bound}, got {value!r}")
 
     header = f"{'Method':<22}{'Accuracy[%]':>12}{'ECE[%]':>9}{'MCE[%]':>9}{'NLL':>8}"
     lines = [header, "-" * len(header)]
@@ -528,8 +516,7 @@ def main(argv=None) -> int:
     except MissingArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (DatasetFormatError, ModelFormatError, ScalerFormatError, ArtifactReadError,
-            OSError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

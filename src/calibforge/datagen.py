@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .artifacts import format_numbers, replacing
+from .artifacts import FormatError, format_numbers, replacing
 from .duloss import sigmoid
 from .metrics import bin_stats, ece, predict
 
@@ -69,7 +69,7 @@ BLOCK_BYTES = 1 << 20
 SIDECAR_READ_BYTES = 1 << 16
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(FormatError):
     """Raised for malformed dataset files; the message names the line."""
 
 
@@ -532,39 +532,51 @@ def _line_blocks(fh, size: int):
         yield chunk + fh.readline()
 
 
-def _numbered_lines(blocks, header_idx: int):
+def _decode(path, chunk: bytes, line_no: int) -> str:
+    """The text of ``chunk``, whose first line is line ``line_no`` (1-based)
+    of the file ``path``. Bytes that are not UTF-8 raise DatasetFormatError
+    naming the line they are on."""
+    try:
+        return chunk.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; count their line breaks
+        line_no += len((chunk[: exc.start].decode("utf-8") + ".").splitlines()) - 1
+        raise DatasetFormatError(f"{path}: line {line_no}: not UTF-8 text: {exc.reason}") from exc
+
+
+def _numbered_lines(path, blocks, header_idx: int):
     """(1-based file line, line) of each non-blank line after the header
-    line, in file order, from the UTF-8 bytes of a whole file in blocks that
-    each end just after a newline byte, which UTF-8 never puts inside a
-    multi-byte character. Each block is decoded and split on its own, so
-    the lines are those of the whole text's ``splitlines()`` (whose one
-    two-character break, "\\r\\n", also ends in a newline) and only one
+    line, in file order, from the UTF-8 bytes of the whole file ``path`` in
+    blocks that each end just after a newline byte, which UTF-8 never puts
+    inside a multi-byte character. Each block is decoded and split on its
+    own, so the lines are those of the whole text's ``splitlines()`` (whose
+    one two-character break, "\\r\\n", also ends in a newline) and only one
     block's text and lines are alive at a time."""
     no = 0
     for block in blocks:
-        for line in block.decode("utf-8").splitlines():
+        for line in _decode(path, block, no + 1).splitlines():
             if no > header_idx and line:
                 yield no + 1, line
             no += 1
 
 
-def _count_rows(fh, header_idx: int) -> int:
-    """The data-row count of an open binary dataset file: its non-blank
-    lines after the header line, read BLOCK_BYTES at a time."""
+def _count_rows(path, fh, header_idx: int) -> int:
+    """The data-row count of the open binary dataset file ``path``: its
+    non-blank lines after the header line, read BLOCK_BYTES at a time."""
     fh.seek(0)
-    return sum(1 for _ in _numbered_lines(_line_blocks(fh, BLOCK_BYTES), header_idx))
+    return sum(1 for _ in _numbered_lines(path, _line_blocks(fh, BLOCK_BYTES), header_idx))
 
 
-def _leading_lines(fh) -> list[str]:
-    """The lines of a binary file up to its first line that is not a '#'
-    comment. Only those lines are read; each decoded chunk ends at a
-    newline byte, so it splits into the same lines as the whole text."""
+def _leading_lines(path, fh) -> list[str]:
+    """The lines of the open binary file ``path`` up to its first line that
+    is not a '#' comment. Only those lines are read; each decoded chunk ends
+    at a newline byte, so it splits into the same lines as the whole text."""
     lines = []
     while all(line.startswith("#") for line in lines):
         chunk = fh.readline()
         if not chunk:
             break
-        lines += chunk.decode("utf-8").splitlines()
+        lines += _decode(path, chunk, len(lines) + 1).splitlines()
     return lines
 
 
@@ -754,7 +766,7 @@ def _parsed_blocks(path, fh, layout: _Layout):
     DatasetFormatError naming the line of the first malformed or failing
     row."""
     fh.seek(0)
-    lines = _numbered_lines(_line_blocks(fh, BLOCK_BYTES), layout.header_idx)
+    lines = _numbered_lines(path, _line_blocks(fh, BLOCK_BYTES), layout.header_idx)
     while numbered := list(itertools.islice(lines, BLOCK_ROWS)):
         try:
             block = np.loadtxt([line for _, line in numbered], delimiter=",", comments=None,
@@ -835,7 +847,7 @@ def scan_dataset(path, consume):
     """
     sidecar = sidecar_path(path)
     with open(path, "rb") as fh:
-        layout = _Layout(*_parse_header(path, _leading_lines(fh)))
+        layout = _Layout(*_parse_header(path, _leading_lines(path, fh)))
         digest = _digest(fh)
         try:
             return _scan_sidecar(path, sidecar, layout, digest, consume)
@@ -846,7 +858,7 @@ def scan_dataset(path, consume):
                 side = stack.enter_context(replacing(sidecar, "wb"))
             except OSError:  # a read-only directory
                 side = sidecar = stack.enter_context(tempfile.TemporaryFile())
-            shape = (_count_rows(fh, layout.header_idx), layout.n_cols)
+            shape = (_count_rows(path, fh, layout.header_idx), layout.n_cols)
             _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
             if side is not sidecar:
                 stack.close()  # moves the new sidecar into place

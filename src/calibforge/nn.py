@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duloss
-from .artifacts import format_numbers, write_lines
+from .artifacts import FormatError, format_numbers, write_lines
 from .duloss import softmax
 from .metrics import PROB_FLOOR
 
@@ -48,7 +48,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 _NOISE_STREAM_TAG = 101
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(FormatError):
     """Raised when a model file does not match the expected text format."""
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_lines
+from .artifacts import FormatError, read_json_object, write_lines
 from .duloss import sigmoid
 
 TEMPERATURE_BOUNDS = (1e-2, 1e2)
@@ -36,7 +36,7 @@ MAX_HALVINGS = 64
 TOL = 1e-6
 
 
-class ScalerFormatError(ValueError):
+class ScalerFormatError(FormatError):
     """Raised when a scaler file is not a well-formed scaler; the message
     names the file."""
 
@@ -259,11 +259,8 @@ def _json_numbers(doc: dict, key: str, scalar: bool = False):
 def load_scaler(path) -> ScalerParams:
     """Read a scaler file back. A file that is not a well-formed scaler
     raises ``ScalerFormatError`` naming it."""
+    doc = read_json_object(path, ScalerFormatError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("a scaler file must hold a JSON object")
         kind = doc.get("kind")
         if kind == "temperature":
             scaler = ScalerParams(kind=kind, temperature=_json_numbers(doc, "T", scalar=True))
@@ -280,6 +277,6 @@ def load_scaler(path) -> ScalerParams:
             raise ValueError(f"scaler key 'warning' must be a string, got {json.dumps(warning)}")
         scaler.warning = warning
         scaler.validate()
-    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+    except ValueError as exc:
         raise ScalerFormatError(f"{path}: {exc}") from exc
     return scaler

@@ -513,14 +513,20 @@ def test_du_eval_does_not_depend_on_the_seed(tmp_path, mini_run):
 
 @pytest.mark.parametrize("m_bins", ["0", "-3"])
 def test_eval_checks_m_bins_before_reading_anything(tmp_path, mini_run, monkeypatch, m_bins):
+    # m_bins is checked before the model or the dataset is read
     reads = []
-    read_dataset = datagen.read_dataset
 
-    def counting_read(*args, **kwargs):
-        reads.append(args)
-        return read_dataset(*args, **kwargs)
+    def recording(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(datagen, "read_dataset", counting_read)
+        def call(*args, **kwargs):
+            reads.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    recording(datagen, "scan_dataset")
+    recording(nn, "load_model")
     out = tmp_path / "o"
     code = cli.main([
         "eval", "--model", str(mini_run / "model_ce.txt"), "--data", str(mini_run / "test.csv"),
@@ -528,6 +534,25 @@ def test_eval_checks_m_bins_before_reading_anything(tmp_path, mini_run, monkeypa
     ])
     assert code == 2
     assert reads == []
+    assert not out.exists()
+
+
+def test_eval_refuses_a_dataset_of_another_width_before_taking_a_row(
+    tmp_path, mini_run, monkeypatch, capsys
+):
+    # the mini model takes 45 inputs; a 40-feature file is refused, naming
+    # both files, before a block reaches the network or an output is written
+    data = tmp_path / "narrow.csv"
+    config = datagen.SyntheticConfig(n_matches=30, n_features=40, roster_size=20, rng_seed=3)
+    datagen.write_dataset(data, *datagen.generate_dataset(config), roster_size=20)
+    forwards = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda *args: forwards.append(args) or forward(*args))
+    model, out = mini_run / "model_ce.txt", tmp_path / "o"
+    assert cli.main(["eval", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{data} has 40 features, but {model} takes 45 inputs" in err
+    assert forwards == []
     assert not out.exists()
 
 
@@ -802,6 +827,33 @@ def test_compare_rejects_non_finite_or_out_of_range_numbers(tmp_path, mini_run, 
     assert proc.returncode == 3
     assert f"report_{label}.json" in proc.stderr and repr(key) in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000, b"[]"],
+                         ids=["not-utf8", "deeply-nested", "json-list"])
+@pytest.mark.parametrize("role", ["config", "report"])
+def test_a_json_input_that_is_not_a_utf8_object_exits_3_naming_it(
+    tmp_path, mini_run, capsys, role, content
+):
+    # a config file and a compare input go through one reader: a file that
+    # cannot be read as a JSON object is a file-format error naming the file
+    out = tmp_path / "o"
+    if role == "config":
+        bad = tmp_path / "cfg.json"
+        argv = ["gen", "--config", str(bad), "--out", str(out)]
+    else:
+        src = tmp_path / "reports"
+        src.mkdir()
+        for label in cli.METHOD_LABELS:
+            shutil.copyfile(mini_run / f"report_{label}.json", src / f"report_{label}.json")
+        bad = src / "report_du.json"
+        argv = ["compare", "--dir", str(src), "--out", str(out)]
+    bad.write_bytes(content)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count(str(bad)) == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 # --- misc ---------------------------------------------------------------------

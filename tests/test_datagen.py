@@ -4,6 +4,7 @@ chi-square oracles, file round-trips, and split bookkeeping."""
 import hashlib
 import io
 import os
+import re
 import tracemalloc
 import zipfile
 
@@ -672,6 +673,27 @@ def test_bad_header_rejected(tmp_path):
     with pytest.raises(datagen.DatasetFormatError, match="line 1"):
         datagen.read_dataset(path)
 
+
+@pytest.mark.parametrize("block_chars", [1, 300, datagen.BLOCK_BYTES])
+def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, monkeypatch, block_chars):
+    # a bad byte in the second comment line, or in data line 10 (file line
+    # 12) after CRLF line ends: the line is the one the whole text's
+    # splitlines() numbers, whatever the size of the parse's blocks
+    data = datagen.generate_dataset(small_config(20, seed=2))
+    path = tmp_path / "d.csv"
+    datagen.write_dataset(path, *data, roster_size=12, comment="meta")
+    lines = path.read_bytes().splitlines()
+    monkeypatch.setattr(datagen, "BLOCK_BYTES", block_chars)
+    crlf = b"\r\n".join(lines[:6]) + b"\r\n"
+    bad_row = lines[11][:7] + b"\xff" + lines[11][8:]
+    for text, line_no in (
+        (b"\n".join([lines[0], b"# caf\xe9", *lines[1:]]) + b"\n", 2),
+        (crlf + b"\n".join([*lines[6:11], bad_row, *lines[12:]]), 12),
+    ):
+        path.write_bytes(text)
+        with pytest.raises(datagen.DatasetFormatError,
+                           match=re.escape(f"{path}: line {line_no}: not UTF-8 text")):
+            datagen.read_dataset(path)
 
 
 # --- parsed-array sidecar --------------------------------------------------------
