@@ -1,43 +1,24 @@
 """The whole pipeline through the command-line interface, at toy scale.
 
-Generates data, trains both models, fits the three scalers, evaluates all
-five methods and prints the comparison table. Artifacts land in
-demos/out_pipeline/; the same sequence at full scale is in the README.
+Runs the 12 command lines of ``cli.pipeline``: generates data, trains both
+models, fits the three scalers, evaluates all five methods and prints the
+comparison table. Artifacts land in demos/out_pipeline/; the same sequence
+at full scale is the README's reference run.
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
+from calibforge import cli
+
 OUT = Path(__file__).with_name("out_pipeline")
+TRAIN = ["--epochs", "10", "--lr", "1e-3", "--hidden", "32"]
 
-
-def cli(*args):
-    cmd = [sys.executable, "-m", "calibforge", *[str(a) for a in args]]
-    print("$ calibforge " + " ".join(str(a) for a in args))
-    subprocess.run(cmd, check=True)
+for argv in cli.pipeline(OUT, 42, ["--n", "4000", "--n-features", "45", "--roster-size", "20"],
+                         {"ce": TRAIN, "du": ["--k", "8", *TRAIN]}):
+    print("$ calibforge " + " ".join(argv))
+    subprocess.run([sys.executable, "-m", "calibforge", *argv], check=True)
     print()
-
-
-seed = ["--seed", "42", "--out", OUT]
-cli("gen", "--n", "4000", "--n-features", "45", "--roster-size", "20", *seed)
-train_csv, test_csv = OUT / "train.csv", OUT / "test.csv"
-
-cli("train", "--data", train_csv, "--loss", "ce", "--epochs", "10",
-    "--lr", "1e-3", "--hidden", "32", *seed)
-cli("train", "--data", train_csv, "--loss", "du", "--k", "8", "--epochs", "10",
-    "--lr", "1e-3", "--hidden", "32", *seed)
-
-for kind in ("temperature", "vector", "matrix"):
-    cli("calibrate", "--model", OUT / "model_ce.txt", "--data", train_csv,
-        "--kind", kind, *seed)
-
-cli("eval", "--model", OUT / "model_ce.txt", "--data", test_csv, *seed)
-for kind in ("temperature", "vector", "matrix"):
-    cli("eval", "--model", OUT / "model_ce.txt", "--data", test_csv,
-        "--scaler", OUT / f"scaler_{kind}.json", *seed)
-cli("eval", "--model", OUT / "model_du.txt", "--data", test_csv, *seed)
-
-cli("compare", *seed)
 print(f"all artifacts are in {OUT}/ - reports, reliability diagrams (CSV + SVG),")
 print("per-sample prediction dumps, scaler files and the comparison table.")

@@ -4,7 +4,8 @@ Each command resolves its configuration from the defaults of its flags in
 ``build_parser``, then an optional JSON config file (--config), then
 explicit flags, rejects unknown keys, echoes the resolved result, and
 embeds it together with the tool version in every artifact it writes.
-Commands are deterministic given identical inputs and seed.
+Commands are deterministic given identical inputs and seed. ``pipeline``
+spells out the 12 command lines of the five-method comparison.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error
 (among them a config file that is not a UTF-8 JSON object), 4 missing
@@ -44,6 +45,32 @@ REPORT_KEYS = ("accuracy", "ece", "mce", "nll_mean")
 # scaler kind -> its fit in scaling, looked up by name at call time so that a
 # wrapped fit (as a tracer installs) is the one called
 SCALER_FITS = {"temperature": "fit_temperature", "vector": "fit_vector", "matrix": "fit_matrix"}
+# the reference run's train flags beyond the parser defaults, per loss
+REFERENCE_TRAIN = {"ce": ("--batch-size", "1024"), "du": ("--batch-size", "1024", "--k", "8")}
+
+
+def pipeline(out, seed=42, gen_flags=(), train_flags=REFERENCE_TRAIN) -> list[list[str]]:
+    """The argv of each of the 12 commands behind the five-method table, in
+    order: gen, train ce and du, a calibrate per scaler, an eval per method,
+    compare. Every command gets ``--seed seed --out out``; with the defaults
+    this is the reference run."""
+    common = ["--seed", str(seed), "--out", str(out)]
+
+    def path(name):
+        return str(Path(out) / name)
+
+    train, test, model_ce = path("train.csv"), path("test.csv"), path("model_ce.txt")
+    argvs = [["gen", *gen_flags, *common]]
+    for loss in ("ce", "du"):
+        argvs.append(["train", "--data", train, "--loss", loss, *train_flags[loss], *common])
+    for kind in SCALER_FITS:
+        argvs.append(["calibrate", "--model", model_ce, "--data", train, "--kind", kind, *common])
+    for label in METHOD_LABELS:
+        model = path("model_du.txt") if label == "du" else model_ce
+        scaler = ["--scaler", path(f"scaler_{label}.json")] if label in SCALER_FITS else []
+        argvs.append(["eval", "--model", model, "--data", test, *scaler, *common])
+    argvs.append(["compare", *common])
+    return argvs
 
 
 class MissingArtifactError(Exception):
@@ -459,15 +486,29 @@ def cmd_compare(resolved: dict) -> None:
         raise MissingArtifactError("missing eval reports: " + ", ".join(missing))
     reports = {}
     for label, path in paths.items():
-        reports[label] = read_json_object(path)
+        report = reports[label] = read_json_object(path)
         for key in REPORT_KEYS:
-            value = reports[label].get(key)
+            value = report.get(key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise FormatError(f"{path}: key {key!r} is missing or not a number")
             # a NaN fails every comparison
             if not (0 <= value <= 1 or key == "nll_mean" and 0 <= value < math.inf):
                 bound = "finite and nonnegative" if key == "nll_mean" else "in [0, 1]"
                 raise FormatError(f"{path}: key {key!r} must be {bound}, got {value!r}")
+        if not isinstance(report.get("bins"), list):
+            raise FormatError(f"{path}: key 'bins' is missing or not a list")
+        if report.get("method") != label:
+            raise ValueError(
+                f"{path} is the report of method {report.get('method')!r}, not {label!r}"
+            )
+    # the rows must be the same rows, binned the same way
+    shape = {label: (rep.get("n"), len(rep["bins"])) for label, rep in reports.items()}
+    for label, (n, m_bins) in shape.items():
+        if (n, m_bins) != shape["none"]:
+            raise ValueError(
+                f"{paths[label]} has n={n} and {m_bins} bins, but {paths['none']} has "
+                f"n={shape['none'][0]} and {shape['none'][1]} bins"
+            )
 
     header = f"{'Method':<22}{'Accuracy[%]':>12}{'ECE[%]':>9}{'MCE[%]':>9}{'NLL':>8}"
     lines = [header, "-" * len(header)]

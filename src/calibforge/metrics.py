@@ -339,6 +339,8 @@ def render_reliability_svg(report: CalibrationReport, title: str = "reliability"
 def write_reliability_svg(
     report: CalibrationReport, path, title: str = "reliability", comment: str | None = None
 ) -> None:
-    lines = [f"<!-- {comment} -->"] if comment else []
+    # XML forbids "--" inside a comment; it can only come from a string of
+    # the embedded config JSON, where the escape "\u002d" decodes to "-"
+    lines = ["<!-- " + comment.replace("--", "-\\u002d") + " -->"] if comment else []
     lines.append(render_reliability_svg(report, title=title).removesuffix("\n"))
     write_lines(path, lines)

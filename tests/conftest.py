@@ -1,5 +1,6 @@
 """Shared fixtures: a small end-to-end CLI pipeline and the full
-seed-42 reference run used by the acceptance criteria."""
+seed-42 reference run used by the acceptance criteria. Both run the 12
+command lines of ``cli.pipeline``, each as its own process."""
 
 import json
 import subprocess
@@ -10,13 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from calibforge import cli
+
 # Reference run: seed 42, 20000 train / 2500 test, F=295, M=10.
 # Training uses the published protocol (Adam, lr 1e-4, 20 epochs,
-# [295, 256, 256, 2]); batch size 1024 and K=8 MC draws are the pinned
-# reference knobs for the desk-scale dataset.
+# [295, 256, 256, 2]); batch size 1024 and K=8 MC draws
+# (cli.REFERENCE_TRAIN) are the pinned reference knobs for the desk-scale
+# dataset.
 REFERENCE_SEED = 42
-REFERENCE_TRAIN = ["--batch-size", "1024"]
-REFERENCE_TRAIN_DU = ["--batch-size", "1024", "--k", "8"]
 
 
 Row = namedtuple("Row", "confidence predicted_label true_label prob_vector")
@@ -47,24 +49,8 @@ def run_cli(args, check=True):
 
 
 def run_reference_pipeline(out: Path) -> None:
-    seed = ["--seed", str(REFERENCE_SEED)]
-    outf = ["--out", str(out)]
-    run_cli(["gen", *seed, *outf])
-    train_csv = out / "train.csv"
-    test_csv = out / "test.csv"
-    run_cli(["train", "--data", train_csv, "--loss", "ce", *REFERENCE_TRAIN, *seed, *outf])
-    run_cli(["train", "--data", train_csv, "--loss", "du", *REFERENCE_TRAIN_DU, *seed, *outf])
-    model_ce = out / "model_ce.txt"
-    for kind in ("temperature", "vector", "matrix"):
-        run_cli(["calibrate", "--model", model_ce, "--data", train_csv, "--kind", kind, *seed, *outf])
-    run_cli(["eval", "--model", model_ce, "--data", test_csv, *seed, *outf])
-    for kind in ("temperature", "vector", "matrix"):
-        run_cli([
-            "eval", "--model", model_ce, "--data", test_csv,
-            "--scaler", out / f"scaler_{kind}.json", *seed, *outf,
-        ])
-    run_cli(["eval", "--model", out / "model_du.txt", "--data", test_csv, *seed, *outf])
-    run_cli(["compare", *seed, *outf])
+    for argv in cli.pipeline(out, REFERENCE_SEED):
+        run_cli(argv)
 
 
 @pytest.fixture(scope="session")
@@ -86,33 +72,15 @@ def load_report(out: Path, label: str) -> dict:
         return json.load(fh)
 
 
-MINI_GEN = [
-    "--n", "400", "--n-features", "45", "--roster-size", "20",
-    "--seed", "11",
-]
-MINI_TRAIN = ["--epochs", "2", "--hidden", "16", "--seed", "11"]
+MINI_GEN = ["--n", "400", "--n-features", "45", "--roster-size", "20"]
+MINI_TRAIN = ["--epochs", "2", "--hidden", "16"]
 
 
 @pytest.fixture(scope="session")
 def mini_run(tmp_path_factory):
     """A tiny but complete pipeline for fast CLI-surface tests."""
     out = tmp_path_factory.mktemp("mini")
-    outf = ["--out", str(out)]
-    run_cli(["gen", *MINI_GEN, *outf])
-    train_csv = out / "train.csv"
-    test_csv = out / "test.csv"
-    run_cli(["train", "--data", train_csv, "--loss", "ce", *MINI_TRAIN, *outf])
-    run_cli(["train", "--data", train_csv, "--loss", "du", "--k", "8", *MINI_TRAIN, *outf])
-    for kind in ("temperature", "vector", "matrix"):
-        run_cli([
-            "calibrate", "--model", out / "model_ce.txt", "--data", train_csv,
-            "--kind", kind, *outf,
-        ])
-    run_cli(["eval", "--model", out / "model_ce.txt", "--data", test_csv, "--seed", "11", *outf])
-    for kind in ("temperature", "vector", "matrix"):
-        run_cli([
-            "eval", "--model", out / "model_ce.txt", "--data", test_csv,
-            "--scaler", out / f"scaler_{kind}.json", "--seed", "11", *outf,
-        ])
-    run_cli(["eval", "--model", out / "model_du.txt", "--data", test_csv, "--seed", "11", *outf])
+    train_flags = {"ce": MINI_TRAIN, "du": ["--k", "8", *MINI_TRAIN]}
+    for argv in cli.pipeline(out, 11, MINI_GEN, train_flags):
+        run_cli(argv)
     return out

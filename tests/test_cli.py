@@ -8,6 +8,7 @@ import json
 import re
 import shutil
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,7 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, mini_run, command,
     ))
     args = [command, "--config", cfg, "--out", tmp_path / "o"]
     if command == "train":
-        args += ["--data", mini_run / "train.csv", *MINI_TRAIN]
+        args += ["--data", mini_run / "train.csv", *MINI_TRAIN, "--seed", "11"]
     proc = run_cli(args, check=False)
     assert proc.returncode == 2
     (key,) = overrides
@@ -170,11 +171,11 @@ def test_train_model_file_roundtrips(mini_run):
 
 def test_train_du_same_seed_identical_model_files(tmp_path):
     gen_out = tmp_path / "data"
-    run_cli(["gen", *MINI_GEN, "--out", gen_out])
+    run_cli(["gen", *MINI_GEN, "--seed", "11", "--out", gen_out])
     out = tmp_path / "run"
     args = [
         "train", "--data", gen_out / "train.csv", "--loss", "du", "--k", "32",
-        *MINI_TRAIN, "--out", out,
+        *MINI_TRAIN, "--seed", "11", "--out", out,
     ]
     run_cli(args)
     first = (out / "model_du.txt").read_bytes()
@@ -187,10 +188,11 @@ def test_train_zero_lr_keeps_initial_params(tmp_path):
     from calibforge import nn
 
     gen_out = tmp_path / "data"
-    run_cli(["gen", *MINI_GEN, "--out", gen_out])
+    run_cli(["gen", *MINI_GEN, "--seed", "11", "--out", gen_out])
     out = tmp_path / "run"
     run_cli([
-        "train", "--data", gen_out / "train.csv", "--lr", "0", *MINI_TRAIN, "--out", out,
+        "train", "--data", gen_out / "train.csv", "--lr", "0", *MINI_TRAIN, "--seed", "11",
+        "--out", out,
     ])
     params, _ = nn.load_model(out / "model_ce.txt")
     init = nn.init_params([45, 16, 2], seed=np.random.SeedSequence(11).spawn(2)[0])
@@ -215,7 +217,8 @@ def test_train_bad_loss_flag_rejected(tmp_path):
 def test_train_non_finite_lr_is_config_error(tmp_path, mini_run):
     out = tmp_path / "o"
     proc = run_cli([
-        "train", "--data", mini_run / "train.csv", "--lr", "nan", *MINI_TRAIN, "--out", out,
+        "train", "--data", mini_run / "train.csv", "--lr", "nan", *MINI_TRAIN, "--seed", "11",
+        "--out", out,
     ], check=False)
     assert proc.returncode == 2
     assert "learning_rate" in proc.stderr
@@ -226,8 +229,8 @@ def test_train_non_finite_lr_is_config_error(tmp_path, mini_run):
 def test_train_hidden_size_below_one_is_config_error(tmp_path, mini_run, hidden):
     out = tmp_path / "o"
     proc = run_cli([
-        "train", "--data", mini_run / "train.csv", *MINI_TRAIN, f"--hidden={hidden}",
-        "--out", out,
+        "train", "--data", mini_run / "train.csv", *MINI_TRAIN, "--seed", "11",
+        f"--hidden={hidden}", "--out", out,
     ], check=False)
     assert proc.returncode == 2
     assert f"hidden='{hidden}'" in proc.stderr
@@ -319,7 +322,7 @@ def test_calibrate_takes_no_step_size_or_iteration_budget(
     if command == "calibrate":
         args += ["--model", mini_run / "model_ce.txt", "--kind", "vector"]
     else:
-        args += MINI_TRAIN
+        args += [*MINI_TRAIN, "--seed", "11"]
     if via == "flag":
         name = key.replace("_", "-")
         if isinstance(value, bool):
@@ -752,6 +755,31 @@ def test_eval_binary_model_file_is_io_error(tmp_path, mini_run):
     assert "model_ce.txt" in proc.stderr
 
 
+def test_an_out_path_with_a_double_dash_gives_well_formed_svgs(tmp_path, mini_run):
+    # XML forbids "--" inside a comment, and the SVG's comment embeds the
+    # config JSON with its paths; the escape decodes back to the same path
+    out = tmp_path / "run--x"
+    for scaler in ([], ["--scaler", str(mini_run / "scaler_temperature.json")]):
+        assert cli.main([
+            "eval", "--model", str(mini_run / "model_ce.txt"),
+            "--data", str(mini_run / "test.csv"), *scaler, "--out", str(out),
+        ]) == 0
+    svgs = sorted(out.glob("*.svg"))
+    assert [p.name for p in svgs] == ["reliability_none.svg", "reliability_temperature.svg"]
+    for svg in svgs:
+        ET.parse(svg)
+        comment = re.match(r"<!-- (.*) -->\n", svg.read_text()).group(1)
+        assert json.loads(comment.split(" config=", 1)[1])["out"] == str(out)
+
+
+def test_an_svg_comment_without_a_double_dash_keeps_its_bytes(tmp_path):
+    report = metrics.build_report(np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([0, 0]), 4)
+    comment = 'calibforge v1 eval config={"out": "a-b/-c"}'
+    metrics.write_reliability_svg(report, tmp_path / "r.svg", comment=comment)
+    expected = f"<!-- {comment} -->\n" + metrics.render_reliability_svg(report)
+    assert (tmp_path / "r.svg").read_text() == expected
+
+
 # --- compare -----------------------------------------------------------------
 
 def test_compare_table_matches_reports(mini_run):
@@ -789,7 +817,8 @@ def test_compare_missing_report_exits_4(tmp_path, mini_run):
 @pytest.mark.parametrize("corrupt, named", [
     (lambda doc: {k: v for k, v in doc.items() if k != "nll_mean"}, "nll_mean"),
     (lambda doc: [doc], "JSON object"),
-], ids=["missing_key", "json_list"])
+    (lambda doc: {**doc, "bins": 10}, "'bins'"),
+], ids=["missing_key", "json_list", "bins_not_list"])
 def test_compare_malformed_report_exits_3(tmp_path, mini_run, corrupt, named):
     src = tmp_path / "reports"
     src.mkdir()
@@ -827,6 +856,42 @@ def test_compare_rejects_non_finite_or_out_of_range_numbers(tmp_path, mini_run, 
     assert proc.returncode == 3
     assert f"report_{label}.json" in proc.stderr and repr(key) in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["other-rows", "other-bins", "other-method"])
+def test_compare_refuses_reports_that_do_not_belong_together(tmp_path, mini_run, capsys, case):
+    # every report must be the eval of its file's method on the rows of
+    # report_none.json, binned the same way; a stray one exits 2 naming it
+    src = tmp_path / "reports"
+    src.mkdir()
+    for label in cli.METHOD_LABELS:
+        shutil.copyfile(mini_run / f"report_{label}.json", src / f"report_{label}.json")
+    model_ce, model_du = str(mini_run / "model_ce.txt"), str(mini_run / "model_du.txt")
+    evals = {
+        # the DU model on the 400 training rows, not the 50 test rows
+        "other-rows": (["--model", model_du, "--data", str(mini_run / "train.csv")], "du"),
+        "other-bins": (["--model", model_ce, "--data", str(mini_run / "test.csv"),
+                        "--scaler", str(mini_run / "scaler_vector.json"), "--m-bins", "15"],
+                       "vector"),
+    }
+    if case == "other-method":
+        stray = src / "report_du.json"
+        shutil.copyfile(src / "report_none.json", stray)
+    else:
+        flags, label = evals[case]
+        assert cli.main(["eval", *flags, "--out", str(tmp_path / "e")]) == 0
+        stray = src / f"report_{label}.json"
+        shutil.copyfile(tmp_path / "e" / f"report_{label}.json", stray)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert cli.main(["compare", "--dir", str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(stray) in err
+    if case == "other-method":
+        assert "method 'none', not 'du'" in err
+    else:
+        assert str(src / "report_none.json") in err
     assert not out.exists()
 
 
@@ -906,3 +971,14 @@ def test_readme_commands_use_only_parser_options():
             assert flag in options, f"README: {command} has no {flag}: {line.strip()}"
         seen.add(command)
     assert seen == set(cli.HANDLERS)
+
+
+def test_readme_reference_run_is_cli_pipeline():
+    # the README's reference block is the literal rendering of
+    # cli.pipeline("$OUT"), one command line per argv, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```bash\n(OUT=runs/ref\n.*?)^```", readme, flags=re.M | re.S)
+    lines = [" ".join(line.split()) for line in block.replace("\\\n", " ").splitlines()]
+    assert lines == ["OUT=runs/ref"] + [
+        "calibforge " + " ".join(argv) for argv in cli.pipeline("$OUT")
+    ]
