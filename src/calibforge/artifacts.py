@@ -8,6 +8,7 @@ stage to read.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -33,6 +34,16 @@ def read_json_object(path, error=FormatError) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object")
     return doc
+
+
+def sha256_of(fh, chunk_bytes: int = 1 << 20) -> str:
+    """The hex sha256 of an open binary file's bytes from its start, read
+    ``chunk_bytes`` at a time."""
+    digest = hashlib.sha256()
+    fh.seek(0)
+    while chunk := fh.read(chunk_bytes):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 @contextmanager

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datagen, duloss, metrics, nn, scaling
-from .artifacts import FormatError, read_json_object, write_lines
+from .artifacts import FormatError, read_json_object, sha256_of, write_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -235,13 +235,16 @@ def _serve_step_arrays_from_the_heap() -> None:
     """Have glibc's malloc serve arrays below 32 MiB from its heap.
 
     Each training step allocates and frees a few dozen arrays of 0.3-1.2 MB
-    (a batch, its activations, gradients, Adam temporaries). Above its mmap
+    (a batch, its activations, gradients, Adam temporaries), and so does
+    each 256-row block of a DU eval's integral (0.4 MB each). Above its mmap
     threshold, 128 KiB at start, glibc maps each one and unmaps it on free,
-    so every step pays for fresh pages. glibc itself raises the threshold
-    to the size of a mapped block that is freed, up to these settings, so
-    without them training speed would depend on what the command happened
-    to free before it: a 20000-row DU training ran about 20% slower when
-    nothing large had been freed. Elsewhere than glibc this does nothing."""
+    and it returns a freed heap top above its trim threshold, so every step
+    pays for fresh pages. glibc itself raises the thresholds when a mapped
+    block is freed, up to these settings, so without them training speed
+    would depend on what the command happened to free before it: a
+    20000-row DU training ran about 20% slower when nothing large had been
+    freed, and the 25000-row integral of the score workload took 0.33 s
+    instead of 0.26 s. Elsewhere than glibc this does nothing."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
@@ -347,6 +350,11 @@ def _split_record(model_path, header: dict) -> list:
     return record
 
 
+def _model_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return sha256_of(fh)
+
+
 def cmd_calibrate(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("calibrate requires --model and --data")
@@ -375,6 +383,7 @@ def cmd_calibrate(resolved: dict) -> None:
     out = _outdir(resolved)
     fit = getattr(scaling, SCALER_FITS[kind])
     scaler = fit(logits, yv, log_path=out / f"calib_log_{kind}.csv")
+    scaler.model_sha256 = _model_sha256(model_path)
     scaler_path = out / f"scaler_{kind}.json"
     scaling.save_scaler(
         scaler, scaler_path,
@@ -401,17 +410,39 @@ def _network_outputs(params, info, blocks):
     return raw, y, p_true
 
 
+def _check_scaler_model(scaler, resolved: dict, model_sha256: str) -> None:
+    """A scaler applies only to the logits of the model it was fitted on."""
+    path, model = resolved["scaler"], resolved["model"]
+    if scaler.model_sha256 is None:
+        raise ValueError(
+            f"{path} does not record the sha256 of the model it was fitted on, so it cannot "
+            f"be checked against {model}; refit it with calibrate"
+        )
+    if scaler.model_sha256 != model_sha256:
+        raise ValueError(
+            f"{path} was fitted on the model with sha256 {scaler.model_sha256}, not on {model} "
+            f"(sha256 {model_sha256})"
+        )
+
+
+# the two label values, as the predictions dump writes them
+LABEL_TEXT = ("0", "1")
+
+
 def cmd_eval(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("eval requires --model and --data")
     m_bins = int(resolved["m_bins"])
     metrics.check_m_bins(m_bins)
     params, _ = nn.load_model(resolved["model"])
+    model_sha256 = _model_sha256(resolved["model"])
     scaler = None
     if resolved["scaler"] is not None:
         scaler = scaling.load_scaler(resolved["scaler"])
     if params.du_head_enabled and scaler is not None:
         raise ValueError("post-hoc scalers do not combine with du models")
+    if scaler is not None:
+        _check_scaler_model(scaler, resolved, model_sha256)
 
     def network_outputs(info, blocks):
         # a file of another width is refused before its first block is taken
@@ -422,7 +453,11 @@ def cmd_eval(resolved: dict) -> None:
             )
         return _network_outputs(params, info, blocks)
 
-    raw, y, p_true = datagen.scan_dataset(resolved["data"], network_outputs)
+    _serve_step_arrays_from_the_heap()
+    # the outputs of one model on one file are computed once, whatever the scaler
+    raw, y, p_true = datagen.scan_outputs(
+        resolved["data"], model_sha256, params.weights[-1].shape[1], network_outputs
+    )
     if len(y) == 0:
         raise ValueError(f"{resolved['data']}: dataset is empty")
 
@@ -454,15 +489,18 @@ def cmd_eval(resolved: dict) -> None:
         title=f"reliability: {METHOD_NAMES[label]}", comment=meta,
     )
 
-    confidence, predicted = metrics.predict(probs)
-
     def column(values) -> list[str]:
         return [""] * len(y) if values is None else [repr(v) for v in values.tolist()]
 
+    # the confidence is the predicted class's probability, the same float,
+    # so it takes that column's text
+    _, predicted = metrics.predict(probs)
+    predicted = predicted.tolist()
+    p0, p1 = column(probs[:, 0]), column(probs[:, 1])
     columns = [
-        column(logits_dump[:, 0]), column(logits_dump[:, 1]), column(s_dump),
-        column(probs[:, 0]), column(probs[:, 1]), column(confidence),
-        column(predicted), column(y), column(p_true),
+        column(logits_dump[:, 0]), column(logits_dump[:, 1]), column(s_dump), p0, p1,
+        [b if k else a for a, b, k in zip(p0, p1, predicted)],
+        [LABEL_TEXT[k] for k in predicted], [LABEL_TEXT[k] for k in y.tolist()], column(p_true),
     ]
     write_lines(out / f"predictions_{label}.csv", itertools.chain(
         [f"# {meta}", "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"],

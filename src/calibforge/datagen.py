@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .artifacts import FormatError, format_numbers, replacing
+from .artifacts import FormatError, format_numbers, replacing, sha256_of
 from .duloss import sigmoid
 from .metrics import bin_stats, ece, predict
 
@@ -580,15 +580,6 @@ def _leading_lines(path, fh) -> list[str]:
     return lines
 
 
-def _digest(fh) -> str:
-    """The sha256 of a binary file's bytes, read BLOCK_BYTES at a time."""
-    digest = hashlib.sha256()
-    fh.seek(0)
-    while chunk := fh.read(BLOCK_BYTES):
-        digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _parse_header(path, lines: list[str]) -> tuple[int, int, int, bool]:
     """Index of the header line, column count, feature count and whether a
     p_true column follows the label."""
@@ -845,29 +836,81 @@ def scan_dataset(path, consume):
 
     The errors are those of read_dataset.
     """
-    sidecar = sidecar_path(path)
     with open(path, "rb") as fh:
         layout = _Layout(*_parse_header(path, _leading_lines(path, fh)))
-        digest = _digest(fh)
+        return _scan(path, fh, layout, sha256_of(fh, BLOCK_BYTES), consume)
+
+
+def _scan(path, fh, layout: _Layout, digest: str, consume):
+    """scan_dataset of the dataset file ``path``, open as ``fh``, whose
+    header gave ``layout`` and whose bytes have the sha256 ``digest``."""
+    sidecar = sidecar_path(path)
+    try:
+        return _scan_sidecar(path, sidecar, layout, digest, consume)
+    except _StaleSidecar:
+        pass
+    with contextlib.ExitStack() as stack:
+        try:
+            side = stack.enter_context(replacing(sidecar, "wb"))
+        except OSError:  # a read-only directory
+            side = sidecar = stack.enter_context(tempfile.TemporaryFile())
+        shape = (_count_rows(path, fh, layout.header_idx), layout.n_cols)
+        _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
+        if side is not sidecar:
+            stack.close()  # moves the new sidecar into place
         try:
             return _scan_sidecar(path, sidecar, layout, digest, consume)
+        except _StaleSidecar as exc:
+            if side is not sidecar:
+                sidecar.unlink(missing_ok=True)
+            raise OSError(f"{path}: the sidecar a parse just wrote fails its scan") from exc
+
+
+def outputs_path(path, model_sha256: str) -> Path:
+    """Where scan_outputs keeps a model's outputs on a dataset CSV: the
+    file's name, the first 16 hex digits of the model file's sha256 and
+    ``.npz``, in the same directory."""
+    path = Path(path)
+    return path.with_name(f"{path.name}.{model_sha256[:16]}.npz")
+
+
+def scan_outputs(path, model_sha256: str, n_outputs: int, outputs):
+    """What ``scan_dataset(path, outputs)`` returns, where ``outputs``
+    returns (out, y, p_true) with ``out`` the (n, n_outputs) float64 outputs
+    of the model whose file has the sha256 ``model_sha256``.
+
+    The triple is kept in an outputs sidecar at ``outputs_path(path,
+    model_sha256)``: the dataset sidecar's format, with the outputs in place
+    of the features and both files' sha256 as its key. A hit reads it with
+    every check of a dataset-sidecar scan, reads no dataset sidecar and
+    calls no ``outputs``, and returns the bytes a miss returned. A sidecar
+    that is absent or fails a check is a miss, which scans the dataset and
+    writes a new one, or none where the directory refuses the write.
+    """
+    sidecar = outputs_path(path, model_sha256)
+    with open(path, "rb") as fh:
+        layout = _Layout(*_parse_header(path, _leading_lines(path, fh)))
+        digest = sha256_of(fh, BLOCK_BYTES)
+        key = f"{model_sha256} {digest}"
+        with_p_true = layout.with_p_true
+        stored = _Layout(0, n_outputs + 1 + with_p_true, n_outputs, with_p_true)
+        try:
+            return _scan_sidecar(path, sidecar, stored, key, take_rows)[:3]
         except _StaleSidecar:
             pass
-        with contextlib.ExitStack() as stack:
-            try:
-                side = stack.enter_context(replacing(sidecar, "wb"))
-            except OSError:  # a read-only directory
-                side = sidecar = stack.enter_context(tempfile.TemporaryFile())
-            shape = (_count_rows(path, fh, layout.header_idx), layout.n_cols)
-            _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
-            if side is not sidecar:
-                stack.close()  # moves the new sidecar into place
-            try:
-                return _scan_sidecar(path, sidecar, layout, digest, consume)
-            except _StaleSidecar as exc:
-                if side is not sidecar:
-                    sidecar.unlink(missing_ok=True)
-                raise OSError(f"{path}: the sidecar a parse just wrote fails its scan") from exc
+        out, y, p_true = _scan(path, fh, layout, digest, outputs)
+
+    def rows():
+        for block in _row_slices(0, len(y), BLOCK_ROWS):
+            columns = [out[block], y[block, None]]
+            if p_true is not None:
+                columns.append(p_true[block, None])
+            yield np.hstack(columns, dtype=np.float64)
+
+    with contextlib.suppress(OSError):  # a directory that refuses the write
+        with replacing(sidecar, "wb") as side:
+            _save_sidecar(side, (len(y), stored.n_cols), rows(), lambda: key)
+    return out, y, p_true
 
 
 def read_dataset(path, rows=None) -> Dataset:

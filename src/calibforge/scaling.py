@@ -47,7 +47,8 @@ class ScalerParams:
 
     ``warning`` is populated when the fit hit a degenerate case, e.g. a
     validation set whose NLL is one-sided in T so the temperature was
-    clamped at a search bound.
+    clamped at a search bound. ``model_sha256`` is the sha256 of the model
+    file whose logits it was fitted on, when known.
     """
 
     kind: str  # "temperature" | "vector" | "matrix"
@@ -56,6 +57,7 @@ class ScalerParams:
     w_full: np.ndarray | None = None
     b: np.ndarray | None = None
     warning: str | None = None
+    model_sha256: str | None = None
 
     def validate(self) -> None:
         if self.kind == "temperature":
@@ -222,7 +224,8 @@ def _write_fit_log(path, rows) -> None:
 
 
 def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
-    """Write the scaler as JSON: {kind, T | w_diag | W and b}."""
+    """Write the scaler as JSON: {kind, T | w_diag | W and b, model_sha256
+    when known, warning when set}."""
     scaler.validate()
     doc: dict = {"kind": scaler.kind}
     if scaler.kind == "temperature":
@@ -232,6 +235,8 @@ def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
     else:
         doc["W"] = [list(row) for row in scaler.w_full]
         doc["b"] = list(scaler.b)
+    if scaler.model_sha256 is not None:
+        doc["model_sha256"] = scaler.model_sha256
     if scaler.warning:
         doc["warning"] = scaler.warning
     if extra:
@@ -272,10 +277,10 @@ def load_scaler(path) -> ScalerParams:
             )
         else:
             raise ValueError(f"unknown scaler kind {kind!r}")
-        warning = doc.get("warning")
-        if "warning" in doc and not isinstance(warning, str):
-            raise ValueError(f"scaler key 'warning' must be a string, got {json.dumps(warning)}")
-        scaler.warning = warning
+        for key in ("warning", "model_sha256"):
+            if key in doc and not isinstance(doc[key], str):
+                raise ValueError(f"scaler key {key!r} must be a string, got {json.dumps(doc[key])}")
+        scaler.warning, scaler.model_sha256 = doc.get("warning"), doc.get("model_sha256")
         scaler.validate()
     except ValueError as exc:
         raise ScalerFormatError(f"{path}: {exc}") from exc

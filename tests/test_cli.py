@@ -3,6 +3,7 @@ auditability contract (reports recomputable from the per-sample dumps)."""
 
 import argparse
 import functools
+import hashlib
 import itertools
 import json
 import re
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calibforge import cli, datagen, duloss, metrics, nn
+from calibforge import artifacts, cli, datagen, duloss, metrics, nn
 
 from conftest import MINI_GEN, MINI_TRAIN, load_report, run_cli
 
@@ -247,9 +248,10 @@ def test_calibrate_emits_scaler_and_log(mini_run):
     assert "version" in doc and "config" in doc
     log = (mini_run / "calib_log_temperature.csv").read_text().splitlines()
     assert log[0] == "iter,nll,grad_norm"
-    for kind in ("vector", "matrix"):
+    for kind in ("temperature", "vector", "matrix"):
         doc = json.loads((mini_run / f"scaler_{kind}.json").read_text())
         assert doc["kind"] == kind
+        assert doc["model_sha256"] == _sha256(mini_run / "model_ce.txt")
 
 
 def test_calibrate_missing_model_is_io_error(tmp_path, mini_run):
@@ -540,6 +542,13 @@ def test_eval_checks_m_bins_before_reading_anything(tmp_path, mini_run, monkeypa
     assert not out.exists()
 
 
+def _forward_rows(monkeypatch) -> list:
+    """Patch nn.forward to record the row count of each call."""
+    forward, rows = nn.forward, []
+    monkeypatch.setattr(nn, "forward", lambda params, x: rows.append(len(x)) or forward(params, x))
+    return rows
+
+
 def test_eval_refuses_a_dataset_of_another_width_before_taking_a_row(
     tmp_path, mini_run, monkeypatch, capsys
 ):
@@ -548,9 +557,7 @@ def test_eval_refuses_a_dataset_of_another_width_before_taking_a_row(
     data = tmp_path / "narrow.csv"
     config = datagen.SyntheticConfig(n_matches=30, n_features=40, roster_size=20, rng_seed=3)
     datagen.write_dataset(data, *datagen.generate_dataset(config), roster_size=20)
-    forwards = []
-    forward = nn.forward
-    monkeypatch.setattr(nn, "forward", lambda *args: forwards.append(args) or forward(*args))
+    forwards = _forward_rows(monkeypatch)
     model, out = mini_run / "model_ce.txt", tmp_path / "o"
     assert cli.main(["eval", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -559,23 +566,113 @@ def test_eval_refuses_a_dataset_of_another_width_before_taking_a_row(
     assert not out.exists()
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _artifacts(out) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 def test_cold_and_warm_eval_write_identical_artifacts(tmp_path, mini_run, monkeypatch):
+    # a warm eval reads its rows from neither the CSV nor the dataset
+    # sidecar: the outputs sidecar holds the network's outputs, labels and
+    # p_true, so it runs no forward pass either
     data = tmp_path / "test.csv"
     shutil.copyfile(mini_run / "test.csv", data)
-    out = tmp_path / "o"
-    argv = [
-        "eval", "--model", str(mini_run / "model_ce.txt"), "--data", str(data),
-        "--scaler", str(mini_run / "scaler_vector.json"), "--out", str(out),
-    ]
     assert not datagen.sidecar_path(data).exists()
+    parsed, forwards = _count_loadtxt_rows(monkeypatch), _forward_rows(monkeypatch)
+    for model, scaler in (("model_ce.txt", ["--scaler", str(mini_run / "scaler_vector.json")]),
+                          ("model_du.txt", [])):
+        out = tmp_path / model
+        argv = ["eval", "--model", str(mini_run / model), "--data", str(data), *scaler,
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert datagen.sidecar_path(data).exists()
+        assert datagen.outputs_path(data, _sha256(mini_run / model)).exists()
+        assert sum(forwards) == 50
+        cold = _artifacts(out)
+        assert any(name.startswith("predictions_") for name in cold)
+        parsed.clear()
+        forwards.clear()
+        assert cli.main(argv) == 0
+        assert parsed == [] and forwards == []
+        assert _artifacts(out) == cold
+    assert len(list(tmp_path.glob("test.csv.*.npz"))) == 2  # one per model
+
+
+def _other_weights(model) -> None:
+    params, header = nn.load_model(model)
+    params.weights[0][:] = params.weights[0][::-1]
+    nn.save_model(params, model, header=header)
+
+
+def _other_rows(data) -> None:
+    config = datagen.SyntheticConfig(n_matches=50, n_features=45, roster_size=20, rng_seed=5)
+    datagen.write_dataset(data, *datagen.generate_dataset(config), roster_size=20)
+
+
+def _flipped_byte(path) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x40
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("stale", ["model", "data", "truncated", "flipped-byte", "other-key",
+                                   "read-only"])
+def test_an_outputs_sidecar_that_does_not_match_is_recomputed(tmp_path, mini_run, monkeypatch,
+                                                              stale):
+    # the warm eval of a changed model or data file, or of a damaged or
+    # foreign outputs sidecar, runs the network again and writes the bytes of
+    # an eval that never had an outputs sidecar
+    where, out = tmp_path / "data", tmp_path / "o"
+    where.mkdir()
+    data, model = where / "test.csv", tmp_path / "model_ce.txt"
+    shutil.copyfile(mini_run / "test.csv", data)
+    shutil.copyfile(mini_run / "model_ce.txt", model)
+    argv = ["eval", "--model", str(model), "--data", str(data), "--out", str(out)]
     assert cli.main(argv) == 0
-    assert datagen.sidecar_path(data).exists()
-    cold = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert "predictions_vector.csv" in cold
-    parsed = _count_loadtxt_rows(monkeypatch)
+    cached = datagen.outputs_path(data, _sha256(model))
+    if stale == "model":
+        _other_weights(model)
+    elif stale == "data":
+        _other_rows(data)
+    elif stale == "truncated":
+        cached.write_bytes(cached.read_bytes()[:-200])
+    elif stale == "flipped-byte":
+        _flipped_byte(cached)
+    elif stale == "other-key":
+        # the sidecar of the same model on other rows
+        other = tmp_path / "other.csv"
+        _other_rows(other)
+        assert cli.main([*argv[:3], "--data", str(other), "--out", str(tmp_path / "x")]) == 0
+        shutil.copyfile(datagen.outputs_path(other, _sha256(model)), cached)
+    else:
+        cached.unlink()
+        real_open = open
+
+        def refuse(file, mode="r", *args, **kwargs):
+            # only the data file's directory refuses a write
+            if "w" in mode and Path(file).parent == where:
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "open", refuse, raising=False)
+    forwards = _forward_rows(monkeypatch)
     assert cli.main(argv) == 0
-    assert parsed == []
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == cold
+    assert sum(forwards) == len(datagen.read_dataset(data).y)
+    recomputed = _artifacts(out)
+    if stale == "read-only":
+        assert not cached.exists()
+    else:
+        forwards.clear()
+        assert cli.main(argv) == 0  # the recomputed outputs are kept
+        assert forwards == []
+        assert _artifacts(out) == recomputed
+    for path in where.glob("test.csv.*.npz"):
+        path.unlink()
+    assert cli.main(argv) == 0
+    assert _artifacts(out) == recomputed
 
 
 def test_eval_reads_the_forward_row_blocks_and_holds_one_of_them(tmp_path, monkeypatch, capsys):
@@ -591,13 +688,7 @@ def test_eval_reads_the_forward_row_blocks_and_holds_one_of_them(tmp_path, monke
     blocks = datagen._row_slices(0, n, datagen.BLOCK_ROWS)
     expected = np.concatenate([nn.forward(params, data[0][rows]) for rows in blocks])
     monkeypatch.setattr(datagen, "BLOCK_BYTES", 1 << 16)
-    forward, sizes = nn.forward, []
-
-    def recording_forward(params, x):
-        sizes.append(len(x))
-        return forward(params, x)
-
-    monkeypatch.setattr(nn, "forward", recording_forward)
+    sizes = _forward_rows(monkeypatch)
     nn.save_model(params, tmp_path / "model.txt")
     assert cli.main(["eval", "--model", str(tmp_path / "model.txt"), "--data", str(path),
                      "--out", str(tmp_path / "o")]) == 0
@@ -667,6 +758,31 @@ def test_eval_rejects_scaler_on_du_model(tmp_path, mini_run):
         "--scaler", mini_run / "scaler_temperature.json", "--out", tmp_path,
     ], check=False)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("case", ["other-model", "no-digest"])
+def test_eval_refuses_a_scaler_not_fitted_on_its_model(tmp_path, mini_run, capsys, case):
+    # a scaler fitted on one run's model, or one that does not record its
+    # model, is refused naming both files before any row is read
+    scaler, model = mini_run / "scaler_temperature.json", mini_run / "model_ce.txt"
+    if case == "other-model":
+        run_cli(["train", "--data", mini_run / "train.csv", *MINI_TRAIN, "--seed", "12",
+                 "--out", tmp_path / "b"])
+        model = tmp_path / "b" / "model_ce.txt"
+    else:
+        doc = json.loads(scaler.read_text())
+        del doc["model_sha256"]
+        scaler = tmp_path / "scaler_old.json"
+        scaler.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    code = cli.main(["eval", "--model", str(model), "--data", str(mini_run / "test.csv"),
+                     "--scaler", str(scaler), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(scaler) in err and str(model) in err
+    if case == "other-model":
+        assert f"sha256 {_sha256(mini_run / 'model_ce.txt')}, not on {model}" in err
+    assert not out.exists()
 
 
 def test_eval_rejects_infinite_temperature_scaler(tmp_path, mini_run):

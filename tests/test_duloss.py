@@ -237,6 +237,38 @@ def test_exact_probs_rows_match_single_row_calls():
         np.testing.assert_array_equal(batch[i], single[0])
 
 
+def test_exact_probs_rows_match_single_row_calls_across_blocks():
+    # the trapezoid takes EXACT_BLOCK_ROWS rows at a time; a row's
+    # probabilities do not depend on the block it falls in or its place there
+    rng = np.random.default_rng(31)
+    n = 2 * duloss.EXACT_BLOCK_ROWS + 90
+    mu, s_raw = rng.normal(0.0, 5.0, (n, 2)), rng.uniform(0.0, 3.0, n)  # all s >= 1
+    batch = duloss.expected_probs_exact(mu, s_raw)
+    edge = duloss.EXACT_BLOCK_ROWS
+    for i in (0, edge - 1, edge, 2 * edge - 1, 2 * edge, n - 1):
+        single = duloss.expected_probs_exact(mu[i : i + 1], s_raw[i : i + 1])
+        np.testing.assert_array_equal(batch[i], single[0])
+    np.testing.assert_array_equal(duloss.expected_probs_exact(mu[edge:], s_raw[edge:]), batch[edge:])
+
+
+def test_normal_cdf_matches_erfc_to_the_conditioning_of_its_argument():
+    # the reference 0.5 * erfc(-x / sqrt(2)) rounds its argument, which alone
+    # moves Phi by up to kappa(x) eps relative, kappa(x) = |x| phi(x) / Phi(x)
+    # (about x^2 where x << 0); beside that the two agree to a few eps
+    x = np.linspace(-37.0, 37.0, 74001)
+    got = duloss.normal_cdf(x)
+    ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+    kappa = np.abs(x) * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) / ref
+    rel = np.abs(got - ref) / ref
+    eps = np.finfo(float).eps
+    assert rel[np.abs(x) <= 1.0].max() <= 7.8e-16
+    assert np.all(rel <= (3.0 + kappa) * eps)
+    # the shape of the input is kept, and so is each entry's value
+    grid = x[:-1].reshape(8, -1, 10)
+    np.testing.assert_array_equal(duloss.normal_cdf(grid), got[:-1].reshape(grid.shape))
+    assert duloss.normal_cdf(np.array([-40.0, -1e300, 0.0, 1e300])).tolist() == [0.0, 0.0, 0.5, 1.0]
+
+
 def test_exact_probs_agree_with_mc_at_k_1e6():
     # criterion 4's grid and seeds
     for mu_c in (0.5, 1.0, 2.0):

@@ -327,7 +327,7 @@ def test_fitted_never_worse_than_uncalibrated():
 
 def test_scaler_json_roundtrip(tmp_path):
     cases = [
-        ScalerParams(kind="temperature", temperature=1.62),
+        ScalerParams(kind="temperature", temperature=1.62, model_sha256="ab" * 32),
         ScalerParams(kind="vector", w_diag=np.array([0.9, 1.1])),
         ScalerParams(kind="matrix", w_full=np.array([[1.0, 0.2], [-0.1, 0.8]]), b=np.array([0.3, 0.0])),
     ]
@@ -336,6 +336,7 @@ def test_scaler_json_roundtrip(tmp_path):
         scaling.save_scaler(scaler, path)
         loaded = scaling.load_scaler(path)
         assert loaded.kind == scaler.kind
+        assert loaded.model_sha256 == scaler.model_sha256
         if scaler.kind == "temperature":
             assert loaded.temperature == scaler.temperature
         elif scaler.kind == "vector":
@@ -354,9 +355,10 @@ def test_scaler_json_roundtrip(tmp_path):
     json.dumps({"kind": "matrix", "W": [[1.0, 0.0], [0.0]], "b": [0.0, 0.0]}).encode(),
     json.dumps({"kind": "temperature", "T": 1.5, "warning": 7}).encode(),
     json.dumps({"kind": "temperature", "T": 1.5, "warning": None}).encode(),
+    json.dumps({"kind": "temperature", "T": 1.5, "model_sha256": None}).encode(),
     b"[" * 100_000 + b"]" * 100_000,
 ], ids=["random-bytes", "not-json", "json-list", "string-T", "unknown-kind", "ragged-W",
-        "numeric-warning", "null-warning", "deeply-nested"])
+        "numeric-warning", "null-warning", "null-model-sha256", "deeply-nested"])
 def test_load_scaler_names_the_file_of_a_malformed_scaler(tmp_path, content):
     path = tmp_path / "scaler_bad.json"
     path.write_bytes(content)
