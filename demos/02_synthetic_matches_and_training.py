@@ -10,7 +10,9 @@ import numpy as np
 from calibforge import datagen, metrics, nn
 
 config = datagen.SyntheticConfig(n_matches=6000, n_features=45, roster_size=20, rng_seed=3)
-x_all, y_all, p_all = datagen.generate_dataset(config)
+data = datagen.GeneratedDataset(config)
+x_all = np.concatenate(list(data.features(config.n_matches)))
+y_all, p_all = data.y, data.p_true
 x, y = x_all[:5000], y_all[:5000]
 xt, yt, p_true = x_all[5000:], y_all[5000:], p_all[5000:]
 
@@ -28,8 +30,8 @@ for row in log:
     print(f"{row.epoch:4d}   {row.loss:.4f}   {row.train_acc:.3f}")
 
 probs = nn.softmax(nn.forward(params, xt))
-report = metrics.build_report(probs, yt, 10)
+report = metrics.build_report(probs, yt, 10, p_true)
 print(f"\ntest accuracy {report.accuracy:.3f}  ECE {report.ece:.4f}  MCE {report.mce:.4f}")
 
-print(f"oracle calibration error vs known p_true: {datagen.oracle_ece(probs, p_true):.4f}")
+print(f"oracle calibration error vs known p_true: {report.oracle_ece:.4f}")
 print("(the binned ECE estimates this from noisy labels; the oracle needs none)")

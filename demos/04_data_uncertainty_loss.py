@@ -32,7 +32,9 @@ print("damping shrinks as mu_c grows: confident inputs are barely touched.")
 
 print("\n== part 2: training with the loss ==")
 config = datagen.SyntheticConfig(n_matches=6000, n_features=45, roster_size=20, rng_seed=5)
-x_all, y_all, p_all = datagen.generate_dataset(config)
+data = datagen.GeneratedDataset(config)
+x_all = np.concatenate(list(data.features(config.n_matches)))
+y_all, p_all = data.y, data.p_true
 x, y = x_all[:5000], y_all[:5000]
 xt, yt, p_true = x_all[5000:], y_all[5000:], p_all[5000:]
 
@@ -43,18 +45,14 @@ du_params, _ = nn.train(
 )
 
 
-def report(probs):
-    return metrics.build_report(probs, yt, 10), datagen.oracle_ece(probs, p_true)
-
-
-rep_ce, oe_ce = report(nn.softmax(nn.forward(ce_params, xt)))
+rep_ce = metrics.build_report(nn.softmax(nn.forward(ce_params, xt)), yt, 10, p_true)
 mu, s_raw = nn.split_outputs(du_params, nn.forward(du_params, xt))
 # evaluation integrates the expectation exactly instead of sampling it
 probs_du = duloss.expected_probs_exact(mu, s_raw)
-rep_du, oe_du = report(probs_du)
+rep_du = metrics.build_report(probs_du, yt, 10, p_true)
 
-print(f"cross-entropy model:   acc {rep_ce.accuracy:.3f}  ECE {rep_ce.ece:.4f}  oracle {oe_ce:.4f}")
-print(f"data-uncertainty model: acc {rep_du.accuracy:.3f}  ECE {rep_du.ece:.4f}  oracle {oe_du:.4f}")
+for name, rep in (("cross-entropy model:  ", rep_ce), ("data-uncertainty model:", rep_du)):
+    print(f"{name} acc {rep.accuracy:.3f}  ECE {rep.ece:.4f}  oracle {rep.oracle_ece:.4f}")
 
 sigma = np.exp(s_raw)
 minute = xt[:, 0]

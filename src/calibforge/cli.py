@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datagen, duloss, metrics, nn, scaling
-from .artifacts import FormatError, read_json_object, sha256_of, write_lines
+from .artifacts import FormatError, read_json_object, write_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -350,20 +350,16 @@ def _split_record(model_path, header: dict) -> list:
     return record
 
 
-def _model_sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return sha256_of(fh)
-
-
 def cmd_calibrate(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("calibrate requires --model and --data")
     kind = resolved["kind"]
     model_path, data = resolved["model"], resolved["data"]
-    params, header = nn.load_model(model_path)
+    model = nn.read_model(model_path)
+    params = model.params()
     if params.du_head_enabled:
         raise ValueError("post-hoc scalers apply to cross-entropy models, not du models")
-    split_seed, val_fraction, data_rows, data_sha256 = _split_record(model_path, header)
+    split_seed, val_fraction, data_rows, data_sha256 = _split_record(model_path, model.header)
 
     def validation_rows(info, blocks):
         # only the validation rows are kept, so the file must be the one the
@@ -383,7 +379,7 @@ def cmd_calibrate(resolved: dict) -> None:
     out = _outdir(resolved)
     fit = getattr(scaling, SCALER_FITS[kind])
     scaler = fit(logits, yv, log_path=out / f"calib_log_{kind}.csv")
-    scaler.model_sha256 = _model_sha256(model_path)
+    scaler.model_sha256 = model.sha256
     scaler_path = out / f"scaler_{kind}.json"
     scaling.save_scaler(
         scaler, scaler_path,
@@ -434,17 +430,19 @@ def cmd_eval(resolved: dict) -> None:
         raise ValueError("eval requires --model and --data")
     m_bins = int(resolved["m_bins"])
     metrics.check_m_bins(m_bins)
-    params, _ = nn.load_model(resolved["model"])
-    model_sha256 = _model_sha256(resolved["model"])
+    # the weights are parsed only when the outputs sidecar misses
+    model = nn.read_model(resolved["model"])
+    du_head = model.du_head_enabled
     scaler = None
     if resolved["scaler"] is not None:
         scaler = scaling.load_scaler(resolved["scaler"])
-    if params.du_head_enabled and scaler is not None:
+    if du_head and scaler is not None:
         raise ValueError("post-hoc scalers do not combine with du models")
     if scaler is not None:
-        _check_scaler_model(scaler, resolved, model_sha256)
+        _check_scaler_model(scaler, resolved, model.sha256)
 
     def network_outputs(info, blocks):
+        params = model.params()
         # a file of another width is refused before its first block is taken
         if info.n_features != params.layer_sizes[0]:
             raise ValueError(
@@ -456,13 +454,14 @@ def cmd_eval(resolved: dict) -> None:
     _serve_step_arrays_from_the_heap()
     # the outputs of one model on one file are computed once, whatever the scaler
     raw, y, p_true = datagen.scan_outputs(
-        resolved["data"], model_sha256, params.weights[-1].shape[1], network_outputs
+        resolved["data"], model.sha256, model.layer_sizes[-1] + du_head, network_outputs
     )
+    del model  # its text is not needed past the forward pass
     if len(y) == 0:
         raise ValueError(f"{resolved['data']}: dataset is empty")
 
-    if params.du_head_enabled:
-        mu, s_raw = nn.split_outputs(params, raw)
+    if du_head:
+        mu, s_raw = raw[:, :2], raw[:, 2]
         probs = duloss.expected_probs_exact(mu, s_raw)
         logits_dump, s_dump = mu, s_raw
     else:
@@ -470,15 +469,12 @@ def cmd_eval(resolved: dict) -> None:
         zt = scaling.transform_logits(scaler, raw) if scaler is not None else raw
         probs = nn.softmax(zt)
 
-    report = metrics.build_report(probs, y, m_bins)
+    report = metrics.build_report(probs, y, m_bins, p_true)
 
-    label = scaler.kind if scaler is not None else "du" if params.du_head_enabled else "none"
+    label = scaler.kind if scaler is not None else "du" if du_head else "none"
     extra = {"version": __version__, "config": resolved, "method": label}
-    if params.du_head_enabled:
+    if du_head:
         extra["probability_rule"] = duloss.EXACT_RULE
-    if p_true is not None:
-        extra["oracle_ece"] = datagen.oracle_ece(probs, p_true)
-        extra["true_ece"] = datagen.true_ece(probs, p_true, m_bins)
 
     out = _outdir(resolved)
     meta = _meta("eval", resolved)
@@ -511,8 +507,8 @@ def cmd_eval(resolved: dict) -> None:
         f"{label}: accuracy={report.accuracy:.4f} ece={report.ece:.4f} "
         f"mce={report.mce:.4f} nll_mean={report.nll_mean:.4f}"
     )
-    if "oracle_ece" in extra:
-        line += f" oracle_ece={extra['oracle_ece']:.4f}"
+    if report.oracle_ece is not None:
+        line += f" oracle_ece={report.oracle_ece:.4f}"
     print(line)
 
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from .artifacts import FormatError, format_numbers, replacing, sha256_of
 from .duloss import sigmoid
-from .metrics import bin_stats, ece, predict
 
 SCALAR_COLUMNS = ["minute", "gold_diff", "xp_diff", "kills_blue", "kills_red"]
 
@@ -236,57 +235,6 @@ class GeneratedDataset:
             yield block
 
 
-def generate_dataset(config: SyntheticConfig):
-    """Draw a seeded dataset as (x, y, p_true) arrays: (n, F) float features,
-    (n,) 0/1 labels and (n,) win probabilities of label 1, the values of
-    ``GeneratedDataset(config)``. The feature blocks are copied into one
-    (n, F) matrix as they are made."""
-    data = GeneratedDataset(config)
-    x = np.empty((config.n_matches, config.n_features))
-    start = 0
-    for block in data.features(config.n_matches):
-        x[start : start + len(block)] = block
-        start += len(block)
-    return x, data.y, data.p_true
-
-
-def _true_confidence(probs, p_true) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted confidence of each row and the true probability of the
-    predicted class: p_true for class 1 and 1 - p_true for class 0."""
-    confidence, predicted = predict(probs)
-    p_true = np.asarray(p_true, dtype=float)  # None becomes a 0-d NaN
-    if p_true.shape != confidence.shape:
-        raise ValueError("p_true must hold one probability per row of probs")
-    if len(p_true) == 0:
-        raise ValueError("the prediction set must be nonempty")
-    return confidence, np.where(predicted == 1, p_true, 1.0 - p_true)
-
-
-def oracle_ece(probs, p_true) -> float:
-    """Mean absolute gap between predicted confidence and the true
-    confidence of the predicted class.
-
-    Being an expectation over the known per-sample truth, it needs no
-    binning and no labels, so it has none of the label noise of the binned
-    estimate. It is a per-row L1 error, so it mixes calibration with
-    sharpness. The gaps are summed sequentially in row order.
-    """
-    confidence, true_conf = _true_confidence(probs, p_true)
-    return float(np.cumsum(np.abs(confidence - true_conf))[-1]) / len(true_conf)
-
-
-def true_ece(probs, p_true, m_bins: int) -> float:
-    """The binned ECE of ``metrics.build_report`` on the same M confidence
-    bins, with the true probability of the predicted class in place of the
-    0/1 correctness of each row.
-
-    It has no label noise: with p_true equal to the 0/1 labels it is the
-    label ECE, and with calibrated truth it is 0 whatever the test size.
-    """
-    confidence, true_conf = _true_confidence(probs, p_true)
-    return ece(bin_stats(confidence, true_conf, m_bins), len(true_conf))
-
-
 def split(n: int, val_fraction: float, seed: int):
     """Seeded disjoint partition of n rows into (train, val) index arrays.
     The val size is the exact floor of val_fraction * n, for a val_fraction
@@ -313,7 +261,7 @@ def write_dataset(
 ) -> None:
     """Write (x, y, p_true) as CSV, and beside it the sidecar that a read of
     the CSV would write; pass p_true=None for data without a known
-    win probability. Values round-trip exactly through read_dataset.
+    win probability. Values round-trip exactly through scan_dataset.
 
     ``x`` is the (n, F) feature array, or an iterator over its consecutive
     row blocks (as ``GeneratedDataset.features`` yields them), whose first
@@ -321,7 +269,7 @@ def write_dataset(
     block is checked, written as CSV text and hashed, and its parsed rows
     go to the sidecar, before the next block is taken.
 
-    Raises ValueError naming the first row that read_dataset would reject
+    Raises ValueError naming the first row that scan_dataset would reject
     (a non-finite feature, a label other than 0/1, a p_true outside
     [0, 1]). Both files are written to temporary files and moved into place
     only when every row has been written, so a failed write keeps the
@@ -371,7 +319,7 @@ def write_dataset(
 def _checked_blocks(blocks, n_features: int, y, p_true):
     """(rows, block, parsed) of each float row block of x: its row range,
     the block, and the float64 rows a parse of its CSV lines gives (-0.0
-    reads back as 0), once those pass the checks read_dataset runs. A
+    reads back as 0), once those pass the checks scan_dataset runs. A
     failed check raises ValueError naming its row (0-based), and so does a
     block count of rows other than len(y)."""
     start = 0
@@ -834,7 +782,12 @@ def scan_dataset(path, consume):
     before it returns. An error that ``consume`` raises is raised as it is,
     and a sidecar the scan wrote stays.
 
-    The errors are those of read_dataset.
+    Raises DatasetFormatError naming the 1-based line of the first
+    malformed or failing row, selected by ``consume`` or not: a wrong column
+    count, a value that is not a number, a non-finite feature, a label other
+    than 0/1, or a p_true outside [0, 1]; or of a bad header. Leading '#'
+    comment lines and blank lines are skipped; a header-only file yields
+    zero rows.
     """
     with open(path, "rb") as fh:
         layout = _Layout(*_parse_header(path, _leading_lines(path, fh)))
@@ -912,23 +865,3 @@ def scan_outputs(path, model_sha256: str, n_outputs: int, outputs):
             _save_sidecar(side, (len(y), stored.n_cols), rows(), lambda: key)
     return out, y, p_true
 
-
-def read_dataset(path, rows=None) -> Dataset:
-    """Read a dataset CSV into a Dataset: (x, y, p_true) arrays and the
-    sha256 of the file's bytes; p_true is None when the file has no p_true
-    column. The arrays are filled block by block by ``take_rows`` from a
-    ``scan_dataset`` of the file.
-
-    ``rows``, when given, is an index array into the data rows (0-based, in
-    file order): every row is checked, only those rows are kept, and they
-    are returned in the order of ``rows``, so ``read_dataset(path,
-    rows=idx)`` equals ``read_dataset(path)`` indexed by ``idx``.
-
-    Raises DatasetFormatError naming the 1-based line of the first
-    malformed or failing row: a wrong column count, a value that is not a
-    number, a non-finite feature, a label other than 0/1, or a p_true
-    outside [0, 1]; or of a bad header; or naming a bad ``rows``. Leading
-    '#' comment lines and blank lines are skipped; a header-only file
-    yields zero rows.
-    """
-    return scan_dataset(path, functools.partial(take_rows, rows=rows))

@@ -6,7 +6,8 @@ assigns to its prediction. The set is partitioned into M equal-width,
 right-closed confidence bins ((m-1)/M, m/M]; per-bin accuracy and mean
 confidence feed the expected and maximum calibration errors, and the
 negative log-likelihood is computed directly from the predicted probability
-of the true label.
+of the true label. Where the true win probability of every row is known
+(synthetic data), the report also scores the confidence against it.
 
 Every sum accumulates sequentially in row order (``np.bincount`` and plain
 loops, never the pairwise ``np.sum``), so every number in a report can be
@@ -63,7 +64,8 @@ class CalibrationReport:
 
     ``nll_sum`` is the plain sum of per-sample negative log-likelihoods;
     ``nll_mean`` divides by the sample count and is the comparable quantity
-    across datasets of different size.
+    across datasets of different size. ``oracle_ece`` and ``true_ece`` score
+    the set against its known truth, and are None where it is not known.
     """
 
     accuracy: float
@@ -73,6 +75,8 @@ class CalibrationReport:
     nll_mean: float
     n: int
     bins: list[BinStats]
+    oracle_ece: float | None = None
+    true_ece: float | None = None
 
 
 def predict(probs) -> tuple[np.ndarray, np.ndarray]:
@@ -199,8 +203,47 @@ def accuracy(probs, labels) -> float:
     return int(np.count_nonzero(predicted == labels)) / len(labels)
 
 
-def build_report(probs, labels, m_bins: int = DEFAULT_BINS) -> CalibrationReport:
-    """Compute the full calibration summary of a prediction set."""
+def _true_confidence(probs, p_true) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted confidence of each row and the true probability of the
+    predicted class: p_true for class 1 and 1 - p_true for class 0."""
+    confidence, predicted = predict(probs)
+    p_true = np.asarray(p_true, dtype=float)  # None becomes a 0-d NaN
+    if p_true.shape != confidence.shape:
+        raise ValueError("p_true must hold one probability per row of probs")
+    if len(p_true) == 0:
+        raise ValueError("the prediction set must be nonempty")
+    return confidence, np.where(predicted == 1, p_true, 1.0 - p_true)
+
+
+def oracle_ece(probs, p_true) -> float:
+    """Mean absolute gap between predicted confidence and the true
+    confidence of the predicted class.
+
+    Being an expectation over the known per-sample truth, it needs no
+    binning and no labels, so it has none of the label noise of the binned
+    estimate. It is a per-row L1 error, so it mixes calibration with
+    sharpness. The gaps are summed sequentially in row order.
+    """
+    confidence, true_conf = _true_confidence(probs, p_true)
+    return float(np.cumsum(np.abs(confidence - true_conf))[-1]) / len(true_conf)
+
+
+def true_ece(probs, p_true, m_bins: int) -> float:
+    """The binned ECE of ``build_report`` on the same M confidence bins,
+    with the true probability of the predicted class in place of the 0/1
+    correctness of each row.
+
+    It has no label noise: with p_true equal to the 0/1 labels it is the
+    label ECE, and with calibrated truth it is 0 whatever the test size.
+    """
+    confidence, true_conf = _true_confidence(probs, p_true)
+    return ece(bin_stats(confidence, true_conf, m_bins), len(true_conf))
+
+
+def build_report(probs, labels, m_bins: int = DEFAULT_BINS, p_true=None) -> CalibrationReport:
+    """Compute the full calibration summary of a prediction set, with
+    ``oracle_ece`` and ``true_ece`` where the (n,) true probabilities of
+    class 1, ``p_true``, are given."""
     bins = compute_bins(probs, labels, m_bins)
     n = len(labels)
     nll_sum = nll(probs, labels)
@@ -212,13 +255,17 @@ def build_report(probs, labels, m_bins: int = DEFAULT_BINS) -> CalibrationReport
         nll_mean=nll_sum / n,
         n=n,
         bins=bins,
+        oracle_ece=None if p_true is None else oracle_ece(probs, p_true),
+        true_ece=None if p_true is None else true_ece(probs, p_true, m_bins),
     )
 
 
-def report_to_dict(report: CalibrationReport) -> dict:
+def report_to_dict(report: CalibrationReport, extra: dict | None = None) -> dict:
     """JSON-ready view of a report. Empty bins carry null accuracy and
-    confidence plus an explicit empty marker."""
-    return {
+    confidence plus an explicit empty marker. The ``extra`` top-level
+    fields (tool version, resolved config, method) follow the bins, and the
+    truth scores, when the report has them, come last."""
+    doc = {
         "accuracy": report.accuracy,
         "ece": report.ece,
         "mce": report.mce,
@@ -238,15 +285,16 @@ def report_to_dict(report: CalibrationReport) -> dict:
             for b in report.bins
         ],
     }
+    doc.update(extra or {})
+    if report.oracle_ece is not None:
+        doc["oracle_ece"] = report.oracle_ece
+        doc["true_ece"] = report.true_ece
+    return doc
 
 
 def write_report_json(report: CalibrationReport, path, extra: dict | None = None) -> None:
-    """Write the report as JSON, optionally merged with extra top-level
-    fields (tool version, resolved config, oracle metrics)."""
-    doc = report_to_dict(report)
-    if extra:
-        doc.update(extra)
-    write_lines(path, [json.dumps(doc, indent=2)])
+    """Write ``report_to_dict(report, extra)`` as JSON."""
+    write_lines(path, [json.dumps(report_to_dict(report, extra), indent=2)])
 
 
 def write_reliability_csv(report: CalibrationReport, path, comment: str | None = None) -> None:

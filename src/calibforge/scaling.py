@@ -95,19 +95,6 @@ def transform_logits(scaler: ScalerParams, z: np.ndarray) -> np.ndarray:
     return z @ scaler.w_full.T + scaler.b
 
 
-def mean_nll(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of labels under softmax(logits).
-
-    Computed in the log domain (softplus of the signed logit margin), so it
-    stays finite for arbitrarily large logits.
-    """
-    logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    rows = np.arange(len(labels))
-    margin = logits[rows, labels] - logits[rows, 1 - labels]
-    return float(np.mean(np.logaddexp(0.0, -margin)))
-
-
 def _check_fit_inputs(val_logits, val_labels):
     """The validated (n, 2) logits and each row's label sign, 2y - 1."""
     logits = np.asarray(val_logits, dtype=float)

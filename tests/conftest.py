@@ -1,7 +1,10 @@
 """Shared fixtures: a small end-to-end CLI pipeline and the full
 seed-42 reference run used by the acceptance criteria. Both run the 12
-command lines of ``cli.pipeline``, each as its own process."""
+command lines of ``cli.pipeline``, each as its own process. Also the
+whole-array helpers the tests build their data with, over the block-wise
+library calls the commands use."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -11,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calibforge import cli
+from calibforge import cli, datagen
 
 # Reference run: seed 42, 20000 train / 2500 test, F=295, M=10.
 # Training uses the published protocol (Adam, lr 1e-4, 20 epochs,
@@ -32,6 +35,42 @@ def reference_rows(probs, labels):
     for (p0, p1), t in zip(np.asarray(probs).tolist(), np.asarray(labels).tolist()):
         rows.append(Row(max(p0, p1), 0 if p0 >= p1 else 1, int(t), (p0, p1)))
     return rows
+
+
+def generate_dataset(config):
+    """A seeded dataset as (x, y, p_true) arrays: (n, F) float features,
+    (n,) 0/1 labels and (n,) win probabilities of label 1, the values of
+    ``datagen.GeneratedDataset(config)``, whose feature blocks are copied
+    into one (n, F) matrix as they are made."""
+    data = datagen.GeneratedDataset(config)
+    x = np.empty((config.n_matches, config.n_features))
+    start = 0
+    for block in data.features(config.n_matches):
+        x[start : start + len(block)] = block
+        start += len(block)
+    return x, data.y, data.p_true
+
+
+def read_dataset(path, rows=None) -> datagen.Dataset:
+    """A dataset file's (x, y, p_true) arrays and sha256: a scan that takes
+    the rows the index array ``rows`` selects, in its order (every row when
+    None), so ``read_dataset(path, rows=idx)`` equals ``read_dataset(path)``
+    indexed by ``idx``."""
+    return datagen.scan_dataset(path, functools.partial(datagen.take_rows, rows=rows))
+
+
+def mean_nll(logits, labels) -> float:
+    """Mean negative log-likelihood of labels under softmax(logits), the
+    reference the scaler tests score fits with.
+
+    Computed in the log domain (softplus of the signed logit margin), so it
+    stays finite for arbitrarily large logits.
+    """
+    logits = np.asarray(logits, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    rows = np.arange(len(labels))
+    margin = logits[rows, labels] - logits[rows, 1 - labels]
+    return float(np.mean(np.logaddexp(0.0, -margin)))
 
 
 def run_cli(args, check=True):

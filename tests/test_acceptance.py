@@ -16,7 +16,7 @@ import pytest
 
 from calibforge import datagen, duloss, metrics, nn, scaling
 
-from conftest import load_report, reference_rows, run_reference_pipeline
+from conftest import load_report, mean_nll, reference_rows, run_reference_pipeline
 
 
 def check(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -120,9 +120,9 @@ def test_criterion_2_gradient_correctness():
                 ix = it.multi_index
                 orig = arr[ix]
                 arr[ix] = orig + h
-                lp = nn.batch_loss(params, x, y, "ce")
+                lp = nn.backward(params, x, y, "ce")[0]
                 arr[ix] = orig - h
-                lm = nn.batch_loss(params, x, y, "ce")
+                lm = nn.backward(params, x, y, "ce")[0]
                 arr[ix] = orig
                 numeric.append((lp - lm) / (2 * h))
                 analytic.append(g[ix])
@@ -249,12 +249,12 @@ def test_criterion_5_temperature_recovery():
     n = 50000
     z = np.column_stack([rng.normal(0, 1.5, n), rng.normal(0, 1.5, n)])
     labels = (rng.random(n) < nn.softmax(z)[:, 1]).astype(int)
-    gen_nll = scaling.mean_nll(z, labels)
+    gen_nll = mean_nll(z, labels)
     ok = True
     details = []
     for t0 in (2.5, 0.4):
         scaler = scaling.fit_temperature(z / t0, labels)
-        restored = scaling.mean_nll(scaling.transform_logits(scaler, z / t0), labels)
+        restored = mean_nll(scaling.transform_logits(scaler, z / t0), labels)
         ok &= abs(restored - gen_nll) < 1e-3
         ok &= abs(scaler.temperature - 1.0 / t0) / (1.0 / t0) < 0.05
         details.append(f"t0={t0}: T={scaler.temperature:.4f} dNLL={abs(restored - gen_nll):.1e}")

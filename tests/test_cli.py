@@ -17,7 +17,9 @@ import pytest
 
 from calibforge import artifacts, cli, datagen, duloss, metrics, nn
 
-from conftest import MINI_GEN, MINI_TRAIN, load_report, run_cli
+from conftest import (
+    MINI_GEN, MINI_TRAIN, generate_dataset, load_report, read_dataset, run_cli,
+)
 
 
 # --- gen -----------------------------------------------------------------
@@ -355,7 +357,7 @@ def test_calibrate_refuses_data_other_than_the_training_file(tmp_path, mini_run,
         lines[-1] = ",".join(fields)
         data = tmp_path / "train.csv"
         data.write_text("\n".join(lines) + "\n")
-    n_rows = len(datagen.read_dataset(data)[1])
+    n_rows = len(read_dataset(data)[1])
     out = tmp_path / "o"
     proc = run_cli([
         "calibrate", "--model", mini_run / "model_ce.txt", "--data", data, "--out", out,
@@ -531,7 +533,7 @@ def test_eval_checks_m_bins_before_reading_anything(tmp_path, mini_run, monkeypa
         monkeypatch.setattr(module, name, call)
 
     recording(datagen, "scan_dataset")
-    recording(nn, "load_model")
+    recording(nn, "read_model")
     out = tmp_path / "o"
     code = cli.main([
         "eval", "--model", str(mini_run / "model_ce.txt"), "--data", str(mini_run / "test.csv"),
@@ -556,7 +558,7 @@ def test_eval_refuses_a_dataset_of_another_width_before_taking_a_row(
     # both files, before a block reaches the network or an output is written
     data = tmp_path / "narrow.csv"
     config = datagen.SyntheticConfig(n_matches=30, n_features=40, roster_size=20, rng_seed=3)
-    datagen.write_dataset(data, *datagen.generate_dataset(config), roster_size=20)
+    datagen.write_dataset(data, *generate_dataset(config), roster_size=20)
     forwards = _forward_rows(monkeypatch)
     model, out = mini_run / "model_ce.txt", tmp_path / "o"
     assert cli.main(["eval", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
@@ -609,7 +611,7 @@ def _other_weights(model) -> None:
 
 def _other_rows(data) -> None:
     config = datagen.SyntheticConfig(n_matches=50, n_features=45, roster_size=20, rng_seed=5)
-    datagen.write_dataset(data, *datagen.generate_dataset(config), roster_size=20)
+    datagen.write_dataset(data, *generate_dataset(config), roster_size=20)
 
 
 def _flipped_byte(path) -> None:
@@ -660,7 +662,7 @@ def test_an_outputs_sidecar_that_does_not_match_is_recomputed(tmp_path, mini_run
         monkeypatch.setattr(artifacts, "open", refuse, raising=False)
     forwards = _forward_rows(monkeypatch)
     assert cli.main(argv) == 0
-    assert sum(forwards) == len(datagen.read_dataset(data).y)
+    assert sum(forwards) == len(read_dataset(data).y)
     recomputed = _artifacts(out)
     if stale == "read-only":
         assert not cached.exists()
@@ -675,12 +677,68 @@ def test_an_outputs_sidecar_that_does_not_match_is_recomputed(tmp_path, mini_run
     assert _artifacts(out) == recomputed
 
 
+def _weight_parses(monkeypatch) -> list:
+    """Patch nn.ModelFile.params to record the path of each parse."""
+    parse, paths = nn.ModelFile.params, []
+
+    def recording(model):
+        paths.append(model.path)
+        return parse(model)
+
+    monkeypatch.setattr(nn.ModelFile, "params", recording)
+    return paths
+
+
+def test_a_warm_eval_parses_no_model_weights(tmp_path, mini_run, monkeypatch):
+    # a hit takes the layer sizes and the density-head flag from the header
+    data = tmp_path / "test.csv"
+    shutil.copyfile(mini_run / "test.csv", data)
+    parses = _weight_parses(monkeypatch)
+    for model in ("model_ce.txt", "model_du.txt"):
+        argv = ["eval", "--model", str(mini_run / model), "--data", str(data),
+                "--out", str(tmp_path / model)]
+        assert cli.main(argv) == 0
+        assert parses == [str(mini_run / model)]
+        cold = _artifacts(tmp_path / model)
+        parses.clear()
+        assert cli.main(argv) == 0
+        assert parses == []
+        assert _artifacts(tmp_path / model) == cold
+
+
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_a_model_with_a_corrupt_weight_exits_3_beside_a_good_models_outputs(
+    tmp_path, mini_run, monkeypatch, capsys, value
+):
+    # the corrupt file's header is intact, and the outputs sidecar of the
+    # good model is both at its own path and at the corrupt model's: neither
+    # is a hit, so the weights are parsed and refused
+    data, model, out = tmp_path / "test.csv", tmp_path / "model_ce.txt", tmp_path / "o"
+    shutil.copyfile(mini_run / "test.csv", data)
+    shutil.copyfile(mini_run / "model_ce.txt", model)
+    argv = ["eval", "--model", str(model), "--data", str(data), "--out", str(out)]
+    assert cli.main(argv) == 0
+    good = datagen.outputs_path(data, _sha256(model))
+    lines = model.read_text().splitlines()
+    row = lines.index("param W0 45 16") + 1
+    lines[row] = " ".join([value] + lines[row].split()[1:])
+    model.write_text("\n".join(lines) + "\n")
+    shutil.copyfile(good, datagen.outputs_path(data, _sha256(model)))
+    shutil.rmtree(out)
+    parses = _weight_parses(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    assert str(model) in capsys.readouterr().err
+    assert parses == [str(model)]
+    assert good.exists() and not out.exists()
+
+
 def test_eval_reads_the_forward_row_blocks_and_holds_one_of_them(tmp_path, monkeypatch, capsys):
     # eval hands nn.forward the sidecar's rows one BLOCK_ROWS block at a
     # time, so it holds one block of the file, the block's activations and
     # the outputs
     n = 5 * 4096 + 100
-    data = datagen.generate_dataset(datagen.SyntheticConfig(
+    data = generate_dataset(datagen.SyntheticConfig(
         n_matches=n, n_features=25, roster_size=12, rng_seed=4))
     path = tmp_path / "big.csv"
     datagen.write_dataset(path, *data, roster_size=12)

@@ -15,6 +15,8 @@ from scipy import stats
 from calibforge import artifacts, cli, datagen, metrics
 from calibforge.datagen import SyntheticConfig
 
+from conftest import generate_dataset, read_dataset
+
 
 def small_config(n, seed=0, **kw):
     defaults = dict(n_matches=n, n_features=25, roster_size=12, rng_seed=seed)
@@ -52,7 +54,7 @@ def test_config_rejects_bad_values():
 
 def test_feature_layout_and_shapes():
     config = small_config(50)
-    x, y, p_true = datagen.generate_dataset(config)
+    x, y, p_true = generate_dataset(config)
     assert x.shape == (50, 25) and x.dtype == np.float64 and x.flags["C_CONTIGUOUS"]
     assert y.shape == (50,) and set(y.tolist()) <= {0, 1}
     assert p_true.shape == (50,)
@@ -63,7 +65,7 @@ def test_feature_layout_and_shapes():
 
 def test_p_true_recomputable_from_stored_features():
     config = small_config(200, seed=3)
-    x, _, p_true = datagen.generate_dataset(config)
+    x, _, p_true = generate_dataset(config)
     coef = datagen.champion_coefficients(config)
     for f, pt in zip(x[:50], p_true[:50]):
         p = datagen.win_probability(
@@ -81,7 +83,7 @@ def test_symmetric_teams_give_exactly_half():
 
 def test_zero_noise_limit_labels_follow_advantage_sign():
     config = small_config(2000, seed=8, noise_gain=0.0, noise_floor=1e-6)
-    x, y, _ = datagen.generate_dataset(config)
+    x, y, _ = generate_dataset(config)
     coef = datagen.champion_coefficients(config)
     checked = 0
     for f, label in zip(x, y):
@@ -95,13 +97,13 @@ def test_zero_noise_limit_labels_follow_advantage_sign():
 
 
 def test_mean_p_true_is_balanced():
-    _, _, p_true = datagen.generate_dataset(small_config(20000, seed=5))
+    _, _, p_true = generate_dataset(small_config(20000, seed=5))
     mean = np.mean(p_true)
     assert abs(mean - 0.5) <= 0.02
 
 
 def test_empirical_win_rate_within_three_standard_errors():
-    _, y, p = datagen.generate_dataset(small_config(10000, seed=7))
+    _, y, p = generate_dataset(small_config(10000, seed=7))
     se = np.sqrt(np.sum(p * (1.0 - p))) / len(p)
     assert abs(y.mean() - p.mean()) <= 3.0 * se
 
@@ -110,7 +112,7 @@ def test_label_frequencies_chi_square_across_seeds():
     # group by p_true deciles; compare observed label-1 counts against the
     # sum of per-sample probabilities with a chi-square statistic
     for seed in range(20):
-        _, y, p = datagen.generate_dataset(small_config(100000, seed=seed))
+        _, y, p = generate_dataset(small_config(100000, seed=seed))
         edges = np.quantile(p, np.linspace(0.0, 1.0, 11))
         idx = np.clip(np.searchsorted(edges[1:-1], p, side="right"), 0, 9)
         chi2 = 0.0
@@ -136,8 +138,8 @@ def test_noise_temperature_monotone_and_positive():
 
 
 def test_generation_deterministic():
-    a = datagen.generate_dataset(small_config(100, seed=13))
-    b = datagen.generate_dataset(small_config(100, seed=13))
+    a = generate_dataset(small_config(100, seed=13))
+    b = generate_dataset(small_config(100, seed=13))
     for s, t in zip(a, b):
         np.testing.assert_array_equal(s, t)
 
@@ -147,9 +149,9 @@ def test_generation_block_size_changes_no_value(monkeypatch):
     # block is short in both
     assert datagen.BLOCK_ROWS == 256
     config = small_config(1000, seed=13)
-    whole = datagen.generate_dataset(config)
+    whole = generate_dataset(config)
     monkeypatch.setattr(datagen, "BLOCK_ROWS", 8)
-    for got, want in zip(datagen.generate_dataset(config), whole):
+    for got, want in zip(generate_dataset(config), whole):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -157,7 +159,7 @@ def test_generation_holds_one_feature_matrix():
     # the picks and the filler are drawn block by block into the feature
     # matrix, so no full-height comp, filler or stacked copy exists beside it
     config = SyntheticConfig(n_matches=8192, rng_seed=5)
-    (x, _, _), peak = traced_peak(lambda: datagen.generate_dataset(config))
+    (x, _, _), peak = traced_peak(lambda: generate_dataset(config))
     assert x.shape == (8192, 295)
     assert peak <= 1.2 * x.nbytes
 
@@ -226,14 +228,14 @@ def test_gen_sidecars_are_those_of_a_cold_read(tmp_path, capsys):
         sidecar = datagen.sidecar_path(out / name)
         written = sidecar.read_bytes()
         sidecar.unlink()
-        datagen.read_dataset(out / name)  # parses, then saves the sidecar
+        read_dataset(out / name)  # parses, then saves the sidecar
         assert sidecar.read_bytes() == written
 
 
 def test_write_dataset_sidecar_is_that_of_a_cold_read_with_signed_zeros(tmp_path):
     # -0.0 is written as "0", so the sidecar must hold +0.0 where x and y
     # hold -0.0; p_true is written by repr, so its -0.0 stays
-    x, y, p_true = datagen.generate_dataset(small_config(40, seed=2))
+    x, y, p_true = generate_dataset(small_config(40, seed=2))
     y = y.astype(float)
     x[[0, 5, 39], [3, 20, 24]] = -0.0
     y[y == 0.0] = -0.0
@@ -242,7 +244,7 @@ def test_write_dataset_sidecar_is_that_of_a_cold_read_with_signed_zeros(tmp_path
     datagen.write_dataset(path, x, y, p_true, roster_size=12)
     written = datagen.sidecar_path(path).read_bytes()
     datagen.sidecar_path(path).unlink()
-    datagen.read_dataset(path)
+    read_dataset(path)
     assert datagen.sidecar_path(path).read_bytes() == written
 
 
@@ -266,17 +268,17 @@ def test_generating_and_writing_holds_no_feature_matrix(tmp_path, capsys):
 # --- oracle_ece ----------------------------------------------------------------
 
 def test_oracle_ece_zero_for_perfect_predictions():
-    _, _, p_true = datagen.generate_dataset(small_config(100, seed=2))
+    _, _, p_true = generate_dataset(small_config(100, seed=2))
     # the truth itself as the prediction
     probs = np.column_stack([1.0 - p_true, p_true])
-    assert datagen.oracle_ece(probs, p_true) == 0.0
+    assert metrics.oracle_ece(probs, p_true) == 0.0
 
 
 def test_oracle_ece_constant_overconfidence():
     # certain of class 1 (and of class 0) where the truth for it is 0.7
     probs = np.array([[0.0, 1.0]] * 13 + [[1.0, 0.0]] * 12)
     p_true = np.array([0.7] * 13 + [0.3] * 12)
-    assert datagen.oracle_ece(probs, p_true) == pytest.approx(0.3, abs=1e-15)
+    assert metrics.oracle_ece(probs, p_true) == pytest.approx(0.3, abs=1e-15)
 
 
 def test_oracle_ece_matches_brute_force():
@@ -287,16 +289,16 @@ def test_oracle_ece_matches_brute_force():
     expected = sum(abs(c - t) for c, t in pairs) / 500
     # every row predicts class 1, whose truth is p_true itself
     probs = np.column_stack([1.0 - confs, confs])
-    assert datagen.oracle_ece(probs, trues) == pytest.approx(expected, abs=1e-12)
+    assert metrics.oracle_ece(probs, trues) == pytest.approx(expected, abs=1e-12)
 
 
 def test_oracle_ece_requires_p_true():
     with pytest.raises(ValueError):
-        datagen.oracle_ece(np.empty((0, 2)), np.empty(0))
+        metrics.oracle_ece(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError):
-        datagen.oracle_ece(np.array([[0.1, 0.9]]), None)
+        metrics.oracle_ece(np.array([[0.1, 0.9]]), None)
     with pytest.raises(ValueError):
-        datagen.oracle_ece(np.array([[0.1, 0.9]]), np.array([0.5, 0.5]))
+        metrics.oracle_ece(np.array([[0.1, 0.9]]), np.array([0.5, 0.5]))
 
 
 # --- true_ece -------------------------------------------------------------------
@@ -308,7 +310,7 @@ def test_true_ece_with_labels_as_truth_is_the_label_ece():
     probs = np.column_stack([1.0 - p1, p1])
     for m_bins in (10, 15):
         report = metrics.build_report(probs, labels, m_bins)
-        true_ece = datagen.true_ece(probs, labels.astype(float), m_bins)
+        true_ece = metrics.true_ece(probs, labels.astype(float), m_bins)
         assert true_ece == report.ece  # one binned-ECE implementation
 
 
@@ -318,16 +320,16 @@ def test_true_ece_two_bin_hand_case():
     p_true = np.array([0.7, 0.2, 0.5, 0.9])
     # truth of the predicted class: 0.7, 0.8 | 0.5, 0.9
     # bin 3: |0.75 - 0.65| = 0.10, bin 4: |0.70 - 0.85| = 0.15, each of weight 1/2
-    assert datagen.true_ece(probs, p_true, 4) == pytest.approx(0.125, abs=1e-15)
+    assert metrics.true_ece(probs, p_true, 4) == pytest.approx(0.125, abs=1e-15)
 
 
 # --- file io ---------------------------------------------------------------------
 
 def test_roundtrip_preserves_everything(tmp_path):
-    x, y, p_true = datagen.generate_dataset(small_config(100, seed=21))
+    x, y, p_true = generate_dataset(small_config(100, seed=21))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
-    xb, yb, pb, _ = datagen.read_dataset(path)
+    xb, yb, pb, _ = read_dataset(path)
     assert xb.shape == (100, 25) and xb.flags["C_CONTIGUOUS"]
     np.testing.assert_allclose(xb, x, atol=1e-9)
     np.testing.assert_array_equal(yb, y)
@@ -339,14 +341,14 @@ def test_roundtrip_without_p_true(tmp_path):
     path = tmp_path / "real.csv"
     datagen.write_dataset(path, x, np.array([1, 0]), None, roster_size=12)
     assert "p_true" not in path.read_text().splitlines()[0]
-    xb, yb, pb, _ = datagen.read_dataset(path)
+    xb, yb, pb, _ = read_dataset(path)
     assert pb is None
     np.testing.assert_array_equal(xb, x)
     assert yb.tolist() == [1, 0]
 
 
 def test_write_is_byte_deterministic(tmp_path):
-    data = datagen.generate_dataset(small_config(50, seed=3))
+    data = generate_dataset(small_config(50, seed=3))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     datagen.write_dataset(a, *data, roster_size=12)
     datagen.write_dataset(b, *data, roster_size=12)
@@ -374,13 +376,13 @@ def assert_writes_reference_bytes(path, x, y, p_true, roster_size=12, comment=No
 
 
 def test_write_matches_per_value_rule_on_generated_data(tmp_path):
-    x, y, p_true = datagen.generate_dataset(small_config(300, seed=11))
+    x, y, p_true = generate_dataset(small_config(300, seed=11))
     assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true, comment="meta")
     assert_writes_reference_bytes(tmp_path / "n.csv", x, y, None)
 
 
 def test_write_matches_per_value_rule_on_signed_zeros(tmp_path):
-    x, y, p_true = datagen.generate_dataset(small_config(40, seed=2))
+    x, y, p_true = generate_dataset(small_config(40, seed=2))
     x[:, 1] = np.where(np.arange(40) % 3 == 0, -0.0, 0.0)
     x[::5, 7] = -0.0
     assert np.signbit(x[:, 1]).any() and not np.signbit(x[:, 1]).all()
@@ -416,7 +418,7 @@ def test_write_matches_per_value_rule_around_the_cell_bounds(tmp_path):
     edge = [k, k + 1, k - 0.5, k + 0.5, 1.0 + 2**-52, 1.0 - 2**-53, 3.0, -0.0]
     edge += [-v for v in edge]
     x = np.resize(np.array(edge), (30, 25))
-    _, y, p_true = datagen.generate_dataset(small_config(30, seed=6))
+    _, y, p_true = generate_dataset(small_config(30, seed=6))
     assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true)
     cells = (tmp_path / "d.csv").read_text().splitlines()[1].split(",")
     assert cells[:4] == ["1024", "1025", "1023.5", "1024.5"]
@@ -459,18 +461,18 @@ def test_write_matches_per_value_rule_on_every_four_place_value(tmp_path):
 def test_write_matches_per_value_rule_on_all_distinct_values(tmp_path):
     x = np.random.default_rng(3).standard_normal((400, 25))
     assert np.unique(x).size == x.size
-    _, y, p_true = datagen.generate_dataset(small_config(400, seed=3))
+    _, y, p_true = generate_dataset(small_config(400, seed=3))
     assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true)
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
 def test_write_matches_per_value_rule_around_the_block_edge(tmp_path, n):
-    x, y, p_true = datagen.generate_dataset(small_config(n, seed=n))
+    x, y, p_true = generate_dataset(small_config(n, seed=n))
     assert_writes_reference_bytes(tmp_path / "d.csv", x, y, p_true, comment="meta")
 
 
 def test_write_block_size_changes_no_byte(tmp_path, monkeypatch):
-    data = datagen.generate_dataset(small_config(100, seed=4))
+    data = generate_dataset(small_config(100, seed=4))
     assert datagen.BLOCK_ROWS == 256
     datagen.write_dataset(tmp_path / "a.csv", *data, roster_size=12)
     monkeypatch.setattr(datagen, "BLOCK_ROWS", 7)
@@ -499,7 +501,7 @@ def test_write_empty_dataset_is_header_only(tmp_path):
     ],
 )
 def test_write_refuses_what_read_would_reject(tmp_path, column, row, value, message):
-    x, y, p_true = datagen.generate_dataset(small_config(8, seed=6))
+    x, y, p_true = generate_dataset(small_config(8, seed=6))
     path = tmp_path / "d.csv"
     datagen.write_dataset(path, x, y, p_true, roster_size=12)
     before = path.read_bytes()
@@ -515,7 +517,7 @@ def test_write_refuses_what_read_would_reject(tmp_path, column, row, value, mess
 
 
 def test_write_names_the_first_bad_row(tmp_path):
-    x, y, p_true = datagen.generate_dataset(small_config(8, seed=6))
+    x, y, p_true = generate_dataset(small_config(8, seed=6))
     x[5, 0] = np.nan
     y[2] = 3
     p_true[4] = 2.0
@@ -527,7 +529,7 @@ def test_write_names_the_first_bad_row(tmp_path):
 def test_header_only_file_is_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(datagen.dataset_header(12, 8, True) + "\n")
-    x, y, p_true, _ = datagen.read_dataset(path)
+    x, y, p_true, _ = read_dataset(path)
     assert x.shape == (0, 25) and y.shape == (0,) and p_true.shape == (0,)
 
 
@@ -535,7 +537,7 @@ def test_read_names_the_first_bad_row(tmp_path):
     # data row 2 has label 2 and data row 5 a NaN feature: the first failing
     # row is named, not the first row of the first failing check, by a full
     # read and by a rows= read that selects neither
-    data = datagen.generate_dataset(small_config(8, seed=6))
+    data = generate_dataset(small_config(8, seed=6))
     path = tmp_path / "d.csv"
     datagen.write_dataset(path, *data, roster_size=12)
     lines = path.read_text().splitlines()
@@ -546,11 +548,11 @@ def test_read_names_the_first_bad_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     for rows in (None, [0]):
         with pytest.raises(datagen.DatasetFormatError, match="line 4: label must be 0 or 1"):
-            datagen.read_dataset(path, rows=rows)
+            read_dataset(path, rows=rows)
 
 
 def test_parse_error_names_line(tmp_path):
-    data = datagen.generate_dataset(small_config(5, seed=1))
+    data = generate_dataset(small_config(5, seed=1))
     path = tmp_path / "bad.csv"
     datagen.write_dataset(path, *data, roster_size=12)
     good = path.read_text().splitlines()
@@ -563,39 +565,39 @@ def test_parse_error_names_line(tmp_path):
         lines[3] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(datagen.DatasetFormatError, match="line 4"):
-            datagen.read_dataset(path)
+            read_dataset(path)
 
 
 def test_read_rows_equals_full_read_indexed(tmp_path):
-    x, y, p_true = datagen.generate_dataset(small_config(60, seed=5))
+    x, y, p_true = generate_dataset(small_config(60, seed=5))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
-    full = datagen.read_dataset(path)
+    full = read_dataset(path)
     idx = np.random.default_rng(0).permutation(60)[:25]
-    part = datagen.read_dataset(path, rows=idx)
+    part = read_dataset(path, rows=idx)
     assert part.sha256 == full.sha256
     for whole, picked in zip(full[:3], part[:3]):
         assert picked.dtype == whole.dtype and picked.flags["C_CONTIGUOUS"]
         assert picked.tobytes() == whole[idx].tobytes()
-    x0, y0, p0, _ = datagen.read_dataset(path, rows=np.array([], dtype=int))
+    x0, y0, p0, _ = read_dataset(path, rows=np.array([], dtype=int))
     assert x0.shape == (0, 25) and y0.shape == (0,) and p0.shape == (0,)
 
 
 @pytest.mark.parametrize("rows", [[0, 5], [-1], [2, 60, 3]])
 def test_read_rows_rejects_index_outside_the_data(tmp_path, rows):
-    data = datagen.generate_dataset(small_config(5, seed=1))
+    data = generate_dataset(small_config(5, seed=1))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, *data, roster_size=12)
     with pytest.raises(datagen.DatasetFormatError, match="outside the file's 5 data rows"):
-        datagen.read_dataset(path, rows=rows)
+        read_dataset(path, rows=rows)
 
 
 def test_read_rows_rejects_a_boolean_mask(tmp_path):
-    data = datagen.generate_dataset(small_config(5, seed=1))
+    data = generate_dataset(small_config(5, seed=1))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, *data, roster_size=12)
     with pytest.raises(ValueError, match="integer index array"):
-        datagen.read_dataset(path, rows=np.ones(5, dtype=bool))
+        read_dataset(path, rows=np.ones(5, dtype=bool))
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -609,7 +611,7 @@ def test_take_rows_in_a_scan_rejects_a_mask_or_an_index_outside_the_data(tmp_pat
 
 
 def test_read_rows_names_the_line_of_a_bad_selected_row(tmp_path):
-    data = datagen.generate_dataset(small_config(6, seed=1))
+    data = generate_dataset(small_config(6, seed=1))
     path = tmp_path / "bad.csv"
     datagen.write_dataset(path, *data, roster_size=12, comment="meta")
     lines = path.read_text().splitlines()
@@ -618,15 +620,15 @@ def test_read_rows_names_the_line_of_a_bad_selected_row(tmp_path):
     lines[5] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(datagen.DatasetFormatError, match="line 6"):
-        datagen.read_dataset(path, rows=[4, 3])
+        read_dataset(path, rows=[4, 3])
     # a cold read parses every row, so a bad row that is not selected fails it
     with pytest.raises(datagen.DatasetFormatError, match="line 6"):
-        datagen.read_dataset(path, rows=[4, 0])
+        read_dataset(path, rows=[4, 0])
 
 
 @pytest.mark.parametrize("block_chars", [1, 7, 300])
 def test_parse_block_size_changes_no_value_or_line_number(tmp_path, monkeypatch, block_chars):
-    data = datagen.generate_dataset(small_config(40, seed=3))
+    data = generate_dataset(small_config(40, seed=3))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, *data, roster_size=12, comment="meta")
     lines = path.read_text().splitlines()
@@ -638,14 +640,14 @@ def test_parse_block_size_changes_no_value_or_line_number(tmp_path, monkeypatch,
         path.write_bytes(text.encode())
 
     write(lines)
-    expected = datagen.read_dataset(path)
+    expected = read_dataset(path)
     datagen.sidecar_path(path).unlink()
     monkeypatch.setattr(datagen, "BLOCK_BYTES", block_chars)
-    got = datagen.read_dataset(path)
+    got = read_dataset(path)
     for read, whole, generated in zip(got[:3], expected[:3], data):
         assert read.tobytes() == whole.tobytes()
         np.testing.assert_array_equal(read, generated)
-    part = datagen.read_dataset(path, rows=[30, 2])
+    part = read_dataset(path, rows=[30, 2])
     assert part.x.tobytes() == expected.x[[30, 2]].tobytes()
 
     fields = lines[25].split(",")  # data row 23, file line 28 after the blank lines
@@ -653,25 +655,25 @@ def test_parse_block_size_changes_no_value_or_line_number(tmp_path, monkeypatch,
     lines[25] = ",".join(fields)
     write(lines)
     with pytest.raises(datagen.DatasetFormatError, match="line 28: features must be finite"):
-        datagen.read_dataset(path)
+        read_dataset(path)
 
 
 def test_wrong_column_count_is_schema_error(tmp_path):
-    data = datagen.generate_dataset(small_config(5, seed=1))
+    data = generate_dataset(small_config(5, seed=1))
     path = tmp_path / "bad.csv"
     datagen.write_dataset(path, *data, roster_size=12)
     lines = path.read_text().splitlines()
     lines[2] = lines[2] + ",0.5"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(datagen.DatasetFormatError, match="line 3"):
-        datagen.read_dataset(path)
+        read_dataset(path)
 
 
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("foo,bar\n1,2\n")
     with pytest.raises(datagen.DatasetFormatError, match="line 1"):
-        datagen.read_dataset(path)
+        read_dataset(path)
 
 
 @pytest.mark.parametrize("block_chars", [1, 300, datagen.BLOCK_BYTES])
@@ -679,7 +681,7 @@ def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, monkeypatch, 
     # a bad byte in the second comment line, or in data line 10 (file line
     # 12) after CRLF line ends: the line is the one the whole text's
     # splitlines() numbers, whatever the size of the parse's blocks
-    data = datagen.generate_dataset(small_config(20, seed=2))
+    data = generate_dataset(small_config(20, seed=2))
     path = tmp_path / "d.csv"
     datagen.write_dataset(path, *data, roster_size=12, comment="meta")
     lines = path.read_bytes().splitlines()
@@ -693,13 +695,13 @@ def test_a_byte_that_is_not_utf8_names_its_file_and_line(tmp_path, monkeypatch, 
         path.write_bytes(text)
         with pytest.raises(datagen.DatasetFormatError,
                            match=re.escape(f"{path}: line {line_no}: not UTF-8 text")):
-            datagen.read_dataset(path)
+            read_dataset(path)
 
 
 # --- parsed-array sidecar --------------------------------------------------------
 
 def _written(tmp_path, n=30, seed=5):
-    x, y, p_true = datagen.generate_dataset(small_config(n, seed=seed))
+    x, y, p_true = generate_dataset(small_config(n, seed=seed))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
     return path
@@ -715,32 +717,32 @@ def _no_parse(monkeypatch):
 def test_sidecar_hit_equals_a_cold_parse(tmp_path, monkeypatch):
     path = _written(tmp_path)
     datagen.sidecar_path(path).unlink()  # the one write_dataset wrote
-    cold = datagen.read_dataset(path)
+    cold = read_dataset(path)
     idx = np.array([7, 0, 29, 7, 12])
-    cold_part = datagen.read_dataset(path, rows=idx)
+    cold_part = read_dataset(path, rows=idx)
     assert datagen.sidecar_path(path).exists()
     assert cold.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
     _no_parse(monkeypatch)
-    for warm, reference in ((datagen.read_dataset(path), cold),
-                            (datagen.read_dataset(path, rows=idx), cold_part)):
+    for warm, reference in ((read_dataset(path), cold),
+                            (read_dataset(path, rows=idx), cold_part)):
         assert warm.sha256 == reference.sha256
         for got, want in zip(warm[:3], reference[:3]):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags["C_CONTIGUOUS"]
             assert got.tobytes() == want.tobytes()
     with pytest.raises(datagen.DatasetFormatError, match="outside the file's 30 data rows"):
-        datagen.read_dataset(path, rows=[30])
+        read_dataset(path, rows=[30])
 
 
 def test_sidecar_is_replaced_after_an_edit_and_a_bad_edit_still_names_its_line(tmp_path):
     path = _written(tmp_path)
-    datagen.read_dataset(path)
+    read_dataset(path)
     lines = path.read_text().splitlines()
     fields = lines[4].split(",")  # comment, header, then data row 2
     fields[1] = "12.5"
     lines[4] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    x, _, _, digest = datagen.read_dataset(path)
+    x, _, _, digest = read_dataset(path)
     assert x[2, 1] == 12.5
     with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
         assert cached["sha256"].item() == digest
@@ -750,7 +752,7 @@ def test_sidecar_is_replaced_after_an_edit_and_a_bad_edit_still_names_its_line(t
     path.write_text("\n".join(lines) + "\n")
     for rows in (None, [2]):
         with pytest.raises(datagen.DatasetFormatError, match="line 5: features must be finite"):
-            datagen.read_dataset(path, rows=rows)
+            read_dataset(path, rows=rows)
 
 
 def _fake_sidecar(path, damage):
@@ -857,14 +859,14 @@ def test_a_broken_sidecar_is_ignored_and_rewritten(tmp_path, damage):
     path = _written(tmp_path)
     sidecar = datagen.sidecar_path(path)
     sidecar.unlink()
-    cold = datagen.read_dataset(path)
+    cold = read_dataset(path)
     good = sidecar.read_bytes()
     # each read meets a freshly broken sidecar and equals the cold parse
     _fake_sidecar(path, damage)
-    part = datagen.read_dataset(path, rows=[3, 1, 29])
+    part = read_dataset(path, rows=[3, 1, 29])
     for got, want in zip(part[:3], cold[:3]):
         assert got.tobytes() == want[[3, 1, 29]].tobytes()
-    for read in (_scanned, datagen.read_dataset):
+    for read in (_scanned, read_dataset):
         sidecar.write_bytes(good)
         _fake_sidecar(path, damage)
         for got, want in zip(read(path)[:3], cold[:3]):
@@ -877,13 +879,13 @@ def test_a_compressed_sidecar_is_read_without_a_parse(tmp_path, monkeypatch):
     # np.savez_compressed serves a read as one written by np.savez does
     path = _written(tmp_path)
     sidecar = datagen.sidecar_path(path)
-    expected = datagen.read_dataset(path)
+    expected = read_dataset(path)
     with np.load(sidecar, allow_pickle=False) as cached:
         arrays = {name: cached[name] for name in ("data", "sha256")}
     np.savez_compressed(sidecar, **arrays)
     compressed = sidecar.read_bytes()
     _no_parse(monkeypatch)
-    warm = datagen.read_dataset(path)
+    warm = read_dataset(path)
     assert warm.sha256 == expected.sha256
     for got, want in zip(warm[:3], expected[:3]):
         assert got.tobytes() == want.tobytes()
@@ -906,7 +908,7 @@ def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path, monkeypatch):
     monkeypatch.setattr(datagen, "BLOCK_ROWS", 7)
     first = datagen.scan_dataset(path, lambda info, blocks: next(blocks).x.copy())
     assert sidecar.read_bytes() == good
-    assert first.tobytes() == datagen.read_dataset(path).x[:7].tobytes()
+    assert first.tobytes() == read_dataset(path).x[:7].tobytes()
 
 
 def test_a_file_that_fails_its_checks_leaves_no_sidecar(tmp_path):
@@ -918,7 +920,7 @@ def test_a_file_that_fails_its_checks_leaves_no_sidecar(tmp_path):
     lines[6] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(datagen.DatasetFormatError, match="line 7: p_true"):
-        datagen.read_dataset(path)
+        read_dataset(path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
@@ -930,10 +932,10 @@ def test_a_cold_read_whose_consumer_fails_keeps_its_sidecar(tmp_path, monkeypatc
     written = sidecar.read_bytes()
     sidecar.unlink()
     with pytest.raises(datagen.DatasetFormatError, match="row index 30 is outside"):
-        datagen.read_dataset(path, rows=[30])
+        read_dataset(path, rows=[30])
     assert sidecar.read_bytes() == written
     _no_parse(monkeypatch)
-    assert datagen.read_dataset(path, rows=[29]).x.shape == (1, 25)
+    assert read_dataset(path, rows=[29]).x.shape == (1, 25)
 
 
 def test_a_sidecar_that_fails_its_own_scan_is_an_os_error(tmp_path, monkeypatch):
@@ -944,13 +946,13 @@ def test_a_sidecar_that_fails_its_own_scan_is_an_os_error(tmp_path, monkeypatch)
     monkeypatch.setattr(datagen, "_save_sidecar", lambda fh, shape, blocks, sha256: save(
         fh, shape, blocks, lambda: "0" * 64))
     with pytest.raises(OSError, match="fails its scan"):
-        datagen.read_dataset(path)
+        read_dataset(path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 def test_read_in_a_read_only_directory_writes_no_sidecar(tmp_path, monkeypatch):
     path = _written(tmp_path)
-    expected = datagen.read_dataset(path)
+    expected = read_dataset(path)
     datagen.sidecar_path(path).unlink()
     tmp_path.chmod(0o555)
     try:
@@ -963,7 +965,7 @@ def test_read_in_a_read_only_directory_writes_no_sidecar(tmp_path, monkeypatch):
                 return open(file, mode, *args, **kwargs)
 
             monkeypatch.setattr(artifacts, "open", refuse, raising=False)
-        got = datagen.read_dataset(path)
+        got = read_dataset(path)
     finally:
         tmp_path.chmod(0o755)
     for a, b in zip(got[:3], expected[:3]):
@@ -975,7 +977,7 @@ def test_read_in_a_read_only_directory_writes_no_sidecar(tmp_path, monkeypatch):
 def wide_csv(tmp_path_factory):
     """A 3000-row dataset at the default 295-feature width (4.0 MB of CSV),
     written without a sidecar, and the arrays it was written from."""
-    data = datagen.generate_dataset(SyntheticConfig(n_matches=3000, rng_seed=3))
+    data = generate_dataset(SyntheticConfig(n_matches=3000, rng_seed=3))
     path = tmp_path_factory.mktemp("wide") / "data.csv"
     datagen.write_dataset(path, *data, roster_size=160, comment="meta")
     return path, data
@@ -987,7 +989,7 @@ def test_a_cold_read_writes_its_sidecar_and_holds_its_output_and_one_block(wide_
     # about one block of rows, never the parsed matrix
     path, data = wide_csv
     datagen.sidecar_path(path).unlink(missing_ok=True)
-    cold, peak = traced_peak(lambda: datagen.read_dataset(path))
+    cold, peak = traced_peak(lambda: read_dataset(path))
     assert datagen.sidecar_path(path).exists()
     for got, want in zip(cold[:3], data):
         np.testing.assert_array_equal(got, want)  # -0.0 is written as 0
@@ -1000,10 +1002,10 @@ def test_a_warm_read_holds_one_matrix(wide_csv):
     # to the front; the finite check's boolean mask is the only other array
     # of note
     path, data = wide_csv
-    datagen.read_dataset(path)  # writes the sidecar
+    read_dataset(path)  # writes the sidecar
     with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
         matrix_bytes = cached["data"].nbytes
-    warm, peak = traced_peak(lambda: datagen.read_dataset(path))
+    warm, peak = traced_peak(lambda: read_dataset(path))
     assert warm.x.flags["C_CONTIGUOUS"]
     for got, want in zip(warm[:3], data):
         np.testing.assert_array_equal(got, want)
@@ -1015,10 +1017,10 @@ def test_a_warm_rows_read_holds_its_rows_and_one_block(wide_csv, monkeypatch):
     # only the selected ones kept, so the read holds about 300 + 256 rows
     # of the 3000; 64 KiB hash reads keep the file's hashing out of the peak
     path, (x, _, _) = wide_csv
-    datagen.read_dataset(path)  # makes sure the sidecar is there
+    read_dataset(path)  # makes sure the sidecar is there
     monkeypatch.setattr(datagen, "BLOCK_BYTES", 1 << 16)
     rows = np.random.default_rng(1).permutation(3000)[:300]
-    part, peak = traced_peak(lambda: datagen.read_dataset(path, rows=rows))
+    part, peak = traced_peak(lambda: read_dataset(path, rows=rows))
     np.testing.assert_array_equal(part.x, x[rows])
     row_bytes = (x.shape[1] + 2) * 8
     assert peak <= 1.25 * (len(rows) + datagen.BLOCK_ROWS) * row_bytes
@@ -1046,7 +1048,7 @@ def test_a_read_with_another_digest_counts_rows_in_blocks(wide_csv, monkeypatch)
     # the wrong file is only hashed, BLOCK_BYTES at a time, and its row
     # count comes from the sidecar's header: no row of it is held
     path, _ = wide_csv
-    datagen.read_dataset(path)  # makes sure the sidecar is there
+    read_dataset(path)  # makes sure the sidecar is there
     monkeypatch.setattr(datagen, "BLOCK_BYTES", 1 << 16)
 
     def read():
@@ -1061,7 +1063,7 @@ def test_a_read_with_another_digest_counts_rows_in_blocks(wide_csv, monkeypatch)
 
 def test_read_with_another_digest_counts_rows_and_parses_nothing(tmp_path, monkeypatch):
     path = _written(tmp_path)
-    digest = datagen.read_dataset(path).sha256
+    digest = read_dataset(path).sha256
     _no_parse(monkeypatch)
     with pytest.raises(_OtherData) as info:
         datagen.scan_dataset(path, _refuse_other_digest("0" * 64))

@@ -21,9 +21,9 @@ def fd_gradient(params, x, y, loss_kind, noise, h=1e-5):
             ix = it.multi_index
             orig = arr[ix]
             arr[ix] = orig + h
-            lp = nn.batch_loss(params, x, y, loss_kind, noise)
+            lp = nn.backward(params, x, y, loss_kind, noise)[0]
             arr[ix] = orig - h
-            lm = nn.batch_loss(params, x, y, loss_kind, noise)
+            lm = nn.backward(params, x, y, loss_kind, noise)[0]
             arr[ix] = orig
             g[ix] = (lp - lm) / (2.0 * h)
         grads.append(g)
@@ -170,7 +170,7 @@ def test_cross_entropy_values():
     # a bias-only network emits its bias as the logits of every row
     def ce(logits, y):
         params = nn.ModelParams([2, 2], [np.zeros((2, 2))], [np.asarray(logits)])
-        return nn.batch_loss(params, np.zeros((1, 2)), np.array([y]), "ce")
+        return nn.backward(params, np.zeros((1, 2)), np.array([y]), "ce")[0]
 
     assert ce([800.0, 0.0], 0) == 0.0
     assert ce([0.0, 0.0], 1) == pytest.approx(np.log(2.0))
@@ -263,6 +263,26 @@ def test_float32_backward_matches_float64(loss_kind):
     assert all(g.dtype == np.float32 for g in narrow)
     assert relative_error([g.astype(np.float64) for g in narrow], exact) <= 1e-5
     assert loss32 == pytest.approx(loss64, rel=1e-6)
+
+
+def test_float32_du_backward_on_saturated_margins_has_no_subnormal_gradient():
+    # every output is 0, so each row's margin draws are sigma * eps_c with
+    # sigma = 1: +-90 on rows 0-3, whose draw at +90 has a gradient of exactly
+    # 0 and whose draw at -90 one of about e^-90 / 8 = 1e-40, a float32
+    # subnormal, and +-1 on rows 4-7. Input 0 is set on rows 0-3 only, so
+    # row 0 of the weight gradient sums their output gradients alone.
+    params = nn.ModelParams([2, 2], [np.zeros((2, 3))], [np.zeros(3)], du_head_enabled=True)
+    x = np.repeat(np.eye(2), 4, axis=0)
+    y = np.ones(8, dtype=int)
+    noise = np.zeros((8, 2, 2))
+    noise[:, :, 1] = np.repeat([[90.0, -90.0], [1.0, -1.0]], 4, axis=0)
+    _, grads, _ = nn.backward(as_float32(params), x, y, "du", noise)
+    tiny = np.finfo(np.float32).tiny
+    for g in grads.weights + grads.biases:
+        assert g.dtype == np.float32
+        assert not ((g != 0.0) & (np.abs(g) < tiny)).any()
+    # the unsaturated rows' gradient is kept
+    assert np.abs(grads.weights[0][1, :2]).min() > 0.1
 
 
 @pytest.mark.parametrize("loss_kind", ["ce", "du"])

@@ -10,6 +10,8 @@ import pytest
 from calibforge import metrics, nn, scaling
 from calibforge.scaling import ScalerParams
 
+from conftest import mean_nll
+
 
 def calibrated_set(n=50000, seed=42, spread=1.5):
     """Logits with labels sampled from their own softmax: calibrated by
@@ -52,7 +54,7 @@ def raw_nll(kind, params, z, labels):
         scaler = ScalerParams(kind=kind, w_diag=np.asarray(params, dtype=float))
     else:
         scaler = ScalerParams(kind=kind, w_full=params[:4].reshape(2, 2), b=params[4:])
-    return scaling.mean_nll(scaling.transform_logits(scaler, z), labels)
+    return mean_nll(scaling.transform_logits(scaler, z), labels)
 
 
 def raw_gradient(kind, params, z, labels, h=1e-6):
@@ -161,13 +163,13 @@ def test_confidence_strictly_decreasing_in_temperature():
 
 def test_temperature_recovers_misscaled_logits():
     z, labels = calibrated_set()
-    gen_nll = scaling.mean_nll(z, labels)
+    gen_nll = mean_nll(z, labels)
     for t0 in (2.5, 0.4):
         mis = z / t0
         scaler = scaling.fit_temperature(mis, labels)
         # the restoring temperature is 1/t0
         assert scaler.temperature == pytest.approx(1.0 / t0, rel=0.05)
-        restored = scaling.mean_nll(scaling.transform_logits(scaler, mis), labels)
+        restored = mean_nll(scaling.transform_logits(scaler, mis), labels)
         assert abs(restored - gen_nll) < 1e-3
         assert scaler.warning is None
 
@@ -182,9 +184,9 @@ def test_temperature_local_optimality():
     z, labels = calibrated_set(n=5000, seed=9)
     scaler = scaling.fit_temperature(z / 1.8, labels)
     t = scaler.temperature
-    best = scaling.mean_nll(z / 1.8 / t, labels)
+    best = mean_nll(z / 1.8 / t, labels)
     for factor in (1.001, 0.999):
-        assert scaling.mean_nll(z / 1.8 / (t * factor), labels) >= best - 1e-9
+        assert mean_nll(z / 1.8 / (t * factor), labels) >= best - 1e-9
 
 
 def test_temperature_degenerate_set_clamps_with_warning():
@@ -239,9 +241,9 @@ def test_matrix_recovers_generating_transform_nll():
     c = np.array([0.3, -0.1])
     zt = z @ a.T + c
     labels = (rng.random(len(z)) < nn.softmax(zt)[:, 1]).astype(int)
-    gen_nll = scaling.mean_nll(zt, labels)
+    gen_nll = mean_nll(zt, labels)
     scaler = scaling.fit_matrix(z, labels)
-    fitted = scaling.mean_nll(scaling.transform_logits(scaler, z), labels)
+    fitted = mean_nll(scaling.transform_logits(scaler, z), labels)
     assert abs(fitted - gen_nll) < 1e-3
 
 
@@ -308,7 +310,7 @@ def test_fit_without_a_unique_optimum_stays_finite(tmp_path, kind, shape):
     scaler = FITS[kind](z, labels, log_path=log_path)
     assert np.all(np.isfinite(raw_params(scaler)))
     assert len(log_path.read_text().splitlines()) - 1 <= scaling.NEWTON_STEPS + 1
-    assert scaling.mean_nll(scaling.transform_logits(scaler, z), labels) <= scaling.mean_nll(z, labels)
+    assert mean_nll(scaling.transform_logits(scaler, z), labels) <= mean_nll(z, labels)
 
 
 def test_fitted_never_worse_than_uncalibrated():
@@ -316,10 +318,10 @@ def test_fitted_never_worse_than_uncalibrated():
     for seed in range(5):
         z, labels = calibrated_set(n=4000, seed=seed)
         mis = z * float(rng.uniform(0.3, 3.0))
-        base = scaling.mean_nll(mis, labels)
+        base = mean_nll(mis, labels)
         for fit in (scaling.fit_temperature, scaling.fit_vector, scaling.fit_matrix):
             scaler = fit(mis, labels)
-            fitted = scaling.mean_nll(scaling.transform_logits(scaler, mis), labels)
+            fitted = mean_nll(scaling.transform_logits(scaler, mis), labels)
             assert fitted <= base + 1e-9
 
 
@@ -391,6 +393,6 @@ def test_convergence_log_schema(tmp_path):
 def test_mean_nll_stable_for_huge_logits():
     z = np.array([[4000.0, 0.0], [0.0, 3000.0]])
     labels = np.array([0, 0])
-    value = scaling.mean_nll(z, labels)
+    value = mean_nll(z, labels)
     assert math.isfinite(value)
     assert value == pytest.approx(1500.0, rel=1e-12)  # second sample pays 3000
