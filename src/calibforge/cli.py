@@ -350,35 +350,54 @@ def _split_record(model_path, header: dict) -> list:
     return record
 
 
+def model_outputs(model: nn.ModelFile, data) -> datagen.Dataset:
+    """``datagen.scan_outputs`` of ``model`` on the dataset file ``data``.
+    Only a miss parses the weights and runs ``nn.forward``, block by block;
+    it refuses a file of another width and non-finite outputs."""
+
+    def block_outputs(info):
+        if info.n_features != model.layer_sizes[0]:
+            raise ValueError(
+                f"{info.path} has {info.n_features} features, but {model.path} takes "
+                f"{model.layer_sizes[0]} inputs"
+            )
+        params = model.params()
+
+        def outputs(block):
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                raw = nn.forward(params, block.x)
+            if not np.isfinite(raw).all():
+                raise ValueError(f"{model.path} gives non-finite outputs on {info.path}")
+            return raw
+
+        return outputs
+
+    return datagen.scan_outputs(data, model.path, model.sha256, model.n_outputs, block_outputs)
+
+
 def cmd_calibrate(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("calibrate requires --model and --data")
     kind = resolved["kind"]
     model_path, data = resolved["model"], resolved["data"]
     model = nn.read_model(model_path)
-    params = model.params()
-    if params.du_head_enabled:
+    if model.du_head_enabled:
         raise ValueError("post-hoc scalers apply to cross-entropy models, not du models")
     split_seed, val_fraction, data_rows, data_sha256 = _split_record(model_path, model.header)
-
-    def validation_rows(info, blocks):
-        # only the validation rows are kept, so the file must be the one the
-        # model was trained on: the same bytes give the same row numbering
-        if info.sha256 != data_sha256:
-            raise ValueError(
-                f"{data} is not the training data of {model_path}: it has {info.n_rows} data "
-                f"rows where the model header records {data_rows}, and its sha256 differs"
-            )
-        _, val = datagen.split(info.n_rows, val_fraction, split_seed)
-        if len(val) == 0:
-            raise ValueError("validation split is empty; retrain with a positive val_fraction")
-        return datagen.take_rows(info, blocks, val)
-
-    xv, yv, _, _ = datagen.scan_dataset(data, validation_rows)
-    logits = nn.forward(params, xv)
+    logits, y, _, sha256 = model_outputs(model, data)
+    # only the validation rows are kept, so the file must be the one the
+    # model was trained on: the same bytes give the same row numbering
+    if sha256 != data_sha256:
+        raise ValueError(
+            f"{data} is not the training data of {model_path}: it has {len(y)} data "
+            f"rows where the model header records {data_rows}, and its sha256 differs"
+        )
+    _, val = datagen.split(len(y), val_fraction, split_seed)
+    if len(val) == 0:
+        raise ValueError("validation split is empty; retrain with a positive val_fraction")
     out = _outdir(resolved)
     fit = getattr(scaling, SCALER_FITS[kind])
-    scaler = fit(logits, yv, log_path=out / f"calib_log_{kind}.csv")
+    scaler = fit(logits[val], y[val], log_path=out / f"calib_log_{kind}.csv")
     scaler.model_sha256 = model.sha256
     scaler_path = out / f"scaler_{kind}.json"
     scaling.save_scaler(
@@ -388,22 +407,7 @@ def cmd_calibrate(resolved: dict) -> None:
     detail = f"T={scaler.temperature!r}" if kind == "temperature" else "fitted"
     if scaler.warning:
         print(f"warning: {scaler.warning}", file=sys.stderr)
-    print(f"wrote {scaler_path} ({detail}, val NLL minimized on {len(yv)} points)")
-
-
-def _network_outputs(params, info, blocks):
-    """The raw network outputs, labels and p_true (or None) of every data
-    row of a scan, one ``nn.forward`` call per block, so only the features
-    and activations of the current block are held."""
-    raw = np.empty((info.n_rows, params.weights[-1].shape[1]))
-    y = np.empty(info.n_rows, dtype=int)
-    p_true = np.empty(info.n_rows) if info.with_p_true else None
-    for block in blocks:
-        raw[block.rows] = nn.forward(params, block.x)
-        y[block.rows] = block.y
-        if p_true is not None:
-            p_true[block.rows] = block.p_true
-    return raw, y, p_true
+    print(f"wrote {scaler_path} ({detail}, val NLL minimized on {len(val)} points)")
 
 
 def _check_scaler_model(scaler, resolved: dict, model_sha256: str) -> None:
@@ -430,7 +434,6 @@ def cmd_eval(resolved: dict) -> None:
         raise ValueError("eval requires --model and --data")
     m_bins = int(resolved["m_bins"])
     metrics.check_m_bins(m_bins)
-    # the weights are parsed only when the outputs sidecar misses
     model = nn.read_model(resolved["model"])
     du_head = model.du_head_enabled
     scaler = None
@@ -441,32 +444,18 @@ def cmd_eval(resolved: dict) -> None:
     if scaler is not None:
         _check_scaler_model(scaler, resolved, model.sha256)
 
-    def network_outputs(info, blocks):
-        params = model.params()
-        # a file of another width is refused before its first block is taken
-        if info.n_features != params.layer_sizes[0]:
-            raise ValueError(
-                f"{info.path} has {info.n_features} features, but {resolved['model']} takes "
-                f"{params.layer_sizes[0]} inputs"
-            )
-        return _network_outputs(params, info, blocks)
-
     _serve_step_arrays_from_the_heap()
     # the outputs of one model on one file are computed once, whatever the scaler
-    raw, y, p_true = datagen.scan_outputs(
-        resolved["data"], model.sha256, model.layer_sizes[-1] + du_head, network_outputs
-    )
+    raw, y, p_true, _ = model_outputs(model, resolved["data"])
+    logits, s_raw = nn.split_outputs(model, raw)
     del model  # its text is not needed past the forward pass
     if len(y) == 0:
         raise ValueError(f"{resolved['data']}: dataset is empty")
 
     if du_head:
-        mu, s_raw = raw[:, :2], raw[:, 2]
-        probs = duloss.expected_probs_exact(mu, s_raw)
-        logits_dump, s_dump = mu, s_raw
+        probs = duloss.expected_probs_exact(logits, s_raw)
     else:
-        logits_dump, s_dump = raw, None
-        zt = scaling.transform_logits(scaler, raw) if scaler is not None else raw
+        zt = scaling.transform_logits(scaler, logits) if scaler is not None else logits
         probs = nn.softmax(zt)
 
     report = metrics.build_report(probs, y, m_bins, p_true)
@@ -494,7 +483,7 @@ def cmd_eval(resolved: dict) -> None:
     predicted = predicted.tolist()
     p0, p1 = column(probs[:, 0]), column(probs[:, 1])
     columns = [
-        column(logits_dump[:, 0]), column(logits_dump[:, 1]), column(s_dump), p0, p1,
+        column(logits[:, 0]), column(logits[:, 1]), column(s_raw), p0, p1,
         [b if k else a for a, b, k in zip(p0, p1, predicted)],
         [LABEL_TEXT[k] for k in predicted], [LABEL_TEXT[k] for k in y.tolist()], column(p_true),
     ]

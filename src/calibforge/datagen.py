@@ -53,12 +53,12 @@ _PICKS_PER_TEAM = 5
 # Every block-wise pass over a dataset takes this many rows at a time, which
 # bounds its arrays to one block whatever the dataset size: GeneratedDataset
 # draws its picks and p_true and makes its feature rows, write_dataset formats
-# an array, a parse runs np.loadtxt, scan_dataset reads a sidecar, and eval
-# runs nn.forward on each block a scan yields. p_true takes each block's
-# comp @ champ_coef, which OpenBLAS's matrix-vector kernel sums in groups of 4
-# rows with a different path for the rest: blocks of 2, 3, 6 or 7 rows changed
-# some p_true bits, while every multiple of 4 reproduced one whole-matrix
-# product. 256 is a multiple of any such group.
+# an array, a parse runs np.loadtxt, scan_dataset reads a sidecar, and a miss
+# of scan_outputs runs nn.forward on each block a scan yields. p_true takes
+# each block's comp @ champ_coef, which OpenBLAS's matrix-vector kernel sums
+# in groups of 4 rows with a different path for the rest: blocks of 2, 3, 6
+# or 7 rows changed some p_true bits, while every multiple of 4 reproduced one
+# whole-matrix product. 256 is a multiple of any such group.
 BLOCK_ROWS = 256
 # a read hashes a file, counts its data lines, and decodes and splits them
 # for a parse, this many bytes at a time
@@ -663,10 +663,10 @@ def _scan_sidecar(path, sidecar, layout: _Layout, sha256: str, consume):
     Before any row is read, the sidecar's ``sha256`` member must hold
     ``sha256``, and its ``data.npy`` member must hold just a C-ordered (n,
     columns) float64 matrix. Its rows are then read in order, and after
-    ``consume`` returns any rows it left are read, so the member's CRC is
-    always checked. A sidecar that fails any of this, or whose rows fail a
-    value check, raises _StaleSidecar, and what ``consume`` made of its rows
-    is to be thrown away.
+    ``consume`` returns or raises any rows it left are read, so the member's
+    CRC is always checked. A sidecar that fails any of this, or whose rows
+    fail a value check, raises _StaleSidecar, in place of any error of
+    ``consume``, and what ``consume`` made of its rows is to be thrown away.
     """
     fmt = np.lib.format
     with contextlib.ExitStack() as stack:
@@ -691,10 +691,11 @@ def _scan_sidecar(path, sidecar, layout: _Layout, sha256: str, consume):
             raise _StaleSidecar
         info = DatasetInfo(str(path), shape[0], layout.n_feat, layout.with_p_true, sha256)
         blocks = _sidecar_blocks(member, layout, shape[0])
-        result = consume(info, blocks)
-        for _ in blocks:
-            pass
-        return result
+        try:
+            return consume(info, blocks)
+        finally:
+            for _ in blocks:
+                pass
 
 
 def _parsed_blocks(path, fh, layout: _Layout):
@@ -772,15 +773,13 @@ def scan_dataset(path, consume):
     uncompressed ``data.npy`` member is read in order, one block at a time,
     into one reused buffer. A cold scan, of a file without a matching
     sidecar, first parses the CSV into a new sidecar in that place,
-    BLOCK_ROWS lines at a time, and then scans it as a warm scan does; in a
-    directory that refuses the write, the new sidecar is a temporary file.
-    A sidecar just written that fails its own scan is removed and raises
-    OSError. If an existing sidecar turns out to be unusable part way (a
+    BLOCK_ROWS lines at a time, and then scans it as a warm scan does (see
+    _cached). If an existing sidecar turns out to be unusable part way (a
     value check fails, or the member ends early or has the wrong CRC, which
     is only known at its end), ``consume`` is run again from the start on
-    the rows of the sidecar a parse writes, so it must not act on its rows
-    before it returns. An error that ``consume`` raises is raised as it is,
-    and a sidecar the scan wrote stays.
+    the rows of the sidecar a parse writes, even if it raised on the broken
+    rows. Any other error that it raises is raised as it is, and a sidecar
+    the scan wrote stays.
 
     Raises DatasetFormatError naming the 1-based line of the first
     malformed or failing row, selected by ``consume`` or not: a wrong column
@@ -797,71 +796,74 @@ def scan_dataset(path, consume):
 def _scan(path, fh, layout: _Layout, digest: str, consume):
     """scan_dataset of the dataset file ``path``, open as ``fh``, whose
     header gave ``layout`` and whose bytes have the sha256 ``digest``."""
-    sidecar = sidecar_path(path)
+
+    def parse(side):
+        shape = (_count_rows(path, fh, layout.header_idx), layout.n_cols)
+        _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
+
+    return _cached(path, sidecar_path(path), layout, digest, consume, parse)
+
+
+def _cached(path, sidecar, layout: _Layout, key: str, consume, write):
+    """consume(info, blocks) over the rows of the sidecar ``sidecar`` of the
+    dataset file ``path``, keyed ``key`` (see _scan_sidecar). On a miss,
+    ``write(fh)`` first writes a new one to a binary file that then moves
+    into place, or to a temporary file where the directory refuses the
+    write; one that fails its own scan is removed and raises OSError."""
     try:
-        return _scan_sidecar(path, sidecar, layout, digest, consume)
+        return _scan_sidecar(path, sidecar, layout, key, consume)
     except _StaleSidecar:
         pass
     with contextlib.ExitStack() as stack:
         try:
             side = stack.enter_context(replacing(sidecar, "wb"))
-        except OSError:  # a read-only directory
+        except OSError:  # a directory that refuses the write
             side = sidecar = stack.enter_context(tempfile.TemporaryFile())
-        shape = (_count_rows(path, fh, layout.header_idx), layout.n_cols)
-        _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
+        write(side)
         if side is not sidecar:
             stack.close()  # moves the new sidecar into place
         try:
-            return _scan_sidecar(path, sidecar, layout, digest, consume)
+            return _scan_sidecar(path, sidecar, layout, key, consume)
         except _StaleSidecar as exc:
             if side is not sidecar:
                 sidecar.unlink(missing_ok=True)
-            raise OSError(f"{path}: the sidecar a parse just wrote fails its scan") from exc
+            raise OSError(f"{path}: the sidecar just written for it fails its scan") from exc
 
 
-def outputs_path(path, model_sha256: str) -> Path:
-    """Where scan_outputs keeps a model's outputs on a dataset CSV: the
-    file's name, the first 16 hex digits of the model file's sha256 and
-    ``.npz``, in the same directory."""
+def outputs_path(path, model_path) -> Path:
+    """Where scan_outputs keeps the outputs of the model file ``model_path``
+    on a dataset CSV: ``<CSV name>.<model file name>.npz`` beside the CSV."""
     path = Path(path)
-    return path.with_name(f"{path.name}.{model_sha256[:16]}.npz")
+    return path.with_name(f"{path.name}.{Path(model_path).name}.npz")
 
 
-def scan_outputs(path, model_sha256: str, n_outputs: int, outputs):
-    """What ``scan_dataset(path, outputs)`` returns, where ``outputs``
-    returns (out, y, p_true) with ``out`` the (n, n_outputs) float64 outputs
-    of the model whose file has the sha256 ``model_sha256``.
-
-    The triple is kept in an outputs sidecar at ``outputs_path(path,
-    model_sha256)``: the dataset sidecar's format, with the outputs in place
-    of the features and both files' sha256 as its key. A hit reads it with
-    every check of a dataset-sidecar scan, reads no dataset sidecar and
-    calls no ``outputs``, and returns the bytes a miss returned. A sidecar
-    that is absent or fails a check is a miss, which scans the dataset and
-    writes a new one, or none where the directory refuses the write.
-    """
-    sidecar = outputs_path(path, model_sha256)
+def scan_outputs(path, model_path, model_sha256: str, n_outputs: int, outputs) -> Dataset:
+    """The Dataset of the dataset file ``path`` with the (n, n_outputs)
+    float64 outputs of the model file ``model_path``, whose sha256 is
+    ``model_sha256``, as x: the rows of the sidecar at ``outputs_path(path,
+    model_path)``, in the dataset sidecar's format and checks, keyed by
+    ``"<model sha256> <file sha256>"``. A miss (see _cached) scans the
+    dataset, calls ``outputs(info)`` before the first block for the function
+    from a Block to its outputs, and streams them into the new sidecar,
+    from the start again if the scan starts again; a hit and a miss both
+    return the rows read back from the sidecar."""
     with open(path, "rb") as fh:
         layout = _Layout(*_parse_header(path, _leading_lines(path, fh)))
         digest = sha256_of(fh, BLOCK_BYTES)
         key = f"{model_sha256} {digest}"
         with_p_true = layout.with_p_true
         stored = _Layout(0, n_outputs + 1 + with_p_true, n_outputs, with_p_true)
-        try:
-            return _scan_sidecar(path, sidecar, stored, key, take_rows)[:3]
-        except _StaleSidecar:
-            pass
-        out, y, p_true = _scan(path, fh, layout, digest, outputs)
 
-    def rows():
-        for block in _row_slices(0, len(y), BLOCK_ROWS):
-            columns = [out[block], y[block, None]]
-            if p_true is not None:
-                columns.append(p_true[block, None])
-            yield np.hstack(columns, dtype=np.float64)
+        def stream(side, info, blocks):
+            block_outputs = outputs(info)
+            side.seek(0)
+            side.truncate()
+            rows = (np.column_stack([block_outputs(b), b.y] + [b.p_true] * with_p_true)
+                    for b in blocks)
+            _save_sidecar(side, (info.n_rows, stored.n_cols), rows, lambda: key)
 
-    with contextlib.suppress(OSError):  # a directory that refuses the write
-        with replacing(sidecar, "wb") as side:
-            _save_sidecar(side, (len(y), stored.n_cols), rows(), lambda: key)
-    return out, y, p_true
+        def write(side):
+            _scan(path, fh, layout, digest, functools.partial(stream, side))
 
+        kept = _cached(path, outputs_path(path, model_path), stored, key, take_rows, write)
+    return kept._replace(sha256=digest)

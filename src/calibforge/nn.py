@@ -179,14 +179,16 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
     One pass of the training loop (``_forward_cached``) on the batch as
     given, keeping only its outputs, so its values are the training pass's
-    bit for bit. eval passes it one ``datagen.BLOCK_ROWS`` block at a time.
+    bit for bit. calibrate and eval pass it one ``datagen.BLOCK_ROWS`` block
+    at a time.
     """
     return _forward_cached(params, _check_batch(params, x))[1]
 
 
-def split_outputs(params: ModelParams, out: np.ndarray):
-    """Split raw outputs into (logits, s_raw-or-None)."""
-    if params.du_head_enabled:
+def split_outputs(model, out: np.ndarray):
+    """Split raw outputs into (logits, s_raw-or-None). ``model`` is a
+    ModelParams or a ModelFile; only its ``du_head_enabled`` is read."""
+    if model.du_head_enabled:
         return out[..., :2], out[..., 2]
     return out, None
 
@@ -423,6 +425,11 @@ class ModelFile:
     lines: list[str]
     body_start: int  # index in ``lines`` of the first parameter block
 
+    @property
+    def n_outputs(self) -> int:
+        """The width of ``forward``'s outputs (see ``split_outputs``)."""
+        return self.layer_sizes[-1] + self.du_head_enabled
+
     def params(self) -> ModelParams:
         """The parameters; a malformed block raises ``ModelFormatError``."""
         path, lines, i = self.path, self.lines, self.body_start
@@ -492,9 +499,3 @@ def read_model(path) -> ModelFile:
     sha256 = hashlib.sha256(data).hexdigest()
     return ModelFile(str(path), sha256, header, layer_sizes, flag == "true", lines, i)
 
-
-def load_model(path) -> tuple[ModelParams, dict]:
-    """Read a model file back; returns (params, header dict). A file that
-    is not a well-formed model raises ``ModelFormatError`` naming it."""
-    model = read_model(path)
-    return model.params(), model.header

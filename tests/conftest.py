@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from calibforge import cli, datagen
+from calibforge import cli, datagen, nn
 
 # Reference run: seed 42, 20000 train / 2500 test, F=295, M=10.
 # Training uses the published protocol (Adam, lr 1e-4, 20 epochs,
@@ -57,6 +57,13 @@ def read_dataset(path, rows=None) -> datagen.Dataset:
     None), so ``read_dataset(path, rows=idx)`` equals ``read_dataset(path)``
     indexed by ``idx``."""
     return datagen.scan_dataset(path, functools.partial(datagen.take_rows, rows=rows))
+
+
+def load_model(path):
+    """A model file's parameters and header: ``nn.read_model(path)``'s
+    weight parse and header dict."""
+    model = nn.read_model(path)
+    return model.params(), model.header
 
 
 def mean_nll(logits, labels) -> float:

@@ -2,7 +2,6 @@
 auditability contract (reports recomputable from the per-sample dumps)."""
 
 import argparse
-import functools
 import hashlib
 import itertools
 import json
@@ -18,7 +17,7 @@ import pytest
 from calibforge import artifacts, cli, datagen, duloss, metrics, nn
 
 from conftest import (
-    MINI_GEN, MINI_TRAIN, generate_dataset, load_report, read_dataset, run_cli,
+    MINI_GEN, MINI_TRAIN, generate_dataset, load_model, load_report, read_dataset, run_cli,
 )
 
 
@@ -163,7 +162,7 @@ def test_gen_config_file_overridden_by_flags(tmp_path):
 def test_train_model_file_roundtrips(mini_run):
     from calibforge import nn
 
-    params, header = nn.load_model(mini_run / "model_ce.txt")
+    params, header = load_model(mini_run / "model_ce.txt")
     assert header["loss"] == "ce"
     assert params.du_head_enabled is False
     assert params.layer_sizes == [45, 16, 2]
@@ -197,7 +196,7 @@ def test_train_zero_lr_keeps_initial_params(tmp_path):
         "train", "--data", gen_out / "train.csv", "--lr", "0", *MINI_TRAIN, "--seed", "11",
         "--out", out,
     ])
-    params, _ = nn.load_model(out / "model_ce.txt")
+    params, _ = load_model(out / "model_ce.txt")
     init = nn.init_params([45, 16, 2], seed=np.random.SeedSequence(11).spawn(2)[0])
     for a, b in zip(params.weights + params.biases, init.weights + init.biases):
         np.testing.assert_array_equal(a, b)
@@ -455,8 +454,8 @@ def test_calibrate_on_a_read_training_file_parses_nothing(tmp_path, mini_run, mo
 def test_calibrate_refuses_a_wrong_file_from_its_sidecar_without_a_parse(
     tmp_path, mini_run, monkeypatch, capsys
 ):
-    # the test set's sidecar, which gen wrote, gives its digest and row
-    # count, so calibrate refuses it before it takes a row and parses no line
+    # the test set's sidecars, which gen and eval wrote, give its digest and
+    # row count, so calibrate refuses it by them and parses no line
     data = mini_run / "test.csv"
     assert datagen.sidecar_path(data).exists()
     parsed = _count_loadtxt_rows(monkeypatch)
@@ -471,6 +470,46 @@ def test_calibrate_refuses_a_wrong_file_from_its_sidecar_without_a_parse(
     assert "50 data rows" in err and "records 400" in err
     assert parsed == []
     assert not out.exists()
+
+
+def _calibrate(model, data, out, kind="temperature") -> int:
+    return cli.main(["calibrate", "--model", str(model), "--data", str(data), "--kind", kind,
+                     "--out", str(out)])
+
+
+def _fitted(path) -> dict:
+    """A scaler file's fields, without the config that names its paths."""
+    doc = json.loads(path.read_text())
+    doc.pop("config")
+    return doc
+
+
+def test_the_three_calibrates_run_the_network_on_the_training_rows_once(
+    tmp_path, mini_run, monkeypatch
+):
+    # the first calibrate writes the outputs sidecar of the model on the
+    # training file, and the other two take their validation rows from it
+    data, out = tmp_path / "train.csv", tmp_path / "o"
+    shutil.copyfile(mini_run / "train.csv", data)
+    forwards = _forward_rows(monkeypatch)
+    for kind in cli.SCALER_FITS:
+        assert _calibrate(mini_run / "model_ce.txt", data, out, kind) == 0
+        assert _fitted(out / f"scaler_{kind}.json") == _fitted(mini_run / f"scaler_{kind}.json")
+    assert sum(forwards) == 400  # MINI_GEN rows
+    assert [p.name for p in tmp_path.glob("train.csv.*.npz")] == ["train.csv.model_ce.txt.npz"]
+
+
+def test_a_warm_calibrate_parses_no_weights_and_runs_no_forward_pass(
+    tmp_path, mini_run, monkeypatch
+):
+    data, out = tmp_path / "train.csv", tmp_path / "o"
+    shutil.copyfile(mini_run / "train.csv", data)
+    assert _calibrate(mini_run / "model_ce.txt", data, out) == 0
+    cold = _artifacts(out)
+    parses, forwards = _weight_parses(monkeypatch), _forward_rows(monkeypatch)
+    assert _calibrate(mini_run / "model_ce.txt", data, out) == 0
+    assert parses == [] and forwards == []
+    assert _artifacts(out) == cold
 
 
 # --- eval ---------------------------------------------------------------------
@@ -591,7 +630,7 @@ def test_cold_and_warm_eval_write_identical_artifacts(tmp_path, mini_run, monkey
                 "--out", str(out)]
         assert cli.main(argv) == 0
         assert datagen.sidecar_path(data).exists()
-        assert datagen.outputs_path(data, _sha256(mini_run / model)).exists()
+        assert datagen.outputs_path(data, mini_run / model).exists()
         assert sum(forwards) == 50
         cold = _artifacts(out)
         assert any(name.startswith("predictions_") for name in cold)
@@ -604,7 +643,7 @@ def test_cold_and_warm_eval_write_identical_artifacts(tmp_path, mini_run, monkey
 
 
 def _other_weights(model) -> None:
-    params, header = nn.load_model(model)
+    params, header = load_model(model)
     params.weights[0][:] = params.weights[0][::-1]
     nn.save_model(params, model, header=header)
 
@@ -634,7 +673,7 @@ def test_an_outputs_sidecar_that_does_not_match_is_recomputed(tmp_path, mini_run
     shutil.copyfile(mini_run / "model_ce.txt", model)
     argv = ["eval", "--model", str(model), "--data", str(data), "--out", str(out)]
     assert cli.main(argv) == 0
-    cached = datagen.outputs_path(data, _sha256(model))
+    cached = datagen.outputs_path(data, model)
     if stale == "model":
         _other_weights(model)
     elif stale == "data":
@@ -648,7 +687,7 @@ def test_an_outputs_sidecar_that_does_not_match_is_recomputed(tmp_path, mini_run
         other = tmp_path / "other.csv"
         _other_rows(other)
         assert cli.main([*argv[:3], "--data", str(other), "--out", str(tmp_path / "x")]) == 0
-        shutil.copyfile(datagen.outputs_path(other, _sha256(model)), cached)
+        shutil.copyfile(datagen.outputs_path(other, model), cached)
     else:
         cached.unlink()
         real_open = open
@@ -706,24 +745,81 @@ def test_a_warm_eval_parses_no_model_weights(tmp_path, mini_run, monkeypatch):
         assert _artifacts(tmp_path / model) == cold
 
 
+def test_a_model_rewritten_under_its_name_replaces_its_outputs_sidecar(tmp_path, mini_run):
+    # the outputs sidecar is named after the model file, so a retrained
+    # model's miss replaces the one its predecessor left
+    data, model = tmp_path / "test.csv", tmp_path / "model_ce.txt"
+    shutil.copyfile(mini_run / "test.csv", data)
+    shutil.copyfile(mini_run / "model_ce.txt", model)
+    argv = ["eval", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    _other_weights(model)
+    assert cli.main(argv) == 0
+    assert [p.name for p in tmp_path.glob("test.csv.*.npz")] == ["test.csv.model_ce.txt.npz"]
+
+
+def test_an_outputs_miss_on_a_dataset_sidecar_that_fails_part_way_writes_a_clean_miss(
+    tmp_path, mini_run, monkeypatch
+):
+    # a flipped bit in the last row of the dataset sidecar is found by its
+    # CRC only after blocks have gone through the network into the outputs
+    # sidecar; the scan then parses the CSV, and the outputs writer starts
+    # its file again
+    monkeypatch.setattr(datagen, "BLOCK_ROWS", 7)
+    data, model = tmp_path / "test.csv", mini_run / "model_ce.txt"
+    shutil.copyfile(mini_run / "test.csv", data)
+    argv = ["eval", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    cached, sidecar = datagen.outputs_path(data, model), datagen.sidecar_path(data)
+    clean, good = cached.read_bytes(), sidecar.read_bytes()
+    cached.unlink()
+    with np.load(sidecar, allow_pickle=False) as arrays:
+        last = arrays["data"][-1].tobytes()
+    raw = bytearray(good)
+    raw[raw.find(last) + 8 * 4] ^= 1  # kills_red of the last row, still a valid value
+    sidecar.write_bytes(bytes(raw))
+    parsed, forwards = _count_loadtxt_rows(monkeypatch), _forward_rows(monkeypatch)
+    assert cli.main(argv) == 0
+    assert sum(parsed) == 50 and sum(forwards) > 50  # the broken rows went through too
+    assert cached.read_bytes() == clean
+    assert sidecar.read_bytes() == good
+
+
+@pytest.mark.parametrize("command, name", [("eval", "test.csv"), ("calibrate", "train.csv")])
+def test_a_model_with_non_finite_outputs_is_refused_naming_both_files(
+    tmp_path, mini_run, capsys, command, name
+):
+    # weights scaled by 1e200 overflow the two-layer mini network's outputs;
+    # the block is refused before it reaches an outputs sidecar
+    data, model, out = tmp_path / name, tmp_path / "model_ce.txt", tmp_path / "o"
+    shutil.copyfile(mini_run / name, data)
+    params, header = load_model(mini_run / "model_ce.txt")
+    for w in params.weights:
+        w *= 1e200
+    nn.save_model(params, model, header=header)
+    capsys.readouterr()
+    assert cli.main([command, "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
+    assert f"{model} gives non-finite outputs on {data}" in capsys.readouterr().err
+    assert list(tmp_path.glob(f"{name}.*.npz")) == [] and not out.exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "nan"])
 def test_a_model_with_a_corrupt_weight_exits_3_beside_a_good_models_outputs(
     tmp_path, mini_run, monkeypatch, capsys, value
 ):
     # the corrupt file's header is intact, and the outputs sidecar of the
-    # good model is both at its own path and at the corrupt model's: neither
-    # is a hit, so the weights are parsed and refused
+    # good model is at the path of the corrupt one, which has its file name:
+    # its key is not the corrupt model's, so the weights are parsed and refused
     data, model, out = tmp_path / "test.csv", tmp_path / "model_ce.txt", tmp_path / "o"
     shutil.copyfile(mini_run / "test.csv", data)
     shutil.copyfile(mini_run / "model_ce.txt", model)
     argv = ["eval", "--model", str(model), "--data", str(data), "--out", str(out)]
     assert cli.main(argv) == 0
-    good = datagen.outputs_path(data, _sha256(model))
+    good = datagen.outputs_path(data, model)
     lines = model.read_text().splitlines()
     row = lines.index("param W0 45 16") + 1
     lines[row] = " ".join([value] + lines[row].split()[1:])
     model.write_text("\n".join(lines) + "\n")
-    shutil.copyfile(good, datagen.outputs_path(data, _sha256(model)))
     shutil.rmtree(out)
     parses = _weight_parses(monkeypatch)
     capsys.readouterr()
@@ -751,10 +847,11 @@ def test_eval_reads_the_forward_row_blocks_and_holds_one_of_them(tmp_path, monke
     assert cli.main(["eval", "--model", str(tmp_path / "model.txt"), "--data", str(path),
                      "--out", str(tmp_path / "o")]) == 0
     assert sizes == [rows.stop - rows.start for rows in blocks]
+    model = nn.read_model(tmp_path / "model.txt")
+    datagen.outputs_path(path, model.path).unlink()  # the eval's; measure a miss
     tracemalloc.start()
     try:
-        raw, y, p_true = datagen.scan_dataset(
-            path, functools.partial(cli._network_outputs, params))
+        raw, y, p_true, _ = cli.model_outputs(model, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -911,6 +911,36 @@ def test_a_scan_that_stops_early_still_checks_the_crc(tmp_path, monkeypatch):
     assert first.tobytes() == read_dataset(path).x[:7].tobytes()
 
 
+def test_a_consumer_that_raises_on_a_sidecar_that_fails_its_crc_runs_again_on_a_parse(
+    tmp_path, monkeypatch
+):
+    # the consumer refuses the first block, whose rows a flipped byte in the
+    # last row makes suspect; the scan still reads on to the CRC, which
+    # fails, so the error is not raised and the consumer runs again on the
+    # rows of a parse
+    path = _written(tmp_path)
+    sidecar = datagen.sidecar_path(path)
+    good = sidecar.read_bytes()
+    with np.load(sidecar, allow_pickle=False) as cached:
+        last = cached["data"][-1].tobytes()
+    raw = bytearray(good)
+    raw[raw.find(last) + 8 * 4] ^= 1
+    sidecar.write_bytes(bytes(raw))
+    monkeypatch.setattr(datagen, "BLOCK_ROWS", 7)
+    calls = []
+
+    def consume(info, blocks):
+        calls.append(next(blocks).x.copy())
+        if len(calls) == 1:
+            raise ValueError("refused")
+        return calls[-1]
+
+    first = datagen.scan_dataset(path, consume)
+    assert len(calls) == 2
+    assert sidecar.read_bytes() == good
+    assert first.tobytes() == read_dataset(path).x[:7].tobytes()
+
+
 def test_a_file_that_fails_its_checks_leaves_no_sidecar(tmp_path):
     path = _written(tmp_path)
     datagen.sidecar_path(path).unlink()  # the one write_dataset wrote

@@ -10,6 +10,8 @@ import pytest
 
 from calibforge import duloss, nn
 
+from conftest import load_model
+
 
 def fd_gradient(params, x, y, loss_kind, noise, h=1e-5):
     """Central finite differences of the mean batch loss, per parameter."""
@@ -470,7 +472,7 @@ def test_train_returns_float64_params_that_roundtrip(tmp_path):
         params, _ = nn.train(x, y, config, layer_sizes=[2, 6, 2])
         path = tmp_path / f"model_{loss_kind}.txt"
         nn.save_model(params, path)
-        loaded, _ = nn.load_model(path)
+        loaded, _ = load_model(path)
         for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
             assert a.dtype == np.float64
             np.testing.assert_array_equal(a, b)
@@ -506,7 +508,7 @@ def test_model_roundtrip_exact(tmp_path):
             b += rng.normal(0.0, 1.0, b.shape)
         path = tmp_path / f"model_{du}.txt"
         nn.save_model(params, path, header={"loss": "du" if du else "ce", "seed": "1"})
-        loaded, header = nn.load_model(path)
+        loaded, header = load_model(path)
         assert loaded.du_head_enabled == du
         assert loaded.layer_sizes == params.layer_sizes
         assert header["loss"] == ("du" if du else "ce")
@@ -537,10 +539,10 @@ def test_model_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")
     with pytest.raises(nn.ModelFormatError):
-        nn.load_model(path)
+        load_model(path)
     path.write_text("calibforge-model v1\nlayer_sizes=3,2\ndu_head=false\nparam W0 3 2\n1 2\nend\n")
     with pytest.raises(nn.ModelFormatError):
-        nn.load_model(path)
+        load_model(path)
     # a blank or bare `param` line where a parameter block should start
     for stray in ("", "param"):
         path.write_text(
@@ -548,7 +550,7 @@ def test_model_load_rejects_garbage(tmp_path):
             f"{stray}\nparam b0 2\n0 0\nend\n"
         )
         with pytest.raises(nn.ModelFormatError, match=re.escape(f"{path}: line 7")):
-            nn.load_model(path)
+            load_model(path)
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -565,5 +567,5 @@ def test_model_load_names_the_file_of_a_malformed_model(tmp_path, edit, key):
         nn.save_model(nn.init_params([3, 4, 2], seed=0), path)
         path.write_text(edit(path.read_text()))
     with pytest.raises(nn.ModelFormatError, match=re.escape(str(path))) as info:
-        nn.load_model(path)
+        load_model(path)
     assert key is None or repr(key) in str(info.value)
