@@ -350,31 +350,6 @@ def _split_record(model_path, header: dict) -> list:
     return record
 
 
-def model_outputs(model: nn.ModelFile, data) -> datagen.Dataset:
-    """``datagen.scan_outputs`` of ``model`` on the dataset file ``data``.
-    Only a miss parses the weights and runs ``nn.forward``, block by block;
-    it refuses a file of another width and non-finite outputs."""
-
-    def block_outputs(info):
-        if info.n_features != model.layer_sizes[0]:
-            raise ValueError(
-                f"{info.path} has {info.n_features} features, but {model.path} takes "
-                f"{model.layer_sizes[0]} inputs"
-            )
-        params = model.params()
-
-        def outputs(block):
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                raw = nn.forward(params, block.x)
-            if not np.isfinite(raw).all():
-                raise ValueError(f"{model.path} gives non-finite outputs on {info.path}")
-            return raw
-
-        return outputs
-
-    return datagen.scan_outputs(data, model.path, model.sha256, model.n_outputs, block_outputs)
-
-
 def cmd_calibrate(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("calibrate requires --model and --data")
@@ -384,26 +359,18 @@ def cmd_calibrate(resolved: dict) -> None:
     if model.du_head_enabled:
         raise ValueError("post-hoc scalers apply to cross-entropy models, not du models")
     split_seed, val_fraction, data_rows, data_sha256 = _split_record(model_path, model.header)
-    logits, y, _, sha256 = model_outputs(model, data)
-    # only the validation rows are kept, so the file must be the one the
-    # model was trained on: the same bytes give the same row numbering
-    if sha256 != data_sha256:
-        raise ValueError(
-            f"{data} is not the training data of {model_path}: it has {len(y)} data "
-            f"rows where the model header records {data_rows}, and its sha256 differs"
-        )
-    _, val = datagen.split(len(y), val_fraction, split_seed)
+    _, val = datagen.split(data_rows, val_fraction, split_seed)
     if len(val) == 0:
         raise ValueError("validation split is empty; retrain with a positive val_fraction")
+    # only the validation rows are kept, so the file must be the one the
+    # model was trained on: the same bytes give the same row numbering
+    logits, y, _, _ = datagen.model_outputs(model, data, data_sha256)
     out = _outdir(resolved)
     fit = getattr(scaling, SCALER_FITS[kind])
     scaler = fit(logits[val], y[val], log_path=out / f"calib_log_{kind}.csv")
     scaler.model_sha256 = model.sha256
     scaler_path = out / f"scaler_{kind}.json"
-    scaling.save_scaler(
-        scaler, scaler_path,
-        extra={"version": __version__, "config": resolved},
-    )
+    scaling.save_scaler(scaler, scaler_path, extra={"version": __version__, "config": resolved})
     detail = f"T={scaler.temperature!r}" if kind == "temperature" else "fitted"
     if scaler.warning:
         print(f"warning: {scaler.warning}", file=sys.stderr)
@@ -446,11 +413,9 @@ def cmd_eval(resolved: dict) -> None:
 
     _serve_step_arrays_from_the_heap()
     # the outputs of one model on one file are computed once, whatever the scaler
-    raw, y, p_true, _ = model_outputs(model, resolved["data"])
+    raw, y, p_true, _ = datagen.model_outputs(model, resolved["data"])
     logits, s_raw = nn.split_outputs(model, raw)
     del model  # its text is not needed past the forward pass
-    if len(y) == 0:
-        raise ValueError(f"{resolved['data']}: dataset is empty")
 
     if du_head:
         probs = duloss.expected_probs_exact(logits, s_raw)

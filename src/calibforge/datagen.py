@@ -31,6 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import nn
 from .artifacts import FormatError, format_numbers, replacing, sha256_of
 from .duloss import sigmoid
 
@@ -54,7 +55,7 @@ _PICKS_PER_TEAM = 5
 # bounds its arrays to one block whatever the dataset size: GeneratedDataset
 # draws its picks and p_true and makes its feature rows, write_dataset formats
 # an array, a parse runs np.loadtxt, scan_dataset reads a sidecar, and a miss
-# of scan_outputs runs nn.forward on each block a scan yields. p_true takes
+# of model_outputs runs nn.forward on each block a scan yields. p_true takes
 # each block's comp @ champ_coef, which OpenBLAS's matrix-vector kernel sums
 # in groups of 4 rows with a different path for the rest: blocks of 2, 3, 6
 # or 7 rows changed some p_true bits, while every multiple of 4 reproduced one
@@ -271,10 +272,13 @@ def write_dataset(
 
     Raises ValueError naming the first row that scan_dataset would reject
     (a non-finite feature, a label other than 0/1, a p_true outside
-    [0, 1]). Both files are written to temporary files and moved into place
-    only when every row has been written, so a failed write keeps the
-    previous ones.
+    [0, 1]), and a comment of more than one line before writing anything.
+    Both files are written to temporary files and moved into place only
+    when every row has been written, so a failed write keeps the previous
+    ones.
     """
+    if comment and comment.splitlines() != [comment]:
+        raise ValueError(f"comment {comment!r} must be one line")
     y = np.asarray(y, dtype=float)
     n_rows = len(y)
     if p_true is not None:
@@ -797,29 +801,31 @@ def _scan(path, fh, layout: _Layout, digest: str, consume):
     """scan_dataset of the dataset file ``path``, open as ``fh``, whose
     header gave ``layout`` and whose bytes have the sha256 ``digest``."""
 
-    def parse(side):
+    def parse():
         shape = (_count_rows(path, fh, layout.header_idx), layout.n_cols)
-        _save_sidecar(side, shape, _parsed_blocks(path, fh, layout), lambda: digest)
+        return shape, _parsed_blocks(path, fh, layout)
 
     return _cached(path, sidecar_path(path), layout, digest, consume, parse)
 
 
-def _cached(path, sidecar, layout: _Layout, key: str, consume, write):
+def _cached(path, sidecar, layout: _Layout, key: str, consume, fill):
     """consume(info, blocks) over the rows of the sidecar ``sidecar`` of the
-    dataset file ``path``, keyed ``key`` (see _scan_sidecar). On a miss,
-    ``write(fh)`` first writes a new one to a binary file that then moves
+    dataset file ``path``, keyed ``key`` (see _scan_sidecar). A miss writes
+    the shape and row blocks ``fill()`` gives to a new one that then moves
     into place, or to a temporary file where the directory refuses the
     write; one that fails its own scan is removed and raises OSError."""
     try:
         return _scan_sidecar(path, sidecar, layout, key, consume)
     except _StaleSidecar:
         pass
+    shape, blocks = fill()
     with contextlib.ExitStack() as stack:
         try:
             side = stack.enter_context(replacing(sidecar, "wb"))
         except OSError:  # a directory that refuses the write
             side = sidecar = stack.enter_context(tempfile.TemporaryFile())
-        write(side)
+        _save_sidecar(side, shape, blocks, lambda: key)
+        del blocks  # rows held for the write are not held beside those read back
         if side is not sidecar:
             stack.close()  # moves the new sidecar into place
         try:
@@ -831,39 +837,64 @@ def _cached(path, sidecar, layout: _Layout, key: str, consume, write):
 
 
 def outputs_path(path, model_path) -> Path:
-    """Where scan_outputs keeps the outputs of the model file ``model_path``
+    """Where model_outputs keeps the outputs of the model file ``model_path``
     on a dataset CSV: ``<CSV name>.<model file name>.npz`` beside the CSV."""
     path = Path(path)
     return path.with_name(f"{path.name}.{Path(model_path).name}.npz")
 
 
-def scan_outputs(path, model_path, model_sha256: str, n_outputs: int, outputs) -> Dataset:
+def model_outputs(model: nn.ModelFile, path, data_sha256: str | None = None) -> Dataset:
     """The Dataset of the dataset file ``path`` with the (n, n_outputs)
-    float64 outputs of the model file ``model_path``, whose sha256 is
-    ``model_sha256``, as x: the rows of the sidecar at ``outputs_path(path,
-    model_path)``, in the dataset sidecar's format and checks, keyed by
-    ``"<model sha256> <file sha256>"``. A miss (see _cached) scans the
-    dataset, calls ``outputs(info)`` before the first block for the function
-    from a Block to its outputs, and streams them into the new sidecar,
-    from the start again if the scan starts again; a hit and a miss both
-    return the rows read back from the sidecar."""
+    float64 outputs of ``model`` as x, from the sidecar at ``outputs_path(path,
+    model.path)``, in the dataset sidecar's format and checks and keyed by
+    ``"<model sha256> <file sha256>"``. A miss (see _cached) runs the network
+    on each block of a scan, refusing non-finite outputs, and writes the rows
+    it returns; a hit and a miss return the rows read back.
+
+    First, before a weight is parsed, the network runs or a sidecar is
+    written, the pair is checked cheapest first, each refusal a ValueError
+    naming the file: the file's width (from its header line) against the
+    model's; its sha256 against ``data_sha256``, the training file's, when
+    given (the rows are counted only to name them); the scan's row count
+    against 0, and for a training file against the header's ``data_rows``
+    (a ModelFormatError). A cold scan keeps the dataset sidecar it wrote."""
     with open(path, "rb") as fh:
         layout = _Layout(*_parse_header(path, _leading_lines(path, fh)))
+        if layout.n_feat != model.layer_sizes[0]:
+            raise ValueError(
+                f"{path} has {layout.n_feat} features, but {model.path} takes "
+                f"{model.layer_sizes[0]} inputs"
+            )
         digest = sha256_of(fh, BLOCK_BYTES)
-        key = f"{model_sha256} {digest}"
-        with_p_true = layout.with_p_true
-        stored = _Layout(0, n_outputs + 1 + with_p_true, n_outputs, with_p_true)
+        if data_sha256 is not None and digest != data_sha256:
+            raise ValueError(
+                f"{path} is not the training data of {model.path}: it has "
+                f"{_count_rows(path, fh, layout.header_idx)} data rows where the model header "
+                f"records {int(model.header['data_rows'])}, and its sha256 differs"
+            )
+        n_out, with_p_true = model.n_outputs, layout.with_p_true
+        stored = _Layout(0, n_out + 1 + with_p_true, n_out, with_p_true)
 
-        def stream(side, info, blocks):
-            block_outputs = outputs(info)
-            side.seek(0)
-            side.truncate()
-            rows = (np.column_stack([block_outputs(b), b.y] + [b.p_true] * with_p_true)
-                    for b in blocks)
-            _save_sidecar(side, (info.n_rows, stored.n_cols), rows, lambda: key)
+        def counted(info):
+            if info.n_rows == 0:
+                raise ValueError(f"{path}: dataset is empty")
+            if data_sha256 is not None and info.n_rows != int(model.header["data_rows"]):
+                raise nn.ModelFormatError(f"{model.path}: model header field 'data_rows' is not "
+                                          f"the {info.n_rows} data rows of {path}")
+            return info
 
-        def write(side):
-            _scan(path, fh, layout, digest, functools.partial(stream, side))
+        def forward(info, blocks):
+            rows = np.empty((counted(info).n_rows, stored.n_cols))
+            params = model.params()
+            for block in blocks:
+                with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                    raw = nn.forward(params, block.x)
+                if not np.isfinite(raw).all():
+                    raise ValueError(f"{model.path} gives non-finite outputs on {path}")
+                rows[block.rows] = np.column_stack([raw, block.y] + [block.p_true] * with_p_true)
+            return rows.shape, [rows]  # those of the new outputs sidecar
 
-        kept = _cached(path, outputs_path(path, model_path), stored, key, take_rows, write)
+        kept = _cached(path, outputs_path(path, model.path), stored, f"{model.sha256} {digest}",
+                       lambda info, blocks: take_rows(counted(info), blocks),
+                       lambda: _scan(path, fh, layout, digest, forward))
     return kept._replace(sha256=digest)

@@ -392,7 +392,8 @@ def save_model(params: ModelParams, path, header: dict | None = None) -> None:
     Layout: the magic line, key=value header lines, then one block per
     parameter array holding its shape and row-major values. Values are
     written with shortest round-trip decimal repr, so loading restores them
-    exactly and identical parameters produce identical bytes.
+    exactly and identical parameters produce identical bytes. A header
+    entry that read_model would not read back raises ValueError first.
     """
     params.validate()
     lines = [MODEL_MAGIC]
@@ -401,7 +402,10 @@ def save_model(params: ModelParams, path, header: dict | None = None) -> None:
     for key, value in (header or {}).items():
         if key in ("layer_sizes", "du_head"):
             continue
-        lines.append(f"{key}={value}")
+        line = f"{key}={value}"
+        if "=" in str(key) or line.startswith("param ") or "\n" in line or "\r" in line:
+            raise ValueError(f"model header key {key!r} does not make one key=value line")
+        lines.append(line)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         lines.append(f"param W{i} {w.shape[0]} {w.shape[1]}")
         for row in w:

@@ -454,8 +454,8 @@ def test_calibrate_on_a_read_training_file_parses_nothing(tmp_path, mini_run, mo
 def test_calibrate_refuses_a_wrong_file_from_its_sidecar_without_a_parse(
     tmp_path, mini_run, monkeypatch, capsys
 ):
-    # the test set's sidecars, which gen and eval wrote, give its digest and
-    # row count, so calibrate refuses it by them and parses no line
+    # the test set's digest refuses it before its sidecars are read, and its
+    # rows are counted without a parse to name them, so no line is parsed
     data = mini_run / "test.csv"
     assert datagen.sidecar_path(data).exists()
     parsed = _count_loadtxt_rows(monkeypatch)
@@ -510,6 +510,83 @@ def test_a_warm_calibrate_parses_no_weights_and_runs_no_forward_pass(
     assert _calibrate(mini_run / "model_ce.txt", data, out) == 0
     assert parses == [] and forwards == []
     assert _artifacts(out) == cold
+
+
+@pytest.mark.parametrize("row", ["as written", "malformed"])
+def test_calibrate_refuses_a_cold_wrong_file_before_a_parse_or_a_forward_pass(
+    tmp_path, mini_run, monkeypatch, capsys, row
+):
+    # a copy of the test set without sidecars: its sha256 refuses it, and its
+    # rows are only counted to name them, so no row is parsed (a malformed
+    # one included) and nothing is written beside it
+    data, model, out = tmp_path / "test.csv", mini_run / "model_ce.txt", tmp_path / "o"
+    lines = (mini_run / "test.csv").read_text().splitlines()
+    if row == "malformed":
+        lines[5] = "abc," + lines[5].split(",", 1)[1]
+    data.write_text("\n".join(lines) + "\n")
+    parsed, forwards = _count_loadtxt_rows(monkeypatch), _forward_rows(monkeypatch)
+    assert _calibrate(model, data, out) == 2
+    assert (f"{data} is not the training data of {model}: it has 50 data rows where the "
+            "model header records 400, and its sha256 differs") in capsys.readouterr().err
+    assert parsed == [] and forwards == []
+    assert [p.name for p in tmp_path.iterdir()] == ["test.csv"]
+
+
+def test_calibrate_refuses_a_model_without_a_validation_split_before_a_forward_pass(
+    tmp_path, mini_run, monkeypatch, capsys
+):
+    # the split comes from the model header's data_rows and val_fraction
+    data, out = tmp_path / "train.csv", tmp_path / "o"
+    shutil.copyfile(mini_run / "train.csv", data)
+    run_cli(["train", "--data", data, "--val-fraction", "0", *MINI_TRAIN, "--out", out])
+    parses, forwards = _weight_parses(monkeypatch), _forward_rows(monkeypatch)
+    assert _calibrate(out / "model_ce.txt", data, out) == 2
+    assert "validation split is empty" in capsys.readouterr().err
+    assert parses == [] and forwards == []
+    assert list(tmp_path.glob("train.csv.*.npz")) == []
+    assert not (out / "scaler_temperature.json").exists()
+
+
+def test_calibrate_refuses_a_header_whose_data_rows_is_not_its_training_files(
+    tmp_path, mini_run, monkeypatch, capsys
+):
+    # the split is taken from data_rows, so a header that records the file's
+    # sha256 but another row count must not fit on other rows
+    data, model = tmp_path / "train.csv", tmp_path / "model_ce.txt"
+    shutil.copyfile(mini_run / "train.csv", data)
+    text = (mini_run / "model_ce.txt").read_text()
+    assert "\ndata_rows=400\n" in text
+    model.write_text(text.replace("\ndata_rows=400\n", "\ndata_rows=390\n"))
+    parses, forwards = _weight_parses(monkeypatch), _forward_rows(monkeypatch)
+    assert _calibrate(model, data, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert f"{model}: model header field 'data_rows' is not the 400 data rows of {data}" in err
+    assert parses == [] and forwards == []
+    assert list(tmp_path.glob("train.csv.*.npz")) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate", "train"])
+def test_a_header_only_file_is_refused_as_empty_before_a_weight_is_parsed(
+    tmp_path, mini_run, monkeypatch, capsys, command
+):
+    # the scan's row count refuses it; the cold scan keeps the 0-row dataset
+    # sidecar it wrote, a valid cache, but no outputs sidecar is written
+    data, model, out = tmp_path / "e.csv", tmp_path / "model_ce.txt", tmp_path / "o"
+    data.write_text("\n".join((mini_run / "train.csv").read_text().splitlines()[:2]) + "\n")
+    # calibrate checks the file's sha256 first, so the header records this one
+    text = (mini_run / "model_ce.txt").read_text()
+    model.write_text(re.sub(r"(?m)^data_sha256=.*$", f"data_sha256={_sha256(data)}", text))
+    parses = _weight_parses(monkeypatch)
+    argv = {
+        "eval": ["eval", "--model", str(model), "--data", str(data)],
+        "calibrate": ["calibrate", "--model", str(model), "--data", str(data)],
+        "train": ["train", "--data", str(data)],
+    }[command]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert f"{data}: dataset is empty" in capsys.readouterr().err
+    assert parses == []
+    assert [p.name for p in tmp_path.glob("*.npz")] == ["e.csv.npz"]
+    assert not out.exists()
 
 
 # --- eval ---------------------------------------------------------------------
@@ -605,6 +682,23 @@ def test_eval_refuses_a_dataset_of_another_width_before_taking_a_row(
     assert f"{data} has 40 features, but {model} takes 45 inputs" in err
     assert forwards == []
     assert not out.exists()
+
+
+def test_eval_refuses_a_cold_file_of_another_width_before_a_parse(
+    tmp_path, mini_run, monkeypatch, capsys
+):
+    # the header line gives the width, so a file without a sidecar is
+    # refused before its rows are parsed into one
+    data = tmp_path / "narrow.csv"
+    config = datagen.SyntheticConfig(n_matches=30, n_features=40, roster_size=20, rng_seed=3)
+    datagen.write_dataset(data, *generate_dataset(config), roster_size=20)
+    datagen.sidecar_path(data).unlink()
+    parsed = _count_loadtxt_rows(monkeypatch)
+    model, out = mini_run / "model_ce.txt", tmp_path / "o"
+    assert cli.main(["eval", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
+    assert f"{data} has 40 features, but {model} takes 45 inputs" in capsys.readouterr().err
+    assert parsed == []
+    assert [p.name for p in tmp_path.iterdir()] == ["narrow.csv"]
 
 
 def _sha256(path) -> str:
@@ -762,9 +856,8 @@ def test_an_outputs_miss_on_a_dataset_sidecar_that_fails_part_way_writes_a_clean
     tmp_path, mini_run, monkeypatch
 ):
     # a flipped bit in the last row of the dataset sidecar is found by its
-    # CRC only after blocks have gone through the network into the outputs
-    # sidecar; the scan then parses the CSV, and the outputs writer starts
-    # its file again
+    # CRC only after blocks have gone through the network; the scan then
+    # parses the CSV and runs the outputs consumer again from its first row
     monkeypatch.setattr(datagen, "BLOCK_ROWS", 7)
     data, model = tmp_path / "test.csv", mini_run / "model_ce.txt"
     shutil.copyfile(mini_run / "test.csv", data)
@@ -851,7 +944,7 @@ def test_eval_reads_the_forward_row_blocks_and_holds_one_of_them(tmp_path, monke
     datagen.outputs_path(path, model.path).unlink()  # the eval's; measure a miss
     tracemalloc.start()
     try:
-        raw, y, p_true, _ = cli.model_outputs(model, path)
+        raw, y, p_true, _ = datagen.model_outputs(model, path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

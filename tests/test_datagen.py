@@ -347,6 +347,17 @@ def test_roundtrip_without_p_true(tmp_path):
     assert yb.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("comment", ["a\nb", "a\rb", "a\x0cb", "a\u2028b", "a\n"])
+def test_write_dataset_refuses_a_comment_its_reader_splits(tmp_path, comment):
+    # the reader splits the comment lines with str.splitlines, so any of its
+    # line breaks would end the comment line and make the rest a bad header
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match=re.escape(repr(comment))):
+        datagen.write_dataset(path, *generate_dataset(small_config(10)), roster_size=12,
+                              comment=comment)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_is_byte_deterministic(tmp_path):
     data = generate_dataset(small_config(50, seed=3))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -535,6 +535,19 @@ def test_model_file_headers(tmp_path):
     assert "du_head=true" in lines[:3]
 
 
+@pytest.mark.parametrize("header", [
+    {"note": "a\nb"}, {"note": "a\rb"}, {"a\nb": "1"}, {"a=b": "1"}, {"param W9": "1"},
+])
+def test_save_model_refuses_a_header_entry_its_reader_would_not_read_back(tmp_path, header):
+    # read_model splits lines at \n and \r, each header line at its first
+    # "=", and takes a line starting "param " for the first parameter block
+    path = tmp_path / "m.txt"
+    (key,) = header
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        nn.save_model(nn.init_params([3, 3, 2], seed=7), path, header=header)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a model\n")
