@@ -72,6 +72,21 @@ def write_lines(path, lines: Iterable[str]) -> None:
         fh.writelines(f"{line}\n" for line in lines)
 
 
+# the most characters a finite float64's repr takes, as in
+# "-2.2250738585072014e-308": a sign, 17 significant digits, the point and
+# a four-character exponent
+FLOAT_TEXT_BYTES = 24
+
+
+def float_text(values) -> np.ndarray:
+    """The repr text of each float of an array, as ASCII bytes NUL-padded to
+    FLOAT_TEXT_BYTES (numpy dtype ``S24``), in an array of the same shape.
+    Every float of eval's predictions dump is formatted here."""
+    values = np.asarray(values, dtype=float)
+    text = list(map(repr, values.ravel().tolist()))
+    return np.array(text, dtype=f"S{FLOAT_TEXT_BYTES}").reshape(values.shape)
+
+
 def format_numbers(values) -> list[str]:
     """Shortest round-trip decimal text of each float in a 1-D sequence;
     integral values are written without a fractional part."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import itertools
 import json
 import math
 import sys
@@ -24,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datagen, duloss, metrics, nn, scaling
-from .artifacts import FormatError, read_json_object, write_lines
+from . import __version__, artifacts, datagen, duloss, metrics, nn, scaling
+from .artifacts import FLOAT_TEXT_BYTES, FormatError, read_json_object, replacing, write_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -364,10 +363,10 @@ def cmd_calibrate(resolved: dict) -> None:
         raise ValueError("validation split is empty; retrain with a positive val_fraction")
     # only the validation rows are kept, so the file must be the one the
     # model was trained on: the same bytes give the same row numbering
-    logits, y, _, _ = datagen.model_outputs(model, data, data_sha256)
+    outputs = datagen.model_outputs(model, data, data_sha256)
     out = _outdir(resolved)
     fit = getattr(scaling, SCALER_FITS[kind])
-    scaler = fit(logits[val], y[val], log_path=out / f"calib_log_{kind}.csv")
+    scaler = fit(outputs.raw[val], outputs.y[val], log_path=out / f"calib_log_{kind}.csv")
     scaler.model_sha256 = model.sha256
     scaler_path = out / f"scaler_{kind}.json"
     scaling.save_scaler(scaler, scaler_path, extra={"version": __version__, "config": resolved})
@@ -393,7 +392,38 @@ def _check_scaler_model(scaler, resolved: dict, model_sha256: str) -> None:
 
 
 # the two label values, as the predictions dump writes them
-LABEL_TEXT = ("0", "1")
+LABEL_TEXT = np.array([b"0", b"1"])
+PREDICTION_COLUMNS = "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"
+
+
+def _prediction_lines(outputs: datagen.Outputs, scaled):
+    """The data lines of the predictions dump as UTF-8 bytes, BLOCK_ROWS
+    rows at a time. The float cells take the outputs' text, except the
+    probabilities of a scaler, ``scaled`` (None without one), which are
+    formatted here; s_raw is empty without the density head and p_true
+    without the file's column. Each cell is its text NUL-padded to one width
+    and followed by its comma or newline, and the NULs are dropped."""
+    n_out = outputs.raw.shape[1]
+    _, predicted = metrics.predict(outputs.probs if scaled is None else scaled)
+    line = np.zeros((datagen.BLOCK_ROWS, len(PREDICTION_COLUMNS.split(","))),
+                    dtype=[("cell", f"S{FLOAT_TEXT_BYTES}"), ("end", "S1")])
+    line["end"] = b","
+    line["end"][:, -1] = b"\n"
+    for start in range(0, len(predicted), datagen.BLOCK_ROWS):
+        rows = slice(start, start + datagen.BLOCK_ROWS)
+        own, label = outputs.text[rows], predicted[rows]
+        block = line[: len(own)]
+        cells = block["cell"]
+        cells[:, :n_out] = own[:, :n_out]  # z0, z1 and s_raw, if any
+        p = own[:, n_out : n_out + 2] if scaled is None else artifacts.float_text(scaled[rows])
+        cells[:, 3:5] = p
+        # the confidence is the predicted class's probability, the same float
+        cells[:, 5] = np.where(label == 1, p[:, 1], p[:, 0])
+        cells[:, 6], cells[:, 7] = LABEL_TEXT[label], LABEL_TEXT[outputs.y[rows]]
+        if outputs.p_true is not None:
+            cells[:, 8] = own[:, -1]
+        raw = block.view(np.uint8).ravel()
+        yield raw[raw != 0].tobytes()
 
 
 def cmd_eval(resolved: dict) -> None:
@@ -412,18 +442,15 @@ def cmd_eval(resolved: dict) -> None:
         _check_scaler_model(scaler, resolved, model.sha256)
 
     _serve_step_arrays_from_the_heap()
-    # the outputs of one model on one file are computed once, whatever the scaler
-    raw, y, p_true, _ = datagen.model_outputs(model, resolved["data"])
-    logits, s_raw = nn.split_outputs(model, raw)
+    # a model's outputs on one file, its own probabilities and their text are
+    # computed once, whatever the scaler
+    outputs = datagen.model_outputs(model, resolved["data"], text=True)
     del model  # its text is not needed past the forward pass
-
-    if du_head:
-        probs = duloss.expected_probs_exact(logits, s_raw)
-    else:
-        zt = scaling.transform_logits(scaler, logits) if scaler is not None else logits
-        probs = nn.softmax(zt)
-
-    report = metrics.build_report(probs, y, m_bins, p_true)
+    scaled = None
+    if scaler is not None:
+        scaled = nn.softmax(scaling.transform_logits(scaler, outputs.raw))
+    report = metrics.build_report(outputs.probs if scaled is None else scaled, outputs.y, m_bins,
+                                  outputs.p_true)
 
     label = scaler.kind if scaler is not None else "du" if du_head else "none"
     extra = {"version": __version__, "config": resolved, "method": label}
@@ -438,24 +465,9 @@ def cmd_eval(resolved: dict) -> None:
         report, out / f"reliability_{label}.svg",
         title=f"reliability: {METHOD_NAMES[label]}", comment=meta,
     )
-
-    def column(values) -> list[str]:
-        return [""] * len(y) if values is None else [repr(v) for v in values.tolist()]
-
-    # the confidence is the predicted class's probability, the same float,
-    # so it takes that column's text
-    _, predicted = metrics.predict(probs)
-    predicted = predicted.tolist()
-    p0, p1 = column(probs[:, 0]), column(probs[:, 1])
-    columns = [
-        column(logits[:, 0]), column(logits[:, 1]), column(s_raw), p0, p1,
-        [b if k else a for a, b, k in zip(p0, p1, predicted)],
-        [LABEL_TEXT[k] for k in predicted], [LABEL_TEXT[k] for k in y.tolist()], column(p_true),
-    ]
-    write_lines(out / f"predictions_{label}.csv", itertools.chain(
-        [f"# {meta}", "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"],
-        map(",".join, zip(*columns)),
-    ))
+    with replacing(out / f"predictions_{label}.csv", "wb") as fh:
+        fh.write(f"# {meta}\n{PREDICTION_COLUMNS}\n".encode())
+        fh.writelines(_prediction_lines(outputs, scaled))
 
     line = (
         f"{label}: accuracy={report.accuracy:.4f} ece={report.ece:.4f} "

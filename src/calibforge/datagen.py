@@ -23,6 +23,7 @@ import copy
 import functools
 import hashlib
 import itertools
+import math
 import tempfile
 import zipfile
 from dataclasses import dataclass
@@ -31,8 +32,8 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import nn
-from .artifacts import FormatError, format_numbers, replacing, sha256_of
+from . import artifacts, nn
+from .artifacts import FLOAT_TEXT_BYTES, FormatError, format_numbers, replacing, sha256_of
 from .duloss import sigmoid
 
 SCALAR_COLUMNS = ["minute", "gold_diff", "xp_diff", "kills_blue", "kills_red"]
@@ -55,7 +56,8 @@ _PICKS_PER_TEAM = 5
 # bounds its arrays to one block whatever the dataset size: GeneratedDataset
 # draws its picks and p_true and makes its feature rows, write_dataset formats
 # an array, a parse runs np.loadtxt, scan_dataset reads a sidecar, and a miss
-# of model_outputs runs nn.forward on each block a scan yields. p_true takes
+# of model_outputs runs nn.forward, nn.probabilities and, for eval, the float
+# text on each block a scan yields. p_true takes
 # each block's comp @ champ_coef, which OpenBLAS's matrix-vector kernel sums
 # in groups of 4 rows with a different path for the rest: blocks of 2, 3, 6
 # or 7 rows changed some p_true bits, while every multiple of 4 reproduced one
@@ -571,15 +573,16 @@ def sidecar_path(path) -> Path:
     return path.with_name(path.name + ".npz")
 
 
-def _save_sidecar(fh, shape, blocks, sha256: Callable[[], str]) -> None:
+def _save_sidecar(fh, shape, blocks, sha256: Callable[[], str], **members) -> None:
     """Write to a binary file the bytes that
-    ``np.savez(fh, data=matrix, sha256=np.array(sha256()))`` writes, where
-    ``matrix`` is the (n, columns) float64 matrix whose C-contiguous row
-    blocks ``blocks`` yields, and ``sha256()`` is taken after the last one.
+    ``np.savez(fh, data=matrix, sha256=np.array(sha256()), **members)``
+    writes, where ``matrix`` is the (n, columns) float64 matrix whose
+    C-contiguous row blocks ``blocks`` yields, ``sha256()`` is taken after
+    the last one, and ``members`` are C-contiguous arrays.
 
     Each ``.npy`` member is written from the arrays' own buffers, where
     ``np.savez`` would copy the matrix in 16 MiB chunks. Zip members are
-    dated 1980-01-01, so the same matrix always gives the same file.
+    dated 1980-01-01, so the same arrays always give the same file.
     """
     data_header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
                    "fortran_order": False, "shape": tuple(shape)}
@@ -588,12 +591,12 @@ def _save_sidecar(fh, shape, blocks, sha256: Callable[[], str]) -> None:
             np.lib.format.write_array_header_1_0(member, data_header)
             for block in blocks:
                 member.write(block.data)
-        digest = np.array(sha256())
-        with zf.open("sha256.npy", "w", force_zip64=True) as member:
-            np.lib.format.write_array_header_1_0(
-                member, np.lib.format.header_data_from_array_1_0(digest)
-            )
-            member.write(digest.data)
+        for name, array in {"sha256": np.array(sha256()), **members}.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array)
+                )
+                member.write(array.data)
 
 
 class DatasetInfo(NamedTuple):
@@ -622,12 +625,14 @@ class Block(NamedTuple):
 
 class _Layout(NamedTuple):
     """A dataset file's header line index, column count, feature count and
-    whether a p_true column follows the label."""
+    whether a p_true column follows the label; for a sidecar, also the
+    column count of the text member it must hold (0: none is read)."""
 
     header_idx: int
     n_cols: int
     n_feat: int
     with_p_true: bool
+    text_cols: int = 0
 
 
 class _StaleSidecar(Exception):
@@ -635,21 +640,28 @@ class _StaleSidecar(Exception):
     matrix of the file's bytes."""
 
 
+def _read_into(member, raw: np.ndarray) -> None:
+    """Fill the uint8 array ``raw`` from an open zip member,
+    SIDECAR_READ_BYTES at a time. The member checks its CRC-32 as its last
+    byte is read. A short read is _StaleSidecar."""
+    for piece in range(0, len(raw), SIDECAR_READ_BYTES):
+        into = raw[piece : piece + SIDECAR_READ_BYTES]
+        if member.readinto(into) != len(into):
+            raise _StaleSidecar
+
+
 def _sidecar_blocks(member, layout: _Layout, n_rows: int):
     """Read the ``n_rows`` rows of an open ``data.npy`` zip member,
     positioned at its first row, BLOCK_ROWS at a time into one reused
     (BLOCK_ROWS, columns) buffer, and yield each block once its values pass
-    the checks a parse runs. The member checks its CRC-32 as its last byte
-    is read. A short read, a failed check or a bad CRC is _StaleSidecar."""
+    the checks a parse runs. A short read, a failed check or a bad CRC is
+    _StaleSidecar."""
     buf = np.empty((min(BLOCK_ROWS, n_rows), layout.n_cols))
     raw = buf.reshape(-1).view(np.uint8)
     for rows in _row_slices(0, n_rows, BLOCK_ROWS):
         size = (rows.stop - rows.start) * layout.n_cols * buf.itemsize
         try:
-            for piece in range(0, size, SIDECAR_READ_BYTES):
-                into = raw[piece : min(piece + SIDECAR_READ_BYTES, size)]
-                if member.readinto(into) != len(into):
-                    raise _StaleSidecar
+            _read_into(member, raw[:size])
         except (OSError, EOFError, zipfile.BadZipFile) as exc:
             raise _StaleSidecar from exc
         matrix, n_feat = buf[: rows.stop - rows.start], layout.n_feat
@@ -659,44 +671,79 @@ def _sidecar_blocks(member, layout: _Layout, n_rows: int):
         yield Block(rows, matrix[:, :n_feat], matrix[:, n_feat], p_true)
 
 
+# what reading a zip member's .npy array can raise for a damaged or foreign
+# file; RuntimeError: an encrypted member
+_UNREADABLE = (OSError, EOFError, KeyError, ValueError, RuntimeError, NotImplementedError,
+               zipfile.BadZipFile)
+
+
+def _array_header(zf, member):
+    """The shape and dtype in the .npy header of ``member``, an open member
+    of the zip file ``zf``, read up to its first array byte. A member that
+    is Fortran-ordered, or whose size is not its header's and its array's,
+    is _StaleSidecar; an unreadable header raises an _UNREADABLE error."""
+    fmt = np.lib.format
+    read_header = {(1, 0): fmt.read_array_header_1_0,
+                   (2, 0): fmt.read_array_header_2_0}[fmt.read_magic(member)]
+    shape, fortran_order, dtype = read_header(member)
+    size = zf.getinfo(member.name).file_size
+    if fortran_order or size != member.tell() + math.prod(shape) * dtype.itemsize:
+        raise _StaleSidecar
+    return shape, dtype
+
+
+def _read_text(zf, n_rows: int, n_cols: int) -> np.ndarray:
+    """The (n_rows, n_cols) float text (see artifacts.float_text) of a
+    sidecar's ``text.npy`` member, read SIDECAR_READ_BYTES at a time. A
+    member that is absent, of another shape or dtype, short or with a bad
+    CRC is _StaleSidecar."""
+    try:
+        with zf.open("text.npy") as member:
+            shape, dtype = _array_header(zf, member)
+            if shape != (n_rows, n_cols) or dtype != np.dtype(f"S{FLOAT_TEXT_BYTES}"):
+                raise _StaleSidecar
+            text = np.empty(shape, dtype)
+            _read_into(member, text.reshape(-1).view(np.uint8))
+    except _UNREADABLE as exc:
+        raise _StaleSidecar from exc
+    return text
+
+
 def _scan_sidecar(path, sidecar, layout: _Layout, sha256: str, consume):
-    """consume(info, blocks) over the rows of a sidecar of the dataset file
-    ``path``, read BLOCK_ROWS rows at a time; ``sidecar`` is its path or an
-    open binary file.
+    """(consume(info, blocks), text) over the rows of a sidecar of the
+    dataset file ``path``, read BLOCK_ROWS rows at a time; ``sidecar`` is
+    its path or an open binary file. ``text`` is its text member where
+    ``layout.text_cols`` asks for one, and None otherwise.
 
     Before any row is read, the sidecar's ``sha256`` member must hold
-    ``sha256``, and its ``data.npy`` member must hold just a C-ordered (n,
-    columns) float64 matrix. Its rows are then read in order, and after
-    ``consume`` returns or raises any rows it left are read, so the member's
-    CRC is always checked. A sidecar that fails any of this, or whose rows
-    fail a value check, raises _StaleSidecar, in place of any error of
-    ``consume``, and what ``consume`` made of its rows is to be thrown away.
+    ``sha256``, its ``data.npy`` member must hold just a C-ordered (n,
+    columns) float64 matrix, and a text member asked for must hold just the
+    (n, layout.text_cols) text; that member is read in full. The rows are
+    then read in order, and after ``consume`` returns or raises any rows it
+    left are read, so the member's CRC is always checked. A sidecar that
+    fails any of this, or whose rows fail a value check, raises
+    _StaleSidecar, in place of any error of ``consume``, and what
+    ``consume`` made of its rows is to be thrown away.
     """
-    fmt = np.lib.format
     with contextlib.ExitStack() as stack:
         try:
             zf = stack.enter_context(zipfile.ZipFile(sidecar))
             with zf.open("sha256.npy") as member:
-                stored = fmt.read_array(member, allow_pickle=False)
+                stored = np.lib.format.read_array(member, allow_pickle=False)
             member = stack.enter_context(zf.open("data.npy"))
-            read_header = {(1, 0): fmt.read_array_header_1_0,
-                           (2, 0): fmt.read_array_header_2_0}[fmt.read_magic(member)]
-            shape, fortran_order, dtype = read_header(member)
-        except (OSError, EOFError, KeyError, ValueError, RuntimeError, NotImplementedError,
-                zipfile.BadZipFile) as exc:  # RuntimeError: encrypted
+            shape, dtype = _array_header(zf, member)
+        except _UNREADABLE as exc:
             raise _StaleSidecar from exc
         if (
             stored.shape != () or stored.item() != sha256
-            or dtype != np.float64 or fortran_order
-            or len(shape) != 2 or shape[1] != layout.n_cols
-            or zf.getinfo("data.npy").file_size
-            != member.tell() + shape[0] * shape[1] * dtype.itemsize
+            or dtype != np.float64 or len(shape) != 2 or shape[1] != layout.n_cols
         ):
             raise _StaleSidecar
+        text = _read_text(zf, shape[0], layout.text_cols) if layout.text_cols else None
         info = DatasetInfo(str(path), shape[0], layout.n_feat, layout.with_p_true, sha256)
         blocks = _sidecar_blocks(member, layout, shape[0])
         try:
-            return consume(info, blocks)
+            return consume(info, blocks), text
         finally:
             for _ in blocks:
                 pass
@@ -803,29 +850,30 @@ def _scan(path, fh, layout: _Layout, digest: str, consume):
 
     def parse():
         shape = (_count_rows(path, fh, layout.header_idx), layout.n_cols)
-        return shape, _parsed_blocks(path, fh, layout)
+        return shape, _parsed_blocks(path, fh, layout), {}
 
-    return _cached(path, sidecar_path(path), layout, digest, consume, parse)
+    return _cached(path, sidecar_path(path), layout, digest, consume, parse)[0]
 
 
 def _cached(path, sidecar, layout: _Layout, key: str, consume, fill):
-    """consume(info, blocks) over the rows of the sidecar ``sidecar`` of the
-    dataset file ``path``, keyed ``key`` (see _scan_sidecar). A miss writes
-    the shape and row blocks ``fill()`` gives to a new one that then moves
-    into place, or to a temporary file where the directory refuses the
+    """(consume(info, blocks), text) over the rows of the sidecar
+    ``sidecar`` of the dataset file ``path``, keyed ``key`` (see
+    _scan_sidecar). A miss writes the shape, row blocks and other members
+    (a dict of arrays by name) that ``fill()`` gives to a new one that then
+    moves into place, or to a temporary file where the directory refuses the
     write; one that fails its own scan is removed and raises OSError."""
     try:
         return _scan_sidecar(path, sidecar, layout, key, consume)
     except _StaleSidecar:
         pass
-    shape, blocks = fill()
+    shape, blocks, members = fill()
     with contextlib.ExitStack() as stack:
         try:
             side = stack.enter_context(replacing(sidecar, "wb"))
         except OSError:  # a directory that refuses the write
             side = sidecar = stack.enter_context(tempfile.TemporaryFile())
-        _save_sidecar(side, shape, blocks, lambda: key)
-        del blocks  # rows held for the write are not held beside those read back
+        _save_sidecar(side, shape, blocks, lambda: key, **members)
+        del blocks, members  # what the write held is not held beside what is read back
         if side is not sidecar:
             stack.close()  # moves the new sidecar into place
         try:
@@ -843,13 +891,34 @@ def outputs_path(path, model_path) -> Path:
     return path.with_name(f"{path.name}.{Path(model_path).name}.npz")
 
 
-def model_outputs(model: nn.ModelFile, path, data_sha256: str | None = None) -> Dataset:
-    """The Dataset of the dataset file ``path`` with the (n, n_outputs)
-    float64 outputs of ``model`` as x, from the sidecar at ``outputs_path(path,
-    model.path)``, in the dataset sidecar's format and checks and keyed by
-    ``"<model sha256> <file sha256>"``. A miss (see _cached) runs the network
-    on each block of a scan, refusing non-finite outputs, and writes the rows
-    it returns; a hit and a miss return the rows read back.
+class Outputs(NamedTuple):
+    """A model's outputs on the rows of a dataset file: its (n, n_outputs)
+    raw outputs (see nn.split_outputs), its own (n, 2) class probabilities
+    (nn.probabilities), the labels, p_true (None without the column) and,
+    where asked for, ``text``: the float text (see artifacts.float_text) of
+    each column of ``np.column_stack([raw, probs, p_true])``, p_true's
+    only where the file has it."""
+
+    raw: np.ndarray
+    probs: np.ndarray
+    y: np.ndarray
+    p_true: np.ndarray | None
+    text: np.ndarray | None
+
+
+def model_outputs(model: nn.ModelFile, path, data_sha256: str | None = None,
+                  text: bool = False) -> Outputs:
+    """The Outputs of ``model`` on the dataset file ``path``, from the
+    sidecar at ``outputs_path(path, model.path)``: the dataset sidecar's
+    format and checks with the raw outputs and probabilities as its feature
+    columns, and with ``text=True`` a ``text.npy`` member holding the text.
+    It is keyed by ``"<model sha256> <file sha256> <probability rule>"``
+    (nn.probability_rule), so a sidecar whose probabilities came by another
+    rule is a miss, and so, where ``text`` is asked for, is one without it.
+    A miss (see _cached) runs the network on each block of a scan, refusing
+    non-finite outputs, takes the block's probabilities and, with ``text``,
+    its text, and writes the rows it returns; a hit and a miss return the
+    rows read back.
 
     First, before a weight is parsed, the network runs or a sidecar is
     written, the pair is checked cheapest first, each refusal a ValueError
@@ -873,7 +942,9 @@ def model_outputs(model: nn.ModelFile, path, data_sha256: str | None = None) -> 
                 f"records {int(model.header['data_rows'])}, and its sha256 differs"
             )
         n_out, with_p_true = model.n_outputs, layout.with_p_true
-        stored = _Layout(0, n_out + 1 + with_p_true, n_out, with_p_true)
+        # the floats of a row: the outputs, the two probabilities and p_true
+        n_floats = n_out + 2 + with_p_true
+        stored = _Layout(0, n_floats + 1, n_out + 2, with_p_true, n_floats if text else 0)
 
         def counted(info):
             if info.n_rows == 0:
@@ -885,16 +956,26 @@ def model_outputs(model: nn.ModelFile, path, data_sha256: str | None = None) -> 
 
         def forward(info, blocks):
             rows = np.empty((counted(info).n_rows, stored.n_cols))
+            cells = np.empty((info.n_rows, stored.text_cols), dtype=f"S{FLOAT_TEXT_BYTES}")
             params = model.params()
             for block in blocks:
                 with np.errstate(over="ignore", invalid="ignore"):  # refused below
                     raw = nn.forward(params, block.x)
                 if not np.isfinite(raw).all():
                     raise ValueError(f"{model.path} gives non-finite outputs on {path}")
-                rows[block.rows] = np.column_stack([raw, block.y] + [block.p_true] * with_p_true)
-            return rows.shape, [rows]  # those of the new outputs sidecar
+                floats = np.column_stack([raw, nn.probabilities(model, raw)]
+                                         + [block.p_true] * with_p_true)
+                rows[block.rows] = np.insert(floats, n_out + 2, block.y, axis=1)
+                for col in range(stored.text_cols):  # a column at a time bounds the strings held
+                    cells[block.rows, col] = artifacts.float_text(floats[:, col])
+            # those of the new outputs sidecar
+            return rows.shape, [rows], {"text": cells} if text else {}
 
-        kept = _cached(path, outputs_path(path, model.path), stored, f"{model.sha256} {digest}",
-                       lambda info, blocks: take_rows(counted(info), blocks),
-                       lambda: _scan(path, fh, layout, digest, forward))
-    return kept._replace(sha256=digest)
+        def keep(info, blocks):
+            x, y, p_true, _ = take_rows(counted(info), blocks)
+            return x[:, :n_out], x[:, n_out:], y, p_true
+
+        key = f"{model.sha256} {digest} {nn.probability_rule(model)}"
+        kept, cells = _cached(path, outputs_path(path, model.path), stored, key, keep,
+                              lambda: _scan(path, fh, layout, digest, forward))
+    return Outputs(*kept, cells)

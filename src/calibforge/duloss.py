@@ -29,6 +29,7 @@ exact value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,6 +177,25 @@ def normal_cdf(x) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _exact_nodes():
+    """The nodes and weights of expected_probs_exact's two rules, built once
+    per process: the probabilists' 32 Gauss-Hermite nodes with weights
+    normalised to the N(0, 1) density, and the 201 trapezoid nodes over L
+    with weights from the logistic density. The arrays are shared, so they
+    are read-only."""
+    # numpy.polynomial loads here, not with the module, because importing it
+    # adds about 2 MB to every command
+    nodes, weights = np.polynomial.hermite_e.hermegauss(32)
+    grid = np.linspace(-40.0, 40.0, 201)
+    density = sigmoid(grid) * sigmoid(-grid) * (grid[1] - grid[0])
+    density[[0, -1]] *= 0.5
+    rule = (nodes, weights / math.sqrt(2.0 * math.pi), grid, density)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def expected_probs_exact(mu: np.ndarray, s_raw: np.ndarray) -> np.ndarray:
     """E[softmax(mu + sigma * eps)] over eps ~ N(0, I), by fixed quadrature.
 
@@ -196,19 +216,12 @@ def expected_probs_exact(mu: np.ndarray, s_raw: np.ndarray) -> np.ndarray:
     low = -np.abs(m)
     q = np.empty(len(m))
     narrow = s < 1.0
-    # probabilists' Gauss-Hermite nodes, weights normalised to the N(0, 1)
-    # density; numpy.polynomial loads here, not with the module, because
-    # importing it adds about 2 MB to every command
-    nodes, weights = np.polynomial.hermite_e.hermegauss(32)
+    nodes, weights, grid, density = _exact_nodes()
     m_n, s_n = low[narrow], s[narrow]
     acc = np.zeros(len(m_n))
-    for z, w in zip(nodes, weights / math.sqrt(2.0 * math.pi)):
+    for z, w in zip(nodes, weights):
         acc += w * sigmoid(m_n + s_n * z)
     q[narrow] = acc
-    # trapezoid nodes over L, weighted by the logistic density
-    grid = np.linspace(-40.0, 40.0, 201)
-    density = sigmoid(grid) * sigmoid(-grid) * (grid[1] - grid[0])
-    density[[0, -1]] *= 0.5
     m_w, s_w = low[~narrow], s[~narrow]
     acc = np.zeros(len(m_w))
     for start in range(0, len(m_w), EXACT_BLOCK_ROWS):

@@ -193,6 +193,23 @@ def split_outputs(model, out: np.ndarray):
     return out, None
 
 
+def probability_rule(model) -> str:
+    """The name of the rule by which ``probabilities`` maps ``model``'s raw
+    outputs to class probabilities."""
+    return duloss.EXACT_RULE if model.du_head_enabled else "softmax"
+
+
+def probabilities(model, out: np.ndarray) -> np.ndarray:
+    """The (n, 2) class probabilities of ``model``'s own raw outputs: the
+    softmax of the logits, or with the density head their expectation under
+    the noise, ``duloss.expected_probs_exact``. Each row depends on its own
+    outputs only, so row blocks give the probabilities of the whole array."""
+    logits, s_raw = split_outputs(model, out)
+    if s_raw is None:
+        return softmax(logits)
+    return duloss.expected_probs_exact(logits, s_raw)
+
+
 @dataclass
 class Gradients:
     weights: list[np.ndarray]

@@ -9,12 +9,13 @@ import re
 import shutil
 import tracemalloc
 import xml.etree.ElementTree as ET
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from calibforge import artifacts, cli, datagen, duloss, metrics, nn
+from calibforge import artifacts, cli, datagen, duloss, metrics, nn, scaling
 
 from conftest import (
     MINI_GEN, MINI_TRAIN, generate_dataset, load_model, load_report, read_dataset, run_cli,
@@ -709,25 +710,40 @@ def _artifacts(out) -> dict:
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
+def _eval_argv(mini_run, label, data, out) -> list[str]:
+    """The eval command line of method ``label`` on ``data`` with the mini
+    pipeline's model and scaler."""
+    model = mini_run / ("model_du.txt" if label == "du" else "model_ce.txt")
+    scaler = []
+    if label in cli.SCALER_FITS:
+        scaler = ["--scaler", str(mini_run / f"scaler_{label}.json")]
+    return ["eval", "--model", str(model), "--data", str(data), *scaler, "--out", str(out)]
+
+
 def test_cold_and_warm_eval_write_identical_artifacts(tmp_path, mini_run, monkeypatch):
     # a warm eval reads its rows from neither the CSV nor the dataset
-    # sidecar: the outputs sidecar holds the network's outputs, labels and
-    # p_true, so it runs no forward pass either
+    # sidecar: the outputs sidecar holds the network's outputs, the model's
+    # probabilities and their text, the labels and p_true, so it runs no
+    # forward pass either; each method's cold eval starts without the
+    # outputs sidecar, and the first one without the dataset sidecar too
     data = tmp_path / "test.csv"
     shutil.copyfile(mini_run / "test.csv", data)
     assert not datagen.sidecar_path(data).exists()
     parsed, forwards = _count_loadtxt_rows(monkeypatch), _forward_rows(monkeypatch)
-    for model, scaler in (("model_ce.txt", ["--scaler", str(mini_run / "scaler_vector.json")]),
-                          ("model_du.txt", [])):
-        out = tmp_path / model
-        argv = ["eval", "--model", str(mini_run / model), "--data", str(data), *scaler,
-                "--out", str(out)]
+    for label in cli.METHOD_LABELS:
+        out = tmp_path / label
+        argv = _eval_argv(mini_run, label, data, out)
+        cached = datagen.outputs_path(data, argv[2])
+        cached.unlink(missing_ok=True)
+        forwards.clear()
         assert cli.main(argv) == 0
-        assert datagen.sidecar_path(data).exists()
-        assert datagen.outputs_path(data, mini_run / model).exists()
+        assert datagen.sidecar_path(data).exists() and cached.exists()
         assert sum(forwards) == 50
         cold = _artifacts(out)
-        assert any(name.startswith("predictions_") for name in cold)
+        # the pipeline's dump, but for the comment line that names --out
+        dump = f"predictions_{label}.csv"
+        assert (cold[dump].split(b"\n", 1)[1]
+                == (mini_run / dump).read_bytes().split(b"\n", 1)[1])
         parsed.clear()
         forwards.clear()
         assert cli.main(argv) == 0
@@ -753,8 +769,21 @@ def _flipped_byte(path) -> None:
     path.write_bytes(bytes(raw))
 
 
+def _members(path) -> dict:
+    """The bytes of each member of a zip file, by name, in file order."""
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def _arrays(path) -> dict:
+    """The arrays of an .npz file, by name."""
+    with np.load(path, allow_pickle=False) as arrays:
+        return dict(arrays)
+
+
 @pytest.mark.parametrize("stale", ["model", "data", "truncated", "flipped-byte", "other-key",
-                                   "read-only"])
+                                   "read-only", "text-missing", "text-truncated", "text-damaged",
+                                   "parent-layout"])
 def test_an_outputs_sidecar_that_does_not_match_is_recomputed(tmp_path, mini_run, monkeypatch,
                                                               stale):
     # the warm eval of a changed model or data file, or of a damaged or
@@ -782,6 +811,29 @@ def test_an_outputs_sidecar_that_does_not_match_is_recomputed(tmp_path, mini_run
         _other_rows(other)
         assert cli.main([*argv[:3], "--data", str(other), "--out", str(tmp_path / "x")]) == 0
         shutil.copyfile(datagen.outputs_path(other, model), cached)
+    elif stale == "text-missing":
+        # as calibrate writes it: no text member
+        arrays = _arrays(cached)
+        np.savez(cached, data=arrays["data"], sha256=arrays["sha256"])
+    elif stale == "text-truncated":
+        # the text member loses its last cell
+        members = _members(cached)
+        with zipfile.ZipFile(cached, "w") as zf:
+            for name, raw in members.items():
+                cut = artifacts.FLOAT_TEXT_BYTES if name == "text.npy" else 0
+                zf.writestr(name, raw[: len(raw) - cut])
+    elif stale == "text-damaged":
+        # the last digit of the first cell's text becomes another digit, so
+        # only the member's CRC tells
+        first = _arrays(cached)["text"][0, 0]
+        raw = bytearray(cached.read_bytes())
+        raw[raw.find(first) + len(first) - 1] ^= 1
+        cached.write_bytes(bytes(raw))
+    elif stale == "parent-layout":
+        # the raw outputs, label and p_true, keyed by the two files' sha256
+        arrays = _arrays(cached)
+        np.savez(cached, data=np.delete(arrays["data"], [2, 3], axis=1),
+                 sha256=np.array(str(arrays["sha256"]).rsplit(" ", 1)[0]))
     else:
         cached.unlink()
         real_open = open
@@ -808,6 +860,22 @@ def test_an_outputs_sidecar_that_does_not_match_is_recomputed(tmp_path, mini_run
         path.unlink()
     assert cli.main(argv) == 0
     assert _artifacts(out) == recomputed
+
+
+def test_a_du_outputs_sidecar_of_another_probability_rule_is_recomputed(
+    tmp_path, mini_run, monkeypatch
+):
+    # the key names the rule that gave the stored probabilities
+    data, model = tmp_path / "test.csv", mini_run / "model_du.txt"
+    shutil.copyfile(mini_run / "test.csv", data)
+    argv = ["eval", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(duloss, "EXACT_RULE", "another rule")
+    forwards, integrated = _forward_rows(monkeypatch), _integrated_rows(monkeypatch)
+    assert cli.main(argv) == 0
+    assert sum(forwards) == sum(integrated) == 50
+    key = str(_arrays(datagen.outputs_path(data, model))["sha256"])
+    assert key.endswith(" another rule")
 
 
 def _weight_parses(monkeypatch) -> list:
@@ -837,6 +905,102 @@ def test_a_warm_eval_parses_no_model_weights(tmp_path, mini_run, monkeypatch):
         assert cli.main(argv) == 0
         assert parses == []
         assert _artifacts(tmp_path / model) == cold
+
+
+def _formatted_floats(monkeypatch) -> list:
+    """Patch artifacts.float_text to record the float count of each call."""
+    float_text, counts = artifacts.float_text, []
+    monkeypatch.setattr(artifacts, "float_text",
+                        lambda values: counts.append(np.size(values)) or float_text(values))
+    return counts
+
+
+def _integrated_rows(monkeypatch) -> list:
+    """Patch duloss.expected_probs_exact to record the row count of each call."""
+    exact, rows = duloss.expected_probs_exact, []
+    monkeypatch.setattr(duloss, "expected_probs_exact",
+                        lambda mu, s_raw: rows.append(len(mu)) or exact(mu, s_raw))
+    return rows
+
+
+def test_a_warm_eval_formats_only_a_scalers_probabilities(tmp_path, mini_run, monkeypatch):
+    # a miss formats the outputs, the model's probabilities and p_true of
+    # each row into the outputs sidecar (5 floats a row for the CE model, 6
+    # for the DU model); a warm eval of the model's own probabilities then
+    # formats no float, runs no network and no DU integral, and a scaled one
+    # formats its p0 and p1
+    data = tmp_path / "test.csv"
+    shutil.copyfile(mini_run / "test.csv", data)
+    formatted, forwards = _formatted_floats(monkeypatch), _forward_rows(monkeypatch)
+    integrated = _integrated_rows(monkeypatch)
+    cold = {"none": 5 * 50, "temperature": 2 * 50, "vector": 2 * 50, "matrix": 2 * 50,
+            "du": 6 * 50}
+    for label in cli.METHOD_LABELS:
+        argv = _eval_argv(mini_run, label, data, tmp_path / label)
+        assert cli.main(argv) == 0
+        assert sum(formatted) == cold[label]
+        assert sum(integrated) == (50 if label == "du" else 0)
+        formatted.clear()
+        forwards.clear()
+        integrated.clear()
+        assert cli.main(argv) == 0
+        assert forwards == [] and integrated == []
+        assert sum(formatted) == (2 * 50 if label in cli.SCALER_FITS else 0)
+        formatted.clear()
+
+
+def test_calibrate_formats_no_float_and_writes_no_text_member(tmp_path, mini_run, monkeypatch):
+    data, model, out = tmp_path / "train.csv", mini_run / "model_ce.txt", tmp_path / "o"
+    shutil.copyfile(mini_run / "train.csv", data)
+    formatted = _formatted_floats(monkeypatch)
+    for _ in ("cold", "warm"):
+        assert _calibrate(model, data, out) == 0
+        assert formatted == []
+        assert list(_members(datagen.outputs_path(data, model))) == ["data.npy", "sha256.npy"]
+
+
+def test_each_predictions_dump_line_is_the_repr_of_its_values(mini_run):
+    # the dump's reference: each value formatted by repr, joined by commas,
+    # from the outputs and the probabilities of whole-array calls
+    for label in cli.METHOD_LABELS:
+        model = nn.read_model(mini_run / ("model_du.txt" if label == "du" else "model_ce.txt"))
+        outputs = datagen.model_outputs(model, mini_run / "test.csv")
+        logits, s_raw = nn.split_outputs(model, outputs.raw)
+        if label == "du":
+            probs = duloss.expected_probs_exact(logits, s_raw)
+        elif label == "none":
+            probs = nn.softmax(logits)
+        else:
+            scaler = scaling.load_scaler(mini_run / f"scaler_{label}.json")
+            probs = nn.softmax(scaling.transform_logits(scaler, logits))
+        confidence, predicted = metrics.predict(probs)
+        s_text = [""] * len(probs) if s_raw is None else list(map(repr, s_raw.tolist()))
+        expected = [
+            f"{z0!r},{z1!r},{s},{p0!r},{p1!r},{c!r},{k},{t},{p!r}"
+            for (z0, z1), s, (p0, p1), c, k, t, p in zip(
+                logits.tolist(), s_text, probs.tolist(), confidence.tolist(), predicted.tolist(),
+                outputs.y.tolist(), outputs.p_true.tolist())
+        ]
+        lines = (mini_run / f"predictions_{label}.csv").read_text().splitlines()
+        assert lines[1] == "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"
+        assert lines[2:] == expected
+
+
+def test_the_dump_of_a_file_without_p_true_ends_each_line_with_an_empty_cell(tmp_path, mini_run):
+    # the outputs sidecar then holds no p_true column and no text of one
+    data = tmp_path / "test.csv"
+    x, y, _, _ = read_dataset(mini_run / "test.csv")
+    datagen.write_dataset(data, x, y, None, roster_size=20)
+    for label in ("none", "vector", "du"):
+        out = tmp_path / label
+        argv = _eval_argv(mini_run, label, data, out)
+        assert cli.main(argv) == 0
+        cold = _artifacts(out)
+        assert cli.main(argv) == 0
+        assert _artifacts(out) == cold
+        lines = cold[f"predictions_{label}.csv"].decode().splitlines()[2:]
+        with_p_true = (mini_run / f"predictions_{label}.csv").read_text().splitlines()[2:]
+        assert lines == [line.rsplit(",", 1)[0] + "," for line in with_p_true]
 
 
 def test_a_model_rewritten_under_its_name_replaces_its_outputs_sidecar(tmp_path, mini_run):
@@ -944,7 +1108,7 @@ def test_eval_reads_the_forward_row_blocks_and_holds_one_of_them(tmp_path, monke
     datagen.outputs_path(path, model.path).unlink()  # the eval's; measure a miss
     tracemalloc.start()
     try:
-        raw, y, p_true, _ = datagen.model_outputs(model, path)
+        raw, probs, y, p_true, text = datagen.model_outputs(model, path, text=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -954,7 +1118,7 @@ def test_eval_reads_the_forward_row_blocks_and_holds_one_of_them(tmp_path, monke
     # its bytes (two copies for a moment on the first read, which joins them
     # to what is left of the read of the .npy header) and the zip objects
     block_bytes = datagen.BLOCK_ROWS * (25 + 2) * 8
-    outputs = raw.nbytes + y.nbytes + p_true.nbytes
+    outputs = raw.nbytes + probs.nbytes + y.nbytes + p_true.nbytes + text.nbytes
     assert peak < 4 * block_bytes + outputs
 
 

@@ -251,6 +251,23 @@ def test_exact_probs_rows_match_single_row_calls_across_blocks():
     np.testing.assert_array_equal(duloss.expected_probs_exact(mu[edge:], s_raw[edge:]), batch[edge:])
 
 
+def test_exact_probs_build_their_nodes_once_per_process(monkeypatch):
+    # an outputs miss calls the rule once per row block
+    hermegauss, calls = np.polynomial.hermite_e.hermegauss, []
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss",
+                        lambda deg: calls.append(deg) or hermegauss(deg))
+    duloss._exact_nodes.cache_clear()
+    rng = np.random.default_rng(5)
+    mu, s_raw = rng.normal(0.0, 5.0, (40, 2)), rng.normal(0.0, 3.0, 40)
+    whole = duloss.expected_probs_exact(mu, s_raw)
+    blocks = [duloss.expected_probs_exact(mu[i : i + 8], s_raw[i : i + 8])
+              for i in range(0, 40, 8)]
+    assert calls == [32]
+    np.testing.assert_array_equal(np.concatenate(blocks), whole)
+    nodes, weights, grid, density = duloss._exact_nodes()
+    assert not any(a.flags.writeable for a in (nodes, weights, grid, density))
+
+
 def test_normal_cdf_matches_erfc_to_the_conditioning_of_its_argument():
     # the reference 0.5 * erfc(-x / sqrt(2)) rounds its argument, which alone
     # moves Phi by up to kappa(x) eps relative, kappa(x) = |x| phi(x) / Phi(x)

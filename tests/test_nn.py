@@ -104,6 +104,29 @@ def test_du_head_adds_one_output():
     assert s_raw.shape == (5,)
 
 
+@pytest.mark.parametrize("du_head", [False, True])
+def test_probabilities_of_row_blocks_are_those_of_the_whole_array(du_head):
+    # an outputs miss takes the probabilities of each row block; rows cycle
+    # through s < 1, s >= 1, m == 0 and a large |m|, so every block of 4
+    # rows or more holds each kind
+    rng = np.random.default_rng(8)
+    n = 1 + 7 + 256 + 300
+    mu = rng.normal(0.0, 4.0, (n, 2))
+    s_raw = rng.normal(0.0, 2.0, n)
+    s_raw[0::4] = rng.uniform(-6.0, -0.5, len(s_raw[0::4]))  # s = sqrt(2) exp(s_raw) < 1
+    s_raw[1::4] = rng.uniform(0.0, 6.0, len(s_raw[1::4]))  # s >= 1
+    mu[2::4, 1] = mu[2::4, 0]  # m == 0
+    mu[3::4, 1] += rng.choice([-1.0, 1.0], len(mu[3::4])) * rng.uniform(40.0, 800.0, len(mu[3::4]))
+    out = np.column_stack([mu, s_raw]) if du_head else mu
+    params = nn.init_params([4, 2], du_head=du_head, seed=0)
+    whole = nn.probabilities(params, out)
+    expected = duloss.expected_probs_exact(mu, s_raw) if du_head else nn.softmax(mu)
+    assert whole.tobytes() == expected.tobytes()
+    edges = [0, 1, 8, 264, n]
+    blocks = [nn.probabilities(params, out[a:b]) for a, b in zip(edges, edges[1:])]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 37, 8193])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("loss_kind", ["ce", "du"])
