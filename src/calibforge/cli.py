@@ -233,8 +233,9 @@ def _hidden_sizes(text: str) -> list[int]:
 def _serve_step_arrays_from_the_heap() -> None:
     """Have glibc's malloc serve arrays below 32 MiB from its heap.
 
-    Each training step allocates and frees a few dozen arrays of 0.3-1.2 MB
-    (a batch, its activations, gradients, Adam temporaries), and so does
+    Each training step allocates and frees a few dozen arrays of 0.1-1.2 MB
+    (its batch's rows of each column run before they go into the reused
+    batch buffer, its activations, gradients, Adam temporaries), and so does
     each 256-row block of a DU eval's integral (0.4 MB each). Above its mmap
     threshold, 128 KiB at start, glibc maps each one and unmaps it on free,
     and it returns a freed heap top above its trim threshold, so every step
@@ -275,16 +276,14 @@ def cmd_train(resolved: dict) -> None:
     data = resolved["data"]
     _serve_step_arrays_from_the_heap()
 
-    def training_rows(info, blocks):
-        # nn.train runs in float32, so only the training rows are kept, and
-        # in float32
-        train, _ = datagen.split(info.n_rows, val_fraction, seed)
-        return info, datagen.take_rows(info, blocks, train, dtype=np.float32)
-
-    info, (x, y, _, _) = datagen.scan_dataset(data, training_rows)
+    # only the training rows are kept, as int8 runs of the columns of small
+    # integers and float32 runs of the others (nn.train runs in float32)
+    info, runs, y = datagen.scan_column_runs(
+        data, lambda info: datagen.split(info.n_rows, val_fraction, seed)[0]
+    )
     if info.n_rows == 0:
         raise ValueError(f"{data}: dataset is empty")
-    params, log = nn.train(x, y, config, layer_sizes=[x.shape[1]] + hidden + [2])
+    params, log = nn.train(runs, y, config, layer_sizes=[runs.shape[1]] + hidden + [2])
     out = _outdir(resolved)
     header = {
         "loss": loss,

@@ -2,6 +2,7 @@
 auditability contract (reports recomputable from the per-sample dumps)."""
 
 import argparse
+import gc
 import hashlib
 import itertools
 import json
@@ -239,6 +240,80 @@ def test_train_hidden_size_below_one_is_config_error(tmp_path, mini_run, hidden)
     assert f"hidden='{hidden}'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def _recorded_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to record the arguments of each call."""
+    real, calls = getattr(module, name), []
+
+    def call(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, call)
+    return calls
+
+
+def test_train_holds_its_rows_as_int8_and_float32_column_runs(tmp_path, monkeypatch):
+    # 163 of the 295 columns of a generated file hold small integers, so
+    # the training rows take (163 + 4 * 132) / (4 * 295) = 0.586 of their
+    # float32 bytes; the file is scanned once
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--n", "2000", "--seed", "5", "--out", str(data)]) == 0
+    trained = []
+
+    def no_training(x, y, config, layer_sizes):
+        trained.append(x)
+        return nn.init_params(layer_sizes), [nn.EpochLog(1, 0.0, 0.0)]
+
+    monkeypatch.setattr(nn, "train", no_training)
+    argv = ["train", "--data", str(data / "train.csv"), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0  # what a first run leaves cached is not counted
+    trained.clear()
+    scans = _recorded_calls(monkeypatch, datagen, "scan_dataset")
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert cli.main(argv) == 0
+        gc.collect()  # the parser's reference cycles
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    (rows,) = trained
+    n, width = rows.shape
+    assert (n, width) == (1800, 295)
+    assert held <= 0.6 * n * width * 4
+    assert len(scans) == 1
+
+
+def test_a_column_broken_only_in_the_last_block_takes_a_second_scan(tmp_path, monkeypatch):
+    # the minute column is integral except in the last row, of the third
+    # block, so the first block's int8 columns are laid out, broken, and the
+    # second scan lays it out as a float32 run; the model is the dense rows'
+    config = datagen.SyntheticConfig(n_matches=600, n_features=45, roster_size=20, rng_seed=3)
+    x, y, p_true = generate_dataset(config)
+    x[-1, 0] = 0.5
+    path = tmp_path / "train.csv"
+    datagen.write_dataset(path, x, y, p_true, roster_size=20)
+    scans = _recorded_calls(monkeypatch, datagen, "scan_dataset")
+    trained = _recorded_calls(monkeypatch, nn, "train")
+    out = tmp_path / "o"
+    assert cli.main([
+        "train", "--data", str(path), "--epochs", "2", "--hidden", "8", "--batch-size", "64",
+        "--seed", "4", "--out", str(out),
+    ]) == 0
+    assert len(scans) == 2
+    (runs, *_), = trained
+    assert [run.dtype for run in runs.runs] == [np.float32, np.int8, np.float32]
+    train, _ = datagen.split(600, 0.1, 4)
+    dense = read_dataset(path, rows=train)
+    expected, _ = nn.train(
+        dense.x.astype(np.float32), dense.y, nn.TrainConfig(epochs=2, batch_size=64, rng_seed=4),
+        layer_sizes=[45, 8, 2],
+    )
+    params, _ = load_model(out / "model_ce.txt")
+    for a, b in zip(params.weights + params.biases, expected.weights + expected.biases):
+        assert a.tobytes() == b.tobytes()
 
 
 # --- calibrate ---------------------------------------------------------------

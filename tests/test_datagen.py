@@ -621,6 +621,22 @@ def test_take_rows_in_a_scan_rejects_a_mask_or_an_index_outside_the_data(tmp_pat
         datagen.scan_dataset(path, lambda info, blocks: datagen.take_rows(info, blocks, rows))
 
 
+def test_column_runs_of_a_scan_hold_the_float32_rows_take_rows_selects(tmp_path):
+    # 600 rows are three blocks; the rows are taken in a shuffled order
+    path = _written(tmp_path, n=600)
+    rows = np.random.default_rng(2).permutation(600)[:500]
+    info, runs, y = datagen.scan_column_runs(path, lambda info: rows)
+    dense = read_dataset(path, rows=rows)
+    assert info.sha256 == dense.sha256
+    # the minute, then the two kill counts and the 12 picks
+    assert [(run.dtype, run.shape[1]) for run in runs.runs] == [
+        (np.int8, 1), (np.float32, 2), (np.int8, 14), (np.float32, 8),
+    ]
+    taken = runs.take(np.arange(500), np.empty((500, 25), np.float32))
+    assert taken.tobytes() == dense.x.astype(np.float32).tobytes()
+    assert np.array_equal(y, dense.y)
+
+
 def test_read_rows_names_the_line_of_a_bad_selected_row(tmp_path):
     data = generate_dataset(small_config(6, seed=1))
     path = tmp_path / "bad.csv"

@@ -501,6 +501,53 @@ def test_train_returns_float64_params_that_roundtrip(tmp_path):
             np.testing.assert_array_equal(a, b)
 
 
+def interleaved_rows(n=75, seed=6):
+    """Rows whose columns 0, 2, 3 and 6 hold small integers, among them
+    -128 and 127, and whose other columns hold floats, with labels that
+    follow them."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (n, 7))
+    x[:, [0, 3]] = rng.integers(-1, 2, (n, 2))
+    x[:, 2] = rng.integers(1, 41, n)
+    x[:, 6] = rng.integers(-128, 128, n)
+    x[:2, 6] = -128, 127
+    y = (x[:, 1] + x[:, 3] + 0.05 * x[:, 2] - 1.0 > 0).astype(int)
+    return x, y
+
+
+@pytest.mark.parametrize("loss_kind", ["ce", "du"])
+def test_train_on_column_runs_is_train_on_the_float32_rows(loss_kind):
+    # 75 rows in batches of 16 end on a batch of 11
+    x, y = interleaved_rows()
+    runs = nn.ColumnRuns.empty(len(x), nn.int8_columns(x))
+    runs.put(slice(None), x)
+    assert [(run.dtype, run.shape[1]) for run in runs.runs] == [
+        (np.int8, 1), (np.float32, 1), (np.int8, 2), (np.float32, 2), (np.int8, 1),
+    ]
+    config = nn.TrainConfig(
+        learning_rate=1e-2, epochs=3, batch_size=16, rng_seed=5, loss_kind=loss_kind, k_train=8,
+    )
+    p1, log1 = nn.train(runs, y, config, layer_sizes=[7, 6, 2])
+    p2, log2 = nn.train(x.astype(np.float32), y, config, layer_sizes=[7, 6, 2])
+    for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
+        assert a.tobytes() == b.tobytes()
+    assert log1 == log2
+
+
+@pytest.mark.parametrize("value, int8", [
+    (-128.0, True), (0.0, True), (127.0, True),
+    (-129.0, False), (128.0, False), (0.5, False), (-0.0, False),
+])
+def test_a_column_is_an_int8_run_only_where_int8_keeps_its_floats(value, int8):
+    x = np.array([[3.0, value], [-1.0, 2.0]])
+    assert nn.int8_columns(x).tolist() == [True, int8]
+    runs = nn.ColumnRuns.empty(2, nn.int8_columns(x))
+    runs.put(slice(None), x)
+    assert [run.dtype for run in runs.runs] == ([np.int8] if int8 else [np.int8, np.float32])
+    taken = runs.take(np.array([1, 0, 1]), np.empty((3, 2), np.float32))
+    assert taken.tobytes() == x.astype(np.float32)[[1, 0, 1]].tobytes()
+
+
 def test_train_rejects_empty_dataset():
     config = nn.TrainConfig(epochs=1)
     with pytest.raises(ValueError):
