@@ -276,14 +276,16 @@ def cmd_train(resolved: dict) -> None:
     data = resolved["data"]
     _serve_step_arrays_from_the_heap()
 
-    # only the training rows are kept, as int8 runs of the columns of small
-    # integers and float32 runs of the others (nn.train runs in float32)
-    info, runs, y = datagen.scan_column_runs(
-        data, lambda info: datagen.split(info.n_rows, val_fraction, seed)[0]
-    )
+    def keep(info, blocks):
+        # only the training rows are kept, their features as int8 runs of the
+        # small-integer columns and float32 runs of the others (nn.ColumnRuns)
+        train_rows = datagen.split(info.n_rows, val_fraction, seed)[0]
+        return info, datagen.take_rows(info, blocks, train_rows, features=nn.ColumnRuns)
+
+    info, rows = datagen.scan_dataset(data, keep)
     if info.n_rows == 0:
         raise ValueError(f"{data}: dataset is empty")
-    params, log = nn.train(runs, y, config, layer_sizes=[runs.shape[1]] + hidden + [2])
+    params, log = nn.train(rows.x, rows.y, config, layer_sizes=[rows.x.shape[1]] + hidden + [2])
     out = _outdir(resolved)
     header = {
         "loss": loss,

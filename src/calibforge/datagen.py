@@ -774,95 +774,50 @@ def _parsed_blocks(path, fh, layout: _Layout):
         yield block
 
 
-def _row_places(info: DatasetInfo, rows):
-    """``(n, place)`` for the data rows that the index array ``rows``
-    selects (every row when None): their count, and for each block of a
-    scan ``place(block) = (dest, src)``, which puts the block's rows ``src``
-    at the places ``dest`` of arrays of the selected rows, in ``rows``'
-    order.
-
-    ``rows`` must be a 1-D integer array of indices into the file's data
-    rows (0-based, in file order); anything else, such as a boolean mask or
-    an index outside the data rows, raises DatasetFormatError."""
-    if rows is None:
-        return info.n_rows, lambda block: (block.rows, slice(None))
-    rows = np.asarray(rows)
-    if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
-        raise DatasetFormatError(f"{info.path}: rows must be a 1-D integer index array")
-    rows = rows.astype(np.intp, copy=False)
-    outside = (rows < 0) | (rows >= info.n_rows)
-    if outside.any():
-        raise DatasetFormatError(
-            f"{info.path}: row index {rows[np.argmax(outside)]} is outside the file's "
-            f"{info.n_rows} data rows"
-        )
-    order = np.argsort(rows, kind="stable")
-    in_order = rows[order]
-
-    def place(block: Block):
-        lo, hi = np.searchsorted(in_order, (block.rows.start, block.rows.stop))
-        return order[lo:hi], in_order[lo:hi] - block.rows.start
-
-    return len(rows), place
-
-
-def take_rows(info: DatasetInfo, blocks, rows=None) -> Dataset:
+def take_rows(info: DatasetInfo, blocks, rows=None, features=np.empty) -> Dataset:
     """A Dataset of the data rows that the index array ``rows`` selects (in
     its order; every row when None) from the blocks of a scan. Each array is
     allocated once at its final size and filled block by block, so beside
-    them only the scan's buffer is held. A ``rows`` that is not a 1-D index
-    array into the data rows raises DatasetFormatError before any block is
-    taken (see _row_places)."""
-    n, place = _row_places(info, rows)
-    x = np.empty((n, info.n_features))
+    them only the scan's buffer is held. The (n, F) features are held in
+    ``features((n, F))``: a float64 array by default; train passes
+    nn.ColumnRuns, whose refusal of a value float32 cannot hold is raised as
+    a ValueError naming the file and the data row.
+
+    ``rows`` must be a 1-D integer array of indices into the file's data
+    rows (0-based, in file order); anything else, such as a boolean mask or
+    an index outside the data rows, raises DatasetFormatError before any
+    block is taken."""
+    n = info.n_rows
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
+            raise DatasetFormatError(f"{info.path}: rows must be a 1-D integer index array")
+        rows = rows.astype(np.intp, copy=False)
+        outside = (rows < 0) | (rows >= info.n_rows)
+        if outside.any():
+            raise DatasetFormatError(
+                f"{info.path}: row index {rows[np.argmax(outside)]} is outside the file's "
+                f"{info.n_rows} data rows"
+            )
+        order = np.argsort(rows, kind="stable")
+        in_order, n = rows[order], len(rows)
+    x = features((n, info.n_features))
     y = np.empty(n, dtype=int)
     p_true = np.empty(n) if info.with_p_true else None
     for block in blocks:
-        dest, src = place(block)
-        x[dest] = block.x[src]
+        dest, src = block.rows, slice(None)
+        if rows is not None:
+            lo, hi = np.searchsorted(in_order, (block.rows.start, block.rows.stop))
+            dest, src = order[lo:hi], in_order[lo:hi] - block.rows.start
+        try:
+            x[dest] = block.x[src]
+        except nn.Float32RangeError as exc:
+            row = np.arange(block.rows.start, block.rows.stop)[src][exc.row]
+            raise ValueError(f"{info.path}: data row {row}: {exc}") from exc
         y[dest] = block.y[src]
         if p_true is not None:
             p_true[dest] = block.p_true[src]
     return Dataset(x, y, p_true, info.sha256)
-
-
-def scan_column_runs(path, select):
-    """``(info, runs, y)``: the DatasetInfo of the dataset file ``path``,
-    and the features, as nn.ColumnRuns, and labels of the data rows that
-    the index array ``select(info)`` selects, as take_rows takes them.
-
-    The runs are laid out by the columns that nn.int8_columns admits in the
-    first block (see nn.ColumnRuns.empty) and filled block by block, and
-    every later block is checked against that layout. Only a file where a
-    later block breaks one of those columns is scanned a second time, laid
-    out by the columns that every block admitted."""
-    int8 = None
-    while True:
-        info, runs, y, int8 = scan_dataset(path, functools.partial(_column_runs, select=select,
-                                                                   int8=int8))
-        if runs is not None:
-            return info, runs, y
-
-
-def _column_runs(info: DatasetInfo, blocks, select, int8):
-    """``(info, runs, y, int8)`` of scan_column_runs' scan, the runs laid
-    out by the column mask ``int8``, or by the first block's when it is
-    None. The returned ``int8`` holds the layout's columns that every block
-    admits; if a block breaks one of them, ``runs`` is None."""
-    n, place = _row_places(info, select(info))
-    y = np.empty(n, dtype=int)
-    blocks = iter(blocks)
-    first = next(blocks, None)
-    if int8 is None:
-        int8 = np.zeros(info.n_features, bool) if first is None else nn.int8_columns(first.x)
-    runs, layout = nn.ColumnRuns.empty(n, int8), int8
-    for block in itertools.chain([] if first is None else [first], blocks):
-        int8 = int8 & nn.int8_columns(block.x)
-        if (int8 == layout).all():  # else the scan goes on to find every broken column
-            dest, src = place(block)
-            runs.put(dest, block.x[src])
-            y[dest] = block.y[src]
-    return info, (runs if (int8 == layout).all() else None), y, int8
 
 
 def scan_dataset(path, consume):

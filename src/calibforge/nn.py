@@ -16,10 +16,12 @@ and the gradient checks use the float64 parameters as they are.
 ``train`` holds its rows as ``ColumnRuns``: runs of consecutive columns,
 int8 where every value of a column is an integer that int8 keeps exactly
 (``int8_columns``) and float32 elsewhere, and takes each batch's float32
-rows from them into one reused buffer. An int8 value cast to float32 is
-exact, so the batches are the float32 rows' bit for bit, while the 163
-small-integer columns of a generated 295-column file take a byte each:
-691 bytes a row instead of 1180.
+rows from them into one reused buffer. The runs lay themselves out as rows
+are set, block by block, and widen an int8 column that a later block
+breaks, so one pass over the rows fills them. An int8 value cast to
+float32 is exact, so the batches are the float32 rows' bit for bit, while
+the 163 small-integer columns of a generated 295-column file take a byte
+each: 691 bytes a row instead of 1180.
 
 Entries of that float64 output gradient below 2^-100 in magnitude are set
 to 0 before backprop (``FLUSH_BELOW``). While the DU loss inflates sigma its
@@ -331,29 +333,33 @@ def int8_columns(x: np.ndarray) -> np.ndarray:
     return exact.all(axis=0)
 
 
+class Float32RangeError(ValueError):
+    """A value set in ColumnRuns whose float32 cast would be infinite, in
+    row ``row`` of the rows set."""
+
+    def __init__(self, row: int, column: int, value: float):
+        super().__init__(f"feature {column} is {value!r}, beyond the float32 range")
+        self.row = row
+
+
+# the least float64 magnitude whose float32 cast is infinite: the midpoint
+# between the largest float32 and 2^128 rounds up
+FLOAT32_OVERFLOW = np.float64(2.0**128 - 2.0**103)
+
+
 class ColumnRuns:
     """The rows of an (n, F) matrix held as runs of consecutive columns,
     each an (n, width) int8 or float32 array, in column order. An int8
     value cast to float32 is exact, so ``take`` gives the float32 rows of
     the matrix bit for bit while a column of small integers (a minute, a
-    kill count, a champion pick) takes a quarter of the bytes."""
+    kill count, a champion pick) takes a quarter of the bytes.
 
-    def __init__(self, runs: list[np.ndarray]):
-        self.runs = runs
-        widths = [run.shape[1] for run in runs]
-        stops = np.cumsum(widths).tolist()
-        self.spans = [slice(stop - width, stop) for width, stop in zip(widths, stops)]
-        self.shape = (len(runs[0]), stops[-1])
+    ``ColumnRuns(shape)`` is uninitialised, as ``np.empty(shape)`` is, and
+    the first rows set lay the runs out (see ``__setitem__``)."""
 
-    @classmethod
-    def empty(cls, n_rows: int, int8: np.ndarray) -> ColumnRuns:
-        """Uninitialised runs for ``n_rows`` rows, the columns that the
-        boolean mask ``int8`` selects in int8 runs and the others in float32
-        runs."""
-        int8 = np.asarray(int8, dtype=bool)
-        cuts = [0, *(np.flatnonzero(int8[1:] != int8[:-1]) + 1).tolist(), len(int8)]
-        return cls([np.empty((n_rows, stop - start), np.int8 if int8[start] else np.float32)
-                    for start, stop in zip(cuts, cuts[1:])])
+    def __init__(self, shape: tuple[int, int]):
+        self.shape = tuple(shape)
+        self.int8, self.runs, self.spans = None, [], []  # int8: the int8 columns' mask
 
     @classmethod
     def of(cls, x) -> ColumnRuns:
@@ -361,11 +367,47 @@ class ColumnRuns:
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 2:
             raise ValueError("dataset must be a nonempty (n, F) array")
-        return cls([x])
+        runs = cls(x.shape)
+        runs.int8, runs.runs, runs.spans = np.zeros(x.shape[1], bool), [x], [slice(0, x.shape[1])]
+        return runs
 
-    def put(self, rows, x: np.ndarray) -> None:
+    def _lay_out(self, int8: np.ndarray) -> None:
+        """Lay the runs out by the column mask ``int8``, a subset of the
+        current one: a run laid out as before stays, and any other is filled
+        from the current runs, widening a dropped column's int8 values."""
+        cuts = [0, *(np.flatnonzero(int8[1:] != int8[:-1]) + 1).tolist(), len(int8)]
+        spans = [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+        kept = {(s.start, s.stop, run.dtype): run for s, run in zip(self.spans, self.runs)}
+        runs = []
+        for span in spans:
+            dtype = np.dtype(np.int8 if int8[span.start] else np.float32)
+            run = kept.get((span.start, span.stop, dtype))
+            if run is None:
+                run = np.empty((self.shape[0], span.stop - span.start), dtype)
+                for old_span, old in zip(self.spans, self.runs):
+                    lo, hi = max(old_span.start, span.start), min(old_span.stop, span.stop)
+                    if lo < hi:
+                        run[:, lo - span.start : hi - span.start] = \
+                            old[:, lo - old_span.start : hi - old_span.start]
+            runs.append(run)
+        self.int8, self.runs, self.spans = int8, runs, spans
+
+    def __setitem__(self, rows, x: np.ndarray) -> None:
         """Set the rows ``rows`` (an index array or a slice) to those of the
-        float array ``x``, whose int8 columns must be exact in int8."""
+        float array ``x``. The first rows set lay the runs out by their
+        int8_columns, and a later set that breaks an int8 column first widens
+        it to float32; setting no rows changes nothing. A value whose float32
+        cast would be infinite raises Float32RangeError, and nothing is set."""
+        x = np.asarray(x)
+        if len(x) == 0:
+            return
+        beyond = np.abs(x) >= FLOAT32_OVERFLOW
+        if beyond.any():
+            row, column = np.argwhere(beyond)[0].tolist()
+            raise Float32RangeError(row, column, float(x[row, column]))
+        int8 = int8_columns(x)
+        if self.int8 is None or (self.int8 & ~int8).any():
+            self._lay_out(int8 if self.int8 is None else self.int8 & int8)
         for span, run in zip(self.spans, self.runs):
             run[rows] = x[:, span]
 

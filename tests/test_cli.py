@@ -9,6 +9,7 @@ import json
 import re
 import shutil
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 import zipfile
 from pathlib import Path
@@ -286,10 +287,11 @@ def test_train_holds_its_rows_as_int8_and_float32_column_runs(tmp_path, monkeypa
     assert len(scans) == 1
 
 
-def test_a_column_broken_only_in_the_last_block_takes_a_second_scan(tmp_path, monkeypatch):
+def test_a_column_broken_only_in_the_last_block_is_widened_in_one_scan(tmp_path, monkeypatch):
     # the minute column is integral except in the last row, of the third
-    # block, so the first block's int8 columns are laid out, broken, and the
-    # second scan lays it out as a float32 run; the model is the dense rows'
+    # block, so the first block's int8 columns are laid out and the last
+    # block widens the minute to float32 in the same scan; the model is the
+    # dense rows'
     config = datagen.SyntheticConfig(n_matches=600, n_features=45, roster_size=20, rng_seed=3)
     x, y, p_true = generate_dataset(config)
     x[-1, 0] = 0.5
@@ -302,7 +304,7 @@ def test_a_column_broken_only_in_the_last_block_takes_a_second_scan(tmp_path, mo
         "train", "--data", str(path), "--epochs", "2", "--hidden", "8", "--batch-size", "64",
         "--seed", "4", "--out", str(out),
     ]) == 0
-    assert len(scans) == 2
+    assert len(scans) == 1
     (runs, *_), = trained
     assert [run.dtype for run in runs.runs] == [np.float32, np.int8, np.float32]
     train, _ = datagen.split(600, 0.1, 4)
@@ -314,6 +316,30 @@ def test_a_column_broken_only_in_the_last_block_takes_a_second_scan(tmp_path, mo
     params, _ = load_model(out / "model_ce.txt")
     for a, b in zip(params.weights + params.biases, expected.weights + expected.biases):
         assert a.tobytes() == b.tobytes()
+
+
+def test_train_refuses_a_feature_float32_cannot_hold_before_training(
+    tmp_path, monkeypatch, capsys
+):
+    # 1e39 is finite in float64, so the reader passes it, but its float32
+    # cast is infinite: train refuses it as its rows are taken, naming the
+    # file and the row, before any training or casting warning
+    config = datagen.SyntheticConfig(n_matches=300, n_features=45, roster_size=20, rng_seed=3)
+    x, y, p_true = generate_dataset(config)
+    row = int(datagen.split(300, 0.1, 42)[0][7])
+    x[row, -1] = 1e39
+    path = tmp_path / "train.csv"
+    datagen.write_dataset(path, x, y, p_true, roster_size=20)
+    trained = _recorded_calls(monkeypatch, nn, "train")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["train", "--data", str(path), "--seed", "42", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path}: data row {row}: feature 44 is 1e+39" in err
+    assert trained == []
+    assert not (out / "model_ce.txt").exists() and not (out / "train_log_ce.csv").exists()
 
 
 # --- calibrate ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Generator tests: label/probability statistics against binomial and
 chi-square oracles, file round-trips, and split bookkeeping."""
 
+import functools
 import hashlib
 import io
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from calibforge import artifacts, cli, datagen, metrics
+from calibforge import artifacts, cli, datagen, metrics, nn
 from calibforge.datagen import SyntheticConfig
 
 from conftest import generate_dataset, read_dataset
@@ -625,9 +626,11 @@ def test_column_runs_of_a_scan_hold_the_float32_rows_take_rows_selects(tmp_path)
     # 600 rows are three blocks; the rows are taken in a shuffled order
     path = _written(tmp_path, n=600)
     rows = np.random.default_rng(2).permutation(600)[:500]
-    info, runs, y = datagen.scan_column_runs(path, lambda info: rows)
+    runs, y, _, sha256 = datagen.scan_dataset(
+        path, functools.partial(datagen.take_rows, rows=rows, features=nn.ColumnRuns)
+    )
     dense = read_dataset(path, rows=rows)
-    assert info.sha256 == dense.sha256
+    assert sha256 == dense.sha256
     # the minute, then the two kill counts and the 12 picks
     assert [(run.dtype, run.shape[1]) for run in runs.runs] == [
         (np.int8, 1), (np.float32, 2), (np.int8, 14), (np.float32, 8),

@@ -519,8 +519,8 @@ def interleaved_rows(n=75, seed=6):
 def test_train_on_column_runs_is_train_on_the_float32_rows(loss_kind):
     # 75 rows in batches of 16 end on a batch of 11
     x, y = interleaved_rows()
-    runs = nn.ColumnRuns.empty(len(x), nn.int8_columns(x))
-    runs.put(slice(None), x)
+    runs = nn.ColumnRuns(x.shape)
+    runs[:] = x
     assert [(run.dtype, run.shape[1]) for run in runs.runs] == [
         (np.int8, 1), (np.float32, 1), (np.int8, 2), (np.float32, 2), (np.int8, 1),
     ]
@@ -541,11 +541,63 @@ def test_train_on_column_runs_is_train_on_the_float32_rows(loss_kind):
 def test_a_column_is_an_int8_run_only_where_int8_keeps_its_floats(value, int8):
     x = np.array([[3.0, value], [-1.0, 2.0]])
     assert nn.int8_columns(x).tolist() == [True, int8]
-    runs = nn.ColumnRuns.empty(2, nn.int8_columns(x))
-    runs.put(slice(None), x)
+    runs = nn.ColumnRuns(x.shape)
+    runs[:] = x
     assert [run.dtype for run in runs.runs] == ([np.int8] if int8 else [np.int8, np.float32])
     taken = runs.take(np.array([1, 0, 1]), np.empty((3, 2), np.float32))
     assert taken.tobytes() == x.astype(np.float32)[[1, 0, 1]].tobytes()
+
+
+def test_a_later_assignment_widens_the_int8_columns_it_breaks():
+    # column 4 is made integral, so columns 2-4 are one int8 run; the second
+    # assignment breaks column 3, in the middle of that run, and the third
+    # brings a -0.0 into column 6. A zero-row assignment changes no layout,
+    # and after each assignment the rows set so far are taken as the
+    # float32 rows byte for byte
+    x, _ = interleaved_rows(n=12)
+    x[:, 4] = np.arange(12) - 6
+    x[5, 3], x[10, 6] = 0.25, -0.0
+    runs = nn.ColumnRuns(x.shape)
+    runs[np.array([], dtype=int)] = x[:0]
+    assert runs.runs == []
+    i8, f32 = np.int8, np.float32
+    steps = [
+        (np.array([3, 0, 2, 1]), [(i8, 1), (f32, 1), (i8, 3), (f32, 1), (i8, 1)]),
+        (np.array([5, 7, 4, 6]),
+         [(i8, 1), (f32, 1), (i8, 1), (f32, 1), (i8, 1), (f32, 1), (i8, 1)]),
+        (slice(8, 12), [(i8, 1), (f32, 1), (i8, 1), (f32, 1), (i8, 1), (f32, 2)]),
+    ]
+    done = np.zeros(12, bool)
+    for rows, layout in steps:
+        runs[rows] = x[rows]
+        runs[np.array([], dtype=int)] = x[:0]
+        done[rows] = True
+        assert [(run.dtype, run.shape[1]) for run in runs.runs] == layout
+        idx = np.flatnonzero(done)
+        taken = runs.take(idx, np.empty((len(idx), 7), np.float32))
+        assert taken.tobytes() == x.astype(np.float32)[idx].tobytes()
+
+
+@pytest.mark.parametrize("value, refused", [
+    (float(np.finfo(np.float32).max), False),
+    (np.nextafter(2.0**128 - 2.0**103, 0.0), False),
+    (2.0**128 - 2.0**103, True),
+    (-1e39, True),
+])
+def test_column_runs_refuse_a_value_whose_float32_cast_is_infinite(value, refused):
+    x = np.array([[3.0, 0.5], [-1.0, 2.0], [4.0, 1.5]])
+    runs = nn.ColumnRuns(x.shape)
+    runs[:2] = x[:2]
+    x[2, 1] = value
+    if refused:
+        with pytest.raises(nn.Float32RangeError, match="feature 1 is") as info:
+            runs[np.array([2, 1])] = x[[1, 2]]
+        assert info.value.row == 1
+        assert [run.dtype for run in runs.runs] == [np.int8, np.float32]
+    else:
+        runs[2:] = x[2:]
+        taken = runs.take(np.arange(3), np.empty((3, 2), np.float32))
+        assert taken[2, 1] == np.finfo(np.float32).max * np.sign(value)
 
 
 def test_train_rejects_empty_dataset():
