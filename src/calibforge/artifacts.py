@@ -13,7 +13,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,6 +70,25 @@ def write_lines(path, lines: Iterable[str]) -> None:
     """
     with replacing(path) as fh:
         fh.writelines(f"{line}\n" for line in lines)
+
+
+def write_json(path, doc) -> None:
+    """Atomically write ``doc`` as JSON indented by 2, with a final newline."""
+    write_lines(path, [json.dumps(doc, indent=2)])
+
+
+def write_csv(
+    path, header: Sequence[str], rows: Iterable[Sequence], comment: str | None = None
+) -> None:
+    """Atomically write a CSV table: a "# comment" line when ``comment`` is
+    set, the header, then one line per row holding the repr of each value
+    (the shortest round-trip text of a Python float), or nothing for None.
+    A numpy scalar's repr names its type, as in "np.float64(0.5)", so values
+    are Python numbers."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join(header))
+    lines.extend(",".join("" if v is None else repr(v) for v in row) for row in rows)
+    write_lines(path, lines)
 
 
 # the most characters a finite float64's repr takes, as in

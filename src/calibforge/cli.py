@@ -530,7 +530,7 @@ def cmd_compare(resolved: dict) -> None:
         "config": resolved,
         "methods": reports,
     }
-    write_lines(out / "comparison.json", [json.dumps(doc, indent=2)])
+    artifacts.write_json(out / "comparison.json", doc)
     write_lines(out / "comparison.txt", [f"# {_meta('compare', resolved)}", table])
     print(table)
 

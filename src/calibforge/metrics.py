@@ -16,13 +16,12 @@ reproduced exactly by a straightforward loop over the rows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_lines
+from .artifacts import write_csv, write_json, write_lines
 
 DEFAULT_BINS = 10
 
@@ -123,22 +122,12 @@ def bin_indices(confidences, m_bins: int) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, conf, side="left"), m_bins - 1) + 1
 
 
-def compute_bins(probs, labels, m_bins: int) -> list[BinStats]:
-    """Partition a prediction set by confidence and compute per-bin accuracy
-    and mean confidence. Always returns exactly ``m_bins`` entries."""
-    probs, labels = _prediction_set(probs, labels)
-    confidence, predicted = predict(probs)
-    return bin_stats(confidence, predicted == labels, m_bins)
-
-
-def bin_stats(confidence, correct, m_bins: int) -> list[BinStats]:
-    """The ``m_bins`` confidence bins of rows with the given confidence and
-    correctness, 0/1 for a hit or the probability of one. A bin's accuracy
-    is its rows' mean correctness; 0/1 values sum to an exact integer."""
-    idx = bin_indices(confidence, m_bins) - 1
-    counts = np.bincount(idx, minlength=m_bins).tolist()
-    hits = np.bincount(idx, weights=correct, minlength=m_bins).tolist()
-    conf_sums = np.bincount(idx, weights=confidence, minlength=m_bins).tolist()
+def _bin_stats(counts: list, hits: list, conf_sums: list) -> list[BinStats]:
+    """The confidence bins from each bin's row count, sum of correctness (0/1
+    for a hit, or the probability of one) and sum of confidence. A bin's
+    accuracy is its rows' mean correctness; 0/1 values sum to an exact
+    integer."""
+    m_bins = len(counts)
     bins = []
     for b in range(m_bins):
         if counts[b] > 0:
@@ -182,6 +171,13 @@ def mce(bins: list[BinStats]) -> float:
     return max(gaps)
 
 
+def _nll_sum(p_label: np.ndarray) -> float:
+    total = 0.0
+    for p in p_label.tolist():
+        total -= math.log(max(p, PROB_FLOOR))
+    return total
+
+
 def nll(probs, labels) -> float:
     """Summed negative log-likelihood of the true labels.
 
@@ -190,73 +186,59 @@ def nll(probs, labels) -> float:
     ``math.log``, whose last bit can differ from ``np.log``.
     """
     probs, labels = _prediction_set(probs, labels)
-    total = 0.0
-    for p in probs[np.arange(len(labels)), labels].tolist():
-        total -= math.log(max(p, PROB_FLOOR))
-    return total
-
-
-def accuracy(probs, labels) -> float:
-    """Fraction of rows whose predicted label matches the true label."""
-    probs, labels = _prediction_set(probs, labels)
-    _, predicted = predict(probs)
-    return int(np.count_nonzero(predicted == labels)) / len(labels)
-
-
-def _true_confidence(probs, p_true) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted confidence of each row and the true probability of the
-    predicted class: p_true for class 1 and 1 - p_true for class 0."""
-    confidence, predicted = predict(probs)
-    p_true = np.asarray(p_true, dtype=float)  # None becomes a 0-d NaN
-    if p_true.shape != confidence.shape:
-        raise ValueError("p_true must hold one probability per row of probs")
-    if len(p_true) == 0:
-        raise ValueError("the prediction set must be nonempty")
-    return confidence, np.where(predicted == 1, p_true, 1.0 - p_true)
-
-
-def oracle_ece(probs, p_true) -> float:
-    """Mean absolute gap between predicted confidence and the true
-    confidence of the predicted class.
-
-    Being an expectation over the known per-sample truth, it needs no
-    binning and no labels, so it has none of the label noise of the binned
-    estimate. It is a per-row L1 error, so it mixes calibration with
-    sharpness. The gaps are summed sequentially in row order.
-    """
-    confidence, true_conf = _true_confidence(probs, p_true)
-    return float(np.cumsum(np.abs(confidence - true_conf))[-1]) / len(true_conf)
-
-
-def true_ece(probs, p_true, m_bins: int) -> float:
-    """The binned ECE of ``build_report`` on the same M confidence bins,
-    with the true probability of the predicted class in place of the 0/1
-    correctness of each row.
-
-    It has no label noise: with p_true equal to the 0/1 labels it is the
-    label ECE, and with calibrated truth it is 0 whatever the test size.
-    """
-    confidence, true_conf = _true_confidence(probs, p_true)
-    return ece(bin_stats(confidence, true_conf, m_bins), len(true_conf))
+    return _nll_sum(probs[np.arange(len(labels)), labels])
 
 
 def build_report(probs, labels, m_bins: int = DEFAULT_BINS, p_true=None) -> CalibrationReport:
-    """Compute the full calibration summary of a prediction set, with
-    ``oracle_ece`` and ``true_ece`` where the (n,) true probabilities of
-    class 1, ``p_true``, are given."""
-    bins = compute_bins(probs, labels, m_bins)
+    """Compute the full calibration summary of a prediction set in one pass
+    over its rows: each row is predicted and binned once.
+
+    Where the (n,) true probabilities of class 1, ``p_true``, are given, the
+    report also scores each row's confidence against the true probability of
+    its predicted class (p_true for class 1, 1 - p_true for class 0):
+
+    - ``oracle_ece`` is the mean absolute gap between the two. Being an
+      expectation over the known per-row truth, it needs no binning and no
+      labels, so it has none of the label noise of the binned estimate. It
+      is a per-row L1 error, so it mixes calibration with sharpness.
+    - ``true_ece`` is the binned ECE on the same M bins, with that true
+      probability in place of the 0/1 correctness of each row. It has no
+      label noise: with p_true equal to the 0/1 labels it is the label ECE,
+      and with calibrated truth it is 0 whatever the test size.
+    """
+    probs, labels = _prediction_set(probs, labels)
     n = len(labels)
-    nll_sum = nll(probs, labels)
+    if p_true is not None:
+        p_true = np.asarray(p_true, dtype=float)
+        if p_true.shape != labels.shape:
+            raise ValueError("p_true must hold one probability per row of probs")
+    confidence, predicted = predict(probs)
+    idx = bin_indices(confidence, m_bins) - 1
+    correct = predicted == labels
+
+    def bin_sums(weights) -> list:
+        return np.bincount(idx, weights=weights, minlength=m_bins).tolist()
+
+    counts = np.bincount(idx, minlength=m_bins).tolist()
+    conf_sums = bin_sums(confidence)
+    bins = _bin_stats(counts, bin_sums(correct), conf_sums)
+    nll_sum = _nll_sum(probs[np.arange(n), labels])
+    oracle = true = None
+    if p_true is not None:
+        true_conf = np.where(predicted == 1, p_true, 1.0 - p_true)
+        # the gaps are summed sequentially in row order
+        oracle = float(np.cumsum(np.abs(confidence - true_conf))[-1]) / n
+        true = ece(_bin_stats(counts, bin_sums(true_conf), conf_sums), n)
     return CalibrationReport(
-        accuracy=accuracy(probs, labels),
+        accuracy=int(np.count_nonzero(correct)) / n,
         ece=ece(bins, n),
         mce=mce(bins),
         nll_sum=nll_sum,
         nll_mean=nll_sum / n,
         n=n,
         bins=bins,
-        oracle_ece=None if p_true is None else oracle_ece(probs, p_true),
-        true_ece=None if p_true is None else true_ece(probs, p_true, m_bins),
+        oracle_ece=oracle,
+        true_ece=true,
     )
 
 
@@ -294,7 +276,7 @@ def report_to_dict(report: CalibrationReport, extra: dict | None = None) -> dict
 
 def write_report_json(report: CalibrationReport, path, extra: dict | None = None) -> None:
     """Write ``report_to_dict(report, extra)`` as JSON."""
-    write_lines(path, [json.dumps(report_to_dict(report, extra), indent=2)])
+    write_json(path, report_to_dict(report, extra))
 
 
 def write_reliability_csv(report: CalibrationReport, path, comment: str | None = None) -> None:
@@ -303,18 +285,9 @@ def write_reliability_csv(report: CalibrationReport, path, comment: str | None =
     Columns: bin_lo,bin_hi,count,accuracy,confidence,gap. Empty bins keep
     their row with blank statistics so the partition stays visible.
     """
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("bin_lo,bin_hi,count,accuracy,confidence,gap")
-    for b in report.bins:
-        if b.empty:
-            lines.append(f"{b.lo!r},{b.hi!r},0,,,")
-        else:
-            lines.append(
-                f"{b.lo!r},{b.hi!r},{b.count},{b.accuracy!r},{b.mean_confidence!r},{b.gap!r}"
-            )
-    write_lines(path, lines)
+    header = ("bin_lo", "bin_hi", "count", "accuracy", "confidence", "gap")
+    rows = ((b.lo, b.hi, b.count, b.accuracy, b.mean_confidence, b.gap) for b in report.bins)
+    write_csv(path, header, rows, comment)
 
 
 def render_reliability_svg(report: CalibrationReport, title: str = "reliability") -> str:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import duloss
-from .artifacts import FormatError, format_numbers, write_lines
+from .artifacts import FormatError, format_numbers, write_csv, write_lines
 from .duloss import softmax
 from .metrics import PROB_FLOOR
 
@@ -361,16 +361,6 @@ class ColumnRuns:
         self.shape = tuple(shape)
         self.int8, self.runs, self.spans = None, [], []  # int8: the int8 columns' mask
 
-    @classmethod
-    def of(cls, x) -> ColumnRuns:
-        """The (n, F) array ``x`` as one float32 run, copied only if needed."""
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 2:
-            raise ValueError("dataset must be a nonempty (n, F) array")
-        runs = cls(x.shape)
-        runs.int8, runs.runs, runs.spans = np.zeros(x.shape[1], bool), [x], [slice(0, x.shape[1])]
-        return runs
-
     def _lay_out(self, int8: np.ndarray) -> None:
         """Lay the runs out by the column mask ``int8``, a subset of the
         current one: a run laid out as before stays, and any other is filled
@@ -443,15 +433,26 @@ def train(
     the two logits) before its own Adam step; no separate pass over the
     training set is made.
 
-    The rows ``x`` are ColumnRuns, or an (n, F) array, which is taken as
-    one float32 run. Each step takes its batch's float32 rows from the runs
-    into one reused buffer and runs its forward and backward pass in
-    float32, on those rows and a float32 copy of the parameters; the
-    gradients are cast back to float64 for Adam, which updates the float64
-    parameters it returns.
+    The rows ``x`` are ColumnRuns, or an (n, F) array, which is set into
+    ColumnRuns of its shape; a value whose float32 cast would be infinite
+    raises ValueError naming its row and feature, before any step. Each
+    step takes its batch's float32 rows from the runs into one reused
+    buffer and runs its forward and backward pass in float32, on those rows
+    and a float32 copy of the parameters; the gradients are cast back to
+    float64 for Adam, which updates the float64 parameters it returns.
     """
     config.validate()
-    rows = x if isinstance(x, ColumnRuns) else ColumnRuns.of(x)
+    if isinstance(x, ColumnRuns):
+        rows = x
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError("dataset must be a nonempty (n, F) array")
+        rows = ColumnRuns(x.shape)
+        try:
+            rows[:] = x
+        except Float32RangeError as exc:
+            raise ValueError(f"row {exc.row}: {exc}") from exc
     y = np.asarray(y, dtype=int)
     n, width = rows.shape
     if n == 0:
@@ -503,13 +504,8 @@ def train(
 
 def write_training_log(log: list[EpochLog], path, comment: str | None = None) -> None:
     """CSV log: epoch,loss,train_acc."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("epoch,loss,train_acc")
-    for row in log:
-        lines.append(f"{row.epoch},{row.loss!r},{row.train_acc!r}")
-    write_lines(path, lines)
+    rows = ((row.epoch, row.loss, row.train_acc) for row in log)
+    write_csv(path, ("epoch", "loss", "train_acc"), rows, comment)
 
 
 def save_model(params: ModelParams, path, header: dict | None = None) -> None:

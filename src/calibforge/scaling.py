@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import FormatError, read_json_object, write_lines
+from .artifacts import FormatError, read_json_object, write_csv, write_json
 from .duloss import sigmoid
 
 TEMPERATURE_BOUNDS = (1e-2, 1e2)
@@ -202,12 +202,8 @@ def fit_matrix(val_logits, val_labels, log_path=None) -> ScalerParams:
 
 
 def _write_fit_log(path, rows) -> None:
-    if path is None:
-        return
-    lines = ["iter,nll,grad_norm"]
-    for it, nll, gn in rows:
-        lines.append(f"{it},{nll!r},{gn!r}")
-    write_lines(path, lines)
+    if path is not None:
+        write_csv(path, ("iter", "nll", "grad_norm"), rows)
 
 
 def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
@@ -228,7 +224,7 @@ def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
         doc["warning"] = scaler.warning
     if extra:
         doc.update(extra)
-    write_lines(path, [json.dumps(doc, indent=2)])
+    write_json(path, doc)
 
 
 def _json_numbers(doc: dict, key: str, scalar: bool = False):

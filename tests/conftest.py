@@ -2,10 +2,12 @@
 seed-42 reference run used by the acceptance criteria. Both run the 12
 command lines of ``cli.pipeline``, each as its own process. Also the
 whole-array helpers the tests build their data with, over the block-wise
-library calls the commands use."""
+library calls the commands use, and the loop-based reference metrics that
+reports are checked against."""
 
 import functools
 import json
+import math
 import subprocess
 import sys
 from collections import namedtuple
@@ -35,6 +37,57 @@ def reference_rows(probs, labels):
     for (p0, p1), t in zip(np.asarray(probs).tolist(), np.asarray(labels).tolist()):
         rows.append(Row(max(p0, p1), 0 if p0 >= p1 else 1, int(t), (p0, p1)))
     return rows
+
+
+def ref_bin_of(conf, m):
+    # right-closed bins ((j-1)/m, j/m]; confidence 0 falls into bin 1
+    for j in range(1, m + 1):
+        if conf <= j / m:
+            return j
+    return m
+
+
+def ref_metrics(records, m, p_true=None):
+    """A prediction set's report fields, by plain loops over its rows
+    straight from the definitions: accuracy, ece, mce, nll_sum and the
+    (count, accuracy, mean confidence) of each of the m bins, None for an
+    empty bin's statistics. With the (n,) true probabilities of class 1 it
+    also holds oracle_ece, the mean |confidence - truth of the predicted
+    class|, and true_ece, the ECE with that truth in place of each row's
+    0/1 hit."""
+    n = len(records)
+    members = {j: [] for j in range(1, m + 1)}
+    truth = [None] * n if p_true is None else [
+        p if r.predicted_label == 1 else 1.0 - p for r, p in zip(records, p_true)
+    ]
+    for r, t in zip(records, truth):
+        members[ref_bin_of(r.confidence, m)].append((r, t))
+    ece = true_ece = 0.0
+    gaps, bins = [], []
+    for j in range(1, m + 1):
+        group = members[j]
+        if not group:
+            bins.append((0, None, None))
+            continue
+        acc = sum(1 for r, _ in group if r.predicted_label == r.true_label) / len(group)
+        conf = sum(r.confidence for r, _ in group) / len(group)
+        bins.append((len(group), acc, conf))
+        ece += (len(group) / n) * abs(acc - conf)
+        gaps.append(abs(acc - conf))
+        if p_true is not None:
+            true_acc = sum(t for _, t in group) / len(group)
+            true_ece += (len(group) / n) * abs(true_acc - conf)
+    ref = {
+        "accuracy": sum(1 for r in records if r.predicted_label == r.true_label) / n,
+        "ece": ece,
+        "mce": max(gaps),
+        "nll_sum": -sum(math.log(max(r.prob_vector[r.true_label], 1e-12)) for r in records),
+        "bins": bins,
+    }
+    if p_true is not None:
+        ref["oracle_ece"] = sum(abs(r.confidence - t) for r, t in zip(records, truth)) / n
+        ref["true_ece"] = true_ece
+    return ref
 
 
 def generate_dataset(config):

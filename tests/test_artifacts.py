@@ -1,8 +1,9 @@
-"""Artifact writer: an interrupted write keeps the previous file."""
+"""Artifact writers: an interrupted write keeps the previous file, and the
+CSV and JSON formats every module writes through."""
 
 import pytest
 
-from calibforge.artifacts import write_lines
+from calibforge.artifacts import write_csv, write_json, write_lines
 
 
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
@@ -17,3 +18,16 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
         write_lines(path, producer())
     assert path.read_text() == "old\ncontent\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+@pytest.mark.parametrize("comment, first", [(None, []), ("", []), ("meta", ["# meta"])])
+def test_csv_rows_hold_the_repr_of_each_value_and_nothing_for_none(tmp_path, comment, first):
+    path = tmp_path / "table.csv"
+    write_csv(path, ("a", "b", "c"), [(1, 0.1, None), (2, 1e-300, 2.5)], comment)
+    assert path.read_text().splitlines() == [*first, "a,b,c", "1,0.1,", "2,1e-300,2.5"]
+
+
+def test_json_is_indented_by_two_and_ends_in_a_newline(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"kind": "temperature", "T": 1.5})
+    assert path.read_text() == '{\n  "kind": "temperature",\n  "T": 1.5\n}\n'

@@ -20,7 +20,8 @@ import pytest
 from calibforge import artifacts, cli, datagen, duloss, metrics, nn, scaling
 
 from conftest import (
-    MINI_GEN, MINI_TRAIN, generate_dataset, load_model, load_report, read_dataset, run_cli,
+    MINI_GEN, MINI_TRAIN, generate_dataset, load_model, load_report, read_dataset, ref_metrics,
+    reference_rows, run_cli,
 )
 
 
@@ -1247,22 +1248,33 @@ def test_eval_temperature_keeps_accuracy_field(mini_run):
     assert plain["accuracy"] == scaled["accuracy"]
 
 
-def test_eval_report_recomputable_from_prediction_dump(mini_run):
-    for label in ("none", "du"):
-        doc = load_report(mini_run, label)
-        lines = (mini_run / f"predictions_{label}.csv").read_text().splitlines()
+def check_reports_against_prediction_dumps(out: Path) -> None:
+    """Check each method's report in the pipeline output ``out`` against its
+    own predictions dump: the dump's confidences and predicted labels are
+    those of its probabilities, and the report's accuracy, ECE, MCE, NLL,
+    truth scores and each bin's count, accuracy and confidence are those a
+    plain loop over the dump's rows gives (conftest.ref_metrics)."""
+    for label in cli.METHOD_LABELS:
+        doc = load_report(out, label)
+        lines = (out / f"predictions_{label}.csv").read_text().splitlines()
         assert lines[1] == "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"
         fields = [line.split(",") for line in lines[2:]]
-        probs = np.array([(float(f[3]), float(f[4])) for f in fields])
-        labels = np.array([int(f[7]) for f in fields])
-        confidence, predicted = metrics.predict(probs)
-        assert predicted.tolist() == [int(f[6]) for f in fields]
-        assert confidence.tolist() == [float(f[5]) for f in fields]
-        rep = metrics.build_report(probs, labels, 10)
-        assert rep.accuracy == doc["accuracy"]
-        assert rep.ece == doc["ece"]
-        assert rep.mce == doc["mce"]
-        assert rep.nll_sum == doc["nll_sum"]
+        rows = reference_rows([(float(f[3]), float(f[4])) for f in fields],
+                              [int(f[7]) for f in fields])
+        assert [r.predicted_label for r in rows] == [int(f[6]) for f in fields]
+        assert [r.confidence for r in rows] == [float(f[5]) for f in fields]
+        ref = ref_metrics(rows, len(doc["bins"]), [float(f[8]) for f in fields])
+        assert doc["n"] == len(rows)
+        for key in ("accuracy", "ece", "mce", "nll_sum", "oracle_ece", "true_ece"):
+            assert doc[key] == ref[key], (out, label, key)
+        assert doc["nll_mean"] == ref["nll_sum"] / len(rows)
+        bins = [(b["count"], b["acc"], b["conf"]) for b in doc["bins"]]
+        assert bins == ref["bins"], (out, label)
+
+
+def test_eval_report_recomputable_from_prediction_dump(mini_run, reference_run):
+    for out in (mini_run, reference_run):
+        check_reports_against_prediction_dumps(out)
 
 
 def test_eval_rejects_scaler_on_du_model(tmp_path, mini_run):

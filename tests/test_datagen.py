@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from calibforge import artifacts, cli, datagen, metrics, nn
+from calibforge import artifacts, cli, datagen, nn
 from calibforge.datagen import SyntheticConfig
 
 from conftest import generate_dataset, read_dataset
@@ -264,64 +264,6 @@ def test_generating_and_writing_holds_no_feature_matrix(tmp_path, capsys):
 
     growth = gen_peak(12000) - gen_peak(3000)
     assert growth <= 9000 * 400
-
-
-# --- oracle_ece ----------------------------------------------------------------
-
-def test_oracle_ece_zero_for_perfect_predictions():
-    _, _, p_true = generate_dataset(small_config(100, seed=2))
-    # the truth itself as the prediction
-    probs = np.column_stack([1.0 - p_true, p_true])
-    assert metrics.oracle_ece(probs, p_true) == 0.0
-
-
-def test_oracle_ece_constant_overconfidence():
-    # certain of class 1 (and of class 0) where the truth for it is 0.7
-    probs = np.array([[0.0, 1.0]] * 13 + [[1.0, 0.0]] * 12)
-    p_true = np.array([0.7] * 13 + [0.3] * 12)
-    assert metrics.oracle_ece(probs, p_true) == pytest.approx(0.3, abs=1e-15)
-
-
-def test_oracle_ece_matches_brute_force():
-    rng = np.random.default_rng(4)
-    confs = rng.uniform(0.5, 1.0, 500)
-    trues = rng.uniform(0.0, 1.0, 500)
-    pairs = list(zip(confs, trues))
-    expected = sum(abs(c - t) for c, t in pairs) / 500
-    # every row predicts class 1, whose truth is p_true itself
-    probs = np.column_stack([1.0 - confs, confs])
-    assert metrics.oracle_ece(probs, trues) == pytest.approx(expected, abs=1e-12)
-
-
-def test_oracle_ece_requires_p_true():
-    with pytest.raises(ValueError):
-        metrics.oracle_ece(np.empty((0, 2)), np.empty(0))
-    with pytest.raises(ValueError):
-        metrics.oracle_ece(np.array([[0.1, 0.9]]), None)
-    with pytest.raises(ValueError):
-        metrics.oracle_ece(np.array([[0.1, 0.9]]), np.array([0.5, 0.5]))
-
-
-# --- true_ece -------------------------------------------------------------------
-
-def test_true_ece_with_labels_as_truth_is_the_label_ece():
-    rng = np.random.default_rng(6)
-    p1 = rng.uniform(0.0, 1.0, 700)
-    labels = rng.integers(0, 2, 700)
-    probs = np.column_stack([1.0 - p1, p1])
-    for m_bins in (10, 15):
-        report = metrics.build_report(probs, labels, m_bins)
-        true_ece = metrics.true_ece(probs, labels.astype(float), m_bins)
-        assert true_ece == report.ece  # one binned-ECE implementation
-
-
-def test_true_ece_two_bin_hand_case():
-    # four bins of width 0.25; the confidences fill (0.5, 0.75] and (0.75, 1]
-    probs = np.array([[0.4, 0.6], [0.7, 0.3], [0.1, 0.9], [0.2, 0.8]])
-    p_true = np.array([0.7, 0.2, 0.5, 0.9])
-    # truth of the predicted class: 0.7, 0.8 | 0.5, 0.9
-    # bin 3: |0.75 - 0.65| = 0.10, bin 4: |0.70 - 0.85| = 0.15, each of weight 1/2
-    assert metrics.true_ece(probs, p_true, 4) == pytest.approx(0.125, abs=1e-15)
 
 
 # --- file io ---------------------------------------------------------------------

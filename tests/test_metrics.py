@@ -1,5 +1,7 @@
-"""Metrics tests: frozen hand-computed values, a brute-force reference
-implementation, and the binning/metric invariants."""
+"""Metrics tests: frozen hand-computed values, the brute-force reference
+implementation (``conftest.ref_metrics``), and the binning/metric
+invariants. Every report field is read from ``build_report``, the one path
+from a prediction set to its scores."""
 
 import json
 import math
@@ -8,38 +10,9 @@ import numpy as np
 import pytest
 
 from calibforge import metrics
+from calibforge.datagen import SyntheticConfig
 
-from conftest import reference_rows
-
-
-# --- brute-force reference, written straight from the definitions ---------
-
-def ref_bin_of(conf, m):
-    # right-closed bins ((j-1)/m, j/m]; confidence 0 falls into bin 1
-    for j in range(1, m + 1):
-        if conf <= j / m:
-            return j
-    return m
-
-
-def ref_metrics(records, m):
-    n = len(records)
-    members = {j: [] for j in range(1, m + 1)}
-    for r in records:
-        members[ref_bin_of(r.confidence, m)].append(r)
-    ece = 0.0
-    gaps = []
-    for j in range(1, m + 1):
-        group = members[j]
-        if not group:
-            continue
-        acc = sum(1 for r in group if r.predicted_label == r.true_label) / len(group)
-        conf = sum(r.confidence for r in group) / len(group)
-        ece += (len(group) / n) * abs(acc - conf)
-        gaps.append(abs(acc - conf))
-    nll = -sum(math.log(max(r.prob_vector[r.true_label], 1e-12)) for r in records)
-    acc_all = sum(1 for r in records if r.predicted_label == r.true_label) / n
-    return acc_all, ece, max(gaps), nll
+from conftest import generate_dataset, ref_bin_of, ref_metrics, reference_rows
 
 
 def prediction_set(*rows):
@@ -84,12 +57,12 @@ def test_bin_index_matches_reference_everywhere():
         assert metrics.bin_indices(confs, m).tolist() == [ref_bin_of(c, m) for c in confs]
 
 
-# --- compute_bins ----------------------------------------------------------
+# --- the report's bins ----------------------------------------------------
 
 def test_compute_bins_hand_enumeration():
     confs = [0.55, 0.58, 0.95, 0.72]
     probs, labels = prediction_set(*[((1.0 - c, c), 1) for c in confs])
-    bins = metrics.compute_bins(probs, labels, 10)
+    bins = metrics.build_report(probs, labels, 10).bins
     populated = [b.index for b in bins if not b.empty]
     assert populated == [6, 8, 10]
     assert bins[5].count == 2  # bin 6 holds 0.55 and 0.58
@@ -99,7 +72,7 @@ def test_compute_bins_hand_enumeration():
 
 def test_compute_bins_all_correct_full_confidence():
     probs, labels = prediction_set(*[((1.0, 0.0), 0)] * 4)
-    bins = metrics.compute_bins(probs, labels, 10)
+    bins = metrics.build_report(probs, labels, 10).bins
     assert bins[9].count == 4
     assert bins[9].accuracy == 1.0
     assert bins[9].mean_confidence == 1.0
@@ -108,25 +81,28 @@ def test_compute_bins_all_correct_full_confidence():
 def test_compute_bins_single_bin_degenerate():
     rng = np.random.default_rng(0)
     probs, labels = random_set(rng, 30)
-    bins = metrics.compute_bins(probs, labels, 1)
+    rep = metrics.build_report(probs, labels, 1)
+    bins = rep.bins
     assert len(bins) == 1
     assert bins[0].count == 30
-    assert bins[0].accuracy == metrics.accuracy(probs, labels)
-    assert bins[0].mean_confidence == sum(r.confidence for r in reference_rows(probs, labels)) / 30
+    assert bins[0].accuracy == rep.accuracy
+    rows = reference_rows(probs, labels)
+    assert bins[0].accuracy == sum(r.predicted_label == r.true_label for r in rows) / 30
+    assert bins[0].mean_confidence == sum(r.confidence for r in rows) / 30
 
 
 def test_compute_bins_rejects_empty():
     with pytest.raises(ValueError):
-        metrics.compute_bins(np.empty((0, 2)), np.empty(0, dtype=int), 10)
+        metrics.build_report(np.empty((0, 2)), np.empty(0, dtype=int), 10)
     with pytest.raises(ValueError):  # label outside {0, 1}
-        metrics.compute_bins(*prediction_set(((0.3, 0.7), 2)), 10)
+        metrics.build_report(*prediction_set(((0.3, 0.7), 2)), 10)
     with pytest.raises(ValueError):  # one label per probability row
-        metrics.compute_bins(np.array([[0.3, 0.7]]), np.array([0, 1]), 10)
+        metrics.build_report(np.array([[0.3, 0.7]]), np.array([0, 1]), 10)
 
 
 def test_mean_confidence_stays_inside_interval():
     rng = np.random.default_rng(3)
-    for b in metrics.compute_bins(*random_set(rng, 500), 10):
+    for b in metrics.build_report(*random_set(rng, 500), 10).bins:
         if not b.empty:
             assert b.lo < b.mean_confidence <= b.hi
 
@@ -139,12 +115,12 @@ def two_bin_fixture():
 
 
 def test_ece_two_bin_arithmetic():
-    bins = metrics.compute_bins(*two_bin_fixture(), 10)
+    bins = metrics.build_report(*two_bin_fixture(), 10).bins
     assert metrics.ece(bins, 4) == pytest.approx(0.75 * 0.1 + 0.25 * 0.6, abs=1e-15)
 
 
 def test_mce_two_bin_arithmetic():
-    bins = metrics.compute_bins(*two_bin_fixture(), 10)
+    bins = metrics.build_report(*two_bin_fixture(), 10).bins
     assert metrics.mce(bins) == pytest.approx(0.6, abs=1e-15)
 
 
@@ -155,18 +131,19 @@ def test_perfectly_calibrated_gives_zero():
         for i in range(4):
             true = 0 if i < correct_of_4 else 1
             rows.append(((conf, 1.0 - conf), true))
-    bins = metrics.compute_bins(*prediction_set(*rows), 4)
+    bins = metrics.build_report(*prediction_set(*rows), 4).bins
     assert metrics.ece(bins, len(rows)) == 0.0
     assert metrics.mce(bins) == 0.0
 
 
 def test_single_nonempty_bin_ece_equals_mce():
-    bins = metrics.compute_bins(*prediction_set(*[((0.82, 0.18), r % 2) for r in range(6)]), 10)
+    rows = [((0.82, 0.18), r % 2) for r in range(6)]
+    bins = metrics.build_report(*prediction_set(*rows), 10).bins
     assert metrics.ece(bins, 6) == metrics.mce(bins)
 
 
 def test_ece_mce_error_paths():
-    bins = metrics.compute_bins(*two_bin_fixture(), 10)
+    bins = metrics.build_report(*two_bin_fixture(), 10).bins
     with pytest.raises(ValueError):
         metrics.ece(bins, 0)
     with pytest.raises(ValueError):
@@ -213,23 +190,23 @@ def test_report_matches_brute_force_bit_for_bit():
     rng = np.random.default_rng(42)
     probs, labels = random_set(rng, 1000)
     rep = metrics.build_report(probs, labels, 10)
-    acc, e, m, nll = ref_metrics(reference_rows(probs, labels), 10)
-    assert rep.accuracy == acc
-    assert rep.ece == e
-    assert rep.mce == m
-    assert rep.nll_sum == nll
-    assert rep.nll_mean == nll / 1000
+    ref = ref_metrics(reference_rows(probs, labels), 10)
+    assert rep.accuracy == ref["accuracy"]
+    assert rep.ece == ref["ece"]
+    assert rep.mce == ref["mce"]
+    assert rep.nll_sum == ref["nll_sum"]
+    assert rep.nll_mean == ref["nll_sum"] / 1000
     assert rep.n == 1000
 
 
 def test_report_fields_equal_component_ops():
     probs, labels = two_bin_fixture()
     rep = metrics.build_report(probs, labels, 10)
-    bins = metrics.compute_bins(probs, labels, 10)
-    assert rep.ece == metrics.ece(bins, len(labels))
-    assert rep.mce == metrics.mce(bins)
+    assert rep.ece == metrics.ece(rep.bins, len(labels))
+    assert rep.mce == metrics.mce(rep.bins)
     assert rep.nll_sum == metrics.nll(probs, labels)
-    assert rep.accuracy == metrics.accuracy(probs, labels)
+    _, predicted = metrics.predict(probs)
+    assert rep.accuracy == np.count_nonzero(predicted == labels) / len(labels)
 
 
 def test_report_perfect_set():
@@ -278,6 +255,91 @@ def test_reliability_svg_renders(tmp_path):
     assert text.count("<rect") >= 3  # background, frame, at least one bar
 
 
+# --- oracle_ece and true_ece -------------------------------------------------
+
+def test_oracle_ece_zero_for_perfect_predictions():
+    _, y, p_true = generate_dataset(
+        SyntheticConfig(n_matches=100, n_features=25, roster_size=12, rng_seed=2)
+    )
+    # the truth itself as the prediction
+    probs = np.column_stack([1.0 - p_true, p_true])
+    assert metrics.build_report(probs, y, 10, p_true).oracle_ece == 0.0
+
+
+def test_oracle_ece_constant_overconfidence():
+    # certain of class 1 (and of class 0) where the truth for it is 0.7
+    probs = np.array([[0.0, 1.0]] * 13 + [[1.0, 0.0]] * 12)
+    p_true = np.array([0.7] * 13 + [0.3] * 12)
+    labels = np.arange(25) % 2
+    assert metrics.build_report(probs, labels, 10, p_true).oracle_ece == pytest.approx(
+        0.3, abs=1e-15
+    )
+
+
+def test_oracle_ece_matches_brute_force():
+    rng = np.random.default_rng(4)
+    confs = rng.uniform(0.5, 1.0, 500)
+    trues = rng.uniform(0.0, 1.0, 500)
+    pairs = list(zip(confs, trues))
+    expected = sum(abs(c - t) for c, t in pairs) / 500
+    # every row predicts class 1, whose truth is p_true itself
+    probs = np.column_stack([1.0 - confs, confs])
+    labels = rng.integers(0, 2, 500)
+    report = metrics.build_report(probs, labels, 10, trues)
+    assert report.oracle_ece == pytest.approx(expected, abs=1e-12)
+
+
+def test_oracle_ece_requires_p_true():
+    with pytest.raises(ValueError):
+        metrics.build_report(np.empty((0, 2)), np.empty(0, dtype=int), 10, np.empty(0))
+    # without p_true the report has no truth scores
+    report = metrics.build_report(np.array([[0.1, 0.9]]), np.array([1]), 10, None)
+    assert report.oracle_ece is None and report.true_ece is None
+    with pytest.raises(ValueError):
+        metrics.build_report(np.array([[0.1, 0.9]]), np.array([1]), 10, np.array([0.5, 0.5]))
+
+
+def test_true_ece_with_labels_as_truth_is_the_label_ece():
+    rng = np.random.default_rng(6)
+    p1 = rng.uniform(0.0, 1.0, 700)
+    labels = rng.integers(0, 2, 700)
+    probs = np.column_stack([1.0 - p1, p1])
+    for m_bins in (10, 15):
+        report = metrics.build_report(probs, labels, m_bins, labels.astype(float))
+        assert report.true_ece == report.ece  # one binned-ECE implementation
+
+
+def test_true_ece_two_bin_hand_case():
+    # four bins of width 0.25; the confidences fill (0.5, 0.75] and (0.75, 1]
+    probs = np.array([[0.4, 0.6], [0.7, 0.3], [0.1, 0.9], [0.2, 0.8]])
+    p_true = np.array([0.7, 0.2, 0.5, 0.9])
+    # truth of the predicted class: 0.7, 0.8 | 0.5, 0.9
+    # bin 3: |0.75 - 0.65| = 0.10, bin 4: |0.70 - 0.85| = 0.15, each of weight 1/2
+    report = metrics.build_report(probs, np.array([1, 0, 1, 1]), 4, p_true)
+    assert report.true_ece == pytest.approx(0.125, abs=1e-15)
+
+
+def test_truth_scores_match_brute_force_with_ties_and_empty_bins():
+    # probabilities of class 1 on a grid of twentieths: rows share a
+    # confidence, fall on bin edges and tie at 0.5 (predicting class 0),
+    # and at most 12 rows leave some of the 10 or 25 bins empty
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        p1 = rng.integers(0, 21, n) / 20
+        probs = np.column_stack([1.0 - p1, p1])
+        labels = rng.integers(0, 2, n)
+        p_true = rng.integers(0, 11, n) / 10
+        for m_bins in (10, 25):
+            report = metrics.build_report(probs, labels, m_bins, p_true)
+            ref = ref_metrics(reference_rows(probs, labels), m_bins, p_true.tolist())
+            assert any(count == 0 for count, _, _ in ref["bins"])
+            assert report.oracle_ece == ref["oracle_ece"]
+            assert report.true_ece == ref["true_ece"]
+            assert report.ece == ref["ece"]
+            assert [(b.count, b.accuracy, b.mean_confidence) for b in report.bins] == ref["bins"]
+
+
 # --- invariants -------------------------------------------------------------
 
 def test_partition_property():
@@ -285,7 +347,7 @@ def test_partition_property():
     for _ in range(20):
         probs, labels = random_set(rng, int(rng.integers(1, 100)))
         for m in (1, 3, 10, 25):
-            bins = metrics.compute_bins(probs, labels, m)
+            bins = metrics.build_report(probs, labels, m).bins
             assert sum(b.count for b in bins) == len(labels)
 
 
@@ -293,8 +355,8 @@ def test_ece_never_exceeds_mce_and_both_bounded():
     rng = np.random.default_rng(6)
     for _ in range(50):
         probs, labels = random_set(rng, int(rng.integers(1, 80)))
-        bins = metrics.compute_bins(probs, labels, 10)
-        e, m = metrics.ece(bins, len(labels)), metrics.mce(bins)
+        rep = metrics.build_report(probs, labels, 10)
+        e, m = rep.ece, rep.mce
         assert 0.0 <= e <= m <= 1.0
 
 
@@ -314,16 +376,16 @@ def test_adding_matching_record_keeps_gap():
     # bin with acc == conf == 1.0 stays unchanged when another perfect,
     # correct record is added to it
     rows = [((1.0, 0.0), 0)] * 3
-    before = metrics.compute_bins(*prediction_set(*rows), 10)[9]
+    before = metrics.build_report(*prediction_set(*rows), 10).bins[9]
     rows.append(((1.0, 0.0), 0))
-    after = metrics.compute_bins(*prediction_set(*rows), 10)[9]
+    after = metrics.build_report(*prediction_set(*rows), 10).bins[9]
     assert before.gap == after.gap == 0.0
 
     # and a bin whose accuracy is 0: every record wrong at confidence 0.75
     rows = [((0.75, 0.25), 1)] * 3
-    before = metrics.compute_bins(*prediction_set(*rows), 10)[7]
+    before = metrics.build_report(*prediction_set(*rows), 10).bins[7]
     rows.append(((0.75, 0.25), 1))
-    after = metrics.compute_bins(*prediction_set(*rows), 10)[7]
+    after = metrics.build_report(*prediction_set(*rows), 10).bins[7]
     assert before.gap == after.gap == 0.75
 
 

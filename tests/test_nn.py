@@ -606,6 +606,19 @@ def test_train_rejects_empty_dataset():
         nn.train(np.zeros((0, 2)), np.zeros(0, dtype=int), config, layer_sizes=[2, 2])
 
 
+def test_train_refuses_an_array_value_beyond_the_float32_range(monkeypatch):
+    # an array is set into ColumnRuns, as train's scan sets its blocks, so a
+    # value whose float32 cast is infinite is refused before any step
+    x = np.random.default_rng(3).normal(size=(64, 3))
+    x[5, 1] = 1e39
+    y = (x[:, 0] > 0).astype(int)
+    steps = []
+    monkeypatch.setattr(nn, "backward", lambda *args, **kwargs: steps.append(args))
+    with pytest.raises(ValueError, match=r"^row 5: feature 1 is 1e\+39, beyond the float32 range"):
+        nn.train(x, y, nn.TrainConfig(epochs=1, batch_size=16), layer_sizes=[3, 4, 2])
+    assert steps == []
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         nn.TrainConfig(learning_rate=-1.0).validate()
