@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import math
 import sys
@@ -46,9 +47,14 @@ REPORT_KEYS = ("accuracy", "ece", "mce", "nll_mean")
 SCALER_FITS = {"temperature": "fit_temperature", "vector": "fit_vector", "matrix": "fit_matrix"}
 # the reference run's train flags beyond the parser defaults, per loss
 REFERENCE_TRAIN = {"ce": ("--batch-size", "1024"), "du": ("--batch-size", "1024", "--k", "8")}
+# every command's --seed default, and so the reference run's seed
+DEFAULT_SEED = 42
+# gen's generator options: SyntheticConfig's fields but the row count and seed
+GEN_FIELDS = [field for field in dataclasses.fields(datagen.SyntheticConfig)
+              if field.name not in ("n_matches", "rng_seed")]
 
 
-def pipeline(out, seed=42, gen_flags=(), train_flags=REFERENCE_TRAIN) -> list[list[str]]:
+def pipeline(out, seed=DEFAULT_SEED, gen_flags=(), train_flags=REFERENCE_TRAIN) -> list[list[str]]:
     """The argv of each of the 12 commands behind the five-method table, in
     order: gen, train ce and du, a calibrate per scaler, an eval per method,
     compare. Every command gets ``--seed seed --out out``; with the defaults
@@ -77,10 +83,12 @@ class MissingArtifactError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The one declaration of every option: its flag, type, choices and
-    default. The subcommands share the ``common`` actions, so the
-    ``set_defaults`` of a config file reaches every subcommand of this
-    parser; build a fresh one per command line."""
+    """Every option's flag, type and choices. A library setting's default is
+    the library's: gen's generator options are ``datagen.SyntheticConfig``'s
+    fields, train's and eval's defaults ``nn.TrainConfig``'s,
+    ``nn.DEFAULT_HIDDEN`` and ``metrics.DEFAULT_BINS``. The subcommands share
+    the ``common`` actions, so the ``set_defaults`` of a config file reaches
+    every subcommand of this parser; build a fresh one per command line."""
     parser = argparse.ArgumentParser(
         prog="calibforge",
         description="Train, calibrate and measure a binary win predictor.",
@@ -89,31 +97,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="top-level RNG seed")
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="top-level RNG seed")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--out", type=str, default="out", help="output directory")
 
     p = sub.add_parser("gen", parents=[common], help="generate synthetic datasets")
-    p.add_argument("--n", type=int, default=None, help="train rows (test rows become n // 8)")
+    p.add_argument("--n", type=int, default=None,
+                   help="train rows, test rows n // 8 (at least 1); overrides --n-train/--n-test")
     p.add_argument("--n-train", dest="n_train", type=int, default=20000)
     p.add_argument("--n-test", dest="n_test", type=int, default=2500)
-    p.add_argument("--n-features", dest="n_features", type=int, default=295)
-    p.add_argument("--roster-size", dest="roster_size", type=int, default=160)
-    p.add_argument("--coef-scale", dest="coef_scale", type=float, default=1.0)
-    p.add_argument("--noise-floor", dest="noise_floor", type=float, default=0.4)
-    p.add_argument("--noise-gain", dest="noise_gain", type=float, default=7.0)
-    p.add_argument("--minute-min", dest="minute_min", type=int, default=1)
-    p.add_argument("--minute-max", dest="minute_max", type=int, default=40)
+    for field in GEN_FIELDS:
+        p.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                       type=type(field.default), default=field.default)
 
+    train = nn.TrainConfig()
     p = sub.add_parser("train", parents=[common], help="train a win predictor")
     p.add_argument("--data", type=str, default=None, help="training dataset CSV")
-    p.add_argument("--loss", type=str, default="ce", choices=["ce", "du"])
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=512)
-    p.add_argument("--k", type=int, default=32, help="MC draws per sample (du loss)")
+    p.add_argument("--loss", type=str, default=train.loss_kind, choices=["ce", "du"])
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--lr", type=float, default=train.learning_rate)
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=train.batch_size)
+    p.add_argument("--k", type=int, default=train.k_train, help="MC draws per sample (du loss)")
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.1)
-    p.add_argument("--hidden", type=str, default="256,256", help="hidden sizes, e.g. 256,256")
+    p.add_argument("--hidden", type=str, default=",".join(map(str, nn.DEFAULT_HIDDEN)),
+                   help="hidden sizes, e.g. 256,256")
 
     p = sub.add_parser("calibrate", parents=[common], help="fit a post-hoc scaler")
     p.add_argument("--model", type=str, default=None)
@@ -124,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--data", type=str, default=None, help="the test dataset CSV")
     p.add_argument("--scaler", type=str, default=None)
-    p.add_argument("--m-bins", dest="m_bins", type=int, default=10)
+    p.add_argument("--m-bins", dest="m_bins", type=int, default=metrics.DEFAULT_BINS)
 
     p = sub.add_parser("compare", parents=[common], help="tabulate eval reports")
     p.add_argument("--dir", type=str, default=None, help="directory holding the eval reports")
@@ -134,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_config_types(subparser: argparse.ArgumentParser, overrides: dict) -> None:
     """A config-file value must have the type its flag parses to: ints
-    exclude bools and floats, floats admit ints, and null is valid only
-    where the flag's default is null. A flag with choices admits only
-    those; argparse checks no default against them."""
+    exclude bools and floats, floats admit ints within the float range, and
+    null is valid only where the flag's default is null. A flag with
+    choices admits only those; argparse checks no default against them."""
     for action in subparser._actions:
         if action.dest not in overrides:
             continue
@@ -153,6 +160,8 @@ def _check_config_types(subparser: argparse.ArgumentParser, overrides: dict) -> 
                 f"config key {action.dest!r} must be {kind.__name__}{null}, "
                 f"got {json.dumps(value)}"
             )
+        if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"config key {action.dest!r} is an integer beyond the float range")
         if value is not None and action.choices is not None and value not in action.choices:
             raise ValueError(
                 f"config key {action.dest!r} must be one of "
@@ -163,7 +172,8 @@ def _check_config_types(subparser: argparse.ArgumentParser, overrides: dict) -> 
 def resolve_config(argv, args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """defaults < config file < explicit flags; unknown keys and values of
     the wrong type are rejected. A config file becomes the defaults of the
-    command's subparser, and ``argv`` is parsed again on top of them."""
+    command's subparser, and ``argv`` is parsed again on top of them. gen's
+    ``n`` replaces ``n_train`` and ``n_test``; no handler changes the result."""
     if args.config is not None:
         overrides = read_json_object(args.config)
         (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -175,7 +185,10 @@ def resolve_config(argv, args: argparse.Namespace, parser: argparse.ArgumentPars
         _check_config_types(subparser, overrides)
         subparser.set_defaults(**overrides)
         args = parser.parse_args(argv)
-    return {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+    resolved = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+    if resolved.get("n") is not None:
+        resolved["n_train"], resolved["n_test"] = resolved["n"], max(1, resolved["n"] // 8)
+    return resolved
 
 
 def _meta(command: str, resolved: dict) -> str:
@@ -189,22 +202,12 @@ def _outdir(resolved: dict) -> Path:
 
 
 def cmd_gen(resolved: dict) -> None:
-    if resolved["n"] is not None:
-        resolved["n_train"] = int(resolved["n"])
-        resolved["n_test"] = max(1, int(resolved["n"]) // 8)
-    n_train, n_test = int(resolved["n_train"]), int(resolved["n_test"])
+    n_train, n_test = resolved["n_train"], resolved["n_test"]
     if n_train < 1 or n_test < 1:
         raise ValueError("n_train and n_test must be at least 1")
     config = datagen.SyntheticConfig(
-        n_matches=n_train + n_test,
-        n_features=int(resolved["n_features"]),
-        roster_size=int(resolved["roster_size"]),
-        coef_scale=float(resolved["coef_scale"]),
-        noise_floor=float(resolved["noise_floor"]),
-        noise_gain=float(resolved["noise_gain"]),
-        minute_min=int(resolved["minute_min"]),
-        minute_max=int(resolved["minute_max"]),
-        rng_seed=int(resolved["seed"]),
+        n_matches=n_train + n_test, rng_seed=resolved["seed"],
+        **{field.name: resolved[field.name] for field in GEN_FIELDS},
     )
     data = datagen.GeneratedDataset(config)
     out = _outdir(resolved)
@@ -219,13 +222,10 @@ def cmd_gen(resolved: dict) -> None:
 
 
 def _hidden_sizes(text: str) -> list[int]:
-    """The comma-separated hidden layer sizes, each a positive integer."""
-    try:
-        sizes = [int(h) for h in str(text).split(",") if h]
-        ok = all(size >= 1 for size in sizes)
-    except ValueError:
-        ok = False
-    if not ok:
+    """The comma-separated hidden layer sizes, each a positive decimal
+    integer."""
+    sizes = [_count(h) for h in text.split(",")]
+    if not all(sizes):  # an entry that is not a count, or 0
         raise ValueError(f"hidden sizes must be positive integers, got hidden={text!r}")
     return sizes
 
@@ -261,16 +261,10 @@ def cmd_train(resolved: dict) -> None:
     val_fraction = float(resolved["val_fraction"])
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError("val_fraction must be in [0, 1)")
-    seed = int(resolved["seed"])
-    loss = resolved["loss"]
-    config = nn.TrainConfig(
-        learning_rate=float(resolved["lr"]),
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        rng_seed=seed,
-        loss_kind=loss,
-        k_train=int(resolved["k"]),
-    )
+    seed, loss = resolved["seed"], resolved["loss"]
+    config = nn.TrainConfig(learning_rate=resolved["lr"], epochs=resolved["epochs"],
+                            batch_size=resolved["batch_size"], rng_seed=seed, loss_kind=loss,
+                            k_train=resolved["k"])
     config.validate()
     hidden = _hidden_sizes(resolved["hidden"])
     data = resolved["data"]
@@ -430,8 +424,7 @@ def _prediction_lines(outputs: datagen.Outputs, scaled):
 def cmd_eval(resolved: dict) -> None:
     if resolved["model"] is None or resolved["data"] is None:
         raise ValueError("eval requires --model and --data")
-    m_bins = int(resolved["m_bins"])
-    metrics.check_m_bins(m_bins)
+    metrics.check_m_bins(resolved["m_bins"])
     model = nn.read_model(resolved["model"])
     du_head = model.du_head_enabled
     scaler = None
@@ -450,8 +443,8 @@ def cmd_eval(resolved: dict) -> None:
     scaled = None
     if scaler is not None:
         scaled = nn.softmax(scaling.transform_logits(scaler, outputs.raw))
-    report = metrics.build_report(outputs.probs if scaled is None else scaled, outputs.y, m_bins,
-                                  outputs.p_true)
+    report = metrics.build_report(outputs.probs if scaled is None else scaled, outputs.y,
+                                  resolved["m_bins"], outputs.p_true)
 
     label = scaler.kind if scaler is not None else "du" if du_head else "none"
     extra = {"version": __version__, "config": resolved, "method": label}

@@ -212,7 +212,9 @@ def expected_probs_exact(mu: np.ndarray, s_raw: np.ndarray) -> np.ndarray:
     """
     mu = np.asarray(mu, dtype=float)
     m = mu[:, 1] - mu[:, 0]
-    s = math.sqrt(2.0) * np.exp(np.asarray(s_raw, dtype=float))
+    # s is inf above s_raw ~ 709.4, where the trapezoid's Phi((m + L) / s) is 0.5
+    with np.errstate(over="ignore"):
+        s = math.sqrt(2.0) * np.exp(np.asarray(s_raw, dtype=float))
     low = -np.abs(m)
     q = np.empty(len(m))
     narrow = s < 1.0

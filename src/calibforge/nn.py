@@ -117,7 +117,7 @@ class TrainConfig:
     batch_size: int = 512
     rng_seed: int = 0
     loss_kind: str = "ce"  # "ce" or "du"
-    k_train: int = 32
+    k_train: int = duloss.MCConfig.k
 
     def validate(self) -> None:
         # a NaN or infinite step would only surface as non-finite

@@ -2,8 +2,10 @@
 auditability contract (reports recomputable from the per-sample dumps)."""
 
 import argparse
+import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import re
@@ -39,6 +41,22 @@ def test_gen_is_byte_deterministic(tmp_path):
     # --n 1000 puts 1000 rows in train and 125 in test
     assert len(first[0].decode().splitlines()) == 1002  # comment + header
     assert len(first[1].decode().splitlines()) == 127
+
+
+def test_gen_echoes_the_config_its_files_embed(tmp_path, capsys):
+    # --n sets n_train and n_test where the options are resolved, so the
+    # echoed config is the one in the comment line of each file
+    out = tmp_path / "o"
+    assert cli.main(["gen", "--n", "40", "--n-features", "45", "--roster-size", "20",
+                     "--n-test", "999", "--out", str(out)]) == 0
+    (echo,) = [line.removeprefix("gen config: ") for line in capsys.readouterr().out.splitlines()
+               if line.startswith("gen config: ")]
+    echoed = json.loads(echo)
+    assert (echoed["n"], echoed["n_train"], echoed["n_test"]) == (40, 40, 5)
+    for name in ("train.csv", "test.csv"):
+        with open(out / name, encoding="utf-8") as fh:
+            comment = fh.readline()
+        assert json.loads(comment.split(" config=", 1)[1]) == echoed
 
 
 def test_gen_zero_rows_is_config_error(tmp_path):
@@ -100,8 +118,11 @@ def test_gen_config_file_with_unknown_key_rejected(tmp_path):
         ("gen", {"n_train": 50.7}),
         ("gen", {"n_train": None}),
         ("train", {"epochs": True}),
+        ("gen", {"coef_scale": 10**400}),
+        ("train", {"lr": -(10**400)}),
     ],
-    ids=["non-integral-int", "null-without-null-default", "bool-for-int"],
+    ids=["non-integral-int", "null-without-null-default", "bool-for-int",
+         "int-beyond-float-range", "negative-int-beyond-float-range"],
 )
 def test_config_value_of_wrong_type_is_config_error(tmp_path, mini_run, command, overrides):
     cfg = tmp_path / "cfg.json"
@@ -116,6 +137,7 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, mini_run, command,
     assert proc.returncode == 2
     (key,) = overrides
     assert key in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command, key", [("calibrate", "kind"), ("train", "loss")])
@@ -231,7 +253,7 @@ def test_train_non_finite_lr_is_config_error(tmp_path, mini_run):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("hidden", ["0", "8,0", "-4", "8,x"])
+@pytest.mark.parametrize("hidden", ["0", "8,0", "-4", "8,x", "8,,8", "8,", "", "1_6", "+8"])
 def test_train_hidden_size_below_one_is_config_error(tmp_path, mini_run, hidden):
     out = tmp_path / "o"
     proc = run_cli([
@@ -406,6 +428,31 @@ def _subparsers() -> dict:
 def _options(command: str) -> set:
     """The config keys of a command: the dests of its parser's options."""
     return {action.dest for action in _subparsers()[command]._actions} - {"help", "config"}
+
+
+def test_parser_defaults_are_the_library_defaults():
+    defaults = {command: {action.dest: action for action in parser._actions}
+                for command, parser in _subparsers().items()}
+    # gen's generator options are SyntheticConfig's fields, in field order,
+    # less the row count and the seed
+    gen = defaults["gen"]
+    assert list(gen) == ["help", "seed", "config", "out", "n", "n_train", "n_test", "n_features",
+                         "roster_size", "coef_scale", "noise_floor", "noise_gain", "minute_min",
+                         "minute_max"]
+    fields = {field.name: field.default for field in dataclasses.fields(datagen.SyntheticConfig)}
+    assert set(fields) - {"n_matches", "rng_seed"} == set(list(gen)[7:])
+    for name in list(gen)[7:]:
+        assert gen[name].option_strings == ["--" + name.replace("_", "-")]
+        assert gen[name].default == fields[name] and gen[name].type is type(fields[name])
+    train, config = defaults["train"], nn.TrainConfig()
+    assert (train["loss"].default, train["epochs"].default, train["lr"].default,
+            train["batch_size"].default, train["k"].default) == (
+        config.loss_kind, config.epochs, config.learning_rate, config.batch_size, config.k_train)
+    assert config.k_train == duloss.MCConfig().k
+    assert cli._hidden_sizes(train["hidden"].default) == nn.DEFAULT_HIDDEN
+    assert defaults["eval"]["m_bins"].default == metrics.DEFAULT_BINS
+    seed = inspect.signature(cli.pipeline).parameters["seed"].default
+    assert {options["seed"].default for options in defaults.values()} == {seed}
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

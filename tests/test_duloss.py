@@ -237,6 +237,18 @@ def test_exact_probs_rows_match_single_row_calls():
         np.testing.assert_array_equal(batch[i], single[0])
 
 
+def test_exact_probs_of_a_noise_output_beyond_the_exp_range_are_a_coin():
+    # above s_raw ~ 709.4 the scale s = sqrt(2) exp(s_raw) is inf, so every
+    # trapezoid node's Phi((m + L) / s) is Phi(0) = 0.5: the limit of large
+    # finite scales, without an overflow warning
+    mu = np.array([[0.0, 3.0], [2.0, -1.0], [-50.0, 50.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = duloss.expected_probs_exact(mu, np.array([709.5, 710.0, 1e4]))
+    np.testing.assert_allclose(p, 0.5, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(p, duloss.expected_probs_exact(mu, np.full(3, 700.0)))
+
+
 def test_exact_probs_rows_match_single_row_calls_across_blocks():
     # the trapezoid takes EXACT_BLOCK_ROWS rows at a time; a row's
     # probabilities do not depend on the block it falls in or its place there
