@@ -23,8 +23,9 @@ print(f"generated {len(y_all)} match-minutes "
       f"{datagen.noise_temperature(config.minute_max, config):.2f} at minute {config.minute_max})")
 print(f"best possible test accuracy given the label noise: {bayes_acc:.3f}\n")
 
-train_config = nn.TrainConfig(learning_rate=1e-3, epochs=10, batch_size=256, rng_seed=3)
-params, log = nn.train(x, y, train_config, layer_sizes=[45, 32, 2])
+train_config = nn.TrainConfig(learning_rate=1e-3, epochs=10, batch_size=256, rng_seed=3,
+                              hidden=(32,))
+params, log = nn.train(x, y, train_config)
 print("epoch   loss     train_acc")
 for row in log:
     print(f"{row.epoch:4d}   {row.loss:.4f}   {row.train_acc:.3f}")

@@ -38,11 +38,9 @@ y_all, p_all = data.y, data.p_true
 x, y = x_all[:5000], y_all[:5000]
 xt, yt, p_true = x_all[5000:], y_all[5000:], p_all[5000:]
 
-common = dict(learning_rate=1e-3, epochs=20, batch_size=256, rng_seed=5)
-ce_params, _ = nn.train(x, y, nn.TrainConfig(loss_kind="ce", **common), layer_sizes=[45, 32, 2])
-du_params, _ = nn.train(
-    x, y, nn.TrainConfig(loss_kind="du", k_train=8, **common), layer_sizes=[45, 32, 2]
-)
+common = dict(learning_rate=1e-3, epochs=20, batch_size=256, rng_seed=5, hidden=(32,))
+ce_params, _ = nn.train(x, y, nn.TrainConfig(loss_kind="ce", **common))
+du_params, _ = nn.train(x, y, nn.TrainConfig(loss_kind="du", k_train=8, **common))
 
 
 rep_ce = metrics.build_report(nn.softmax(nn.forward(ce_params, xt)), yt, 10, p_true)

@@ -85,8 +85,8 @@ class MissingArtifactError(Exception):
 def build_parser() -> argparse.ArgumentParser:
     """Every option's flag, type and choices. A library setting's default is
     the library's: gen's generator options are ``datagen.SyntheticConfig``'s
-    fields, train's and eval's defaults ``nn.TrainConfig``'s,
-    ``nn.DEFAULT_HIDDEN`` and ``metrics.DEFAULT_BINS``. The subcommands share
+    fields, train's defaults ``nn.TrainConfig``'s (``--hidden`` its
+    ``hidden``) and eval's ``metrics.DEFAULT_BINS``. The subcommands share
     the ``common`` actions, so the ``set_defaults`` of a config file reaches
     every subcommand of this parser; build a fresh one per command line."""
     parser = argparse.ArgumentParser(
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", dest="batch_size", type=int, default=train.batch_size)
     p.add_argument("--k", type=int, default=train.k_train, help="MC draws per sample (du loss)")
     p.add_argument("--val-fraction", dest="val_fraction", type=float, default=0.1)
-    p.add_argument("--hidden", type=str, default=",".join(map(str, nn.DEFAULT_HIDDEN)),
+    p.add_argument("--hidden", type=str, default=",".join(map(str, train.hidden)),
                    help="hidden sizes, e.g. 256,256")
 
     p = sub.add_parser("calibrate", parents=[common], help="fit a post-hoc scaler")
@@ -221,10 +221,10 @@ def cmd_gen(resolved: dict) -> None:
     print(f"wrote {n_train} rows to {out / 'train.csv'} and {n_test} rows to {out / 'test.csv'}")
 
 
-def _hidden_sizes(text: str) -> list[int]:
+def _hidden_sizes(text: str) -> tuple[int, ...]:
     """The comma-separated hidden layer sizes, each a positive decimal
     integer."""
-    sizes = [_count(h) for h in text.split(",")]
+    sizes = tuple(_count(h) for h in text.split(","))
     if not all(sizes):  # an entry that is not a count, or 0
         raise ValueError(f"hidden sizes must be positive integers, got hidden={text!r}")
     return sizes
@@ -264,9 +264,8 @@ def cmd_train(resolved: dict) -> None:
     seed, loss = resolved["seed"], resolved["loss"]
     config = nn.TrainConfig(learning_rate=resolved["lr"], epochs=resolved["epochs"],
                             batch_size=resolved["batch_size"], rng_seed=seed, loss_kind=loss,
-                            k_train=resolved["k"])
+                            k_train=resolved["k"], hidden=_hidden_sizes(resolved["hidden"]))
     config.validate()
-    hidden = _hidden_sizes(resolved["hidden"])
     data = resolved["data"]
     _serve_step_arrays_from_the_heap()
 
@@ -279,7 +278,7 @@ def cmd_train(resolved: dict) -> None:
     info, rows = datagen.scan_dataset(data, keep)
     if info.n_rows == 0:
         raise ValueError(f"{data}: dataset is empty")
-    params, log = nn.train(rows.x, rows.y, config, layer_sizes=[rows.x.shape[1]] + hidden + [2])
+    params, log = nn.train(rows.x, rows.y, config)
     out = _outdir(resolved)
     header = {
         "loss": loss,

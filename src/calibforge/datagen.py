@@ -76,12 +76,11 @@ class DatasetFormatError(FormatError):
 
 
 class Dataset(NamedTuple):
-    """A dataset file read into arrays, with the sha256 of its bytes."""
+    """A dataset file's rows as arrays."""
 
     x: np.ndarray
     y: np.ndarray
     p_true: np.ndarray | None
-    sha256: str
 
 
 @dataclass
@@ -817,7 +816,7 @@ def take_rows(info: DatasetInfo, blocks, rows=None, features=np.empty) -> Datase
         y[dest] = block.y[src]
         if p_true is not None:
             p_true[dest] = block.p_true[src]
-    return Dataset(x, y, p_true, info.sha256)
+    return Dataset(x, y, p_true)
 
 
 def scan_dataset(path, consume):
@@ -978,7 +977,7 @@ def model_outputs(model: nn.ModelFile, path, data_sha256: str | None = None,
             return rows.shape, [rows], {"text": cells} if text else {}
 
         def keep(info, blocks):
-            x, y, p_true, _ = take_rows(counted(info), blocks)
+            x, y, p_true = take_rows(counted(info), blocks)
             return x[:, :n_out], x[:, n_out:], y, p_true
 
         key = f"{model.sha256} {digest} {nn.probability_rule(model)}"

@@ -1,11 +1,11 @@
 """Dense feed-forward network with manual backprop and Adam.
 
-The default architecture is [295, 256, 256, 2]: ReLU hidden layers and two
-output logits. When the density head is enabled the final layer emits a
-third raw output, the log noise scale consumed by the data-uncertainty
-loss. Gradients are hand-derived for the two supported losses
-(softmax cross-entropy and the data-uncertainty loss) and checked against
-finite differences in the test suite.
+The default architecture is [295, 256, 256, 2]: ReLU hidden layers of the
+sizes ``TrainConfig.hidden`` and two output logits. When the density head
+is enabled the final layer emits a third raw output, the log noise scale
+consumed by the data-uncertainty loss. Gradients are hand-derived for the
+two supported losses (softmax cross-entropy and the data-uncertainty loss)
+and checked against finite differences in the test suite.
 
 Every pass computes in the dtype of the parameters it is given. ``train``
 keeps float64 master weights and Adam state and runs each step's forward
@@ -57,7 +57,6 @@ from .artifacts import FormatError, format_numbers, write_csv, write_lines
 from .duloss import softmax
 from .metrics import PROB_FLOOR
 
-DEFAULT_HIDDEN = [256, 256]
 MODEL_MAGIC = "calibforge-model v1"
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
@@ -73,6 +72,12 @@ _NOISE_STREAM_TAG = 101
 
 class ModelFormatError(FormatError):
     """Raised when a model file does not match the expected text format."""
+
+
+def _check_layer_sizes(sizes: list[int]) -> None:
+    """A network's sizes: at least two, all positive, the last the 2 classes."""
+    if len(sizes) < 2 or any(s < 1 for s in sizes) or sizes[-1] != 2:
+        raise ValueError(f"'layer_sizes' must be two or more positive sizes ending at 2: {sizes}")
 
 
 @dataclass
@@ -91,8 +96,7 @@ class ModelParams:
 
     def validate(self) -> None:
         sizes = list(self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError("layer_sizes must be at least two positive integers")
+        _check_layer_sizes(sizes)
         outs = sizes[1:]
         if self.du_head_enabled:
             outs = outs[:-1] + [outs[-1] + 1]
@@ -110,7 +114,7 @@ class ModelParams:
 
 @dataclass
 class TrainConfig:
-    """Optimization settings. Defaults: Adam at 1e-4 for 20 epochs."""
+    """Optimization settings and hidden sizes. Defaults: Adam at 1e-4 for 20 epochs."""
 
     learning_rate: float = 1e-4
     epochs: int = 20
@@ -118,6 +122,7 @@ class TrainConfig:
     rng_seed: int = 0
     loss_kind: str = "ce"  # "ce" or "du"
     k_train: int = duloss.MCConfig.k
+    hidden: tuple[int, ...] = (256, 256)
 
     def validate(self) -> None:
         # a NaN or infinite step would only surface as non-finite
@@ -129,6 +134,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden sizes must be at least 1, got {self.hidden}")
         if self.loss_kind not in ("ce", "du"):
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         if self.loss_kind == "du":
@@ -420,9 +427,9 @@ def train(
     x: np.ndarray | ColumnRuns,
     y: np.ndarray,
     config: TrainConfig,
-    layer_sizes: list[int] | None = None,
 ) -> tuple[ModelParams, list[EpochLog]]:
-    """Train from scratch; returns the final parameters and per-epoch log.
+    """Train the network ``[F, *config.hidden, 2]`` from scratch on the (n,
+    F) rows ``x``; returns the final parameters and per-epoch log.
 
     Deterministic for a fixed seed: initialization, the per-epoch shuffles
     and the per-(epoch, batch) MC noise streams are all derived from
@@ -457,15 +464,11 @@ def train(
     n, width = rows.shape
     if n == 0:
         raise ValueError("dataset must be a nonempty (n, F) array")
-    if layer_sizes is None:
-        layer_sizes = [width] + DEFAULT_HIDDEN + [2]
-    if width != layer_sizes[0]:
-        raise ValueError("feature width does not match layer_sizes[0]")
 
     du = config.loss_kind == "du"
     root = np.random.SeedSequence(config.rng_seed)
     init_ss, shuffle_ss = root.spawn(2)
-    params = init_params(layer_sizes, du_head=du, seed=init_ss)
+    params = init_params([width, *config.hidden, 2], du_head=du, seed=init_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
     flat = params.weights + params.biases
@@ -620,6 +623,10 @@ def read_model(path) -> ModelFile:
     except ValueError as exc:
         msg = f"header field 'layer_sizes' is malformed: {sizes!r}"
         raise ModelFormatError(f"{path}: {msg}") from exc
+    try:
+        _check_layer_sizes(layer_sizes)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: header field {exc}") from exc
     if flag not in ("true", "false"):
         raise ModelFormatError(f"{path}: header field 'du_head' must be true or false: {flag!r}")
     sha256 = hashlib.sha256(data).hexdigest()

@@ -105,11 +105,19 @@ def generate_dataset(config):
 
 
 def read_dataset(path, rows=None) -> datagen.Dataset:
-    """A dataset file's (x, y, p_true) arrays and sha256: a scan that takes
-    the rows the index array ``rows`` selects, in its order (every row when
-    None), so ``read_dataset(path, rows=idx)`` equals ``read_dataset(path)``
-    indexed by ``idx``."""
+    """A dataset file's (x, y, p_true) arrays: a scan that takes the rows
+    the index array ``rows`` selects, in its order (every row when None), so
+    ``read_dataset(path, rows=idx)`` equals ``read_dataset(path)`` indexed
+    by ``idx``."""
     return datagen.scan_dataset(path, functools.partial(datagen.take_rows, rows=rows))
+
+
+def read_dataset_info(path, rows=None, features=np.empty):
+    """``(info, data)``: the scan's DatasetInfo beside the Dataset of
+    ``take_rows(info, blocks, rows, features)``."""
+    return datagen.scan_dataset(
+        path, lambda info, blocks: (info, datagen.take_rows(info, blocks, rows, features))
+    )
 
 
 def load_model(path):

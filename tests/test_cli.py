@@ -286,9 +286,9 @@ def test_train_holds_its_rows_as_int8_and_float32_column_runs(tmp_path, monkeypa
     assert cli.main(["gen", "--n", "2000", "--seed", "5", "--out", str(data)]) == 0
     trained = []
 
-    def no_training(x, y, config, layer_sizes):
+    def no_training(x, y, config):
         trained.append(x)
-        return nn.init_params(layer_sizes), [nn.EpochLog(1, 0.0, 0.0)]
+        return nn.init_params([x.shape[1], *config.hidden, 2]), [nn.EpochLog(1, 0.0, 0.0)]
 
     monkeypatch.setattr(nn, "train", no_training)
     argv = ["train", "--data", str(data / "train.csv"), "--out", str(tmp_path / "o")]
@@ -333,8 +333,8 @@ def test_a_column_broken_only_in_the_last_block_is_widened_in_one_scan(tmp_path,
     train, _ = datagen.split(600, 0.1, 4)
     dense = read_dataset(path, rows=train)
     expected, _ = nn.train(
-        dense.x.astype(np.float32), dense.y, nn.TrainConfig(epochs=2, batch_size=64, rng_seed=4),
-        layer_sizes=[45, 8, 2],
+        dense.x.astype(np.float32), dense.y,
+        nn.TrainConfig(epochs=2, batch_size=64, rng_seed=4, hidden=(8,)),
     )
     params, _ = load_model(out / "model_ce.txt")
     for a, b in zip(params.weights + params.biases, expected.weights + expected.biases):
@@ -449,7 +449,7 @@ def test_parser_defaults_are_the_library_defaults():
             train["batch_size"].default, train["k"].default) == (
         config.loss_kind, config.epochs, config.learning_rate, config.batch_size, config.k_train)
     assert config.k_train == duloss.MCConfig().k
-    assert cli._hidden_sizes(train["hidden"].default) == nn.DEFAULT_HIDDEN
+    assert cli._hidden_sizes(train["hidden"].default) == config.hidden
     assert defaults["eval"]["m_bins"].default == metrics.DEFAULT_BINS
     seed = inspect.signature(cli.pipeline).parameters["seed"].default
     assert {options["seed"].default for options in defaults.values()} == {seed}
@@ -1138,7 +1138,7 @@ def test_each_predictions_dump_line_is_the_repr_of_its_values(mini_run):
 def test_the_dump_of_a_file_without_p_true_ends_each_line_with_an_empty_cell(tmp_path, mini_run):
     # the outputs sidecar then holds no p_true column and no text of one
     data = tmp_path / "test.csv"
-    x, y, _, _ = read_dataset(mini_run / "test.csv")
+    x, y, _ = read_dataset(mini_run / "test.csv")
     datagen.write_dataset(data, x, y, None, roster_size=20)
     for label in ("none", "vector", "du"):
         out = tmp_path / label
@@ -1207,6 +1207,28 @@ def test_a_model_with_non_finite_outputs_is_refused_naming_both_files(
     assert cli.main([command, "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
     assert f"{model} gives non-finite outputs on {data}" in capsys.readouterr().err
     assert list(tmp_path.glob(f"{name}.*.npz")) == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [("eval", "test.csv"), ("calibrate", "train.csv")])
+def test_a_model_with_three_outputs_exits_3_before_writing_anything(
+    tmp_path, mini_run, capsys, command, name
+):
+    # the mini CE model with a third output column, consistent in every
+    # shape: save_model refuses such a network, so its text is edited
+    data, model, out = tmp_path / name, tmp_path / "model_ce.txt", tmp_path / "o"
+    shutil.copyfile(mini_run / name, data)
+    lines = (mini_run / "model_ce.txt").read_text().splitlines()
+    lines[lines.index("layer_sizes=45,16,2")] = "layer_sizes=45,16,3"
+    w1, b1 = lines.index("param W1 16 2"), lines.index("param b1 2")
+    lines[w1], lines[b1] = "param W1 16 3", "param b1 3"
+    for row in [*range(w1 + 1, w1 + 17), b1 + 1]:
+        lines[row] += " 0.5"
+    model.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main([command, "--model", str(model), "--data", str(data), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(model) in err and "'layer_sizes'" in err
+    assert list(tmp_path.glob(f"{name}*.npz")) == [] and not out.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "nan"])

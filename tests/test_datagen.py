@@ -1,7 +1,6 @@
 """Generator tests: label/probability statistics against binomial and
 chi-square oracles, file round-trips, and split bookkeeping."""
 
-import functools
 import hashlib
 import io
 import os
@@ -16,7 +15,7 @@ from scipy import stats
 from calibforge import artifacts, cli, datagen, nn
 from calibforge.datagen import SyntheticConfig
 
-from conftest import generate_dataset, read_dataset
+from conftest import generate_dataset, read_dataset, read_dataset_info
 
 
 def small_config(n, seed=0, **kw):
@@ -272,7 +271,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     x, y, p_true = generate_dataset(small_config(100, seed=21))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
-    xb, yb, pb, _ = read_dataset(path)
+    xb, yb, pb = read_dataset(path)
     assert xb.shape == (100, 25) and xb.flags["C_CONTIGUOUS"]
     np.testing.assert_allclose(xb, x, atol=1e-9)
     np.testing.assert_array_equal(yb, y)
@@ -284,7 +283,7 @@ def test_roundtrip_without_p_true(tmp_path):
     path = tmp_path / "real.csv"
     datagen.write_dataset(path, x, np.array([1, 0]), None, roster_size=12)
     assert "p_true" not in path.read_text().splitlines()[0]
-    xb, yb, pb, _ = read_dataset(path)
+    xb, yb, pb = read_dataset(path)
     assert pb is None
     np.testing.assert_array_equal(xb, x)
     assert yb.tolist() == [1, 0]
@@ -483,7 +482,7 @@ def test_write_names_the_first_bad_row(tmp_path):
 def test_header_only_file_is_empty_dataset(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(datagen.dataset_header(12, 8, True) + "\n")
-    x, y, p_true, _ = read_dataset(path)
+    x, y, p_true = read_dataset(path)
     assert x.shape == (0, 25) and y.shape == (0,) and p_true.shape == (0,)
 
 
@@ -526,14 +525,14 @@ def test_read_rows_equals_full_read_indexed(tmp_path):
     x, y, p_true = generate_dataset(small_config(60, seed=5))
     path = tmp_path / "data.csv"
     datagen.write_dataset(path, x, y, p_true, roster_size=12, comment="meta")
-    full = read_dataset(path)
+    full_info, full = read_dataset_info(path)
     idx = np.random.default_rng(0).permutation(60)[:25]
-    part = read_dataset(path, rows=idx)
-    assert part.sha256 == full.sha256
-    for whole, picked in zip(full[:3], part[:3]):
+    part_info, part = read_dataset_info(path, rows=idx)
+    assert part_info.sha256 == full_info.sha256
+    for whole, picked in zip(full, part):
         assert picked.dtype == whole.dtype and picked.flags["C_CONTIGUOUS"]
         assert picked.tobytes() == whole[idx].tobytes()
-    x0, y0, p0, _ = read_dataset(path, rows=np.array([], dtype=int))
+    x0, y0, p0 = read_dataset(path, rows=np.array([], dtype=int))
     assert x0.shape == (0, 25) and y0.shape == (0,) and p0.shape == (0,)
 
 
@@ -568,11 +567,9 @@ def test_column_runs_of_a_scan_hold_the_float32_rows_take_rows_selects(tmp_path)
     # 600 rows are three blocks; the rows are taken in a shuffled order
     path = _written(tmp_path, n=600)
     rows = np.random.default_rng(2).permutation(600)[:500]
-    runs, y, _, sha256 = datagen.scan_dataset(
-        path, functools.partial(datagen.take_rows, rows=rows, features=nn.ColumnRuns)
-    )
-    dense = read_dataset(path, rows=rows)
-    assert sha256 == dense.sha256
+    info, (runs, y, _) = read_dataset_info(path, rows=rows, features=nn.ColumnRuns)
+    dense_info, dense = read_dataset_info(path, rows=rows)
+    assert info.sha256 == dense_info.sha256
     # the minute, then the two kill counts and the 12 picks
     assert [(run.dtype, run.shape[1]) for run in runs.runs] == [
         (np.int8, 1), (np.float32, 2), (np.int8, 14), (np.float32, 8),
@@ -616,7 +613,7 @@ def test_parse_block_size_changes_no_value_or_line_number(tmp_path, monkeypatch,
     datagen.sidecar_path(path).unlink()
     monkeypatch.setattr(datagen, "BLOCK_BYTES", block_chars)
     got = read_dataset(path)
-    for read, whole, generated in zip(got[:3], expected[:3], data):
+    for read, whole, generated in zip(got, expected, data):
         assert read.tobytes() == whole.tobytes()
         np.testing.assert_array_equal(read, generated)
     part = read_dataset(path, rows=[30, 2])
@@ -689,16 +686,16 @@ def _no_parse(monkeypatch):
 def test_sidecar_hit_equals_a_cold_parse(tmp_path, monkeypatch):
     path = _written(tmp_path)
     datagen.sidecar_path(path).unlink()  # the one write_dataset wrote
-    cold = read_dataset(path)
+    cold = read_dataset_info(path)
     idx = np.array([7, 0, 29, 7, 12])
-    cold_part = read_dataset(path, rows=idx)
+    cold_part = read_dataset_info(path, rows=idx)
     assert datagen.sidecar_path(path).exists()
-    assert cold.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert cold[0].sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
     _no_parse(monkeypatch)
-    for warm, reference in ((read_dataset(path), cold),
-                            (read_dataset(path, rows=idx), cold_part)):
-        assert warm.sha256 == reference.sha256
-        for got, want in zip(warm[:3], reference[:3]):
+    for (warm_info, warm), (info, reference) in ((read_dataset_info(path), cold),
+                                                 (read_dataset_info(path, rows=idx), cold_part)):
+        assert warm_info.sha256 == info.sha256
+        for got, want in zip(warm, reference):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags["C_CONTIGUOUS"]
             assert got.tobytes() == want.tobytes()
@@ -714,10 +711,10 @@ def test_sidecar_is_replaced_after_an_edit_and_a_bad_edit_still_names_its_line(t
     fields[1] = "12.5"
     lines[4] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    x, _, _, digest = read_dataset(path)
+    info, (x, _, _) = read_dataset_info(path)
     assert x[2, 1] == 12.5
     with np.load(datagen.sidecar_path(path), allow_pickle=False) as cached:
-        assert cached["sha256"].item() == digest
+        assert cached["sha256"].item() == info.sha256
         assert cached["data"][2, 1] == 12.5
     fields[1] = "nan"
     lines[4] = ",".join(fields)
@@ -836,12 +833,12 @@ def test_a_broken_sidecar_is_ignored_and_rewritten(tmp_path, damage):
     # each read meets a freshly broken sidecar and equals the cold parse
     _fake_sidecar(path, damage)
     part = read_dataset(path, rows=[3, 1, 29])
-    for got, want in zip(part[:3], cold[:3]):
+    for got, want in zip(part, cold):
         assert got.tobytes() == want[[3, 1, 29]].tobytes()
     for read in (_scanned, read_dataset):
         sidecar.write_bytes(good)
         _fake_sidecar(path, damage)
-        for got, want in zip(read(path)[:3], cold[:3]):
+        for got, want in zip(read(path), cold):
             assert got.tobytes() == want.tobytes()
         assert sidecar.read_bytes() == good  # a full read rewrote it
 
@@ -851,15 +848,15 @@ def test_a_compressed_sidecar_is_read_without_a_parse(tmp_path, monkeypatch):
     # np.savez_compressed serves a read as one written by np.savez does
     path = _written(tmp_path)
     sidecar = datagen.sidecar_path(path)
-    expected = read_dataset(path)
+    expected_info, expected = read_dataset_info(path)
     with np.load(sidecar, allow_pickle=False) as cached:
         arrays = {name: cached[name] for name in ("data", "sha256")}
     np.savez_compressed(sidecar, **arrays)
     compressed = sidecar.read_bytes()
     _no_parse(monkeypatch)
-    warm = read_dataset(path)
-    assert warm.sha256 == expected.sha256
-    for got, want in zip(warm[:3], expected[:3]):
+    warm_info, warm = read_dataset_info(path)
+    assert warm_info.sha256 == expected_info.sha256
+    for got, want in zip(warm, expected):
         assert got.tobytes() == want.tobytes()
     assert sidecar.read_bytes() == compressed
 
@@ -970,7 +967,7 @@ def test_read_in_a_read_only_directory_writes_no_sidecar(tmp_path, monkeypatch):
         got = read_dataset(path)
     finally:
         tmp_path.chmod(0o755)
-    for a, b in zip(got[:3], expected[:3]):
+    for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
@@ -993,7 +990,7 @@ def test_a_cold_read_writes_its_sidecar_and_holds_its_output_and_one_block(wide_
     datagen.sidecar_path(path).unlink(missing_ok=True)
     cold, peak = traced_peak(lambda: read_dataset(path))
     assert datagen.sidecar_path(path).exists()
-    for got, want in zip(cold[:3], data):
+    for got, want in zip(cold, data):
         np.testing.assert_array_equal(got, want)  # -0.0 is written as 0
     n_rows, n_feat = data[0].shape
     assert peak <= 1.25 * (n_rows + datagen.BLOCK_ROWS) * (n_feat + 2) * 8
@@ -1009,7 +1006,7 @@ def test_a_warm_read_holds_one_matrix(wide_csv):
         matrix_bytes = cached["data"].nbytes
     warm, peak = traced_peak(lambda: read_dataset(path))
     assert warm.x.flags["C_CONTIGUOUS"]
-    for got, want in zip(warm[:3], data):
+    for got, want in zip(warm, data):
         np.testing.assert_array_equal(got, want)
     assert peak <= 1.2 * matrix_bytes
 
@@ -1042,7 +1039,7 @@ def _refuse_other_digest(sha256):
     def consume(info, blocks):
         if info.sha256 != sha256:
             raise _OtherData(info.n_rows)
-        return datagen.take_rows(info, blocks, rows=[0])
+        return info, datagen.take_rows(info, blocks, rows=[0])
     return consume
 
 
@@ -1065,12 +1062,12 @@ def test_a_read_with_another_digest_counts_rows_in_blocks(wide_csv, monkeypatch)
 
 def test_read_with_another_digest_counts_rows_and_parses_nothing(tmp_path, monkeypatch):
     path = _written(tmp_path)
-    digest = read_dataset(path).sha256
+    digest = read_dataset_info(path)[0].sha256
     _no_parse(monkeypatch)
     with pytest.raises(_OtherData) as info:
         datagen.scan_dataset(path, _refuse_other_digest("0" * 64))
     assert info.value.n_rows == 30
-    assert datagen.scan_dataset(path, _refuse_other_digest(digest)).sha256 == digest
+    assert datagen.scan_dataset(path, _refuse_other_digest(digest))[0].sha256 == digest
 
 # --- split ------------------------------------------------------------------------
 

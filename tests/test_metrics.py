@@ -174,6 +174,16 @@ def test_nll_zero_probability_is_clamped():
     assert metrics.nll(*prediction_set(((0.0, 1.0), 0))) == pytest.approx(-math.log(1e-12), rel=1e-12)
 
 
+def test_nll_sum_is_the_row_loop_bit_for_bit():
+    floor = metrics.PROB_FLOOR
+    p = np.array([0.0, 5e-324, floor, np.nextafter(floor, 1.0), 0.3, 1.0 / 3.0, 1.0])
+    p = np.concatenate([p, np.random.default_rng(5).random(1000)])
+    expected = 0.0
+    for value in p.tolist():
+        expected -= math.log(max(value, floor))
+    assert metrics._nll_sum(p).hex() == expected.hex()
+
+
 def test_nll_nonnegative_and_zero_iff_certain():
     rng = np.random.default_rng(11)
     for _ in range(50):

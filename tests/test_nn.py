@@ -389,26 +389,26 @@ def toy_separable(n=200, seed=0):
 def test_train_toy_set_reaches_high_accuracy():
     x, y = toy_separable()
     config = nn.TrainConfig(
-        learning_rate=1e-2, epochs=200, batch_size=200, rng_seed=1, loss_kind="ce"
+        learning_rate=1e-2, epochs=200, batch_size=200, rng_seed=1, loss_kind="ce", hidden=(8,)
     )
-    _, log = nn.train(x, y, config, layer_sizes=[2, 8, 2])
+    _, log = nn.train(x, y, config)
     assert log[-1].train_acc >= 0.99
 
 
 def test_train_loss_non_increasing_at_small_lr():
     x, y = toy_separable()
     config = nn.TrainConfig(
-        learning_rate=1e-3, epochs=60, batch_size=200, rng_seed=3, loss_kind="ce"
+        learning_rate=1e-3, epochs=60, batch_size=200, rng_seed=3, loss_kind="ce", hidden=(8,)
     )
-    _, log = nn.train(x, y, config, layer_sizes=[2, 8, 2])
+    _, log = nn.train(x, y, config)
     losses = [row.loss for row in log]
     assert all(b <= a + 1e-6 for a, b in zip(losses, losses[1:]))
 
 
 def test_train_zero_lr_keeps_initialization():
     x, y = toy_separable(50)
-    config = nn.TrainConfig(learning_rate=0.0, epochs=3, batch_size=16, rng_seed=9)
-    params, _ = nn.train(x, y, config, layer_sizes=[2, 4, 2])
+    config = nn.TrainConfig(learning_rate=0.0, epochs=3, batch_size=16, rng_seed=9, hidden=(4,))
+    params, _ = nn.train(x, y, config)
     init_ss = np.random.SeedSequence(9).spawn(2)[0]
     fresh = nn.init_params([2, 4, 2], seed=init_ss)
     for a, b in zip(params.weights + params.biases, fresh.weights + fresh.biases):
@@ -429,9 +429,9 @@ def test_train_forwards_each_row_once_per_epoch(monkeypatch):
         rows.clear()
         config = nn.TrainConfig(
             learning_rate=1e-3, epochs=3, batch_size=16, rng_seed=9,
-            loss_kind=loss_kind, k_train=8,
+            loss_kind=loss_kind, k_train=8, hidden=(4,),
         )
-        nn.train(x, y, config, layer_sizes=[2, 4, 2])
+        nn.train(x, y, config)
         assert sum(rows) == config.epochs * len(y)
 
 
@@ -442,9 +442,9 @@ def test_train_acc_is_running_batch_accuracy(loss_kind):
     x, y = toy_separable(50)
     config = nn.TrainConfig(
         learning_rate=0.0, epochs=3, batch_size=16, rng_seed=9,
-        loss_kind=loss_kind, k_train=8,
+        loss_kind=loss_kind, k_train=8, hidden=(4,),
     )
-    params, log = nn.train(x, y, config, layer_sizes=[2, 4, 2])
+    params, log = nn.train(x, y, config)
     logits, _ = nn.split_outputs(params, nn.forward(params, x))
     full_pass = float(np.mean(np.argmax(logits, axis=1) == y))
     assert [row.train_acc for row in log] == [full_pass] * config.epochs
@@ -455,10 +455,10 @@ def test_train_same_seed_bit_identical():
     for loss_kind in ("ce", "du"):
         config = nn.TrainConfig(
             learning_rate=1e-3, epochs=4, batch_size=32, rng_seed=11,
-            loss_kind=loss_kind, k_train=8,
+            loss_kind=loss_kind, k_train=8, hidden=(6,),
         )
-        p1, log1 = nn.train(x, y, config, layer_sizes=[2, 6, 2])
-        p2, log2 = nn.train(x, y, config, layer_sizes=[2, 6, 2])
+        p1, log1 = nn.train(x, y, config)
+        p2, log2 = nn.train(x, y, config)
         for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
             np.testing.assert_array_equal(a, b)
         assert [(r.epoch, r.loss, r.train_acc) for r in log1] == [
@@ -470,8 +470,8 @@ def test_train_step_is_a_float32_pass_and_a_float64_adam_update():
     # one epoch of one full batch, replayed by hand: float32 rows and
     # weights through backward, float64 gradients into Adam
     x, y = toy_separable(40)
-    config = nn.TrainConfig(learning_rate=1e-2, epochs=1, batch_size=40, rng_seed=9)
-    params, _ = nn.train(x, y, config, layer_sizes=[2, 4, 2])
+    config = nn.TrainConfig(learning_rate=1e-2, epochs=1, batch_size=40, rng_seed=9, hidden=(4,))
+    params, _ = nn.train(x, y, config)
     init_ss, shuffle_ss = np.random.SeedSequence(9).spawn(2)
     expected = nn.init_params([2, 4, 2], seed=init_ss)
     perm = np.random.default_rng(shuffle_ss).permutation(len(y))
@@ -490,9 +490,9 @@ def test_train_returns_float64_params_that_roundtrip(tmp_path):
     for loss_kind in ("ce", "du"):
         config = nn.TrainConfig(
             learning_rate=1e-3, epochs=2, batch_size=32, rng_seed=11,
-            loss_kind=loss_kind, k_train=8,
+            loss_kind=loss_kind, k_train=8, hidden=(6,),
         )
-        params, _ = nn.train(x, y, config, layer_sizes=[2, 6, 2])
+        params, _ = nn.train(x, y, config)
         path = tmp_path / f"model_{loss_kind}.txt"
         nn.save_model(params, path)
         loaded, _ = load_model(path)
@@ -526,9 +526,10 @@ def test_train_on_column_runs_is_train_on_the_float32_rows(loss_kind):
     ]
     config = nn.TrainConfig(
         learning_rate=1e-2, epochs=3, batch_size=16, rng_seed=5, loss_kind=loss_kind, k_train=8,
+        hidden=(6,),
     )
-    p1, log1 = nn.train(runs, y, config, layer_sizes=[7, 6, 2])
-    p2, log2 = nn.train(x.astype(np.float32), y, config, layer_sizes=[7, 6, 2])
+    p1, log1 = nn.train(runs, y, config)
+    p2, log2 = nn.train(x.astype(np.float32), y, config)
     for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
         assert a.tobytes() == b.tobytes()
     assert log1 == log2
@@ -601,9 +602,9 @@ def test_column_runs_refuse_a_value_whose_float32_cast_is_infinite(value, refuse
 
 
 def test_train_rejects_empty_dataset():
-    config = nn.TrainConfig(epochs=1)
+    config = nn.TrainConfig(epochs=1, hidden=())
     with pytest.raises(ValueError):
-        nn.train(np.zeros((0, 2)), np.zeros(0, dtype=int), config, layer_sizes=[2, 2])
+        nn.train(np.zeros((0, 2)), np.zeros(0, dtype=int), config)
 
 
 def test_train_refuses_an_array_value_beyond_the_float32_range(monkeypatch):
@@ -615,7 +616,7 @@ def test_train_refuses_an_array_value_beyond_the_float32_range(monkeypatch):
     steps = []
     monkeypatch.setattr(nn, "backward", lambda *args, **kwargs: steps.append(args))
     with pytest.raises(ValueError, match=r"^row 5: feature 1 is 1e\+39, beyond the float32 range"):
-        nn.train(x, y, nn.TrainConfig(epochs=1, batch_size=16), layer_sizes=[3, 4, 2])
+        nn.train(x, y, nn.TrainConfig(epochs=1, batch_size=16, hidden=(4,)))
     assert steps == []
 
 
@@ -631,6 +632,31 @@ def test_train_config_validation():
         nn.TrainConfig(loss_kind="huber").validate()
     with pytest.raises(ValueError):
         nn.TrainConfig(loss_kind="du", k_train=7).validate()  # odd k, antithetic
+    for hidden in ((4, 0), (-1,)):
+        with pytest.raises(ValueError, match="hidden"):
+            nn.TrainConfig(hidden=hidden).validate()
+    nn.TrainConfig(hidden=()).validate()  # no hidden layer
+
+
+@pytest.mark.parametrize("loss_kind", ["ce", "du"])
+@pytest.mark.parametrize("width, hidden", [(2, (8,)), (7, (5, 3)), (7, ())])
+def test_train_builds_the_network_of_its_rows_and_hidden_sizes(loss_kind, width, hidden):
+    x = np.random.default_rng(width).normal(size=(40, width))
+    y = (x[:, 0] > 0).astype(int)
+    config = nn.TrainConfig(epochs=1, batch_size=16, loss_kind=loss_kind, k_train=8,
+                            hidden=hidden)
+    params, _ = nn.train(x, y, config)
+    assert params.layer_sizes == [width, *hidden, 2]
+    assert params.weights[-1].shape[1] == (3 if loss_kind == "du" else 2)
+
+
+def test_a_network_that_does_not_end_at_the_two_classes_is_refused(tmp_path):
+    with pytest.raises(ValueError, match="layer_sizes"):
+        nn.init_params([3, 4, 3])
+    params = nn.ModelParams([3, 3], [np.eye(3)], [np.zeros(3)])
+    with pytest.raises(ValueError, match="layer_sizes"):
+        nn.save_model(params, tmp_path / "m.txt")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- serialization ---------------------------------------------------------------
@@ -701,12 +727,22 @@ def test_model_load_rejects_garbage(tmp_path):
             load_model(path)
 
 
+# a consistent model file of a network with three outputs, which save_model
+# refuses to write
+THREE_OUTPUTS = (
+    "calibforge-model v1\nlayer_sizes=3,4,3\ndu_head=false\n"
+    "param W0 3 4\n" + "0.5 -0.5 1 0\n" * 3 + "param b0 4\n0 0 0 0\n"
+    "param W1 4 3\n" + "1 0 -1\n" * 4 + "param b1 3\n0 0 0\nend\n"
+)
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda text: text.replace("layer_sizes=3,4,2", "layer_sizes=3,x"), "layer_sizes"),
     (lambda text: text.replace("layer_sizes=3,4,2", "layer_sizes=3,,2"), "layer_sizes"),
+    (lambda text: THREE_OUTPUTS, "layer_sizes"),
     (lambda text: text.replace("du_head=false", "du_head=yes"), "du_head"),
     (None, None),
-], ids=["non-integer-size", "empty-size", "du-head-yes", "random-bytes"])
+], ids=["non-integer-size", "empty-size", "three-outputs", "du-head-yes", "random-bytes"])
 def test_model_load_names_the_file_of_a_malformed_model(tmp_path, edit, key):
     path = tmp_path / "model.txt"
     if edit is None:
