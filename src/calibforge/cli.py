@@ -4,8 +4,12 @@ Each command resolves its configuration from the defaults of its flags in
 ``build_parser``, then an optional JSON config file (--config), then
 explicit flags, rejects unknown keys, echoes the resolved result, and
 embeds it together with the tool version in every artifact it writes.
-Commands are deterministic given identical inputs and seed. ``pipeline``
-spells out the 12 command lines of the five-method comparison.
+Commands are deterministic given identical inputs and seed.
+
+The comparison is declared once: ``METHODS`` holds its rows and ``COLUMNS``
+its columns. ``pipeline``'s 12 command lines, calibrate's ``--kind`` choices,
+eval's report label and compare's checks and table all follow from them, so
+a new method or score is one entry.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error
 (among them a config file that is not a UTF-8 JSON object), 4 missing
@@ -20,6 +24,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +37,26 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_MISSING = 4
 
-METHOD_LABELS = ["none", "temperature", "vector", "matrix", "du"]
-METHOD_NAMES = {
-    "none": "No calibration",
-    "temperature": "Temperature scaling",
-    "vector": "Vector scaling",
-    "matrix": "Matrix scaling",
-    "du": "DU loss",
-}
-# report fields the comparison table reads
-REPORT_KEYS = ("accuracy", "ece", "mce", "nll_mean")
-# scaler kind -> its fit in scaling, looked up by name at call time so that a
-# wrapped fit (as a tracer installs) is the one called
-SCALER_FITS = {"temperature": "fit_temperature", "vector": "fit_vector", "matrix": "fit_matrix"}
+# a comparison row: report_<label>.json, the eval of model_<loss>.txt through
+# scaler_<scaler>.json if set, tabulated under its name
+Method = namedtuple("Method", ["label", "name", "loss", "scaler"])
+# a comparison column: a report key under its heading, shown as scale times the
+# value with decimals places in width characters; compare admits [0, upper]
+Column = namedtuple("Column", ["key", "heading", "width", "scale", "decimals", "upper"])
+METHODS = (
+    Method("none", "No calibration", "ce", None),
+    Method("temperature", "Temperature scaling", "ce", "temperature"),
+    Method("vector", "Vector scaling", "ce", "vector"),
+    Method("matrix", "Matrix scaling", "ce", "matrix"),
+    Method("du", "DU loss", "du", None),
+)
+COLUMNS = (
+    Column("accuracy", "Accuracy[%]", 12, 100.0, 2, 1),
+    Column("ece", "ECE[%]", 9, 100.0, 2, 1),
+    Column("mce", "MCE[%]", 9, 100.0, 2, 1),
+    Column("nll_mean", "NLL", 8, 1.0, 3, math.inf),
+)
+SCALER_KINDS = tuple(method.scaler for method in METHODS if method.scaler is not None)
 # the reference run's train flags beyond the parser defaults, per loss
 REFERENCE_TRAIN = {"ce": ("--batch-size", "1024"), "du": ("--batch-size", "1024", "--k", "8")}
 # every command's --seed default, and so the reference run's seed
@@ -64,16 +76,18 @@ def pipeline(out, seed=DEFAULT_SEED, gen_flags=(), train_flags=REFERENCE_TRAIN) 
     def path(name):
         return str(Path(out) / name)
 
-    train, test, model_ce = path("train.csv"), path("test.csv"), path("model_ce.txt")
+    train, test = path("train.csv"), path("test.csv")
     argvs = [["gen", *gen_flags, *common]]
-    for loss in ("ce", "du"):
+    for loss in dict.fromkeys(method.loss for method in METHODS):
         argvs.append(["train", "--data", train, "--loss", loss, *train_flags[loss], *common])
-    for kind in SCALER_FITS:
-        argvs.append(["calibrate", "--model", model_ce, "--data", train, "--kind", kind, *common])
-    for label in METHOD_LABELS:
-        model = path("model_du.txt") if label == "du" else model_ce
-        scaler = ["--scaler", path(f"scaler_{label}.json")] if label in SCALER_FITS else []
-        argvs.append(["eval", "--model", model, "--data", test, *scaler, *common])
+    scaled = [method for method in METHODS if method.scaler is not None]
+    for method in scaled:
+        argvs.append(["calibrate", "--model", path(f"model_{method.loss}.txt"), "--data", train,
+                      "--kind", method.scaler, *common])
+    for method in METHODS:
+        scaler = ["--scaler", path(f"scaler_{method.scaler}.json")] if method.scaler else []
+        argvs.append(["eval", "--model", path(f"model_{method.loss}.txt"), "--data", test,
+                      *scaler, *common])
     argvs.append(["compare", *common])
     return argvs
 
@@ -125,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[common], help="fit a post-hoc scaler")
     p.add_argument("--model", type=str, default=None)
     p.add_argument("--data", type=str, default=None, help="the training dataset CSV")
-    p.add_argument("--kind", type=str, default="temperature", choices=list(SCALER_FITS))
+    p.add_argument("--kind", type=str, default="temperature", choices=SCALER_KINDS)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate calibration on a dataset")
     p.add_argument("--model", type=str, default=None)
@@ -359,12 +373,12 @@ def cmd_calibrate(resolved: dict) -> None:
     # model was trained on: the same bytes give the same row numbering
     outputs = datagen.model_outputs(model, data, data_sha256)
     out = _outdir(resolved)
-    fit = getattr(scaling, SCALER_FITS[kind])
+    fit = getattr(scaling, f"fit_{kind}")  # at call time, so that a wrapped fit is called
     scaler = fit(outputs.raw[val], outputs.y[val], log_path=out / f"calib_log_{kind}.csv")
     scaler.model_sha256 = model.sha256
     scaler_path = out / f"scaler_{kind}.json"
     scaling.save_scaler(scaler, scaler_path, extra={"version": __version__, "config": resolved})
-    detail = f"T={scaler.temperature!r}" if kind == "temperature" else "fitted"
+    detail = "fitted" if scaler.temperature is None else f"T={scaler.temperature!r}"
     if scaler.warning:
         print(f"warning: {scaler.warning}", file=sys.stderr)
     print(f"wrote {scaler_path} ({detail}, val NLL minimized on {len(val)} points)")
@@ -426,46 +440,38 @@ def cmd_eval(resolved: dict) -> None:
     metrics.check_m_bins(resolved["m_bins"])
     model = nn.read_model(resolved["model"])
     du_head = model.du_head_enabled
-    scaler = None
-    if resolved["scaler"] is not None:
-        scaler = scaling.load_scaler(resolved["scaler"])
+    scaler = None if resolved["scaler"] is None else scaling.load_scaler(resolved["scaler"])
     if du_head and scaler is not None:
         raise ValueError("post-hoc scalers do not combine with du models")
     if scaler is not None:
         _check_scaler_model(scaler, resolved, model.sha256)
+    loss, kind = ("du" if du_head else "ce"), (scaler.kind if scaler is not None else None)
+    (method,) = [m for m in METHODS if (m.loss, m.scaler) == (loss, kind)]
 
     _serve_step_arrays_from_the_heap()
     # a model's outputs on one file, its own probabilities and their text are
     # computed once, whatever the scaler
     outputs = datagen.model_outputs(model, resolved["data"], text=True)
     del model  # its text is not needed past the forward pass
-    scaled = None
-    if scaler is not None:
-        scaled = nn.softmax(scaling.transform_logits(scaler, outputs.raw))
+    scaled = None if scaler is None else nn.softmax(scaling.transform_logits(scaler, outputs.raw))
     report = metrics.build_report(outputs.probs if scaled is None else scaled, outputs.y,
                                   resolved["m_bins"], outputs.p_true)
 
-    label = scaler.kind if scaler is not None else "du" if du_head else "none"
-    extra = {"version": __version__, "config": resolved, "method": label}
+    extra = {"version": __version__, "config": resolved, "method": method.label}
     if du_head:
         extra["probability_rule"] = duloss.EXACT_RULE
 
     out = _outdir(resolved)
     meta = _meta("eval", resolved)
-    metrics.write_report_json(report, out / f"report_{label}.json", extra=extra)
-    metrics.write_reliability_csv(report, out / f"reliability_{label}.csv", comment=meta)
-    metrics.write_reliability_svg(
-        report, out / f"reliability_{label}.svg",
-        title=f"reliability: {METHOD_NAMES[label]}", comment=meta,
-    )
-    with replacing(out / f"predictions_{label}.csv", "wb") as fh:
+    metrics.write_report_json(report, out / f"report_{method.label}.json", extra=extra)
+    metrics.write_reliability_csv(report, out / f"reliability_{method.label}.csv", comment=meta)
+    metrics.write_reliability_svg(report, out / f"reliability_{method.label}.svg",
+                                  title=f"reliability: {method.name}", comment=meta)
+    with replacing(out / f"predictions_{method.label}.csv", "wb") as fh:
         fh.write(f"# {meta}\n{PREDICTION_COLUMNS}\n".encode())
         fh.writelines(_prediction_lines(outputs, scaled))
 
-    line = (
-        f"{label}: accuracy={report.accuracy:.4f} ece={report.ece:.4f} "
-        f"mce={report.mce:.4f} nll_mean={report.nll_mean:.4f}"
-    )
+    line = f"{method.label}: " + " ".join(f"{c.key}={getattr(report, c.key):.4f}" for c in COLUMNS)
     if report.oracle_ece is not None:
         line += f" oracle_ece={report.oracle_ece:.4f}"
     print(line)
@@ -473,55 +479,47 @@ def cmd_eval(resolved: dict) -> None:
 
 def cmd_compare(resolved: dict) -> None:
     src = Path(resolved["dir"]) if resolved["dir"] is not None else Path(resolved["out"])
-    paths = {label: src / f"report_{label}.json" for label in METHOD_LABELS}
+    paths = {method.label: src / f"report_{method.label}.json" for method in METHODS}
     missing = [str(p) for p in paths.values() if not p.exists()]
     if missing:
         raise MissingArtifactError("missing eval reports: " + ", ".join(missing))
     reports = {}
     for label, path in paths.items():
         report = reports[label] = read_json_object(path)
-        for key in REPORT_KEYS:
-            value = report.get(key)
+        for column in COLUMNS:
+            value = report.get(column.key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise FormatError(f"{path}: key {key!r} is missing or not a number")
-            # a NaN fails every comparison
-            if not (0 <= value <= 1 or key == "nll_mean" and 0 <= value < math.inf):
-                bound = "finite and nonnegative" if key == "nll_mean" else "in [0, 1]"
-                raise FormatError(f"{path}: key {key!r} must be {bound}, got {value!r}")
-        if not isinstance(report.get("bins"), list):
-            raise FormatError(f"{path}: key 'bins' is missing or not a list")
-        if report.get("method") != label:
-            raise ValueError(
-                f"{path} is the report of method {report.get('method')!r}, not {label!r}"
-            )
-    # the rows must be the same rows, binned the same way
-    shape = {label: (rep.get("n"), len(rep["bins"])) for label, rep in reports.items()}
-    for label, (n, m_bins) in shape.items():
-        if (n, m_bins) != shape["none"]:
-            raise ValueError(
-                f"{paths[label]} has n={n} and {m_bins} bins, but {paths['none']} has "
-                f"n={shape['none'][0]} and {shape['none'][1]} bins"
-            )
+                raise FormatError(f"{path}: key {column.key!r} is missing or not a number")
+            # a NaN fails every comparison, and so does an int beyond the float range
+            if not 0 <= value <= min(column.upper, sys.float_info.max):
+                bound = (f"in [0, {column.upper}]" if column.upper < math.inf
+                         else "finite and nonnegative")
+                raise FormatError(f"{path}: key {column.key!r} must be {bound}, got {value!r}")
+        n, bins = report.get("n"), report.get("bins")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise FormatError(f"{path}: key 'n' is missing or not a positive integer")
+        if not isinstance(bins, list) or not all(isinstance(b, dict) for b in bins):
+            raise FormatError(f"{path}: key 'bins' is missing or not a list of JSON objects")
+        if (method := report.get("method")) != label:
+            raise ValueError(f"{path} is the report of method {method!r}, not {label!r}")
+    # every report must hold the first row's rows, binned the same way
+    first = METHODS[0].label
+    n_first, m_first = reports[first]["n"], len(reports[first]["bins"])
+    for label, rep in reports.items():
+        if (rep["n"], len(rep["bins"])) != (n_first, m_first):
+            raise ValueError(f"{paths[label]} has n={rep['n']} and {len(rep['bins'])} bins, but "
+                             f"{paths[first]} has n={n_first} and {m_first} bins")
 
-    header = f"{'Method':<22}{'Accuracy[%]':>12}{'ECE[%]':>9}{'MCE[%]':>9}{'NLL':>8}"
+    header = f"{'Method':<22}" + "".join(f"{c.heading:>{c.width}}" for c in COLUMNS)
     lines = [header, "-" * len(header)]
-    for label in METHOD_LABELS:
-        rep = reports[label]
-        lines.append(
-            f"{METHOD_NAMES[label]:<22}"
-            f"{100.0 * rep['accuracy']:>12.2f}"
-            f"{100.0 * rep['ece']:>9.2f}"
-            f"{100.0 * rep['mce']:>9.2f}"
-            f"{rep['nll_mean']:>8.3f}"
-        )
+    for method in METHODS:
+        rep = reports[method.label]
+        lines.append(f"{method.name:<22}" + "".join(
+            f"{c.scale * rep[c.key]:>{c.width}.{c.decimals}f}" for c in COLUMNS))
     table = "\n".join(lines)
 
     out = _outdir(resolved)
-    doc = {
-        "version": __version__,
-        "config": resolved,
-        "methods": reports,
-    }
+    doc = {"version": __version__, "config": resolved, "methods": reports}
     artifacts.write_json(out / "comparison.json", doc)
     write_lines(out / "comparison.txt", [f"# {_meta('compare', resolved)}", table])
     print(table)

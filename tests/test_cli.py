@@ -26,6 +26,9 @@ from conftest import (
     reference_rows, run_cli,
 )
 
+# the comparison's method labels, in table order
+LABELS = [method.label for method in cli.METHODS]
+
 
 # --- gen -----------------------------------------------------------------
 
@@ -642,7 +645,7 @@ def test_the_three_calibrates_run_the_network_on_the_training_rows_once(
     data, out = tmp_path / "train.csv", tmp_path / "o"
     shutil.copyfile(mini_run / "train.csv", data)
     forwards = _forward_rows(monkeypatch)
-    for kind in cli.SCALER_FITS:
+    for kind in cli.SCALER_KINDS:
         assert _calibrate(mini_run / "model_ce.txt", data, out, kind) == 0
         assert _fitted(out / f"scaler_{kind}.json") == _fitted(mini_run / f"scaler_{kind}.json")
     assert sum(forwards) == 400  # MINI_GEN rows
@@ -860,13 +863,12 @@ def _artifacts(out) -> dict:
 
 
 def _eval_argv(mini_run, label, data, out) -> list[str]:
-    """The eval command line of method ``label`` on ``data`` with the mini
-    pipeline's model and scaler."""
-    model = mini_run / ("model_du.txt" if label == "du" else "model_ce.txt")
-    scaler = []
-    if label in cli.SCALER_FITS:
-        scaler = ["--scaler", str(mini_run / f"scaler_{label}.json")]
-    return ["eval", "--model", str(model), "--data", str(data), *scaler, "--out", str(out)]
+    """The mini pipeline's eval command line of method ``label``, with its
+    model and scaler, on ``data`` and into ``out``."""
+    evals = [argv for argv in cli.pipeline(mini_run) if argv[0] == "eval"]
+    (argv,) = [argv for method, argv in zip(cli.METHODS, evals) if method.label == label]
+    argv[argv.index("--data") + 1], argv[argv.index("--out") + 1] = str(data), str(out)
+    return argv
 
 
 def test_cold_and_warm_eval_write_identical_artifacts(tmp_path, mini_run, monkeypatch):
@@ -879,7 +881,7 @@ def test_cold_and_warm_eval_write_identical_artifacts(tmp_path, mini_run, monkey
     shutil.copyfile(mini_run / "test.csv", data)
     assert not datagen.sidecar_path(data).exists()
     parsed, forwards = _count_loadtxt_rows(monkeypatch), _forward_rows(monkeypatch)
-    for label in cli.METHOD_LABELS:
+    for label in LABELS:
         out = tmp_path / label
         argv = _eval_argv(mini_run, label, data, out)
         cached = datagen.outputs_path(data, argv[2])
@@ -1084,7 +1086,7 @@ def test_a_warm_eval_formats_only_a_scalers_probabilities(tmp_path, mini_run, mo
     integrated = _integrated_rows(monkeypatch)
     cold = {"none": 5 * 50, "temperature": 2 * 50, "vector": 2 * 50, "matrix": 2 * 50,
             "du": 6 * 50}
-    for label in cli.METHOD_LABELS:
+    for label in LABELS:
         argv = _eval_argv(mini_run, label, data, tmp_path / label)
         assert cli.main(argv) == 0
         assert sum(formatted) == cold[label]
@@ -1094,7 +1096,7 @@ def test_a_warm_eval_formats_only_a_scalers_probabilities(tmp_path, mini_run, mo
         integrated.clear()
         assert cli.main(argv) == 0
         assert forwards == [] and integrated == []
-        assert sum(formatted) == (2 * 50 if label in cli.SCALER_FITS else 0)
+        assert sum(formatted) == (2 * 50 if label in cli.SCALER_KINDS else 0)
         formatted.clear()
 
 
@@ -1111,7 +1113,7 @@ def test_calibrate_formats_no_float_and_writes_no_text_member(tmp_path, mini_run
 def test_each_predictions_dump_line_is_the_repr_of_its_values(mini_run):
     # the dump's reference: each value formatted by repr, joined by commas,
     # from the outputs and the probabilities of whole-array calls
-    for label in cli.METHOD_LABELS:
+    for label in LABELS:
         model = nn.read_model(mini_run / ("model_du.txt" if label == "du" else "model_ce.txt"))
         outputs = datagen.model_outputs(model, mini_run / "test.csv")
         logits, s_raw = nn.split_outputs(model, outputs.raw)
@@ -1323,7 +1325,7 @@ def check_reports_against_prediction_dumps(out: Path) -> None:
     those of its probabilities, and the report's accuracy, ECE, MCE, NLL,
     truth scores and each bin's count, accuracy and confidence are those a
     plain loop over the dump's rows gives (conftest.ref_metrics)."""
-    for label in cli.METHOD_LABELS:
+    for label in LABELS:
         doc = load_report(out, label)
         lines = (out / f"predictions_{label}.csv").read_text().splitlines()
         assert lines[1] == "z0,z1,s_raw,p0,p1,confidence,predicted,true,p_true"
@@ -1509,6 +1511,35 @@ def test_compare_table_matches_reports(mini_run):
         row = next(line for line in table.splitlines() if line.startswith(name))
         assert f"{100 * rep['ece']:.2f}" in row
         assert f"{rep['nll_mean']:.3f}" in row
+    # the column table renders today's heading and rule
+    assert table.splitlines()[1:3] == [
+        "Method                 Accuracy[%]   ECE[%]   MCE[%]     NLL", "-" * 60,
+    ]
+
+
+def test_pipeline_parser_and_eval_labels_follow_the_method_table(mini_run):
+    # one eval line per row, on model_<loss>.txt through scaler_<kind>.json
+    # if the row has a scaler; one calibrate line per scaler kind, and those
+    # kinds are --kind's choices; each eval labels its artifacts by its row
+    argvs = cli.pipeline("o")
+    evals = [argv for argv in argvs if argv[0] == "eval"]
+    kinds = [argv[argv.index("--kind") + 1] for argv in argvs if argv[0] == "calibrate"]
+    assert len(evals) == len(cli.METHODS)
+    for method, argv in zip(cli.METHODS, evals):
+        assert argv[argv.index("--model") + 1] == str(Path("o") / f"model_{method.loss}.txt")
+        scaler = argv[argv.index("--scaler") + 1] if "--scaler" in argv else None
+        assert scaler == (method.scaler and str(Path("o") / f"scaler_{method.scaler}.json"))
+    assert kinds == [method.scaler for method in cli.METHODS if method.scaler is not None]
+    (kind,) = [a for a in _subparsers()["calibrate"]._actions if a.dest == "kind"]
+    assert list(kind.choices) == kinds == list(cli.SCALER_KINDS)
+    for method in cli.METHODS:
+        report = load_report(mini_run, method.label)
+        assert report["method"] == method.label
+        assert Path(report["config"]["model"]).name == f"model_{method.loss}.txt"
+        scaler = report["config"]["scaler"]
+        assert (scaler and Path(scaler).name) == (method.scaler and f"scaler_{method.scaler}.json")
+        svg = (mini_run / f"reliability_{method.label}.svg").read_text()
+        assert f">reliability: {method.name}</text>" in svg
 
 
 def test_compare_missing_report_exits_4(tmp_path, mini_run):
@@ -1528,7 +1559,14 @@ def test_compare_missing_report_exits_4(tmp_path, mini_run):
     (lambda doc: {k: v for k, v in doc.items() if k != "nll_mean"}, "nll_mean"),
     (lambda doc: [doc], "JSON object"),
     (lambda doc: {**doc, "bins": 10}, "'bins'"),
-], ids=["missing_key", "json_list", "bins_not_list"])
+    (lambda doc: {**doc, "n": True}, "'n'"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "n"}, "'n'"),
+    (lambda doc: {**doc, "n": str(doc["n"])}, "'n'"),
+    (lambda doc: {**doc, "n": float(doc["n"])}, "'n'"),
+    (lambda doc: {**doc, "n": 0}, "'n'"),
+    (lambda doc: {**doc, "bins": [1] * len(doc["bins"])}, "'bins'"),
+], ids=["missing_key", "json_list", "bins_not_list", "n_bool", "n_missing", "n_string",
+        "n_float", "n_zero", "bins_not_objects"])
 def test_compare_malformed_report_exits_3(tmp_path, mini_run, corrupt, named):
     src = tmp_path / "reports"
     src.mkdir()
@@ -1552,6 +1590,7 @@ def test_compare_malformed_report_exits_3(tmp_path, mini_run, corrupt, named):
     ("du", "nll_mean", -0.25),
     ("matrix", "mce", 1.5),
     ("temperature", "ece", -float("inf")),
+    ("none", "nll_mean", 10**400),  # json.dumps writes its digits; beyond the float range
 ])
 def test_compare_rejects_non_finite_or_out_of_range_numbers(tmp_path, mini_run, label, key, value):
     src = tmp_path / "reports"
@@ -1575,7 +1614,7 @@ def test_compare_refuses_reports_that_do_not_belong_together(tmp_path, mini_run,
     # report_none.json, binned the same way; a stray one exits 2 naming it
     src = tmp_path / "reports"
     src.mkdir()
-    for label in cli.METHOD_LABELS:
+    for label in LABELS:
         shutil.copyfile(mini_run / f"report_{label}.json", src / f"report_{label}.json")
     model_ce, model_du = str(mini_run / "model_ce.txt"), str(mini_run / "model_du.txt")
     evals = {
@@ -1620,7 +1659,7 @@ def test_a_json_input_that_is_not_a_utf8_object_exits_3_naming_it(
     else:
         src = tmp_path / "reports"
         src.mkdir()
-        for label in cli.METHOD_LABELS:
+        for label in LABELS:
             shutil.copyfile(mini_run / f"report_{label}.json", src / f"report_{label}.json")
         bad = src / "report_du.json"
         argv = ["compare", "--dir", str(src), "--out", str(out)]
