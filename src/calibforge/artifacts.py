@@ -36,6 +36,19 @@ def read_json_object(path, error=FormatError) -> dict:
     return doc
 
 
+def json_number(value) -> float | None:
+    """``value`` as a float when it is a JSON number: an int or a float, not
+    a bool (a subclass of int), and an int only within the float range;
+    otherwise None. A float may be NaN or infinite, which JSON readers
+    accept; the caller checks the range it needs."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:  # an int written out in more digits than a float holds
+        return None
+
+
 def sha256_of(fh, chunk_bytes: int = 1 << 20) -> str:
     """The hex sha256 of an open binary file's bytes from its start, read
     ``chunk_bytes`` at a time."""

@@ -164,18 +164,16 @@ def _check_config_types(subparser: argparse.ArgumentParser, overrides: dict) -> 
         value, kind = overrides[action.dest], action.type
         if value is None:
             ok = action.default is None
+        elif kind is float:
+            ok = artifacts.json_number(value) is not None
         else:
             # bool is a subclass of int, so isinstance alone would admit it
-            accepted = (int, float) if kind is float else kind
-            ok = isinstance(value, accepted) and not isinstance(value, bool)
+            ok = isinstance(value, kind) and not isinstance(value, bool)
         if not ok:
             null = " or null" if action.default is None else ""
-            raise ValueError(
-                f"config key {action.dest!r} must be {kind.__name__}{null}, "
-                f"got {json.dumps(value)}"
-            )
-        if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
-            raise ValueError(f"config key {action.dest!r} is an integer beyond the float range")
+            name = "a number within the float range" if kind is float else kind.__name__
+            raise ValueError(f"config key {action.dest!r} must be {name}{null}, "
+                             f"got {json.dumps(value)}")
         if value is not None and action.choices is not None and value not in action.choices:
             raise ValueError(
                 f"config key {action.dest!r} must be one of "
@@ -453,7 +451,14 @@ def cmd_eval(resolved: dict) -> None:
     # computed once, whatever the scaler
     outputs = datagen.model_outputs(model, resolved["data"], text=True)
     del model  # its text is not needed past the forward pass
-    scaled = None if scaler is None else nn.softmax(scaling.transform_logits(scaler, outputs.raw))
+    scaled = None
+    if scaler is not None:
+        # a scaler's map can overflow finite logits (T = 1e-320, say); refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = scaling.transform_logits(scaler, outputs.raw)
+            scaled = nn.softmax(logits)
+        if not np.isfinite(logits).all():
+            raise ValueError(f"{resolved['scaler']} gives non-finite logits on {resolved['data']}")
     report = metrics.build_report(outputs.probs if scaled is None else scaled, outputs.y,
                                   resolved["m_bins"], outputs.p_true)
 
@@ -487,10 +492,11 @@ def cmd_compare(resolved: dict) -> None:
     for label, path in paths.items():
         report = reports[label] = read_json_object(path)
         for column in COLUMNS:
-            value = report.get(column.key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise FormatError(f"{path}: key {column.key!r} is missing or not a number")
-            # a NaN fails every comparison, and so does an int beyond the float range
+            value = artifacts.json_number(report.get(column.key))
+            if value is None:
+                raise FormatError(f"{path}: key {column.key!r} is missing or not a number "
+                                  f"within the float range")
+            # a NaN fails every comparison, and an infinity the float maximum
             if not 0 <= value <= min(column.upper, sys.float_info.max):
                 bound = (f"in [0, {column.upper}]" if column.upper < math.inf
                          else "finite and nonnegative")

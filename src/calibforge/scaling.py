@@ -14,6 +14,11 @@ regression with 1-3 parameters and a convex NLL, minimized by one damped
 Newton routine from the identity scaler. The NLL never rises from that
 start, so the returned scaler is never worse on the validation set than
 the uncalibrated one.
+
+Each kind's parameters, with their scaler-file keys and shapes, are
+declared once, in ``PARAMETERS``; the scaler's checks, its file writer and
+its file reader follow it. A new kind is one entry there, a fit and a
+transform.
 """
 
 from __future__ import annotations
@@ -24,9 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import FormatError, read_json_object, write_csv, write_json
+from .artifacts import FormatError, json_number, read_json_object, write_csv, write_json
 from .duloss import sigmoid
 
+# each kind's fitted parameters in scaler-file order: (ScalerParams field,
+# file key, shape); validate, save_scaler and load_scaler follow it
+PARAMETERS = {
+    "temperature": (("temperature", "T", ()),),
+    "vector": (("w_diag", "w_diag", (2,)),),
+    "matrix": (("w_full", "W", (2, 2)), ("b", "b", (2,))),
+}
 TEMPERATURE_BOUNDS = (1e-2, 1e2)
 # step cap of the Newton fits; only separable data, with no finite optimum, reaches it
 NEWTON_STEPS = 100
@@ -51,7 +63,7 @@ class ScalerParams:
     file whose logits it was fitted on, when known.
     """
 
-    kind: str  # "temperature" | "vector" | "matrix"
+    kind: str  # a key of PARAMETERS
     temperature: float | None = None
     w_diag: np.ndarray | None = None
     w_full: np.ndarray | None = None
@@ -60,24 +72,14 @@ class ScalerParams:
     model_sha256: str | None = None
 
     def validate(self) -> None:
-        if self.kind == "temperature":
-            t = self.temperature
-            if t is None or not (math.isfinite(t) and t > 0):
-                raise ValueError("temperature must be finite and positive")
-        elif self.kind == "vector":
-            if self.w_diag is None or self.w_diag.shape != (2,):
-                raise ValueError("vector scaler needs a 2-entry diagonal")
-            if not np.all(np.isfinite(self.w_diag)):
-                raise ValueError("vector scaler entries must be finite")
-        elif self.kind == "matrix":
-            if self.w_full is None or self.w_full.shape != (2, 2):
-                raise ValueError("matrix scaler needs a 2x2 matrix")
-            if self.b is None or self.b.shape != (2,):
-                raise ValueError("matrix scaler needs a 2-entry bias")
-            if not (np.all(np.isfinite(self.w_full)) and np.all(np.isfinite(self.b))):
-                raise ValueError("matrix scaler entries must be finite")
-        else:
+        if self.kind not in PARAMETERS:
             raise ValueError(f"unknown scaler kind {self.kind!r}")
+        for field, key, shape in PARAMETERS[self.kind]:
+            value = getattr(self, field)
+            if value is None or np.shape(value) != shape or not np.all(np.isfinite(value)):
+                raise ValueError(f"{self.kind} scaler key {key!r} must be finite, of shape {shape}")
+        if self.kind == "temperature" and not self.temperature > 0:
+            raise ValueError("temperature scaler key 'T' must be positive")
 
 
 def transform_logits(scaler: ScalerParams, z: np.ndarray) -> np.ndarray:
@@ -207,17 +209,12 @@ def _write_fit_log(path, rows) -> None:
 
 
 def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
-    """Write the scaler as JSON: {kind, T | w_diag | W and b, model_sha256
-    when known, warning when set}."""
+    """Write the scaler as JSON: {kind, its PARAMETERS keys in order,
+    model_sha256 when known, warning when set}."""
     scaler.validate()
     doc: dict = {"kind": scaler.kind}
-    if scaler.kind == "temperature":
-        doc["T"] = scaler.temperature
-    elif scaler.kind == "vector":
-        doc["w_diag"] = list(scaler.w_diag)
-    else:
-        doc["W"] = [list(row) for row in scaler.w_full]
-        doc["b"] = list(scaler.b)
+    for field, key, _ in PARAMETERS[scaler.kind]:
+        doc[key] = np.asarray(getattr(scaler, field)).tolist()
     if scaler.model_sha256 is not None:
         doc["model_sha256"] = scaler.model_sha256
     if scaler.warning:
@@ -229,19 +226,20 @@ def save_scaler(scaler: ScalerParams, path, extra: dict | None = None) -> None:
 
 def _json_numbers(doc: dict, key: str, scalar: bool = False):
     """``doc[key]`` as a float, or as a float array when it is a (nested)
-    list; anything that is not a JSON number (booleans included) is
-    rejected with the key's name."""
+    list; anything that is not a JSON number (booleans included, and ints
+    beyond the float range) is rejected with the key's name."""
     value = doc.get(key)
 
-    def numeric(v) -> bool:
+    def floats(v):
         if isinstance(v, list) and not scalar:
-            return all(numeric(e) for e in v)
-        # bool is a subclass of int, but true/false are not scaler entries
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
+            return [floats(e) for e in v]
+        number = json_number(v)
+        if number is None:
+            raise ValueError(f"scaler key {key!r} must hold numbers within the float range, "
+                             f"got {json.dumps(value)}")
+        return number
 
-    if not numeric(value):
-        raise ValueError(f"scaler key {key!r} must hold numbers, got {json.dumps(value)}")
-    return float(value) if scalar else np.asarray(value, dtype=float)
+    return floats(value) if scalar else np.asarray(floats(value), dtype=float)
 
 
 def load_scaler(path) -> ScalerParams:
@@ -250,21 +248,15 @@ def load_scaler(path) -> ScalerParams:
     doc = read_json_object(path, ScalerFormatError)
     try:
         kind = doc.get("kind")
-        if kind == "temperature":
-            scaler = ScalerParams(kind=kind, temperature=_json_numbers(doc, "T", scalar=True))
-        elif kind == "vector":
-            scaler = ScalerParams(kind=kind, w_diag=_json_numbers(doc, "w_diag"))
-        elif kind == "matrix":
-            scaler = ScalerParams(
-                kind=kind, w_full=_json_numbers(doc, "W"), b=_json_numbers(doc, "b")
-            )
-        else:
+        if not isinstance(kind, str) or kind not in PARAMETERS:  # a list cannot be hashed
             raise ValueError(f"unknown scaler kind {kind!r}")
+        scaler = ScalerParams(kind, **{field: _json_numbers(doc, key, scalar=shape == ())
+                                       for field, key, shape in PARAMETERS[kind]})
         for key in ("warning", "model_sha256"):
             if key in doc and not isinstance(doc[key], str):
                 raise ValueError(f"scaler key {key!r} must be a string, got {json.dumps(doc[key])}")
         scaler.warning, scaler.model_sha256 = doc.get("warning"), doc.get("model_sha256")
         scaler.validate()
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: a list nested too deep
         raise ScalerFormatError(f"{path}: {exc}") from exc
     return scaler

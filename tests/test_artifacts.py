@@ -1,9 +1,11 @@
 """Artifact writers: an interrupted write keeps the previous file, and the
 CSV and JSON formats every module writes through."""
 
+import math
+
 import pytest
 
-from calibforge.artifacts import write_csv, write_json, write_lines
+from calibforge.artifacts import json_number, write_csv, write_json, write_lines
 
 
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
@@ -31,3 +33,12 @@ def test_json_is_indented_by_two_and_ends_in_a_newline(tmp_path):
     path = tmp_path / "doc.json"
     write_json(path, {"kind": "temperature", "T": 1.5})
     assert path.read_text() == '{\n  "kind": "temperature",\n  "T": 1.5\n}\n'
+
+
+@pytest.mark.parametrize("value, number", [
+    (1, 1.0), (-2.5, -2.5), (-(10**300), -1e300), (math.inf, math.inf),
+    (True, None), (False, None), ("1.5", None), (None, None), ([1.0], None),
+    (10**400, None), (-(10**400), None),
+])
+def test_json_number_is_an_int_or_float_within_the_float_range(value, number):
+    assert json_number(value) == number

@@ -1402,6 +1402,10 @@ def test_eval_rejects_infinite_temperature_scaler(tmp_path, mini_run):
     ("vector", "w_diag", [True, 2]),
     ("matrix", "W", [[1, 0], [0, False]]),
     ("matrix", "b", [0, "0"]),
+    # json.dumps writes all the digits of an int beyond the float range
+    pytest.param("temperature", "T", 10**400, id="temperature-T-beyond-float-range"),
+    pytest.param("vector", "w_diag", [10**400, 1], id="vector-w_diag-beyond-float-range"),
+    pytest.param("matrix", "b", [0, -10**400], id="matrix-b-beyond-float-range"),
 ])
 def test_eval_rejects_non_numeric_scaler_entries(tmp_path, mini_run, kind, key, value):
     doc = json.loads((mini_run / f"scaler_{kind}.json").read_text())
@@ -1416,6 +1420,28 @@ def test_eval_rejects_non_numeric_scaler_entries(tmp_path, mini_run, kind, key, 
     assert "scaler_edited.json" in proc.stderr
     assert repr(key) in proc.stderr
     assert not (tmp_path / f"report_{kind}.json").exists()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("temperature", "T", 1e-320),  # finite and positive, but z / T overflows
+    ("matrix", "W", [[1e308, -1e308], [0.0, 1.0]]),
+])
+def test_eval_refuses_a_scaler_whose_logits_overflow(tmp_path, mini_run, kind, key, value):
+    # the scaled logits are refused with both files named, before any
+    # artifact is written and with no RuntimeWarning on the way
+    doc = json.loads((mini_run / f"scaler_{kind}.json").read_text())
+    doc[key] = value
+    scaler = tmp_path / "scaler_huge.json"
+    scaler.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    proc = run_cli([
+        "eval", "--model", mini_run / "model_ce.txt", "--data", mini_run / "test.csv",
+        "--scaler", scaler, "--out", out,
+    ], check=False)
+    assert proc.returncode == 2
+    assert "scaler_huge.json" in proc.stderr and str(mini_run / "test.csv") in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [[{"kind": "temperature", "T": 1.5}], {"kind": "bogus"}],
@@ -1532,6 +1558,9 @@ def test_pipeline_parser_and_eval_labels_follow_the_method_table(mini_run):
     assert kinds == [method.scaler for method in cli.METHODS if method.scaler is not None]
     (kind,) = [a for a in _subparsers()["calibrate"]._actions if a.dest == "kind"]
     assert list(kind.choices) == kinds == list(cli.SCALER_KINDS)
+    # each kind's parameters are declared in scaling.PARAMETERS and fitted by fit_<kind>
+    assert cli.SCALER_KINDS == tuple(scaling.PARAMETERS)
+    assert all(callable(getattr(scaling, f"fit_{kind}", None)) for kind in cli.SCALER_KINDS)
     for method in cli.METHODS:
         report = load_report(mini_run, method.label)
         assert report["method"] == method.label

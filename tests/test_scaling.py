@@ -38,12 +38,10 @@ FITS = {"temperature": scaling.fit_temperature, "vector": scaling.fit_vector,
 
 
 def raw_params(scaler):
-    """A scaler's stored parameters as one flat vector: T, w_diag, or W and b."""
-    if scaler.kind == "temperature":
-        return np.array([scaler.temperature])
-    if scaler.kind == "vector":
-        return scaler.w_diag.copy()
-    return np.concatenate([scaler.w_full.ravel(), scaler.b])
+    """A scaler's stored parameters as one flat vector, in table order: T,
+    w_diag, or W and b."""
+    return np.concatenate([np.ravel(getattr(scaler, field))
+                           for field, _, _ in scaling.PARAMETERS[scaler.kind]])
 
 
 def raw_nll(kind, params, z, labels):
@@ -327,6 +325,26 @@ def test_fitted_never_worse_than_uncalibrated():
 
 # --- serialization / logs ------------------------------------------------------------
 
+SAVED_SCALERS = [
+    (ScalerParams(kind="temperature", temperature=1.5, model_sha256="ab" * 32),
+     '{\n  "kind": "temperature",\n  "T": 1.5,\n  "model_sha256": "' + "ab" * 32 + '"\n}\n'),
+    (ScalerParams(kind="vector", w_diag=np.array([0.9, 1.1])),
+     '{\n  "kind": "vector",\n  "w_diag": [\n    0.9,\n    1.1\n  ]\n}\n'),
+    (ScalerParams(kind="matrix", w_full=np.array([[1.0, 0.2], [-0.1, 0.8]]),
+                  b=np.array([0.3, 0.0])),
+     '{\n  "kind": "matrix",\n  "W": [\n    [\n      1.0,\n      0.2\n    ],\n'
+     '    [\n      -0.1,\n      0.8\n    ]\n  ],\n  "b": [\n    0.3,\n    0.0\n  ]\n}\n'),
+]
+
+
+@pytest.mark.parametrize("scaler, text", SAVED_SCALERS, ids=KINDS)
+def test_save_scaler_writes_its_parameters_in_table_order(tmp_path, scaler, text):
+    # the keys follow scaling.PARAMETERS, each number in its shortest round-trip text
+    path = tmp_path / f"{scaler.kind}.json"
+    scaling.save_scaler(scaler, path)
+    assert path.read_text() == text
+
+
 def test_scaler_json_roundtrip(tmp_path):
     cases = [
         ScalerParams(kind="temperature", temperature=1.62, model_sha256="ab" * 32),
@@ -339,13 +357,9 @@ def test_scaler_json_roundtrip(tmp_path):
         loaded = scaling.load_scaler(path)
         assert loaded.kind == scaler.kind
         assert loaded.model_sha256 == scaler.model_sha256
-        if scaler.kind == "temperature":
-            assert loaded.temperature == scaler.temperature
-        elif scaler.kind == "vector":
-            np.testing.assert_array_equal(loaded.w_diag, scaler.w_diag)
-        else:
-            np.testing.assert_array_equal(loaded.w_full, scaler.w_full)
-            np.testing.assert_array_equal(loaded.b, scaler.b)
+        for field, _, shape in scaling.PARAMETERS[scaler.kind]:
+            assert np.shape(getattr(loaded, field)) == shape
+            np.testing.assert_array_equal(getattr(loaded, field), getattr(scaler, field))
 
 
 @pytest.mark.parametrize("content", [
@@ -354,13 +368,16 @@ def test_scaler_json_roundtrip(tmp_path):
     json.dumps([{"kind": "temperature", "T": 1.5}]).encode(),
     json.dumps({"kind": "temperature", "T": "x"}).encode(),
     json.dumps({"kind": "bogus"}).encode(),
+    json.dumps({"kind": ["temperature"], "T": 1.5}).encode(),
     json.dumps({"kind": "matrix", "W": [[1.0, 0.0], [0.0]], "b": [0.0, 0.0]}).encode(),
     json.dumps({"kind": "temperature", "T": 1.5, "warning": 7}).encode(),
     json.dumps({"kind": "temperature", "T": 1.5, "warning": None}).encode(),
     json.dumps({"kind": "temperature", "T": 1.5, "model_sha256": None}).encode(),
     b"[" * 100_000 + b"]" * 100_000,
-], ids=["random-bytes", "not-json", "json-list", "string-T", "unknown-kind", "ragged-W",
-        "numeric-warning", "null-warning", "null-model-sha256", "deeply-nested"])
+    # deep enough to end the reader's recursion, not so deep that json refuses it
+    b'{"kind": "matrix", "b": [0, 0], "W": ' + b"[" * 900 + b"1" + b"]" * 900 + b"}",
+], ids=["random-bytes", "not-json", "json-list", "string-T", "unknown-kind", "list-kind", "ragged-W",
+        "numeric-warning", "null-warning", "null-model-sha256", "deeply-nested", "deeply-nested-W"])
 def test_load_scaler_names_the_file_of_a_malformed_scaler(tmp_path, content):
     path = tmp_path / "scaler_bad.json"
     path.write_bytes(content)
