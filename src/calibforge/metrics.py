@@ -2,12 +2,13 @@
 
 A prediction set is an (n, 2) array of class probabilities plus an (n,)
 array of 0/1 labels. Confidence means the maximum class probability a model
-assigns to its prediction. The set is partitioned into M equal-width,
-right-closed confidence bins ((m-1)/M, m/M]; per-bin accuracy and mean
-confidence feed the expected and maximum calibration errors, and the
-negative log-likelihood is computed directly from the predicted probability
-of the true label. Where the true win probability of every row is known
-(synthetic data), the report also scores the confidence against it.
+assigns to its prediction. ``build_report`` is the one way to score a set:
+it partitions the set into M equal-width, right-closed confidence bins
+((m-1)/M, m/M], and one routine over the per-bin sums gives the bins, the
+expected and maximum calibration errors and, where the true win probability
+of every row is known (synthetic data), the binned error against that
+truth. The negative log-likelihood is computed directly from the predicted
+probability of the true label.
 
 Every sum accumulates sequentially in row order (``np.bincount`` and plain
 loops, never the pairwise ``np.sum``), so every number in a report can be
@@ -24,6 +25,10 @@ import numpy as np
 from .artifacts import write_csv, write_json, write_lines
 
 DEFAULT_BINS = 10
+
+# A report holds one row per bin, so its memory and file size grow with M;
+# this is far above the 10-25 bins any comparison uses.
+MAX_BINS = 10_000
 
 # Lower clamp applied to a probability before taking its log. Probabilities
 # equal to 1 are left untouched so a perfect prediction scores exactly 0.
@@ -97,13 +102,15 @@ def _prediction_set(probs, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("the prediction set must be nonempty")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
+        raise ValueError("probabilities must lie in [0, 1]")
     return probs, labels.astype(int)
 
 
 def check_m_bins(m_bins: int) -> None:
-    """Binned metrics need at least one confidence bin."""
-    if m_bins < 1:
-        raise ValueError("m_bins must be a positive integer")
+    """Binned metrics need at least one confidence bin, and at most MAX_BINS."""
+    if not 1 <= m_bins <= MAX_BINS:
+        raise ValueError(f"m_bins must be an integer in [1, {MAX_BINS}], got {m_bins}")
 
 
 def bin_indices(confidences, m_bins: int) -> np.ndarray:
@@ -122,53 +129,24 @@ def bin_indices(confidences, m_bins: int) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, conf, side="left"), m_bins - 1) + 1
 
 
-def _bin_stats(counts: list, hits: list, conf_sums: list) -> list[BinStats]:
+def _binned(counts: list, sums: list, conf_sums: list, n: int) -> tuple[list, float, float]:
     """The confidence bins from each bin's row count, sum of correctness (0/1
-    for a hit, or the probability of one) and sum of confidence. A bin's
-    accuracy is its rows' mean correctness; 0/1 values sum to an exact
-    integer."""
+    for a hit, or the probability of one) and sum of confidence, with their
+    expected and maximum calibration errors (ECE, MCE). A bin's accuracy is
+    its rows' mean correctness; 0/1 values sum to an exact integer. The ECE
+    adds each nonempty bin's ``(count / n) * |accuracy - mean confidence|``
+    in bin order, and the MCE is the largest of those gaps."""
     m_bins = len(counts)
-    bins = []
-    for b in range(m_bins):
-        if counts[b] > 0:
-            acc = hits[b] / counts[b]
-            conf = conf_sums[b] / counts[b]
-        else:
-            acc = None
-            conf = None
-        bins.append(
-            BinStats(
-                index=b + 1,
-                lo=b / m_bins,
-                hi=(b + 1) / m_bins,
-                count=counts[b],
-                accuracy=acc,
-                mean_confidence=conf,
-            )
-        )
-    return bins
-
-
-def ece(bins: list[BinStats], n: int) -> float:
-    """Expected calibration error: count-weighted mean of per-bin
-    |accuracy - mean confidence|. Empty bins contribute 0."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if sum(b.count for b in bins) != n:
-        raise ValueError("bin counts do not sum to n")
-    total = 0.0
-    for b in bins:
-        if not b.empty:
-            total += (b.count / n) * abs(b.accuracy - b.mean_confidence)
-    return total
-
-
-def mce(bins: list[BinStats]) -> float:
-    """Maximum calibration error: the largest per-bin gap over nonempty bins."""
-    gaps = [abs(b.accuracy - b.mean_confidence) for b in bins if not b.empty]
-    if not gaps:
-        raise ValueError("all bins are empty")
-    return max(gaps)
+    bins, ece, mce = [], 0.0, 0.0
+    for b, count in enumerate(counts):
+        acc = conf = None
+        if count > 0:
+            acc, conf = sums[b] / count, conf_sums[b] / count
+            gap = abs(acc - conf)
+            ece += (count / n) * gap
+            mce = max(mce, gap)
+        bins.append(BinStats(b + 1, b / m_bins, (b + 1) / m_bins, count, acc, conf))
+    return bins, ece, mce
 
 
 def _nll_sum(p_label: np.ndarray) -> float:
@@ -177,17 +155,6 @@ def _nll_sum(p_label: np.ndarray) -> float:
     for p in np.maximum(p_label, PROB_FLOOR).tolist():
         total -= math.log(p)
     return total
-
-
-def nll(probs, labels) -> float:
-    """Summed negative log-likelihood of the true labels.
-
-    Probabilities are floored at PROB_FLOOR before the log; a probability of
-    exactly 1 therefore contributes exactly 0. Logs are taken with
-    ``math.log``, whose last bit can differ from ``np.log``.
-    """
-    probs, labels = _prediction_set(probs, labels)
-    return _nll_sum(probs[np.arange(len(labels)), labels])
 
 
 def build_report(probs, labels, m_bins: int = DEFAULT_BINS, p_true=None) -> CalibrationReport:
@@ -213,6 +180,8 @@ def build_report(probs, labels, m_bins: int = DEFAULT_BINS, p_true=None) -> Cali
         p_true = np.asarray(p_true, dtype=float)
         if p_true.shape != labels.shape:
             raise ValueError("p_true must hold one probability per row of probs")
+        if not ((p_true >= 0.0) & (p_true <= 1.0)).all():
+            raise ValueError("p_true must lie in [0, 1]")
     confidence, predicted = predict(probs)
     idx = bin_indices(confidence, m_bins) - 1
     correct = predicted == labels
@@ -222,18 +191,18 @@ def build_report(probs, labels, m_bins: int = DEFAULT_BINS, p_true=None) -> Cali
 
     counts = np.bincount(idx, minlength=m_bins).tolist()
     conf_sums = bin_sums(confidence)
-    bins = _bin_stats(counts, bin_sums(correct), conf_sums)
+    bins, ece, mce = _binned(counts, bin_sums(correct), conf_sums, n)
     nll_sum = _nll_sum(probs[np.arange(n), labels])
     oracle = true = None
     if p_true is not None:
         true_conf = np.where(predicted == 1, p_true, 1.0 - p_true)
         # the gaps are summed sequentially in row order
         oracle = float(np.cumsum(np.abs(confidence - true_conf))[-1]) / n
-        true = ece(_bin_stats(counts, bin_sums(true_conf), conf_sums), n)
+        true = _binned(counts, bin_sums(true_conf), conf_sums, n)[1]
     return CalibrationReport(
         accuracy=int(np.count_nonzero(correct)) / n,
-        ece=ece(bins, n),
-        mce=mce(bins),
+        ece=ece,
+        mce=mce,
         nll_sum=nll_sum,
         nll_mean=nll_sum / n,
         n=n,
@@ -243,11 +212,11 @@ def build_report(probs, labels, m_bins: int = DEFAULT_BINS, p_true=None) -> Cali
     )
 
 
-def report_to_dict(report: CalibrationReport, extra: dict | None = None) -> dict:
-    """JSON-ready view of a report. Empty bins carry null accuracy and
-    confidence plus an explicit empty marker. The ``extra`` top-level
-    fields (tool version, resolved config, method) follow the bins, and the
-    truth scores, when the report has them, come last."""
+def write_report_json(report: CalibrationReport, path, extra: dict | None = None) -> None:
+    """Write a report as JSON. Empty bins carry null accuracy and confidence
+    plus an explicit empty marker. The ``extra`` top-level fields (tool
+    version, resolved config, method) follow the bins, and the truth
+    scores, when the report has them, come last."""
     doc = {
         "accuracy": report.accuracy,
         "ece": report.ece,
@@ -272,12 +241,7 @@ def report_to_dict(report: CalibrationReport, extra: dict | None = None) -> dict
     if report.oracle_ece is not None:
         doc["oracle_ece"] = report.oracle_ece
         doc["true_ece"] = report.true_ece
-    return doc
-
-
-def write_report_json(report: CalibrationReport, path, extra: dict | None = None) -> None:
-    """Write ``report_to_dict(report, extra)`` as JSON."""
-    write_json(path, report_to_dict(report, extra))
+    write_json(path, doc)
 
 
 def write_reliability_csv(report: CalibrationReport, path, comment: str | None = None) -> None:

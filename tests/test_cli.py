@@ -787,7 +787,7 @@ def test_du_eval_does_not_depend_on_the_seed(tmp_path, mini_run):
     assert load_report(mini_run, "du")["probability_rule"] == duloss.EXACT_RULE
 
 
-@pytest.mark.parametrize("m_bins", ["0", "-3"])
+@pytest.mark.parametrize("m_bins", ["0", "-3", "1000000000000", str(metrics.MAX_BINS + 1)])
 def test_eval_checks_m_bins_before_reading_anything(tmp_path, mini_run, monkeypatch, m_bins):
     # m_bins is checked before the model or the dataset is read
     reads = []

@@ -114,14 +114,33 @@ def two_bin_fixture():
     return prediction_set(*[((0.9, 0.1), 0)] * 3, ((0.6, 0.4), 1))
 
 
+@pytest.mark.parametrize("probs, p_true", [
+    ([[-0.2, 0.1], [0.6, 0.4]], None),  # the NLL would floor the negative probability
+    ([[0.6, float("nan")], [0.6, 0.4]], None),  # NaN in the class not predicted
+    ([[0.3, 0.7], [0.6, 0.4]], [2.0, 0.5]),
+    ([[0.3, 0.7], [0.6, 0.4]], [-0.1, 0.5]),
+    ([[0.3, 0.7], [0.6, 0.4]], [float("nan"), 0.5]),  # would give NaN truth scores
+])
+def test_report_refuses_values_outside_the_unit_interval(probs, p_true):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        metrics.build_report(np.array(probs), np.array([0, 0]), 10, p_true)
+
+
+def test_report_refuses_more_than_max_bins():
+    probs, labels = two_bin_fixture()
+    assert len(metrics.build_report(probs, labels, metrics.MAX_BINS).bins) == metrics.MAX_BINS
+    with pytest.raises(ValueError, match=str(metrics.MAX_BINS + 1)):
+        metrics.build_report(probs, labels, metrics.MAX_BINS + 1)
+
+
 def test_ece_two_bin_arithmetic():
-    bins = metrics.build_report(*two_bin_fixture(), 10).bins
-    assert metrics.ece(bins, 4) == pytest.approx(0.75 * 0.1 + 0.25 * 0.6, abs=1e-15)
+    rep = metrics.build_report(*two_bin_fixture(), 10)
+    assert rep.ece == pytest.approx(0.75 * 0.1 + 0.25 * 0.6, abs=1e-15)
 
 
 def test_mce_two_bin_arithmetic():
-    bins = metrics.build_report(*two_bin_fixture(), 10).bins
-    assert metrics.mce(bins) == pytest.approx(0.6, abs=1e-15)
+    rep = metrics.build_report(*two_bin_fixture(), 10)
+    assert rep.mce == pytest.approx(0.6, abs=1e-15)
 
 
 def test_perfectly_calibrated_gives_zero():
@@ -131,47 +150,40 @@ def test_perfectly_calibrated_gives_zero():
         for i in range(4):
             true = 0 if i < correct_of_4 else 1
             rows.append(((conf, 1.0 - conf), true))
-    bins = metrics.build_report(*prediction_set(*rows), 4).bins
-    assert metrics.ece(bins, len(rows)) == 0.0
-    assert metrics.mce(bins) == 0.0
+    rep = metrics.build_report(*prediction_set(*rows), 4)
+    assert rep.ece == 0.0
+    assert rep.mce == 0.0
 
 
 def test_single_nonempty_bin_ece_equals_mce():
     rows = [((0.82, 0.18), r % 2) for r in range(6)]
-    bins = metrics.build_report(*prediction_set(*rows), 10).bins
-    assert metrics.ece(bins, 6) == metrics.mce(bins)
-
-
-def test_ece_mce_error_paths():
-    bins = metrics.build_report(*two_bin_fixture(), 10).bins
-    with pytest.raises(ValueError):
-        metrics.ece(bins, 0)
-    with pytest.raises(ValueError):
-        metrics.ece(bins, 5)  # counts sum to 4
-    empty = [metrics.BinStats(1, 0.0, 1.0, 0, None, None)]
-    with pytest.raises(ValueError):
-        metrics.mce(empty)
+    rep = metrics.build_report(*prediction_set(*rows), 10)
+    assert rep.ece == rep.mce
 
 
 # --- nll -------------------------------------------------------------------
 
+def nll(probs, labels) -> float:
+    return metrics.build_report(probs, labels).nll_sum
+
+
 def test_nll_perfect_prediction_is_exactly_zero():
-    assert metrics.nll(*prediction_set(((1.0, 0.0), 0))) == 0.0
+    assert nll(*prediction_set(((1.0, 0.0), 0))) == 0.0
 
 
 def test_nll_half_prob_is_ln2():
-    assert metrics.nll(*prediction_set(((0.5, 0.5), 1))) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert nll(*prediction_set(((0.5, 0.5), 1))) == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_nll_three_records_frozen():
     probs, labels = prediction_set(((0.9, 0.1), 0), ((0.8, 0.2), 0), ((0.7, 0.3), 0))
     expected = -(math.log(0.9) + math.log(0.8) + math.log(0.7))  # 0.68517...
-    assert metrics.nll(probs, labels) == pytest.approx(expected, abs=1e-15)
-    assert metrics.nll(probs, labels) == pytest.approx(0.6851790109107685, abs=1e-12)
+    assert nll(probs, labels) == pytest.approx(expected, abs=1e-15)
+    assert nll(probs, labels) == pytest.approx(0.6851790109107685, abs=1e-12)
 
 
 def test_nll_zero_probability_is_clamped():
-    assert metrics.nll(*prediction_set(((0.0, 1.0), 0))) == pytest.approx(-math.log(1e-12), rel=1e-12)
+    assert nll(*prediction_set(((0.0, 1.0), 0))) == pytest.approx(-math.log(1e-12), rel=1e-12)
 
 
 def test_nll_sum_is_the_row_loop_bit_for_bit():
@@ -188,7 +200,7 @@ def test_nll_nonnegative_and_zero_iff_certain():
     rng = np.random.default_rng(11)
     for _ in range(50):
         probs, labels = random_set(rng, 20)
-        value = metrics.nll(probs, labels)
+        value = nll(probs, labels)
         assert value >= 0.0
         rows = reference_rows(probs, labels)
         assert (value == 0.0) == all(r.prob_vector[r.true_label] == 1.0 for r in rows)
@@ -212,9 +224,6 @@ def test_report_matches_brute_force_bit_for_bit():
 def test_report_fields_equal_component_ops():
     probs, labels = two_bin_fixture()
     rep = metrics.build_report(probs, labels, 10)
-    assert rep.ece == metrics.ece(rep.bins, len(labels))
-    assert rep.mce == metrics.mce(rep.bins)
-    assert rep.nll_sum == metrics.nll(probs, labels)
     _, predicted = metrics.predict(probs)
     assert rep.accuracy == np.count_nonzero(predicted == labels) / len(labels)
 
