@@ -11,9 +11,10 @@ its columns. ``pipeline``'s 12 command lines, calibrate's ``--kind`` choices,
 eval's report label and compare's checks and table all follow from them, so
 a new method or score is one entry.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error
-(among them a config file that is not a UTF-8 JSON object), 4 missing
-dependency artifact.
+Exit codes: 0 success, 2 configuration error (among them sizes whose arrays
+cannot be allocated, a ``MemoryError``), 3 I/O or file-format error (among
+them a config file that is not a UTF-8 JSON object), 4 missing dependency
+artifact.
 """
 
 from __future__ import annotations
@@ -559,6 +560,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's names the allocation; Python's is bare
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -535,34 +535,24 @@ def _leading_lines(path, fh) -> list[str]:
 
 def _parse_header(path, lines: list[str]) -> tuple[int, int, int, bool]:
     """Index of the header line, column count, feature count and whether a
-    p_true column follows the label."""
+    p_true column follows the label. The header line must be
+    ``dataset_header`` of its own count of comp_ and filler_ columns, with
+    p_true if its last column is p_true."""
     idx = 0
     while idx < len(lines) and lines[idx].startswith("#"):
         idx += 1
     if idx >= len(lines) or not lines[idx]:
         raise DatasetFormatError(f"{path}: line {idx + 1}: missing header")
     header = lines[idx].split(",")
-    if header[: len(SCALAR_COLUMNS)] != SCALAR_COLUMNS:
+    with_p_true = header[-1] == "p_true"
+    n_comp = sum(1 for c in header if c.startswith("comp_"))
+    n_filler = sum(1 for c in header if c.startswith("filler_"))
+    if lines[idx] != dataset_header(n_comp, n_filler, with_p_true):
         raise DatasetFormatError(
-            f"{path}: line {idx + 1}: header must start with {','.join(SCALAR_COLUMNS)}"
+            f"{path}: line {idx + 1}: header must be {','.join(SCALAR_COLUMNS)},"
+            "comp_0,comp_1,...,filler_0,filler_1,...,label[,p_true]"
         )
-    rest = header[len(SCALAR_COLUMNS) :]
-    with_p_true = bool(rest) and rest[-1] == "p_true"
-    if with_p_true:
-        rest = rest[:-1]
-    if not rest or rest[-1] != "label":
-        raise DatasetFormatError(f"{path}: line {idx + 1}: header must contain label")
-    rest = rest[:-1]
-    n_comp = sum(1 for c in rest if c.startswith("comp_"))
-    n_filler = len(rest) - n_comp
-    expected = [f"comp_{i}" for i in range(n_comp)] + [
-        f"filler_{i}" for i in range(n_filler)
-    ]
-    if rest != expected:
-        raise DatasetFormatError(
-            f"{path}: line {idx + 1}: malformed comp/filler column block"
-        )
-    return idx, len(header), len(SCALAR_COLUMNS) + n_comp + n_filler, with_p_true
+    return idx, len(header), len(header) - 1 - with_p_true, with_p_true
 
 
 def sidecar_path(path) -> Path:

@@ -3,9 +3,12 @@
 The default architecture is [295, 256, 256, 2]: ReLU hidden layers of the
 sizes ``TrainConfig.hidden`` and two output logits. When the density head
 is enabled the final layer emits a third raw output, the log noise scale
-consumed by the data-uncertainty loss. Gradients are hand-derived for the
-two supported losses (softmax cross-entropy and the data-uncertainty loss)
-and checked against finite differences in the test suite.
+consumed by the data-uncertainty loss. ``param_shapes`` declares each
+parameter block's name and shape once, for ``init_params``, the checks, and
+the model file's writer and reader. Gradients are hand-derived for the two
+supported losses (softmax cross-entropy and the data-uncertainty loss),
+returned by ``backward`` as one flat list, weights then biases, and checked
+against finite differences in the test suite.
 
 Every pass computes in the dtype of the parameters it is given. ``train``
 keeps float64 master weights and Adam state and runs each step's forward
@@ -74,20 +77,26 @@ class ModelFormatError(FormatError):
     """Raised when a model file does not match the expected text format."""
 
 
-def _check_layer_sizes(sizes: list[int]) -> None:
-    """A network's sizes: at least two, all positive, the last the 2 classes."""
+def param_shapes(layer_sizes: list[int], du_head: bool = False) -> list[tuple[str, tuple]]:
+    """The ``(name, shape)`` of each parameter block, in model-file order:
+    per layer ``i``, ``W<i>`` of shape ``(fan_in, out)`` then ``b<i>`` of
+    shape ``(out,)``; with the density head the last layer has one more
+    output, the raw noise output. ValueError unless ``layer_sizes`` are two
+    or more, all positive, the last the 2 classes."""
+    sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes) or sizes[-1] != 2:
         raise ValueError(f"'layer_sizes' must be two or more positive sizes ending at 2: {sizes}")
+    outs = sizes[1:-1] + [sizes[-1] + bool(du_head)]
+    shapes = []
+    for i, (fan_in, out) in enumerate(zip(sizes, outs)):
+        shapes += [(f"W{i}", (fan_in, out)), (f"b{i}", (out,))]
+    return shapes
 
 
 @dataclass
 class ModelParams:
-    """Layer sizes plus per-layer weight matrices and bias vectors.
-
-    ``layer_sizes`` always ends at the class count (2); with the density
-    head enabled the final weight matrix and bias carry one extra output
-    column for the raw noise output.
-    """
+    """Layer sizes plus per-layer weight matrices and bias vectors, of the
+    shapes ``param_shapes`` gives for ``layer_sizes`` and the head flag."""
 
     layer_sizes: list[int]
     weights: list[np.ndarray]
@@ -95,18 +104,10 @@ class ModelParams:
     du_head_enabled: bool = False
 
     def validate(self) -> None:
-        sizes = list(self.layer_sizes)
-        _check_layer_sizes(sizes)
-        outs = sizes[1:]
-        if self.du_head_enabled:
-            outs = outs[:-1] + [outs[-1] + 1]
-        if len(self.weights) != len(outs) or len(self.biases) != len(outs):
-            raise ValueError("parameter count does not match layer_sizes")
-        fan_in = sizes[0]
-        for w, b, out in zip(self.weights, self.biases, outs):
-            if w.shape != (fan_in, out) or b.shape != (out,):
-                raise ValueError("parameter shapes do not chain consistently")
-            fan_in = out
+        shapes = param_shapes(self.layer_sizes, self.du_head_enabled)
+        got = [np.shape(arr) for arr in self.weights + self.biases]
+        if got != [shape for _, shape in shapes[::2] + shapes[1::2]]:
+            raise ValueError(f"parameter shapes {got} do not match layer_sizes {self.layer_sizes}")
         for arr in self.weights + self.biases:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
@@ -147,20 +148,13 @@ def init_params(
 ) -> ModelParams:
     """He-style uniform fan-in initialization, zero biases, seeded."""
     rng = np.random.default_rng(seed)
-    sizes = list(layer_sizes)
-    outs = sizes[1:]
-    if du_head:
-        outs = outs[:-1] + [outs[-1] + 1]
-    weights, biases = [], []
-    fan_in = sizes[0]
-    for out in outs:
+    shapes = param_shapes(layer_sizes, du_head)
+    weights = []
+    for _, (fan_in, out) in shapes[::2]:
         limit = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-limit, limit, size=(fan_in, out)))
-        biases.append(np.zeros(out))
-        fan_in = out
-    params = ModelParams(sizes, weights, biases, du_head_enabled=du_head)
-    params.validate()
-    return params
+    biases = [np.zeros(shape) for _, shape in shapes[1::2]]
+    return ModelParams(list(layer_sizes), weights, biases, du_head_enabled=du_head)
 
 
 def _forward_cached(params: ModelParams, x: np.ndarray):
@@ -227,12 +221,6 @@ def probabilities(model, out: np.ndarray) -> np.ndarray:
     return duloss.expected_probs_exact(logits, s_raw)
 
 
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 def _loss_and_delta(out: np.ndarray, y: np.ndarray, loss_kind: str, noise):
     """Mean batch loss and its gradient w.r.t. the raw outputs, both in
     float64 whatever the dtype of ``out``."""
@@ -255,9 +243,10 @@ def _loss_and_delta(out: np.ndarray, y: np.ndarray, loss_kind: str, noise):
 
 def backward(
     params: ModelParams, x: np.ndarray, y: np.ndarray, loss_kind: str = "ce", noise=None
-) -> tuple[float, Gradients, np.ndarray]:
+) -> tuple[float, list[np.ndarray], np.ndarray]:
     """Mean batch loss, its gradient w.r.t. every parameter, and the raw
-    network outputs of the batch (as ``forward`` would return them).
+    network outputs of the batch (as ``forward`` would return them). The
+    gradients are one flat list in ``params.weights + params.biases`` order.
 
     The passes run in the parameters' dtype and the gradients come back in
     it; the loss is taken in float64, and so is the gradient w.r.t. the
@@ -282,7 +271,7 @@ def backward(
             # the activation max(u, 0) is positive exactly where u is, NaN included
             dpre = dpre @ params.weights[layer].T
             dpre *= activations[layer] > 0.0
-    return loss, Gradients(dweights, dbiases), out
+    return loss, dweights + dbiases, out
 
 
 @dataclass
@@ -499,8 +488,8 @@ def train(
             loss, grads, out = backward(work, xb, yb, config.loss_kind, noise)
             loss_sum += loss * len(idx)
             correct += int(np.count_nonzero(np.argmax(out[:, :2], axis=1) == yb))
-            grads64 = [g.astype(np.float64) for g in grads.weights + grads.biases]
-            adam_step(flat, grads64, state, lr=config.learning_rate)
+            adam_step(flat, [g.astype(np.float64) for g in grads], state,
+                      lr=config.learning_rate)
         log.append(EpochLog(epoch=epoch, loss=loss_sum / n, train_acc=correct / n))
     return params, log
 
@@ -511,14 +500,19 @@ def write_training_log(log: list[EpochLog], path, comment: str | None = None) ->
     write_csv(path, ("epoch", "loss", "train_acc"), rows, comment)
 
 
+def _param_line(name: str, shape: tuple) -> str:
+    return " ".join(["param", name, *map(str, shape)])
+
+
 def save_model(params: ModelParams, path, header: dict | None = None) -> None:
     """Write the versioned plain-text model file.
 
-    Layout: the magic line, key=value header lines, then one block per
-    parameter array holding its shape and row-major values. Values are
-    written with shortest round-trip decimal repr, so loading restores them
-    exactly and identical parameters produce identical bytes. A header
-    entry that read_model would not read back raises ValueError first.
+    Layout: the magic line, key=value header lines, a block per entry of
+    ``param_shapes`` (its ``param <name> <shape>`` line, then a line per row,
+    a vector being one row), then ``end``. Values are written with the
+    shortest round-trip decimal repr, so loading restores them exactly and
+    identical parameters produce identical bytes. A header entry that
+    read_model would not read back raises ValueError first.
     """
     params.validate()
     lines = [MODEL_MAGIC]
@@ -531,12 +525,10 @@ def save_model(params: ModelParams, path, header: dict | None = None) -> None:
         if "=" in str(key) or line.startswith("param ") or "\n" in line or "\r" in line:
             raise ValueError(f"model header key {key!r} does not make one key=value line")
         lines.append(line)
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        lines.append(f"param W{i} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(format_numbers(row)))
-        lines.append(f"param b{i} {b.shape[0]}")
-        lines.append(" ".join(format_numbers(b)))
+    arrays = [arr for pair in zip(params.weights, params.biases) for arr in pair]
+    for block, arr in zip(param_shapes(params.layer_sizes, params.du_head_enabled), arrays):
+        lines.append(_param_line(*block))
+        lines.extend(" ".join(format_numbers(row)) for row in np.atleast_2d(arr))
     lines.append("end")
     write_lines(path, lines)
 
@@ -557,34 +549,32 @@ class ModelFile:
     @property
     def n_outputs(self) -> int:
         """The width of ``forward``'s outputs (see ``split_outputs``)."""
-        return self.layer_sizes[-1] + self.du_head_enabled
+        return param_shapes(self.layer_sizes, self.du_head_enabled)[-1][1][0]
 
     def params(self) -> ModelParams:
-        """The parameters; a malformed block raises ``ModelFormatError``."""
+        """The parameters. Each block of ``param_shapes`` must open with its
+        exact ``param`` line and hold its rows of its width, and ``end``
+        must follow the last; else ``ModelFormatError`` names the line."""
         path, lines, i = self.path, self.lines, self.body_start
-        weights, biases = [], []
-        while i < len(lines) and lines[i] != "end":
-            parts = lines[i].split()
-            if len(parts) < 2 or parts[0] != "param":
-                raise ModelFormatError(f"{path}: line {i + 1}: expected a param block")
-            # a weight matrix has one line per row, a bias vector one line
-            name, is_weight = parts[1], parts[1].startswith("W")
-            try:
-                shape = tuple(int(p) for p in parts[2:])
-                rows = []
-                for _ in range(shape[0] if is_weight else 1):
-                    i += 1
+        arrays = []
+        for name, shape in param_shapes(self.layer_sizes, self.du_head_enabled):
+            expected = _param_line(name, shape)
+            if i >= len(lines) or lines[i] != expected:
+                raise ModelFormatError(f"{path}: line {i + 1}: expected {expected!r}")
+            rows = []
+            for _ in range(math.prod(shape[:-1])):  # one line per row, a vector's one
+                i += 1
+                try:
                     rows.append([float(v) for v in lines[i].split()])
-                arr = np.array(rows if is_weight else rows[0])
-            except (ValueError, IndexError) as exc:
-                raise ModelFormatError(f"{path}: line {i + 1}: {exc}") from exc
-            if arr.shape != shape:
-                raise ModelFormatError(f"{path}: {name}: shape mismatch")
-            (weights if is_weight else biases).append(arr)
+                    if len(rows[-1]) != shape[-1]:
+                        raise ValueError(f"expected {shape[-1]} values, got {len(rows[-1])}")
+                except (ValueError, IndexError) as exc:
+                    raise ModelFormatError(f"{path}: line {i + 1}: {exc}") from exc
+            arrays.append(np.array(rows).reshape(shape))
             i += 1
         if i >= len(lines) or lines[i] != "end":
-            raise ModelFormatError(f"{path}: missing end marker")
-        params = ModelParams(self.layer_sizes, weights, biases, self.du_head_enabled)
+            raise ModelFormatError(f"{path}: line {i + 1}: missing end marker")
+        params = ModelParams(self.layer_sizes, arrays[::2], arrays[1::2], self.du_head_enabled)
         try:
             params.validate()
         except ValueError as exc:
@@ -624,7 +614,7 @@ def read_model(path) -> ModelFile:
         msg = f"header field 'layer_sizes' is malformed: {sizes!r}"
         raise ModelFormatError(f"{path}: {msg}") from exc
     try:
-        _check_layer_sizes(layer_sizes)
+        param_shapes(layer_sizes)
     except ValueError as exc:
         raise ModelFormatError(f"{path}: header field {exc}") from exc
     if flag not in ("true", "false"):

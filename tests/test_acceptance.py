@@ -112,9 +112,7 @@ def test_criterion_2_gradient_correctness():
         _, grads, _ = nn.backward(params, x, y, "ce")
         h = 1e-5
         analytic, numeric = [], []
-        for arr, g in zip(
-            params.weights + params.biases, grads.weights + grads.biases
-        ):
+        for arr, g in zip(params.weights + params.biases, grads):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 ix = it.multi_index

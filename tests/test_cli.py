@@ -269,6 +269,26 @@ def test_train_hidden_size_below_one_is_config_error(tmp_path, mini_run, hidden)
     assert not out.exists()
 
 
+# sizes whose arrays need 2^58 bytes or more: beyond any x86-64 address space,
+# so the allocation fails at once, yet small enough that numpy does not
+# refuse the size itself as overflowing
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n-train", "36028797018963968"],
+    ["gen", "--n", "10", "--n-features", "36028797018963968"],
+    ["train", *MINI_TRAIN, "--hidden", "4503599627370496"],
+    ["train", *MINI_TRAIN, "--loss", "du", "--k", "1125899906842624"],
+], ids=["gen-rows", "gen-features", "train-hidden", "train-k"])
+def test_an_allocation_that_cannot_be_made_is_a_config_error(tmp_path, mini_run, argv):
+    if argv[0] == "train":
+        argv = [*argv, "--data", mini_run / "train.csv"]
+    out = tmp_path / "o"
+    proc = run_cli([*argv, "--out", out], check=False)
+    assert proc.returncode == 2
+    assert "Unable to allocate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def _recorded_calls(monkeypatch, module, name) -> list:
     """Patch ``module.name`` to record the arguments of each call."""
     real, calls = getattr(module, name), []
@@ -550,6 +570,24 @@ def test_calibrate_rejects_bad_split_header_fields(tmp_path, mini_run, key, valu
     assert str(model) in proc.stderr and repr(key) in proc.stderr
     if value is None:
         assert "retrain" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "eval"])
+def test_a_model_block_not_as_declared_is_refused_naming_its_line(tmp_path, mini_run, command):
+    # the reader takes each block by its declared name and shape, so a W0
+    # block under another name is refused before a weight is parsed
+    lines = (mini_run / "model_ce.txt").read_text().splitlines()
+    line_no = lines.index("param W0 45 16") + 1
+    lines[line_no - 1] = "param Wzz 45 16"
+    model = tmp_path / "renamed.txt"
+    model.write_text("\n".join(lines) + "\n")
+    data = tmp_path / "train.csv"
+    shutil.copyfile(mini_run / "train.csv", data)
+    out = tmp_path / "o"
+    proc = run_cli([command, "--model", model, "--data", data, "--out", out], check=False)
+    assert proc.returncode == 3
+    assert f"{model}: line {line_no}: expected 'param W0 45 16'" in proc.stderr
     assert not out.exists()
 
 

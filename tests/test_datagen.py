@@ -638,11 +638,41 @@ def test_wrong_column_count_is_schema_error(tmp_path):
         read_dataset(path)
 
 
+# the header of 2 comp_ and 1 filler_ columns with p_true, as dataset_header writes it
+HEADER = "minute,gold_diff,xp_diff,kills_blue,kills_red,comp_0,comp_1,filler_0,label,p_true"
+
+
 def test_bad_header_rejected(tmp_path):
+    assert datagen.dataset_header(2, 1, True) == HEADER
     path = tmp_path / "bad.csv"
-    path.write_text("foo,bar\n1,2\n")
-    with pytest.raises(datagen.DatasetFormatError, match="line 1"):
-        read_dataset(path)
+    for text, line_no in (
+        ("foo,bar\n1,2\n", 1),
+        # a wrong scalar prefix, no label, a gap in the comp_ columns,
+        # filler_0 before comp_0, p_true before label
+        ("# meta\n" + HEADER.replace("gold_diff", "gold") + "\n" + "0," * 9 + "0.5\n", 2),
+        (HEADER.replace(",label", "") + "\n" + "0," * 8 + "0.5\n", 1),
+        (HEADER.replace("comp_1", "comp_2") + "\n" + "0," * 9 + "0.5\n", 1),
+        ("# meta\n" + HEADER.replace("comp_0,comp_1,filler_0", "filler_0,comp_0,comp_1")
+         + "\n" + "0," * 9 + "0.5\n", 2),
+        (HEADER.replace("label,p_true", "p_true,label") + "\n" + "0," * 8 + "0.5,0\n", 1),
+    ):
+        path.write_text(text)
+        with pytest.raises(datagen.DatasetFormatError,
+                           match=re.escape(f"{path}: line {line_no}: header must be")):
+            read_dataset(path)
+
+
+@pytest.mark.parametrize("n_comp, n_filler, with_p_true", [
+    (0, 0, False), (0, 2, True), (3, 0, False), (2, 1, True),
+])
+def test_every_header_dataset_header_writes_is_read(tmp_path, n_comp, n_filler, with_p_true):
+    path = tmp_path / "d.csv"
+    width = 5 + n_comp + n_filler
+    row = ",".join(["1"] * width + ["0"] + (["0.5"] if with_p_true else []))
+    path.write_text(datagen.dataset_header(n_comp, n_filler, with_p_true) + "\n" + row + "\n")
+    x, y, p_true = read_dataset(path)
+    assert x.shape == (1, width) and y.tolist() == [0]
+    assert (p_true is not None) == with_p_true
 
 
 @pytest.mark.parametrize("block_chars", [1, 300, datagen.BLOCK_BYTES])

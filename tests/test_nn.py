@@ -213,7 +213,7 @@ def test_ce_logit_gradient_identity_on_zero_net():
     x = np.array([[0.5, -0.5, 1.0, 0.0]])
     _, grads, _ = nn.backward(params, x, np.array([0]), "ce")
     # softmax-CE at z = (0, 0): dL/dz = p - onehot = (0.5, 0.5) - (1, 0)
-    np.testing.assert_allclose(grads.biases[-1], [-0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(grads[-1], [-0.5, 0.5], atol=1e-15)
 
 
 def test_ce_backprop_matches_finite_differences():
@@ -226,7 +226,7 @@ def test_ce_backprop_matches_finite_differences():
         y = rng.integers(0, 2, n)
         _, grads, _ = nn.backward(params, x, y, "ce")
         numeric = fd_gradient(params, x, y, "ce", None)
-        worst = max(worst, relative_error(grads.weights + grads.biases, numeric))
+        worst = max(worst, relative_error(grads, numeric))
     assert worst <= 1e-5
 
 
@@ -242,7 +242,7 @@ def test_du_backprop_matches_finite_differences_with_frozen_noise():
         noise = duloss.draw_noise_batch(n, duloss.MCConfig(k=16), noise_rng)
         _, grads, _ = nn.backward(params, x, y, "du", noise)
         numeric = fd_gradient(params, x, y, "du", noise)
-        worst = max(worst, relative_error(grads.weights + grads.biases, numeric))
+        worst = max(worst, relative_error(grads, numeric))
     assert worst <= 1e-5
 
 
@@ -254,7 +254,7 @@ def test_duplicated_batch_equals_single_sample_gradient():
     batch = np.tile(x, (4, 1))
     batch_loss, repeated, _ = nn.backward(params, batch, np.array([1, 1, 1, 1]), "ce")
     assert batch_loss == pytest.approx(single_loss, abs=1e-14)
-    for g1, g2 in zip(single.weights + single.biases, repeated.weights + repeated.biases):
+    for g1, g2 in zip(single, repeated):
         np.testing.assert_allclose(g1, g2, atol=1e-14)
 
 
@@ -281,8 +281,7 @@ def test_float32_backward_matches_float64(loss_kind):
         noise = duloss.draw_noise_batch(1024, duloss.MCConfig(k=8), rng)
     loss64, grads64, out64 = nn.backward(params, x, y, loss_kind, noise)
     loss32, grads32, out32 = nn.backward(as_float32(params), x, y, loss_kind, noise)
-    exact = grads64.weights + grads64.biases
-    narrow = grads32.weights + grads32.biases
+    exact, narrow = grads64, grads32
     assert out64.dtype == np.float64 and out32.dtype == np.float32
     assert all(g.dtype == np.float64 for g in exact)
     assert all(g.dtype == np.float32 for g in narrow)
@@ -303,11 +302,11 @@ def test_float32_du_backward_on_saturated_margins_has_no_subnormal_gradient():
     noise[:, :, 1] = np.repeat([[90.0, -90.0], [1.0, -1.0]], 4, axis=0)
     _, grads, _ = nn.backward(as_float32(params), x, y, "du", noise)
     tiny = np.finfo(np.float32).tiny
-    for g in grads.weights + grads.biases:
+    for g in grads:
         assert g.dtype == np.float32
         assert not ((g != 0.0) & (np.abs(g) < tiny)).any()
     # the unsaturated rows' gradient is kept
-    assert np.abs(grads.weights[0][1, :2]).min() > 0.1
+    assert np.abs(grads[0][1, :2]).min() > 0.1
 
 
 @pytest.mark.parametrize("loss_kind", ["ce", "du"])
@@ -478,7 +477,7 @@ def test_train_step_is_a_float32_pass_and_a_float64_adam_update():
     _, grads, _ = nn.backward(as_float32(expected), x.astype(np.float32)[perm], y[perm], "ce")
     flat = expected.weights + expected.biases
     nn.adam_step(
-        flat, [g.astype(np.float64) for g in grads.weights + grads.biases],
+        flat, [g.astype(np.float64) for g in grads],
         nn.adam_init(flat), lr=1e-2,
     )
     for a, b in zip(params.weights + params.biases, flat):
@@ -725,6 +724,66 @@ def test_model_load_rejects_garbage(tmp_path):
         )
         with pytest.raises(nn.ModelFormatError, match=re.escape(f"{path}: line 7")):
             load_model(path)
+    # a block not opened by its declared `param` line: on a [3, 3, 3, 2]
+    # model, W0 and W1 have one shape, so only the names tell them apart
+    nn.save_model(nn.init_params([3, 3, 3, 2], seed=0), path)
+    saved = path.read_text()
+    for edit in (
+        lambda text: text.replace("param W0 ", "param Wtmp ").replace("param W1 ", "param W0 ")
+        .replace("param Wtmp ", "param W1 "),
+        lambda text: text.replace("param W0 ", "param Wzz "),
+        lambda text: text.replace("param W0 ", "param  W0 "),
+    ):
+        path.write_text(edit(saved))
+        with pytest.raises(nn.ModelFormatError, match=re.escape(f"{path}: line 4: expected")):
+            load_model(path)
+
+
+@pytest.mark.parametrize("line_no, edit, message", [
+    (5, lambda row: row + " 1", "expected 3 values, got 4"),
+    (9, lambda row: row.rsplit(" ", 1)[0], "expected 3 values, got 2"),
+    (6, lambda row: "x " + row.split(" ", 1)[1], "could not convert"),
+    (17, lambda row: "", "expected 2 values, got 0"),
+    (22, lambda row: "param W3 2 2", "missing end marker"),
+    (22, None, "missing end marker"),
+], ids=["long-row", "short-bias", "bad-value", "blank-row", "extra-block", "no-end"])
+def test_model_load_names_the_line_of_a_malformed_block(tmp_path, line_no, edit, message):
+    # the blocks of a [3, 3, 3, 2] model open at lines 4, 8, 10, 14, 16 and 20,
+    # and "end" is line 22
+    path = tmp_path / "model.txt"
+    nn.save_model(nn.init_params([3, 3, 3, 2], seed=0), path)
+    lines = path.read_text().splitlines()
+    assert lines[21] == "end"
+    if edit is None:
+        del lines[line_no - 1]
+    else:
+        lines[line_no - 1] = edit(lines[line_no - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(nn.ModelFormatError, match=re.escape(f"{path}: line {line_no}: ")) as info:
+        load_model(path)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("du", [False, True], ids=["ce", "du"])
+def test_param_shapes_is_the_model_file_layout(tmp_path, du):
+    shapes = nn.param_shapes([3, 4, 5, 2], du)
+    assert shapes == [("W0", (3, 4)), ("b0", (4,)), ("W1", (4, 5)), ("b1", (5,)),
+                      ("W2", (5, 2 + du)), ("b2", (2 + du,))]
+    params = nn.init_params([3, 4, 5, 2], du_head=du, seed=4)
+    assert [a.shape for a in params.weights] == [shape for _, shape in shapes[::2]]
+    assert [a.shape for a in params.biases] == [shape for _, shape in shapes[1::2]]
+    path = tmp_path / "model.txt"
+    nn.save_model(params, path)
+    param_lines = [line for line in path.read_text().splitlines() if line.startswith("param ")]
+    assert param_lines == [" ".join(["param", name, *map(str, shape)]) for name, shape in shapes]
+    model = nn.read_model(path)
+    assert model.n_outputs == shapes[-1][1][0]
+    loaded = model.params()
+    for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
+        np.testing.assert_array_equal(a, b)
+    copy = tmp_path / "copy.txt"
+    nn.save_model(loaded, copy)
+    assert copy.read_bytes() == path.read_bytes()
 
 
 # a consistent model file of a network with three outputs, which save_model
